@@ -2,8 +2,8 @@
 """Benchmark SVD solvers on a synthetic directed-graph kernel.
 
 Writes bench.csv (one row per solver and epsilon) plus a manifest, then
-prints the wall-time table. Sizes above ~2000 nodes take a while with the
-exact reference; the reference switches to truncated SVD automatically.
+prints the wall-time table. The accuracy reference is the full LAPACK SVD
+up to 600 nodes and a top-r truncated SVD above that.
 """
 import argparse
 import csv

@@ -9,7 +9,6 @@ and the flags. Exit codes: 0 on success, 2 for user or config errors,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import KNOWN, build_config
@@ -29,7 +28,6 @@ _FLAG_KEYS = {
     "rank": "rank",
     "solver": "solver",
     "seed": "seed",
-    "threads": "threads",
     "out": "out",
 }
 
@@ -58,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "nystrom"),
                         help="SVD solver for fitting")
     common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--threads", type=int, help="BLAS thread count")
     common.add_argument("--out", metavar="DIR", help="output directory")
 
     parser = argparse.ArgumentParser(
@@ -98,14 +95,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _apply_threads(cfg) -> None:
-    # must happen before numpy (and its BLAS) is first imported
-    n = str(cfg["threads"])
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -115,7 +104,6 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(config_path=args.config,
                            overrides=_overrides_from_args(args))
-        _apply_threads(cfg)
         from . import pipeline
         runner = {
             "extract": pipeline.run_extract,

@@ -86,12 +86,10 @@ KNOWN: dict[str, Key] = {
     "bench.solvers": Key("tsvd,rsvd,asym_nystrom", str),
     "bench.epsilons": Key("0.1", str),
     "bench.repeats": Key(3, int),
-    "bench.exact_reference_max": Key(600, int),
     "sweep.gammas": Key(None, _parse_opt(str)),
     "sweep.gamma_scales": Key("0.25,0.5,1.0,2.0,4.0", str),
     "sweep.seeds": Key(5, int),
     "seed": Key(0, int),
-    "threads": Key(1, int),
     "out": Key("aksvd_out", str),
 }
 
@@ -192,8 +190,6 @@ def build_config(config_path=None, environ=None, overrides=None) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg["rank"] < 1:
         raise ConfigError(f"rank must be >= 1, got {cfg['rank']}")
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg['threads']}")
     if cfg["dataset.format"] != "synth":
         path = cfg["dataset.path"]
         if path is None:

@@ -1,8 +1,8 @@
-"""Dense real linear algebra: the SVD solver family and matrix plumbing.
+"""Dense real linear algebra: the SVD solver family and CSV matrix I/O.
 
 Three solvers share the ``SvdResult`` contract:
 
-* ``svd_exact``: one-sided Jacobi, the desk-scale reference oracle;
+* ``svd_exact``: the full compact SVD from LAPACK (``np.linalg.svd``);
 * ``svd_randomized``: Gaussian sketch with block-Krylov power iterations;
 * ``svd_truncated``: Golub-Kahan-Lanczos bidiagonalization with full
   reorthogonalization, extended until the leading triplets converge.
@@ -13,7 +13,6 @@ entry of each left vector is positive.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,6 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
-
-_SWEEP_TOL = 1e-12
-_MAX_SWEEPS = 30
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -81,91 +77,15 @@ def canonicalize_signs(u: np.ndarray, v: np.ndarray | None = None):
     return u if v is None else (u, v)
 
 
-def _round_robin_rounds(n: int):
-    """Disjoint column-pair schedule covering all pairs once per sweep."""
-    m = n if n % 2 == 0 else n + 1
-    idx = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        top = idx[: m // 2]
-        bot = idx[m // 2:][::-1]
-        left = np.array([a for a, b in zip(top, bot) if a < n and b < n])
-        right = np.array([b for a, b in zip(top, bot) if a < n and b < n])
-        rounds.append((left, right))
-        idx = [idx[0]] + [idx[-1]] + idx[1:-1]
-    return rounds
-
-
-def _jacobi(w: np.ndarray):
-    """One-sided Jacobi on the columns of ``w`` (modified in place).
-
-    Returns the accumulated right rotations and the final column sq-norms.
-    Rotations within a round touch disjoint columns, so each round is applied
-    as one vectorized update; the schedule is fixed, keeping runs bit-stable.
-    """
-    n = w.shape[1]
-    v = np.eye(n)
-    rounds = _round_robin_rounds(n)
-    for sweep in range(_MAX_SWEEPS):
-        sq = np.einsum("ij,ij->j", w, w)
-        worst = 0.0
-        for li, ri in rounds:
-            wi = w[:, li]
-            wj = w[:, ri]
-            g = np.einsum("ij,ij->j", wi, wj)
-            al = sq[li]
-            be = sq[ri]
-            denom = np.sqrt(al * be)
-            ratio = np.divide(np.abs(g), denom, out=np.zeros_like(g), where=denom > 0)
-            if ratio.size:
-                worst = max(worst, float(ratio.max()))
-            rot = ratio > _SWEEP_TOL
-            if not rot.any():
-                continue
-            zeta = np.zeros_like(g)
-            np.divide(be - al, 2.0 * g, out=zeta, where=rot)
-            t = np.where(rot, np.sign(zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
-            t = np.where(rot & (zeta == 0), 1.0, t)  # 45-degree case
-            c = 1.0 / np.hypot(1.0, t)
-            s = c * t
-            w[:, li] = c * wi - s * wj
-            w[:, ri] = s * wi + c * wj
-            vi = v[:, li]
-            vj = v[:, ri]
-            v[:, li] = c * vi - s * vj
-            v[:, ri] = s * vi + c * vj
-            # closed-form norm updates can drift below zero for dead columns
-            sq[li] = np.maximum(c * c * al - 2 * c * s * g + s * s * be, 0.0)
-            sq[ri] = np.maximum(s * s * al + 2 * c * s * g + c * c * be, 0.0)
-        if worst <= _SWEEP_TOL:
-            break
-    else:
-        warnings.warn("Jacobi sweeps hit the cap before reaching sweep tolerance",
-                      RuntimeWarning, stacklevel=3)
-    return v, np.sqrt(np.einsum("ij,ij->j", w, w))
-
-
 def svd_exact(a, tol: float = 1e-10) -> SvdResult:
-    """Compact SVD by one-sided Jacobi; singular values <= tol*s1 are dropped."""
+    """Compact SVD by LAPACK (``np.linalg.svd``); values <= tol*s1 are dropped."""
     a = as_matrix(a, "A")
     if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_exact requires a non-zero matrix")
-    if min(a.shape) > 2000:
-        raise ShapeMismatchError("svd_exact is a desk-scale oracle: min dim <= 2000")
-    transposed = a.shape[0] < a.shape[1]
-    w = (a.T if transposed else a).copy()
-    v, norms = _jacobi(w)
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > tol * s[0]
-    s = s[keep]
-    cols = order[keep]
-    u = w[:, cols] / s[None, :]
-    vv = v[:, cols]
-    if transposed:
-        u, vv = vv, u
-    u, vv = canonicalize_signs(u, vv)
-    return SvdResult(u=u, s=s, v=vv)
+    u, v = canonicalize_signs(u[:, keep], vt[keep].T)
+    return SvdResult(u=u, s=s[keep], v=v)
 
 
 def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
@@ -294,97 +214,7 @@ def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
     return SvdResult(u=u, s=s, v=v)
 
 
-def eigh_lanczos(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
-                 start_seed: int = 0):
-    """Top-r eigenpairs of a symmetric matrix by Lanczos tridiagonalization.
-
-    Full reorthogonalization, seeded start vector, basis grown until the
-    requested Ritz pairs converge (or the basis is complete, which makes
-    the answer exact). Returns (values descending, vectors as columns).
-    """
-    a = as_matrix(a, "A")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeMismatchError("eigh_lanczos needs a square matrix")
-    if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
-        raise ShapeMismatchError("eigh_lanczos needs a symmetric matrix")
-    if r > n:
-        raise RankTooLargeError(f"r={r} exceeds matrix size {n}")
-    if np.linalg.norm(a) == 0.0:
-        raise ZeroMatrixError("eigh_lanczos requires a non-zero matrix")
-    cap = n if max_iters is None else min(int(max_iters), n)
-    rng = np.random.default_rng(start_seed)
-    q = np.zeros((n, cap))
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)
-    vec = rng.standard_normal(n)
-    q[:, 0] = vec / np.linalg.norm(vec)
-    scale = np.linalg.norm(a)
-    k = 0
-    while k < cap:
-        w = a @ q[:, k]
-        alphas[k] = float(q[:, k] @ w)
-        w -= alphas[k] * q[:, k]
-        if k > 0:
-            w -= betas[k - 1] * q[:, k - 1]
-        for _ in range(2):
-            w -= q[:, : k + 1] @ (q[:, : k + 1].T @ w)
-        beta = np.linalg.norm(w)
-        k += 1
-        if beta <= 1e-13 * scale:
-            betas[k - 1] = 0.0
-            break
-        betas[k - 1] = beta
-        if k < cap:
-            q[:, k] = w / beta
-
-        if k >= r:
-            tri = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) \
-                + np.diag(betas[: k - 1], -1)
-            vals, vecs = np.linalg.eigh(tri)
-            order = np.argsort(-vals)
-            # Ritz residual: |beta_k| * |last basis coefficient|
-            resid = betas[k - 1] * np.abs(vecs[-1, order[:r]])
-            if np.all(resid <= max(tol, 1e-15) * max(abs(vals[order[0]]), 1e-300)):
-                break
-    tri = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) \
-        + np.diag(betas[: k - 1], -1)
-    vals, vecs = np.linalg.eigh(tri)
-    order = np.argsort(-vals)[: min(r, k)]
-    out_vals = vals[order]
-    out_vecs = canonicalize_signs(q[:, :k] @ vecs[:, order])
-    return out_vals, out_vecs
-
-
-# --- plumbing ---------------------------------------------------------------
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a, "A").T)
-
-
-def qr_thin(a):
-    """Thin QR: column-orthonormal Q and upper-triangular R with QR = A."""
-    a = as_matrix(a, "A")
-    if a.shape[0] < a.shape[1]:
-        raise ShapeMismatchError("qr_thin expects rows >= cols")
-    q, r = np.linalg.qr(a)
-    return q, r
-
-
-def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Seeded standard-normal matrix (deterministic per seed)."""
-    if rows <= 0 or cols <= 0:
-        raise ShapeMismatchError("gaussian_matrix needs positive dimensions")
-    return np.random.default_rng(seed).standard_normal((rows, cols))
-
+# --- CSV matrix I/O ---------------------------------------------------------
 
 def write_matrix_csv(path, a) -> None:
     """Plain CSV, no header, 17 significant digits (lossless round-trip)."""

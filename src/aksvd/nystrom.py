@@ -31,7 +31,6 @@ from .linalg import (
     SvdResult,
     as_matrix,
     canonicalize_signs,
-    eigh_lanczos,
     svd_exact,
     svd_randomized,
     svd_truncated,
@@ -49,7 +48,7 @@ class NystromConfig:
     epsilon: float | None = None
     m_growth: float = 2.0
     m_max: int | None = None
-    subproblem: str = "rsvd"    # "rsvd" (default) or "exact"
+    subproblem: str = "rsvd"    # asym subproblem: "rsvd" (default) or "exact"
     oversample: int = 10
     power_iters: int = 2
 
@@ -175,10 +174,11 @@ def sym_nystrom(k_source, cfg: NystromConfig,
                 reference_vals: np.ndarray | None = None):
     """Classical Nystrom eigen-approximation of a symmetric matrix.
 
-    Samples n of the N landmarks, solves the small eigenproblem with a
-    Lanczos method at rank r, and lifts: the eigenvalue estimate scales by
-    N/n and the lifted vectors are unit-normalized so they can be compared
-    directly with singular vectors from the asymmetric path.
+    Samples n of the N landmarks, solves the small n x n eigenproblem with
+    LAPACK (``np.linalg.eigh``), keeps the top r pairs, and lifts: the
+    eigenvalue estimate scales by N/n and the lifted vectors are
+    unit-normalized so they can be compared directly with singular vectors
+    from the asymmetric path. ``cfg.subproblem`` does not apply here.
     """
     source = as_kernel_source(k_source)
     big_n, big_m = source.shape
@@ -191,12 +191,9 @@ def sym_nystrom(k_source, cfg: NystromConfig,
     k_nn, k_big_n, _ = source.sample_blocks(rows, rows)
     k_nn = 0.5 * (k_nn + k_nn.T)  # symmetrize against sampling round-off
     n = rows.size
-    if cfg.subproblem == "exact":
-        vals_all, vecs_all = np.linalg.eigh(k_nn)
-        order = np.argsort(-vals_all)[: cfg.r]
-        vals, vecs = vals_all[order], canonicalize_signs(vecs_all[:, order])
-    else:
-        vals, vecs = eigh_lanczos(k_nn, cfg.r, start_seed=cfg.seed)
+    vals_all, vecs_all = np.linalg.eigh(k_nn)
+    order = np.argsort(-vals_all)[: cfg.r]
+    vals, vecs = vals_all[order], canonicalize_signs(vecs_all[:, order])
     positive = vals > 1e-12 * max(vals.max(), 1e-300)
     if positive.sum() < cfg.r:
         warnings.warn(

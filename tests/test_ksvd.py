@@ -335,6 +335,14 @@ class TestNystromSolver:
         assert model.centering.grand_mean == pytest.approx(stats.grand_mean,
                                                            abs=1e-12)
 
+    def test_min_dimension_above_two_thousand(self):
+        # compat a1 takes the full SVD of the 2100 x 2200 data matrix
+        a = (np.random.default_rng(41).random((2100, 2200)) < 0.01) * 1.0
+        model = ksvd.fit(a, rbf_spec(a), r=4, compat="a1", solver="nystrom",
+                         solver_opts={"m": 64})
+        assert model.lam.shape == (4,)
+        assert np.all(np.isfinite(model.lam)) and np.all(model.lam > 0)
+
 
 class TestPersistence:
     def make_model(self):

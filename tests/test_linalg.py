@@ -173,39 +173,6 @@ class TestSvdTruncated:
 
 
 class TestPlumbing:
-    def test_identity_matmul(self):
-        x = make_matrix(3, 4, seed=0)
-        np.testing.assert_array_equal(linalg.matmul(np.eye(3), x), x)
-
-    def test_matmul_shape_error(self):
-        with pytest.raises(ShapeMismatchError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_transpose_product_rule(self):
-        a = make_matrix(4, 3, seed=1)
-        b = make_matrix(3, 2, seed=2)
-        np.testing.assert_allclose(linalg.transpose(linalg.matmul(a, b)),
-                                   linalg.matmul(linalg.transpose(b),
-                                                 linalg.transpose(a)))
-
-    def test_qr_thin_of_orthonormal(self):
-        a = np.linalg.qr(make_matrix(6, 4, seed=8))[0]
-        q, r = linalg.qr_thin(a)
-        np.testing.assert_allclose(np.abs(np.diag(r)), np.ones(4), atol=1e-12)
-        np.testing.assert_allclose(q @ r, a, atol=1e-12)
-
-    def test_qr_reconstruction(self):
-        a = make_matrix(10, 6, seed=4)
-        q, r = linalg.qr_thin(a)
-        assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
-        assert np.allclose(np.triu(r), r)
-
-    def test_gaussian_matrix_deterministic(self):
-        g1 = linalg.gaussian_matrix(5, 3, seed=99)
-        g2 = linalg.gaussian_matrix(5, 3, seed=99)
-        assert np.array_equal(g1, g2)
-        assert not np.array_equal(g1, linalg.gaussian_matrix(5, 3, seed=100))
-
     def test_csv_round_trip(self, tmp_path):
         a = make_matrix(7, 5, seed=17) * 1e3
         path = tmp_path / "m.csv"
