@@ -76,7 +76,6 @@ KNOWN: dict[str, Key] = {
     "nystrom.seed": Key(None, _parse_opt(int)),
     "nystrom.subproblem": Key("rsvd", str, ("rsvd", "exact")),
     "nystrom.center_stats": Key("sampled", str, ("sampled", "full")),
-    "nystrom.full_denominator": Key(False, _parse_bool),
     "features.sides": Key("auto", str, ("auto", "both", "left", "right")),
     "method": Key("ksvd", str, ("ksvd", "kpca", "svd", "pca")),
     "split.seed": Key(None, _parse_opt(int)),

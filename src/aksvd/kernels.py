@@ -11,8 +11,13 @@ supported:
                every row of G sums to one
 * ``linear``   plain inner product
 
-``LazyKernelSource`` evaluates sampled blocks of G without ever storing
-the full matrix; the Nystrom solver relies on this.
+``LazyKernelSource`` is the one place kernel blocks are evaluated: it
+materializes G, evaluates sampled blocks of G for the Nystrom solver, and
+streams its centering statistics. A sampled sne block cannot see each
+row's full normalizer, a sum over all M columns, so it uses the unbiased
+estimate from the m sampled columns, (sampled sum) * M/m. Sampled blocks
+thus estimate the same matrix as the full one, at the same scale, and
+agree with it exactly when every column is sampled.
 """
 from __future__ import annotations
 
@@ -24,11 +29,10 @@ import numpy as np
 from .errors import (
     CompatibilityMissingError,
     ConfigError,
-    DimensionMismatchError,
     EmptyDenominatorWarning,
     LengthMismatchError,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
@@ -91,68 +95,32 @@ def _sqdist(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _rbf_block(x, z, gamma):
-    return np.exp(-_sqdist(x, z) / (gamma * gamma))
-
-
-def kernel_value(spec: KernelSpec, x, z, z_set=None) -> float:
-    """Single kernel evaluation.
-
-    The sne family is only defined relative to a column data set, so it
-    requires ``z_set`` (one z per row) for the normalizing sum.
-    """
-    x = as_vector(x, "x")
-    z = as_vector(z, "z")
-    if x.size != z.size:
-        raise DimensionMismatchError(
-            f"x has length {x.size} but z has length {z.size}")
+def _raw_block(spec: KernelSpec, x, z) -> np.ndarray:
+    """Linear products, or the rbf numerators that sne rows are divided by."""
     if spec.family == "linear":
-        return float(x @ z)
-    d = float(np.sum((x - z) ** 2))
-    num = float(np.exp(-d / (spec.gamma ** 2)))
-    if spec.family == "rbf":
-        return num
-    if z_set is None:
-        raise DimensionMismatchError(
-            "sne kernel_value needs the column data set (z_set=...)")
-    z_set = as_matrix(z_set, "z_set")
-    denom = float(_rbf_block(x[None, :], z_set, spec.gamma).sum())
-    if denom == 0.0:
-        warnings.warn("sne numerators underflowed; returning the uniform value",
-                      EmptyDenominatorWarning, stacklevel=2)
-        return 1.0 / z_set.shape[0]
-    return num / denom
+        return x @ z.T
+    return np.exp(-_sqdist(x, z) / (spec.gamma * spec.gamma))
 
 
-def _sne_normalize(numerators: np.ndarray, denom: np.ndarray, width: int):
-    """Divide rows by their normalizer; dead rows become uniform, with a warning."""
+def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
+    """Divide sne rows by their normalizers in place.
+
+    Rows whose normalizer underflowed to zero become uniform at 1/width,
+    with a warning; ``width`` is the column count M of the full matrix.
+    """
     dead = denom == 0.0
     if dead.any():
         warnings.warn(
             f"{int(dead.sum())} sne row(s) underflowed to zero; "
             "substituting uniform rows", EmptyDenominatorWarning, stacklevel=3)
-    safe = np.where(dead, 1.0, denom)
-    out = numerators / safe[:, None]
-    out[dead] = 1.0 / width
-    return out
+        denom = np.where(dead, 1.0, denom)
+    block /= denom[:, None]
+    block[dead] = 1.0 / width
 
 
 def kernel_matrix(spec: KernelSpec, sources: DataSources) -> np.ndarray:
     """Assemble the full kernel matrix G (rows of x against rows of z)."""
-    if spec.compat is not None:
-        from .compat import apply_compat
-        sources = apply_compat(spec.compat, sources)
-    x, z = sources.x, sources.z
-    if x.shape[1] != z.shape[1]:
-        raise CompatibilityMissingError(
-            f"row data has feature length {x.shape[1]} but column data has "
-            f"{z.shape[1]}; a compatibility transform is required")
-    if spec.family == "linear":
-        return x @ z.T
-    if spec.family == "rbf":
-        return _rbf_block(x, z, spec.gamma)
-    num = _rbf_block(x, z, spec.gamma)
-    return _sne_normalize(num, num.sum(1), z.shape[0])
+    return LazyKernelSource(spec, sources).full()
 
 
 def center(g) -> tuple[np.ndarray, CenteringStats]:
@@ -167,26 +135,32 @@ def center(g) -> tuple[np.ndarray, CenteringStats]:
 
 
 def center_oos(values, stats: CenteringStats, side: str) -> np.ndarray:
-    """Center a fresh kernel row or column consistently with training stats.
+    """Center fresh kernel rows or columns consistently with training stats.
 
     A new row (kernel values of one out-of-sample x against all training z)
     is centered with the training column means and its own mean; a new
-    column mirrors this with the training row means. Replaying a training
-    row reproduces the corresponding row of the centered G exactly.
+    column mirrors this with the training row means. ``values`` is one row
+    or column as a vector, or a batch laid out as it would extend G: new
+    rows stacked as rows, new columns side by side as columns. Replaying a
+    training row reproduces the corresponding row of the centered G exactly.
     """
-    v = as_vector(values, "values")
+    single = np.ndim(values) == 1
+    v = as_matrix(values, "values")  # a vector becomes one row
     if side == "row":
-        expected = stats.col_means.size
-        against = stats.col_means
+        axis, against = 1, stats.col_means[None, :]
     elif side == "column":
-        expected = stats.row_means.size
-        against = stats.row_means
+        axis, against = 0, stats.row_means[:, None]
+        if single:
+            v = v.T
     else:
         raise ConfigError(f"side must be 'row' or 'column', got {side!r}")
-    if v.size != expected:
+    if v.shape[axis] != against.size:
         raise LengthMismatchError(
-            f"{side} vector has length {v.size}, expected {expected}")
-    return v - v.mean() - against + stats.grand_mean
+            f"{side} vector has length {v.shape[axis]}, expected {against.size}")
+    out = v - v.mean(axis=axis, keepdims=True)
+    out -= against
+    out += stats.grand_mean
+    return out.ravel() if single else out
 
 
 # --- block sources for subsampled evaluation ---------------------------------
@@ -215,17 +189,19 @@ class MatrixSource:
 
 
 class LazyKernelSource:
-    """Evaluate sampled kernel blocks on demand; the full G is never stored.
+    """Evaluate kernel blocks on demand; the full G is never stored.
 
-    For the sne family the normalizing sum is, by default, taken over the
-    sampled column set only (so a sampled run touches N*m + n*M entries).
-    Set ``full_denominator=True`` to normalize over all M columns instead:
-    this costs a streaming pass over the full row (still O(N) extra memory)
-    and makes sampled blocks agree with the materialized matrix.
+    A sampled run touches N*m + n*M entries. For the sne family each row's
+    normalizer, its sum over all M columns, is estimated without bias from
+    the m sampled columns as (sampled sum) * M/m, and both sampled blocks
+    are divided by the same estimates. The factor M/m is common to every
+    row: it puts the blocks at the full matrix's scale and leaves the
+    singular vectors of a plain sampled-sum normalization unchanged.
+    ``row_denoms`` holds the sne normalizers behind the latest blocks:
+    estimates after ``sample_blocks``, exact after ``full``.
     """
 
-    def __init__(self, spec: KernelSpec, sources: DataSources,
-                 full_denominator: bool = False):
+    def __init__(self, spec: KernelSpec, sources: DataSources):
         if spec.compat is not None:
             from .compat import apply_compat
             sources = apply_compat(spec.compat, sources)
@@ -237,25 +213,12 @@ class LazyKernelSource:
         self._spec = spec
         self._x = sources.x
         self._z = sources.z
-        self.full_denominator = bool(full_denominator)
         self.entries_evaluated = 0
-        self.last_row_denoms = None  # sne normalizers from the latest sampling
+        self.row_denoms = None
 
     @property
     def shape(self):
         return self._x.shape[0], self._z.shape[0]
-
-    def _raw_block(self, x, z):
-        if self._spec.family == "linear":
-            return x @ z.T
-        return _rbf_block(x, z, self._spec.gamma)
-
-    def _streaming_row_sums(self, x) -> np.ndarray:
-        """Full sne normalizers for the given x rows, never holding > _BLOCK cols."""
-        total = np.zeros(x.shape[0])
-        for start in range(0, self._z.shape[0], _BLOCK):
-            total += _rbf_block(x, self._z[start:start + _BLOCK], self._spec.gamma).sum(1)
-        return total
 
     def sample_blocks(self, row_idx, col_idx):
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
@@ -265,25 +228,24 @@ class LazyKernelSource:
         """
         row_idx = np.asarray(row_idx, dtype=int)
         col_idx = np.asarray(col_idx, dtype=int)
-        g_big_m = self._raw_block(self._x, self._z[col_idx])       # N x m
-        g_n_big = self._raw_block(self._x[row_idx], self._z)       # n x M
+        g_big_m = _raw_block(self._spec, self._x, self._z[col_idx])    # N x m
+        g_n_big = _raw_block(self._spec, self._x[row_idx], self._z)    # n x M
         if self._spec.family == "sne":
-            if self.full_denominator:
-                denom = self._streaming_row_sums(self._x)
-            else:
-                denom = g_big_m.sum(1)
-            self.last_row_denoms = denom
-            g_big_m = _sne_normalize(g_big_m, denom, col_idx.size)
-            g_n_big = _sne_normalize(g_n_big, denom[row_idx], col_idx.size)
+            big_m = self._z.shape[0]
+            denom = g_big_m.sum(1) * (big_m / col_idx.size)
+            self.row_denoms = denom
+            _sne_normalize(g_big_m, denom, big_m)
+            _sne_normalize(g_n_big, denom[row_idx], big_m)
         g_nm = g_big_m[row_idx, :]
         self.entries_evaluated += g_big_m.size + g_n_big.size
         return g_nm, g_big_m, g_n_big
 
     def full(self) -> np.ndarray:
         """Materialize the exact kernel matrix (full sne normalization)."""
-        g = self._raw_block(self._x, self._z)
+        g = _raw_block(self._spec, self._x, self._z)
         if self._spec.family == "sne":
-            g = _sne_normalize(g, g.sum(1), self._z.shape[0])
+            self.row_denoms = g.sum(1)
+            _sne_normalize(g, self.row_denoms, self._z.shape[0])
         self.entries_evaluated += g.size
         return g
 
@@ -293,31 +255,23 @@ class LazyKernelSource:
         One pass over column blocks (two for sne, whose normalizers must be
         known first). Nothing larger than a block is ever held.
         """
-        n_rows = self._x.shape[0]
-        n_cols = self._z.shape[0]
+        n_rows, n_cols = self.shape
+        starts = range(0, n_cols, _BLOCK)
+        denom = None
+        if self._spec.family == "sne":
+            denom = np.zeros(n_rows)
+            for start in starts:
+                denom += _raw_block(self._spec, self._x,
+                                    self._z[start:start + _BLOCK]).sum(1)
         row_sums = np.zeros(n_rows)
         col_sums = np.zeros(n_cols)
-        if self._spec.family == "sne":
-            denom = self._streaming_row_sums(self._x)
-            dead = denom == 0.0
-            safe = np.where(dead, 1.0, denom)
-            for start in range(0, n_cols, _BLOCK):
-                zb = self._z[start:start + _BLOCK]
-                num = _rbf_block(self._x, zb, self._spec.gamma) / safe[:, None]
-                num[dead] = 1.0 / n_cols  # dead rows are defined as uniform
-                col_sums[start:start + zb.shape[0]] = num.sum(0)
-            row_sums[:] = 1.0  # rows of a normalized kernel sum to one
-            if dead.any():
-                warnings.warn(
-                    f"{int(dead.sum())} sne row(s) underflowed to zero; "
-                    "substituting uniform rows", EmptyDenominatorWarning,
-                    stacklevel=2)
-        else:
-            for start in range(0, n_cols, _BLOCK):
-                zb = self._z[start:start + _BLOCK]
-                block = self._raw_block(self._x, zb)
-                row_sums += block.sum(1)
-                col_sums[start:start + zb.shape[0]] = block.sum(0)
+        for start in starts:
+            block = _raw_block(self._spec, self._x,
+                               self._z[start:start + _BLOCK])
+            if denom is not None:
+                _sne_normalize(block, denom, n_cols)
+            row_sums += block.sum(1)
+            col_sums[start:start + block.shape[1]] = block.sum(0)
         grand = float(row_sums.sum() / (n_rows * n_cols))
         return CenteringStats(row_means=row_sums / n_cols,
                               col_means=col_sums / n_rows,

@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
-    EmptyDenominatorWarning,
     RankTooLargeError,
     ShapeMismatchError,
 )
@@ -127,13 +126,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     if solver == "nystrom":
         return _fit_nystrom(a, spec, r, compat, side, sources, center, opts)
 
-    denoms = None
-    if spec.family == "sne":
-        num = kernels._rbf_block(sources.x, sources.z, spec.gamma)
-        denoms = num.sum(1)
-        g = kernels._sne_normalize(num, denoms, sources.z.shape[0])
-    else:
-        g = kernels.kernel_matrix(spec, sources)
+    source = LazyKernelSource(spec, sources)
+    g = source.full()
 
     if center:
         gc, stats = kernels.center(g)
@@ -162,12 +156,11 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         b_phi=u / np.sqrt(lam)[None, :], b_psi=v / np.sqrt(lam)[None, :],
         lam=lam, kernel=spec, compat=compat, compat_side=side,
         centering=stats, train_x=sources.x, train_z=sources.z,
-        centered=center, sne_row_denoms=denoms)
+        centered=center, sne_row_denoms=source.row_denoms)
 
 
 def _fit_nystrom(a, spec, r, compat, side, sources, center, opts):
-    lazy = LazyKernelSource(spec, sources,
-                            full_denominator=opts.get("full_denominator", False))
+    lazy = LazyKernelSource(spec, sources)
     cfg = NystromConfig(
         r=r, n=opts.get("n"), m=opts.get("m"), seed=opts.get("seed", 0),
         subproblem=opts.get("subproblem", "rsvd"),
@@ -199,7 +192,7 @@ def _fit_nystrom(a, spec, r, compat, side, sources, center, opts):
         b_phi=u_t / np.sqrt(lam)[None, :], b_psi=v_t / np.sqrt(lam)[None, :],
         lam=lam, kernel=spec, compat=compat, compat_side=side,
         centering=stats, train_x=sources.x, train_z=sources.z,
-        centered=center, sne_row_denoms=lazy.last_row_denoms)
+        centered=center, sne_row_denoms=lazy.row_denoms)
 
 
 def verify_kkt(model: KsvdModel, g_c) -> tuple[float, float, float]:
@@ -246,34 +239,17 @@ def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
     return Embedding(side=side, features=feats)
 
 
-def _kernel_rows(model: KsvdModel, points: np.ndarray) -> np.ndarray:
-    """Kernel values of new x points against the training column data."""
-    spec = model.kernel
-    if spec.family == "linear":
-        return points @ model.train_z.T
-    num = kernels._rbf_block(points, model.train_z, spec.gamma)
-    if spec.family == "rbf":
-        return num
-    return kernels._sne_normalize(num, num.sum(1), model.train_z.shape[0])
-
-
 def _kernel_cols(model: KsvdModel, points: np.ndarray) -> np.ndarray:
-    """Kernel values of training x rows against new z points (one column each)."""
-    spec = model.kernel
-    if spec.family == "linear":
-        return model.train_x @ points.T
-    num = kernels._rbf_block(model.train_x, points, spec.gamma)
-    if spec.family == "rbf":
-        return num
-    denoms = model.sne_row_denoms
-    dead = denoms == 0.0
-    safe = np.where(dead, 1.0, denoms)
-    out = num / safe[:, None]
-    if dead.any():
-        warnings.warn("training sne rows with zero normalizer treated as "
-                      "uniform", EmptyDenominatorWarning, stacklevel=3)
-        out[dead] = 1.0 / model.train_z.shape[0]
-    return out
+    """Kernel values of training x rows against new z points (one column each).
+
+    sne entries are divided by the training rows' stored normalizers, so a
+    replayed training column gives back the model's own kernel column.
+    """
+    g = kernels._raw_block(model.kernel, model.train_x, points)
+    if model.kernel.family == "sne":
+        kernels._sne_normalize(g, model.sne_row_denoms,
+                               model.train_z.shape[0])
+    return g
 
 
 def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
@@ -304,11 +280,10 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
             raise DimensionMismatchError(
                 f"new_x has length {pts.shape[1]}, expected "
                 f"{model.train_x.shape[1]}")
-        rows = _kernel_rows(model, pts)
+        rows = kernels.kernel_matrix(model.kernel,
+                                     DataSources(x=pts, z=model.train_z))
         if model.centered:
-            rows = np.vstack([
-                kernels.center_oos(row, model.centering, "row")
-                for row in rows])
+            rows = kernels.center_oos(rows, model.centering, "row")
         scores = rows @ model.b_psi / np.sqrt(model.lam)[None, :]
     else:
         if model.compat_side == "z":
@@ -323,9 +298,7 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
                 f"{model.train_z.shape[1]}")
         cols = _kernel_cols(model, pts)
         if model.centered:
-            cols = np.column_stack([
-                kernels.center_oos(col, model.centering, "column")
-                for col in cols.T])
+            cols = kernels.center_oos(cols, model.centering, "column")
         scores = cols.T @ model.b_phi / np.sqrt(model.lam)[None, :]
     return scores[0] if single else scores
 

@@ -72,7 +72,6 @@ def _solver_opts(cfg: RunConfig) -> dict:
                 "seed": cfg.get("nystrom.seed", "seed"),
                 "subproblem": cfg["nystrom.subproblem"],
                 "center_stats": cfg["nystrom.center_stats"],
-                "full_denominator": cfg["nystrom.full_denominator"],
                 "oversample": cfg["solver.oversample"],
                 "power_iters": cfg["solver.power_iters"]}
     return {"tol": cfg["solver.tol"],
@@ -315,11 +314,6 @@ def _kernel_parts(cfg: RunConfig, a: np.ndarray):
     return spec, sources
 
 
-def _fresh_lazy(cfg: RunConfig, spec, sources) -> LazyKernelSource:
-    return LazyKernelSource(spec, sources,
-                            full_denominator=cfg["nystrom.full_denominator"])
-
-
 def run_bench(cfg: RunConfig) -> Path:
     """solve_to_tolerance for every requested solver and epsilon.
 
@@ -332,7 +326,7 @@ def run_bench(cfg: RunConfig) -> Path:
                           nystrom.SOLVERS)
     epsilons = parse_floats(cfg["bench.epsilons"], "bench.epsilons")
     spec, sources = _kernel_parts(cfg, a)
-    g = _fresh_lazy(cfg, spec, sources).full()
+    g = kernels.kernel_matrix(spec, sources)
     reference = _bench_reference(g, cfg["rank"])
     ncfg = NystromConfig(
         r=cfg["rank"], n=cfg["nystrom.n"], m=cfg["nystrom.m"],
@@ -346,7 +340,7 @@ def run_bench(cfg: RunConfig) -> Path:
     for epsilon in epsilons:
         timings = {}
         for solver in solvers:
-            source = _fresh_lazy(cfg, spec, sources) \
+            source = LazyKernelSource(spec, sources) \
                 if solver == "asym_nystrom" else g
             rep, median_time = _timed_solve(source, solver, epsilon,
                                             reference, ncfg, repeats)
@@ -393,7 +387,7 @@ def run_sweep(cfg: RunConfig) -> Path:
         sweep_cfg = RunConfig(values=dict(cfg.values))
         sweep_cfg.values["kernel.gamma"] = float(gamma)
         spec, sources = _kernel_parts(sweep_cfg, a)
-        g = _fresh_lazy(sweep_cfg, spec, sources).full()
+        g = kernels.kernel_matrix(spec, sources)
         reference = _bench_reference(g, cfg["rank"])
         t0 = time.perf_counter()
         svd_truncated(g, cfg["rank"], tol=1e-10)
@@ -404,7 +398,7 @@ def run_sweep(cfg: RunConfig) -> Path:
                 subproblem=cfg["nystrom.subproblem"],
                 oversample=cfg["solver.oversample"],
                 power_iters=cfg["solver.power_iters"])
-            source = _fresh_lazy(sweep_cfg, spec, sources)
+            source = LazyKernelSource(spec, sources)
             try:
                 rep = nystrom.solve_to_tolerance(source, "asym_nystrom",
                                                  epsilon, reference, ncfg)

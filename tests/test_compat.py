@@ -119,15 +119,14 @@ class TestApply:
         assert out.x.shape == (5, 3)
         assert out.z.shape == (3, 3)
 
-    def test_kernel_value_ready_after_apply(self):
+    def test_kernel_matrix_ready_after_apply(self):
         a = make_matrix(4, 7, seed=15)
         src = compat.apply_compat(compat.make_compat(a, "a1"),
                                   kernels.build_sources(a))
         spec = kernels.KernelSpec(family="rbf", gamma=2.0)
-        for i in range(4):
-            for j in range(7):
-                v = kernels.kernel_value(spec, src.x[i], src.z[j])
-                assert 0 < v <= 1
+        g = kernels.kernel_matrix(spec, src)
+        assert g.shape == (4, 7)
+        assert np.all(g > 0) and np.all(g <= 1)
 
     def test_shape_mismatch(self):
         a = make_matrix(3, 5, seed=16)

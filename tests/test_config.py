@@ -119,10 +119,16 @@ class TestValidation:
             build(rank="0")
 
     def test_threads_key_is_rejected(self):
-        # BLAS threads are set through OMP_NUM_THREADS and friends before
-        # launch; a config key could not change them once numpy is loaded
-        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
-            build(threads="2")
+        # removed keys are refused, not ignored. BLAS threads are set through
+        # OMP_NUM_THREADS and friends before launch; a config key could not
+        # change them once numpy is loaded. Sampled sne rows always use the
+        # M/m-scaled normalizer, so nystrom.full_denominator has no choice
+        # left to make
+        for key, value in (("threads", "2"),
+                           ("nystrom.full_denominator", "true")):
+            with pytest.raises(ConfigError,
+                               match=f"unknown config key '{key}'"):
+                build(**{key: value})
 
     def test_nonsynth_requires_dataset_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):

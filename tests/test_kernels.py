@@ -7,7 +7,6 @@ from aksvd.compat import compat_pseudoinverse, make_compat
 from aksvd.errors import (
     CompatibilityMissingError,
     ConfigError,
-    DimensionMismatchError,
     EmptyDenominatorWarning,
     LengthMismatchError,
 )
@@ -35,30 +34,33 @@ class TestSources:
         assert s.x.shape == (3, 2) and s.z.shape == (2, 3)
 
 
+def first_entry(spec, x, *zs):
+    """kappa(x, zs[0]) through kernel_matrix; sne normalizes over all zs."""
+    g = kernels.kernel_matrix(spec, kernels.DataSources(
+        x=np.array(x, dtype=float, ndmin=2), z=np.vstack(zs).astype(float)))
+    return g[0, 0]
+
+
 class TestKernelValue:
     def test_rbf_self_is_one(self):
         x = np.array([0.3, -1.2, 4.0])
         for gamma in (0.1, 1.0, 22.0):
-            assert kernels.kernel_value(rbf_spec(gamma), x, x) == 1.0
+            assert first_entry(rbf_spec(gamma), x, x) == 1.0
 
     def test_rbf_direct_formula(self):
-        v = kernels.kernel_value(rbf_spec(1.0), [0.0], [1.0])
+        v = first_entry(rbf_spec(1.0), [0.0], [1.0])
         assert abs(v - 0.367879441) < 1e-9
 
     def test_sne_duplicate_set(self):
         spec = kernels.KernelSpec(family="sne", gamma=2.0)
         z = np.array([1.0, -1.0])
         for x in ([0.0, 0.0], [5.0, 5.0]):
-            v = kernels.kernel_value(spec, x, z, z_set=np.vstack([z, z]))
+            v = first_entry(spec, x, z, z)
             assert abs(v - 0.5) < 1e-12
 
     def test_linear(self):
         spec = kernels.KernelSpec(family="linear")
-        assert kernels.kernel_value(spec, [1.0, 2.0], [3.0, -1.0]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            kernels.kernel_value(rbf_spec(), [1.0], [1.0, 2.0])
+        assert first_entry(spec, [1.0, 2.0], [3.0, -1.0]) == 1.0
 
     def test_bad_specs(self):
         with pytest.raises(ConfigError):
@@ -186,12 +188,28 @@ class TestCenterOos:
         np.testing.assert_allclose(
             kernels.center_oos(fresh, stats, "row"), expected, atol=1e-8)
 
+    def test_batches_match_single_vectors(self):
+        g = make_matrix(6, 4, seed=12)
+        gc, stats = kernels.center(g)
+        np.testing.assert_allclose(kernels.center_oos(g, stats, "row"), gc,
+                                   atol=1e-14)
+        np.testing.assert_allclose(kernels.center_oos(g, stats, "column"), gc,
+                                   atol=1e-14)
+        batch = kernels.center_oos(g[[1, 4]], stats, "row")
+        for k, i in enumerate((1, 4)):
+            np.testing.assert_array_equal(
+                batch[k], kernels.center_oos(g[i], stats, "row"))
+
     def test_length_mismatch(self):
         _, stats = kernels.center(make_matrix(4, 6, seed=1))
         with pytest.raises(LengthMismatchError):
             kernels.center_oos(np.ones(4), stats, "row")
         with pytest.raises(LengthMismatchError):
             kernels.center_oos(np.ones(6), stats, "column")
+        with pytest.raises(LengthMismatchError):
+            kernels.center_oos(np.ones((2, 4)), stats, "row")
+        with pytest.raises(LengthMismatchError):
+            kernels.center_oos(np.ones((6, 2)), stats, "column")
 
 
 class TestDefaultGamma:
@@ -231,15 +249,58 @@ class TestLazySource:
         # two separate evaluation paths agree to floating-point tolerance
         np.testing.assert_allclose(g_n_big[:, self.cols], g_nm, atol=1e-13)
 
-    def test_sne_full_denominator_matches_materialized(self):
+    def test_full_sampling_blocks_match_full(self):
         spec = kernels.KernelSpec(family="sne", gamma=3.0,
                                   compat=make_compat(self.a, "a1"))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a),
-                                       full_denominator=True)
-        _, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
+        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        big_n, big_m = src.shape
+        g_nm, g_big_m, g_n_big = src.sample_blocks(np.arange(big_n),
+                                                   np.arange(big_m))
+        sampled_denoms = src.row_denoms
         g = src.full()
-        np.testing.assert_allclose(g_big_m, g[:, self.cols], atol=1e-12)
-        np.testing.assert_allclose(g_n_big, g[self.rows, :], atol=1e-12)
+        for block in (g_nm, g_big_m, g_n_big):
+            np.testing.assert_allclose(block, g, atol=1e-14)
+        np.testing.assert_allclose(sampled_denoms, src.row_denoms, rtol=1e-14)
+
+    def test_sampled_sne_estimates_full_scale(self):
+        # each row's normalizer is its sampled sum scaled by M/m, an
+        # unbiased estimate of its sum over all M columns
+        spec = kernels.KernelSpec(family="sne", gamma=3.0,
+                                  compat=make_compat(self.a, "a1"))
+        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        _, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
+        numer = kernels.LazyKernelSource(
+            kernels.KernelSpec(family="rbf", gamma=3.0, compat=spec.compat),
+            kernels.build_sources(self.a)).full()
+        denom = numer[:, self.cols].sum(1) * (src.shape[1] / len(self.cols))
+        np.testing.assert_allclose(src.row_denoms, denom, rtol=1e-13)
+        np.testing.assert_allclose(
+            g_big_m, numer[:, self.cols] / denom[:, None], rtol=1e-13)
+        np.testing.assert_allclose(
+            g_n_big, numer[self.rows] / denom[self.rows, None], rtol=1e-13)
+
+    def test_sampled_sne_dead_row_is_uniform_over_all_columns(self):
+        x = np.array([[1e6, 1e6], [0.0, 0.0]])
+        z = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
+        spec = kernels.KernelSpec(family="sne", gamma=0.5)
+        src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
+        with pytest.warns(EmptyDenominatorWarning):
+            _, g_big_m, g_n_big = src.sample_blocks([0], [0, 1])
+        np.testing.assert_array_equal(g_big_m[0], [0.25, 0.25])
+        np.testing.assert_array_equal(g_n_big[0], np.full(4, 0.25))
+
+    def test_streaming_stats_match_center(self):
+        for family in ("sne", "rbf", "linear"):
+            spec = kernels.KernelSpec(family=family, gamma=3.0,
+                                      compat=make_compat(self.a, "a1"))
+            src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+            _, want = kernels.center(src.full())
+            got = src.streaming_stats()
+            np.testing.assert_allclose(got.row_means, want.row_means,
+                                       atol=1e-14)
+            np.testing.assert_allclose(got.col_means, want.col_means,
+                                       atol=1e-14)
+            assert got.grand_mean == pytest.approx(want.grand_mean, abs=1e-14)
 
     def test_entry_accounting(self):
         spec = kernels.KernelSpec(family="rbf", gamma=2.0,

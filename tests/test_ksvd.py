@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from aksvd import kernels, ksvd
+from aksvd import datasets, kernels, ksvd
 from aksvd.errors import (
     ConfigError,
     DegenerateKernelWarning,
@@ -334,6 +334,38 @@ class TestNystromSolver:
                                    stats.col_means, atol=1e-12)
         assert model.centering.grand_mean == pytest.approx(stats.grand_mean,
                                                            abs=1e-12)
+
+    def test_sampled_sne_matches_dense_scale(self):
+        # sampled sne rows are normalized at full-matrix scale, so the
+        # sampled fit estimates the dense spectrum, not an M/m-fold one,
+        # under either source of centering statistics. The sampled-stats
+        # top vector sits at cosine 0.9898 with m=64 columns of 1000
+        a = datasets.synth_directed_graph("two_block", 1000, seed=0).adjacency
+        spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
+        dense = ksvd.fit(a, spec, r=8, solver="truncated")
+        top = ksvd.transform(dense, "left", 1).features[:, 0]
+        for center_stats in ("sampled", "full"):
+            model = ksvd.fit(a, spec, r=8, solver="nystrom",
+                             solver_opts={"m": 64,
+                                          "center_stats": center_stats})
+            fold = model.lam[0] / dense.lam[0]
+            assert abs(fold - 1.0) <= 0.1, (center_stats, fold)
+            ours = ksvd.transform(model, "left", 1).features[:, 0]
+            cosine = abs(ours @ top) / np.linalg.norm(ours)
+            assert cosine >= 0.98, (center_stats, cosine)
+
+    def test_full_sampling_sne_replay_matches_transform(self):
+        a = make_matrix(30, 24, seed=42)
+        spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
+        model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
+                         solver_opts={"n": 30, "m": 24,
+                                      "subproblem": "exact"})
+        np.testing.assert_allclose(
+            ksvd.transform_oos(model, new_x=a),
+            ksvd.transform(model, "left").features, atol=1e-10)
+        np.testing.assert_allclose(
+            ksvd.transform_oos(model, new_z=a.T),
+            ksvd.transform(model, "right").features, atol=1e-10)
 
     def test_min_dimension_above_two_thousand(self):
         # compat a1 takes the full SVD of the 2100 x 2200 data matrix
