@@ -81,7 +81,6 @@ KNOWN: dict[str, Key] = {
     "split.seed": Key(None, _parse_opt(int)),
     "split.test_fraction": Key(0.2, float),
     "eval.gamma_reg": Key(1.0, float),
-    "eval.folds": Key(10, int),
     "bench.solvers": Key("tsvd,rsvd,asym_nystrom", str),
     "bench.epsilons": Key("0.1", str),
     "bench.repeats": Key(3, int),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,18 +32,13 @@ from .errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
+    NumericError,
+    ParseError,
     RankTooLargeError,
     ShapeMismatchError,
 )
 from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
-from .linalg import (
-    as_matrix,
-    read_matrix_csv,
-    svd_exact,
-    svd_randomized,
-    svd_truncated,
-    write_matrix_csv,
-)
+from .linalg import as_matrix, svd_exact, svd_randomized, svd_truncated
 from .nystrom import NystromConfig, lift_blocks, sample_indices
 
 SOLVERS = ("exact", "truncated", "randomized", "nystrom")
@@ -239,17 +235,23 @@ def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
     return Embedding(side=side, features=feats)
 
 
-def _kernel_cols(model: KsvdModel, points: np.ndarray) -> np.ndarray:
-    """Kernel values of training x rows against new z points (one column each).
+def _oos_rows(model: KsvdModel, side: str, pts: np.ndarray) -> np.ndarray:
+    """Kernel rows of new x points or kernel columns of new z points, centered
+    with the training statistics and laid out one row per new point.
 
-    sne entries are divided by the training rows' stored normalizers, so a
+    sne columns are divided by the training rows' stored normalizers, so a
     replayed training column gives back the model's own kernel column.
     """
-    g = kernels._raw_block(model.kernel, model.train_x, points)
+    stats = model.centering if model.centered else None
+    if side == "x":
+        g = kernels.kernel_matrix(model.kernel,
+                                  DataSources(x=pts, z=model.train_z))
+        return g if stats is None else kernels.center_oos(g, stats, "row")
+    g = kernels._raw_block(model.kernel, model.train_x, pts)
     if model.kernel.family == "sne":
         kernels._sne_normalize(g, model.sne_row_denoms,
                                model.train_z.shape[0])
-    return g
+    return (g if stats is None else kernels.center_oos(g, stats, "column")).T
 
 
 def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
@@ -265,102 +267,94 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     """
     if (new_x is None) == (new_z is None):
         raise ConfigError("provide exactly one of new_x and new_z")
-    raw = np.asarray(new_x if new_x is not None else new_z, dtype=float)
-    single = raw.ndim == 1
+    side, raw, train, coeff = (
+        ("x", new_x, model.train_x, model.b_psi) if new_z is None
+        else ("z", new_z, model.train_z, model.b_phi))
+    raw = np.asarray(raw, dtype=float)
     pts = as_matrix(raw, "points")
-
-    if new_x is not None:
-        if model.compat_side == "x":
-            expect = model.compat.c.shape[0]
-            if pts.shape[1] != expect:
-                raise DimensionMismatchError(
-                    f"new_x has length {pts.shape[1]}, expected {expect}")
-            pts = pts @ model.compat.c
-        elif pts.shape[1] != model.train_x.shape[1]:
-            raise DimensionMismatchError(
-                f"new_x has length {pts.shape[1]}, expected "
-                f"{model.train_x.shape[1]}")
-        rows = kernels.kernel_matrix(model.kernel,
-                                     DataSources(x=pts, z=model.train_z))
-        if model.centered:
-            rows = kernels.center_oos(rows, model.centering, "row")
-        scores = rows @ model.b_psi / np.sqrt(model.lam)[None, :]
-    else:
-        if model.compat_side == "z":
-            expect = model.compat.c.shape[0]
-            if pts.shape[1] != expect:
-                raise DimensionMismatchError(
-                    f"new_z has length {pts.shape[1]}, expected {expect}")
-            pts = pts @ model.compat.c
-        elif pts.shape[1] != model.train_z.shape[1]:
-            raise DimensionMismatchError(
-                f"new_z has length {pts.shape[1]}, expected "
-                f"{model.train_z.shape[1]}")
-        cols = _kernel_cols(model, pts)
-        if model.centered:
-            cols = kernels.center_oos(cols, model.centering, "column")
-        scores = cols.T @ model.b_phi / np.sqrt(model.lam)[None, :]
-    return scores[0] if single else scores
+    c = model.compat.c if model.compat_side == side else None
+    expect = train.shape[1] if c is None else c.shape[0]
+    if pts.shape[1] != expect:
+        raise DimensionMismatchError(
+            f"new_{side} has length {pts.shape[1]}, expected {expect}")
+    rows = _oos_rows(model, side, pts if c is None else pts @ c)
+    scores = rows @ coeff / np.sqrt(model.lam)[None, :]
+    return scores[0] if raw.ndim == 1 else scores
 
 
 # --- persistence --------------------------------------------------------------
 
+MODEL_FILE = "model.npz"
+MODEL_FORMAT = 1
+
+
 def save_model(model: KsvdModel, path) -> None:
-    """Write the model as a directory of CSV factors plus a JSON snapshot."""
+    """Write the model as one uncompressed ``<path>/model.npz``.
+
+    The data matrix A is stored once (``load_model`` redoes the compat
+    transform), next to a JSON snapshot of the settings. Zip entries carry a
+    fixed timestamp, so saving the same model writes the same bytes.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(path / "B_phi.csv", model.b_phi)
-    write_matrix_csv(path / "B_psi.csv", model.b_psi)
-    write_matrix_csv(path / "lambda.csv", model.lam.reshape(-1, 1))
-    with open(path / "centering.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"{v:.17g}" for v in model.centering.row_means) + "\n")
-        fh.write(",".join(f"{v:.17g}" for v in model.centering.col_means) + "\n")
-        fh.write(f"{model.centering.grand_mean:.17g}\n")
-    write_matrix_csv(path / "train_x.csv", model.train_x)
-    write_matrix_csv(path / "train_z.csv", model.train_z)
+    snapshot = {"format": MODEL_FORMAT, "kernel.family": model.kernel.family,
+                "kernel.gamma": model.kernel.gamma,
+                "compat.mode": model.compat.mode,
+                "compat.seed": model.compat.seed, "centered": model.centered}
+    arrays = {"b_phi": model.b_phi, "b_psi": model.b_psi, "lam": model.lam,
+              "row_means": model.centering.row_means,
+              "col_means": model.centering.col_means,
+              "grand_mean": model.centering.grand_mean,
+              # A itself is the side the compat transform left untouched
+              "data": model.train_z.T if model.compat_side == "x"
+              else model.train_x}
     if model.compat.c is not None:
-        write_matrix_csv(path / "compat.csv", model.compat.c)
+        arrays["compat"] = model.compat.c
     if model.sne_row_denoms is not None:
-        write_matrix_csv(path / "sne_denoms.csv",
-                         np.asarray(model.sne_row_denoms).reshape(-1, 1))
-    snapshot = {
-        "kernel.family": model.kernel.family,
-        "kernel.gamma": model.kernel.gamma,
-        "compat.mode": model.compat.mode,
-        "compat.seed": model.compat.seed,
-        "compat_side": model.compat_side,
-        "centered": model.centered,
-        "rank": model.rank,
-    }
-    (path / "config.json").write_text(json.dumps(snapshot, indent=2) + "\n",
-                                      encoding="utf-8")
+        arrays["sne_row_denoms"] = model.sne_row_denoms
+    np.savez(path / MODEL_FILE, snapshot=json.dumps(snapshot), **arrays)
 
 
 def load_model(path) -> KsvdModel:
-    path = Path(path)
-    snap = json.loads((path / "config.json").read_text(encoding="utf-8"))
-    b_phi = read_matrix_csv(path / "B_phi.csv")
-    b_psi = read_matrix_csv(path / "B_psi.csv")
-    lam = read_matrix_csv(path / "lambda.csv").ravel()
-    lines = (path / "centering.csv").read_text(encoding="utf-8").splitlines()
-    stats = CenteringStats(
-        row_means=np.array([float(v) for v in lines[0].split(",")]),
-        col_means=np.array([float(v) for v in lines[1].split(",")]),
-        grand_mean=float(lines[2]))
-    train_x = read_matrix_csv(path / "train_x.csv")
-    train_z = read_matrix_csv(path / "train_z.csv")
-    compat_file = path / "compat.csv"
-    if compat_file.exists():
-        compat = CompatMatrix(c=read_matrix_csv(compat_file),
-                              mode=snap["compat.mode"],
-                              seed=snap.get("compat.seed"))
-    else:
-        compat = IDENTITY
-    denom_file = path / "sne_denoms.csv"
-    denoms = read_matrix_csv(denom_file).ravel() if denom_file.exists() else None
-    spec = KernelSpec(family=snap["kernel.family"], gamma=snap["kernel.gamma"])
-    return KsvdModel(b_phi=b_phi, b_psi=b_psi, lam=lam, kernel=spec,
-                     compat=compat, compat_side=snap.get("compat_side"),
-                     centering=stats, train_x=train_x, train_z=train_z,
-                     centered=bool(snap.get("centered", True)),
-                     sne_row_denoms=denoms)
+    """Read ``<path>/model.npz``. Stored arrays come back exactly; the side
+    of the training data that the compat transform touched is recomputed as
+    A @ C, as ``fit`` does, so it is bit-identical on the same BLAS build.
+
+    Raises ParseError, naming the file, when it is missing, truncated or not
+    an npz, lacks a key (sne models need ``sne_row_denoms``), has another
+    format number or disagreeing shapes.
+    """
+    file = Path(path) / MODEL_FILE
+    try:
+        with np.load(file, allow_pickle=False) as npz:
+            f = dict(npz)
+        snap = json.loads(str(f["snapshot"]))
+        if snap["format"] != MODEL_FORMAT:
+            raise ParseError(f"{file}: model format {snap['format']!r}, "
+                             f"expected {MODEL_FORMAT}")
+        (n, m), r = f["data"].shape, f["lam"].size
+        want = {"b_phi": (n, r), "b_psi": (m, r), "lam": (r,),
+                "row_means": (n,), "col_means": (m,), "grand_mean": (),
+                "sne_row_denoms": (n,)}
+        bad = [k for k, shp in want.items() if k in f and f[k].shape != shp]
+        if bad:
+            raise ParseError(f"{file}: {bad} disagree with data {(n, m)} "
+                             f"at rank {r}")
+        mode = snap["compat.mode"]
+        compat = IDENTITY if mode == "identity" else CompatMatrix(
+            c=f["compat"], mode=mode, seed=snap["compat.seed"])
+        sources, side = _transformed_sources(f["data"], compat)
+        stats = CenteringStats(f["row_means"], f["col_means"],
+                               float(f["grand_mean"]))
+        return KsvdModel(
+            b_phi=f["b_phi"], b_psi=f["b_psi"], lam=f["lam"],
+            kernel=KernelSpec(snap["kernel.family"], snap["kernel.gamma"]),
+            compat=compat, compat_side=side, centering=stats,
+            train_x=sources.x, train_z=sources.z, centered=snap["centered"],
+            sne_row_denoms=f["sne_row_denoms"]
+            if snap["kernel.family"] == "sne" else None)
+    except KeyError as exc:
+        raise ParseError(f"{file}: missing {exc}") from None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, ConfigError,
+            NumericError) as exc:
+        raise ParseError(f"{file}: {exc}") from None

@@ -1,4 +1,4 @@
-"""Dense real linear algebra: the SVD solver family and CSV matrix I/O.
+"""Dense real linear algebra: the SVD solver family and CSV output.
 
 Three solvers share the ``SvdResult`` contract:
 
@@ -37,15 +37,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or Inf")
     return np.ascontiguousarray(arr)
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.size == 0:
-        raise ShapeMismatchError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains NaN or Inf")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -214,14 +205,9 @@ def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
     return SvdResult(u=u, s=s, v=v)
 
 
-# --- CSV matrix I/O ---------------------------------------------------------
+# --- CSV output ---------------------------------------------------------------
 
 def write_matrix_csv(path, a) -> None:
     """Plain CSV, no header, 17 significant digits (lossless round-trip)."""
     a = as_matrix(a, "matrix")
     np.savetxt(path, a, fmt="%.17g", delimiter=",")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    return as_matrix(arr, str(path))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from aksvd import cli
-from aksvd.linalg import read_matrix_csv
 
 
 @pytest.fixture(autouse=True)
@@ -56,8 +55,11 @@ class TestExtract:
                 "--set", "dataset.synth_n=20", "--seed", "5",
                 "--out", str(out))
         assert run(*args) == 0
-        first = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        first = {p.relative_to(out): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file()}
         assert run(*args) == 0
+        assert {p.relative_to(out) for p in out.rglob("*")
+                if p.is_file()} == set(first)
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob, name
 
@@ -72,7 +74,7 @@ class TestExtract:
                    "--kernel", "linear", "--compat", "a0",
                    "--set", "center=false", "--out", str(out))
         assert code == 0
-        lam = read_matrix_csv(out / "lambda.csv").ravel()
+        lam = np.loadtxt(out / "lambda.csv", delimiter=",", ndmin=2).ravel()
         sv = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(lam, sv, rtol=1e-8, atol=0)
 
@@ -88,7 +90,8 @@ class TestExtract:
                        "--kernel", "linear", "--compat", "a0",
                        "--set", "center=false", "--out", str(out))
         assert code == 0
-        assert read_matrix_csv(out / "lambda.csv").shape[0] == 2
+        lam = np.loadtxt(out / "lambda.csv", delimiter=",", ndmin=2)
+        assert lam.shape[0] == 2
 
     def test_gamma_flag_lands_in_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -103,7 +106,8 @@ class TestExtract:
         out = tmp_path / "run"
         assert run("extract", "--format", "synth",
                    "--set", "dataset.synth_n=16", "--out", str(out)) == 0
-        assert read_matrix_csv(out / "lambda.csv").shape[0] == 2
+        lam = np.loadtxt(out / "lambda.csv", delimiter=",", ndmin=2)
+        assert lam.shape[0] == 2
 
 
 class TestExitCodes:

@@ -123,9 +123,11 @@ class TestValidation:
         # OMP_NUM_THREADS and friends before launch; a config key could not
         # change them once numpy is loaded. Sampled sne rows always use the
         # M/m-scaled normalizer, so nystrom.full_denominator has no choice
-        # left to make
+        # left to make; crossval_gamma takes its fold count as an argument,
+        # so eval.folds had nothing to set
         for key, value in (("threads", "2"),
-                           ("nystrom.full_denominator", "true")):
+                           ("nystrom.full_denominator", "true"),
+                           ("eval.folds", "5")):
             with pytest.raises(ConfigError,
                                match=f"unknown config key '{key}'"):
                 build(**{key: value})

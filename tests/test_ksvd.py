@@ -1,5 +1,6 @@
 """Model fitting, stationarity checks, embeddings, out-of-sample, persistence."""
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from aksvd.errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
+    ParseError,
     RankTooLargeError,
     ShapeMismatchError,
 )
@@ -377,29 +379,73 @@ class TestNystromSolver:
 
 
 class TestPersistence:
-    def make_model(self):
-        a = make_matrix(12, 9, seed=41)
+    def make_model(self, n=12, m=9, compat="a1"):
+        a = make_matrix(n, m, seed=41)
         spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
-        return ksvd.fit(a, spec, r=4, compat="a1")
+        return ksvd.fit(a, spec, r=4, compat=compat)
 
     def test_round_trip(self, tmp_path):
-        model = self.make_model()
-        ksvd.save_model(model, tmp_path / "model")
-        back = ksvd.load_model(tmp_path / "model")
-        np.testing.assert_allclose(back.b_phi, model.b_phi, atol=1e-12)
-        np.testing.assert_allclose(back.b_psi, model.b_psi, atol=1e-12)
-        np.testing.assert_allclose(back.lam, model.lam, atol=1e-12)
-        np.testing.assert_allclose(back.centering.row_means,
-                                   model.centering.row_means, atol=1e-12)
-        np.testing.assert_allclose(back.centering.col_means,
-                                   model.centering.col_means, atol=1e-12)
-        assert back.centering.grand_mean == pytest.approx(
-            model.centering.grand_mean, abs=1e-12)
-        np.testing.assert_allclose(back.sne_row_denoms, model.sne_row_denoms,
-                                   atol=1e-12)
-        assert back.kernel == model.kernel
-        assert back.compat_side == model.compat_side
-        assert back.centered == model.centered
+        # identity, x-side a1 and z-side a1: the training data are rebuilt
+        # from the one stored copy of A and must come back bit for bit
+        for n, m, compat in ((9, 9, "identity"), (9, 12, "a1"),
+                             (12, 9, "a1")):
+            model = self.make_model(n, m, compat)
+            out = tmp_path / f"{n}x{m}"
+            ksvd.save_model(model, out)
+            assert [p.name for p in out.iterdir()] == ["model.npz"]
+            back = ksvd.load_model(out)
+            for field in ("b_phi", "b_psi", "lam", "train_x", "train_z",
+                          "sne_row_denoms"):
+                assert np.array_equal(getattr(back, field),
+                                      getattr(model, field)), (compat, field)
+            for field in ("row_means", "col_means", "grand_mean"):
+                assert np.array_equal(getattr(back.centering, field),
+                                      getattr(model.centering, field)), field
+            if compat == "identity":
+                assert back.compat.c is None
+            else:
+                assert np.array_equal(back.compat.c, model.compat.c)
+            assert back.compat.mode == model.compat.mode
+            assert back.kernel == model.kernel
+            assert back.compat_side == model.compat_side
+            assert back.centered == model.centered
+
+    def test_bad_model_file_raises_parse_error(self, tmp_path):
+        good = tmp_path / "good"
+        ksvd.save_model(self.make_model(), good)
+        blob = (good / "model.npz").read_bytes()
+        with np.load(good / "model.npz") as npz:
+            arrays = dict(npz)
+
+        def rewrite(contents):
+            out = tmp_path / "bad"
+            out.mkdir(exist_ok=True)
+            np.savez(out / "model.npz", **contents)
+            return out
+
+        snap = json.loads(str(arrays["snapshot"]))
+        cases = {
+            "truncated": blob[: len(blob) // 2],
+            "not a zip": b"B_phi,B_psi\n1,2\n",
+            "empty": b"",
+        }
+        for name, content in cases.items():
+            out = tmp_path / name.replace(" ", "_")
+            out.mkdir()
+            (out / "model.npz").write_bytes(content)
+            with pytest.raises(ParseError, match="model.npz"):
+                ksvd.load_model(out)
+        with pytest.raises(ParseError, match="model.npz"):
+            ksvd.load_model(tmp_path / "missing")
+        snap["format"] = 2
+        with pytest.raises(ParseError, match="format 2"):
+            ksvd.load_model(rewrite({**arrays, "snapshot": json.dumps(snap)}))
+        with pytest.raises(ParseError, match="disagree"):
+            ksvd.load_model(rewrite({**arrays, "lam": arrays["lam"][:3]}))
+        for key in ("b_psi", "sne_row_denoms"):
+            lacking = {k: v for k, v in arrays.items() if k != key}
+            with pytest.raises(ParseError, match=key):
+                ksvd.load_model(rewrite(lacking))
 
     def test_oos_after_reload(self, tmp_path):
         model = self.make_model()
