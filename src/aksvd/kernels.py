@@ -89,17 +89,24 @@ def default_gamma(data, k: float = 1.0) -> float:
     return k * float(np.sqrt(data.shape[1] * var))
 
 
-def _sqdist(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of x and rows of z."""
-    d = (x * x).sum(1)[:, None] - 2.0 * (x @ z.T) + (z * z).sum(1)[None, :]
-    return np.maximum(d, 0.0)
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row, (a * a).sum(1), computed a
+    block of rows at a time so no temporary as large as ``a`` is made."""
+    blocks = (a[start:start + _BLOCK] for start in range(0, a.shape[0], _BLOCK))
+    return np.concatenate([(b * b).sum(1) for b in blocks])
 
 
-def _raw_block(spec: KernelSpec, x, z) -> np.ndarray:
-    """Linear products, or the rbf numerators that sne rows are divided by."""
+def _raw_block(spec: KernelSpec, x, z, norms=None) -> np.ndarray:
+    """Linear products, or the rbf numerators that sne rows are divided by.
+
+    ``norms`` is the pair of squared row norms of x and z when the caller
+    has them; otherwise they are computed here.
+    """
     if spec.family == "linear":
         return x @ z.T
-    return np.exp(-_sqdist(x, z) / (spec.gamma * spec.gamma))
+    x_sq, z_sq = norms if norms is not None else (_sq_norms(x), _sq_norms(z))
+    d = x_sq[:, None] - 2.0 * (x @ z.T) + z_sq[None, :]
+    return np.exp(-np.maximum(d, 0.0) / (spec.gamma * spec.gamma))
 
 
 def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
@@ -188,6 +195,23 @@ class MatrixSource:
         return self._g
 
 
+def _positions(have: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index in ``have`` of every entry of ``want``; each must be there."""
+    order = np.argsort(have, kind="stable")
+    return order[np.searchsorted(have, want, sorter=order)]
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """Raw blocks of the sampled index sets, in the order evaluated."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    big_m: np.ndarray           # N x m: linear products or rbf numerators
+    n_big: np.ndarray           # n x M
+    sums: np.ndarray | None     # sne: row sums of big_m
+
+
 class LazyKernelSource:
     """Evaluate kernel blocks on demand; the full G is never stored.
 
@@ -199,6 +223,10 @@ class LazyKernelSource:
     singular vectors of a plain sampled-sum normalization unchanged.
     ``row_denoms`` holds the sne normalizers behind the latest blocks:
     estimates after ``sample_blocks``, exact after ``full``.
+
+    The squared row norms of x and z are computed once, on first use, and
+    every block the source evaluates reuses them. ``entries_evaluated``
+    counts the kernel entries actually evaluated.
     """
 
     def __init__(self, spec: KernelSpec, sources: DataSources):
@@ -213,6 +241,8 @@ class LazyKernelSource:
         self._spec = spec
         self._x = sources.x
         self._z = sources.z
+        self._norms = None
+        self._sample = None
         self.entries_evaluated = 0
         self.row_denoms = None
 
@@ -220,33 +250,67 @@ class LazyKernelSource:
     def shape(self):
         return self._x.shape[0], self._z.shape[0]
 
+    def _block(self, x_rows=slice(None), z_rows=slice(None)) -> np.ndarray:
+        """Raw block of x[x_rows] against z[z_rows], counted."""
+        x, z = self._x[x_rows], self._z[z_rows]
+        norms = None
+        if self._spec.family != "linear":
+            if self._norms is None:
+                self._norms = (_sq_norms(self._x), _sq_norms(self._z))
+            norms = (self._norms[0][x_rows], self._norms[1][z_rows])
+        block = _raw_block(self._spec, x, z, norms)
+        self.entries_evaluated += block.size
+        return block
+
     def sample_blocks(self, row_idx, col_idx):
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
 
+        The raw blocks of the latest call are kept. When both index sets
+        contain the previous call's, only the new columns of G_Nm and the
+        new rows of G_nM are evaluated; otherwise every entry is. Each call
+        returns new arrays, sne rows divided by the current estimates.
         G_nm is sliced out of G_Nm, so the three blocks are mutually
         consistent by construction.
         """
-        row_idx = np.asarray(row_idx, dtype=int)
-        col_idx = np.asarray(col_idx, dtype=int)
-        g_big_m = _raw_block(self._spec, self._x, self._z[col_idx])    # N x m
-        g_n_big = _raw_block(self._spec, self._x[row_idx], self._z)    # n x M
-        if self._spec.family == "sne":
+        row_idx = np.array(row_idx, dtype=int)
+        col_idx = np.array(col_idx, dtype=int)
+        sne = self._spec.family == "sne"
+        prev = self._sample
+        if prev is None or not (np.isin(prev.rows, row_idx).all()
+                                and np.isin(prev.cols, col_idx).all()):
+            big_n, big_m = self.shape
+            empty = np.empty(0, dtype=int)
+            prev = _Sample(empty, empty, np.empty((big_n, 0)),
+                           np.empty((0, big_m)),
+                           np.zeros(big_n) if sne else None)
+        new_rows = row_idx[~np.isin(row_idx, prev.rows)]
+        new_cols = col_idx[~np.isin(col_idx, prev.cols)]
+        fresh_big_m = self._block(z_rows=new_cols)
+        sample = _Sample(
+            rows=np.concatenate([prev.rows, new_rows]),
+            cols=np.concatenate([prev.cols, new_cols]),
+            big_m=np.concatenate([prev.big_m, fresh_big_m], axis=1),
+            n_big=np.concatenate([prev.n_big, self._block(x_rows=new_rows)]),
+            sums=prev.sums + fresh_big_m.sum(1) if sne else None)
+        self._sample = sample
+
+        g_big_m = np.take(sample.big_m, _positions(sample.cols, col_idx), 1)
+        g_n_big = np.take(sample.n_big, _positions(sample.rows, row_idx), 0)
+        if sne:
             big_m = self._z.shape[0]
-            denom = g_big_m.sum(1) * (big_m / col_idx.size)
+            denom = sample.sums * (big_m / col_idx.size)
             self.row_denoms = denom
             _sne_normalize(g_big_m, denom, big_m)
             _sne_normalize(g_n_big, denom[row_idx], big_m)
         g_nm = g_big_m[row_idx, :]
-        self.entries_evaluated += g_big_m.size + g_n_big.size
         return g_nm, g_big_m, g_n_big
 
     def full(self) -> np.ndarray:
         """Materialize the exact kernel matrix (full sne normalization)."""
-        g = _raw_block(self._spec, self._x, self._z)
+        g = self._block()
         if self._spec.family == "sne":
             self.row_denoms = g.sum(1)
             _sne_normalize(g, self.row_denoms, self._z.shape[0])
-        self.entries_evaluated += g.size
         return g
 
     def streaming_stats(self) -> CenteringStats:
@@ -256,22 +320,21 @@ class LazyKernelSource:
         known first). Nothing larger than a block is ever held.
         """
         n_rows, n_cols = self.shape
-        starts = range(0, n_cols, _BLOCK)
+        blocks = [slice(start, start + _BLOCK)
+                  for start in range(0, n_cols, _BLOCK)]
         denom = None
         if self._spec.family == "sne":
             denom = np.zeros(n_rows)
-            for start in starts:
-                denom += _raw_block(self._spec, self._x,
-                                    self._z[start:start + _BLOCK]).sum(1)
+            for cols in blocks:
+                denom += self._block(z_rows=cols).sum(1)
         row_sums = np.zeros(n_rows)
         col_sums = np.zeros(n_cols)
-        for start in starts:
-            block = _raw_block(self._spec, self._x,
-                               self._z[start:start + _BLOCK])
+        for cols in blocks:
+            block = self._block(z_rows=cols)
             if denom is not None:
                 _sne_normalize(block, denom, n_cols)
             row_sums += block.sum(1)
-            col_sums[start:start + block.shape[1]] = block.sum(0)
+            col_sums[cols] = block.sum(0)
         grand = float(row_sums.sum() / (n_rows * n_cols))
         return CenteringStats(row_means=row_sums / n_cols,
                               col_means=col_sums / n_rows,

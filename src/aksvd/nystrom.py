@@ -154,11 +154,17 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
 
 
 def asym_nystrom(g_source, cfg: NystromConfig,
-                 reference: SvdResult | None = None) -> NystromResult:
-    """Approximate the top-r singular triplets from sampled blocks."""
+                 reference: SvdResult | None = None,
+                 indices=None) -> NystromResult:
+    """Approximate the top-r singular triplets from sampled blocks.
+
+    ``indices`` is the (rows, columns) pair to sample; by default it is
+    drawn by ``sample_indices`` from the config.
+    """
     source = as_kernel_source(g_source)
     t0 = time.perf_counter()
-    rows, cols = sample_indices(source.shape, cfg)
+    rows, cols = (sample_indices(source.shape, cfg) if indices is None
+                  else indices)
     g_nm, g_big_m, g_n_big = source.sample_blocks(rows, cols)
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg)
     wall = time.perf_counter() - t0
@@ -240,6 +246,23 @@ def eta_accuracy(u_tilde, v_tilde, reference: SvdResult, r: int) -> float:
 
 
 @dataclass(frozen=True)
+class Attempt:
+    """One attempt of ``solve_to_tolerance``.
+
+    ``m`` and ``n`` are the column and row sample counts (for rsvd, ``m``
+    is the oversampling; tsvd and rsvd sample no rows, and tsvd no
+    columns). ``wall_time`` is this attempt's solver time and ``entries``
+    the kernel entries the source has evaluated so far.
+    """
+
+    m: int
+    n: int
+    eta: float
+    wall_time: float
+    entries: int
+
+
+@dataclass(frozen=True)
 class SolveReport:
     solver: str
     result: object
@@ -247,6 +270,7 @@ class SolveReport:
     eta: float
     wall_time: float
     status: str  # "ok" or "tolerance_unreachable"
+    history: tuple = ()  # one Attempt per attempt, in order
 
 
 SOLVERS = ("tsvd", "rsvd", "sym_nystrom", "asym_nystrom")
@@ -258,15 +282,29 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
 
     Sampled solvers grow their budget multiplicatively; rsvd grows its
     oversampling; tsvd runs once at machine precision. Wall time counts the
-    solver work only, not reference or eta evaluation. If the budget cap is
-    reached with eta still above epsilon a ToleranceUnreachableError is
-    raised, carrying the last report in its ``report`` attribute.
+    solver work only, not reference or eta evaluation, nor the dense
+    matrices the baselines start from (G, and for sym_nystrom its two Gram
+    matrices). The asymmetric solver draws one seeded permutation of the
+    rows and one of the columns per solve and samples sorted prefixes of
+    them, so each attempt's sample contains the previous one and a block
+    source evaluates only the new columns and rows. The report's
+    ``history`` records every attempt. If the budget cap is reached with
+    eta still above epsilon a ToleranceUnreachableError is raised,
+    carrying the last report in its ``report`` attribute.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     source = as_kernel_source(g_source)
     big_n, big_m = source.shape
     r = cfg.r
+    history = []
+
+    def report(res, m_used, n_used, eta, seconds, wall):
+        history.append(Attempt(m_used, n_used, eta, seconds,
+                               source.entries_evaluated))
+        return SolveReport(solver, res, m_used, eta, wall,
+                           "ok" if eta <= epsilon else "tolerance_unreachable",
+                           tuple(history))
 
     if solver == "tsvd":
         g = source.full()
@@ -274,11 +312,10 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
         res = svd_truncated(g, r, tol=1e-14)
         wall = time.perf_counter() - t0
         eta = eta_accuracy(res.u, res.v, reference, min(r, res.rank))
-        report = SolveReport(solver, res, 0, eta, wall,
-                             "ok" if eta <= epsilon else "tolerance_unreachable")
+        rep = report(res, 0, 0, eta, wall, wall)
         if eta > epsilon:
-            raise _unreachable(report, epsilon)
-        return report
+            raise _unreachable(rep, epsilon)
+        return rep
 
     if solver == "rsvd":
         g = source.full()
@@ -289,51 +326,58 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
             t0 = time.perf_counter()
             res = svd_randomized(g, r, oversample=oversample,
                                  power_iters=cfg.power_iters, seed=cfg.seed)
-            wall += time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            wall += seconds
             eta = eta_accuracy(res.u, res.v, reference, min(r, res.rank))
+            rep = report(res, oversample, 0, eta, seconds, wall)
             if eta <= epsilon:
-                return SolveReport(solver, res, oversample, eta, wall, "ok")
+                return rep
             if oversample >= cap:
-                raise _unreachable(
-                    SolveReport(solver, res, oversample, eta, wall,
-                                "tolerance_unreachable"), epsilon)
+                raise _unreachable(rep, epsilon)
             oversample = min(int(np.ceil(oversample * cfg.m_growth)), cap)
 
     # sampled solvers: grow m until the tolerance or the cap
     cap = min(big_n, big_m) if cfg.m_max is None else min(cfg.m_max, big_m)
     m = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
-    g = source.full() if solver == "sym_nystrom" else None
+    if solver == "asym_nystrom":
+        rng = np.random.default_rng(cfg.seed)
+        row_perm = rng.permutation(big_n)
+        col_perm = rng.permutation(big_m)
+    else:
+        g = source.full()
+        gram_u = as_kernel_source(g @ g.T)
+        gram_v = as_kernel_source(g.T @ g)
     wall = 0.0
     attempt = 0
     while True:
         step_cfg = replace(cfg, m=m, n=None, seed=cfg.seed + attempt,
                            epsilon=epsilon)
         if solver == "asym_nystrom":
+            n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
+            indices = np.sort(row_perm[:n]), np.sort(col_perm[:m])
             t0 = time.perf_counter()
-            res = asym_nystrom(source, step_cfg)
-            wall += time.perf_counter() - t0
-            eta = eta_accuracy(res.u_tilde, res.v_tilde, reference,
-                               min(r, res.lambda_tilde.size))
+            res = asym_nystrom(source, step_cfg, indices=indices)
+            seconds = time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
-            res_u = sym_nystrom(g @ g.T, replace(step_cfg, n=min(m, big_n),
-                                                 m=min(m, big_n)))
-            res_v = sym_nystrom(g.T @ g, replace(step_cfg, n=min(m, big_m),
-                                                 m=min(m, big_m)))
-            wall += time.perf_counter() - t0
+            res_u = sym_nystrom(gram_u, replace(step_cfg, n=min(m, big_n),
+                                                m=min(m, big_n)))
+            res_v = sym_nystrom(gram_v, replace(step_cfg, n=min(m, big_m),
+                                                m=min(m, big_m)))
+            seconds = time.perf_counter() - t0
             res = NystromResult(
                 u_tilde=res_u.u_tilde, v_tilde=res_v.u_tilde,
                 lambda_tilde=np.sqrt(np.maximum(res_u.lambda_tilde, 0.0)),
                 row_indices=res_u.row_indices, col_indices=res_v.row_indices,
                 eta=None, wall_time=res_u.wall_time + res_v.wall_time)
-            eta = eta_accuracy(res.u_tilde, res.v_tilde, reference,
-                               min(r, res.lambda_tilde.size))
+        wall += seconds
+        eta = eta_accuracy(res.u_tilde, res.v_tilde, reference,
+                           min(r, res.lambda_tilde.size))
+        rep = report(res, m, res.row_indices.size, eta, seconds, wall)
         if eta <= epsilon:
-            return SolveReport(solver, res, m, eta, wall, "ok")
+            return rep
         if m >= cap:
-            raise _unreachable(
-                SolveReport(solver, res, m, eta, wall,
-                            "tolerance_unreachable"), epsilon)
+            raise _unreachable(rep, epsilon)
         m = min(int(np.ceil(m * cfg.m_growth)), cap)
         attempt += 1
 

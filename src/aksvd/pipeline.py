@@ -287,13 +287,17 @@ def _bench_reference(g: np.ndarray, r: int):
     return svd_truncated(g, r, tol=1e-14)
 
 
-def _timed_solve(source, solver: str, epsilon: float, reference,
+def _timed_solve(make_source, solver: str, epsilon: float, reference,
                  ncfg: NystromConfig, repeats: int):
-    """One warmup then ``repeats`` timed runs; medians the wall time."""
+    """One warmup then ``repeats`` timed runs; medians the wall time.
+
+    Every run gets a fresh source from ``make_source``, so none reuses the
+    norms or blocks an earlier run left in a lazy source.
+    """
     results, times = [], []
     for _ in range(repeats + 1):
         try:
-            rep = nystrom.solve_to_tolerance(source, solver, epsilon,
+            rep = nystrom.solve_to_tolerance(make_source(), solver, epsilon,
                                              reference, ncfg)
         except ToleranceUnreachableError as err:
             rep = err.report
@@ -338,27 +342,28 @@ def run_bench(cfg: RunConfig) -> Path:
 
     rows = []
     for epsilon in epsilons:
-        timings = {}
+        timings, eps_rows = {}, []
         for solver in solvers:
-            source = LazyKernelSource(spec, sources) \
-                if solver == "asym_nystrom" else g
-            rep, median_time = _timed_solve(source, solver, epsilon,
+            def make_source():
+                return LazyKernelSource(spec, sources) \
+                    if solver == "asym_nystrom" else g
+            rep, median_time = _timed_solve(make_source, solver, epsilon,
                                             reference, ncfg, repeats)
             timings[solver] = median_time
-            rows.append({
+            eps_rows.append({
                 "solver": solver, "N": g.shape[0], "M": g.shape[1],
                 "r": cfg["rank"], "epsilon": f"{epsilon:.17g}",
                 "m_used": rep.m_used, "eta": f"{rep.eta:.17g}",
                 "wall_time_s": f"{median_time:.6g}", "seed": ncfg.seed,
                 "status": rep.status,
             })
+        # speedups from the unrounded times, not the 6-digit strings
         t_rsvd = timings.get("rsvd")
-        for row in rows:
-            if row["epsilon"] == f"{epsilon:.17g}" and t_rsvd:
-                own = float(row["wall_time_s"])
-                row["speedup"] = f"{t_rsvd / own:.6g}" if own > 0 else ""
-            elif "speedup" not in row:
-                row["speedup"] = ""
+        for row in eps_rows:
+            own = timings[row["solver"]]
+            row["speedup"] = f"{t_rsvd / own:.6g}" if t_rsvd and own > 0 \
+                else ""
+        rows += eps_rows
     out = _out_dir(cfg)
     fields = ["solver", "N", "M", "r", "epsilon", "m_used", "eta",
               "wall_time_s", "seed", "status", "speedup"]

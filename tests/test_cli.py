@@ -257,6 +257,24 @@ class TestBench:
         assert int(rows["asym_nystrom"]["m_used"]) == 8
         assert float(rows["rsvd"]["speedup"]) == 1.0
 
+    def test_speedups_use_unrounded_times(self, tmp_path, monkeypatch):
+        # a time that rounds at 6 significant digits: rsvd's speedup over
+        # itself must still be exactly 1
+        from aksvd import pipeline
+        timed_solve = pipeline._timed_solve
+        monkeypatch.setattr(
+            pipeline, "_timed_solve",
+            lambda *args: (timed_solve(*args)[0], 0.000123456789))
+        out = tmp_path / "run"
+        code = run("bench", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=16",
+                   "--set", "bench.repeats=1",
+                   "--set", "bench.solvers=tsvd,rsvd", "--out", str(out))
+        assert code == 0
+        rows = self.read_rows(out)
+        assert {row["wall_time_s"] for row in rows} == {"0.000123457"}
+        assert {row["speedup"] for row in rows} == {"1"}
+
     def test_unreachable_tolerance_is_a_row_not_a_crash(self, tmp_path):
         out = tmp_path / "run"
         code = run("bench", "--format", "synth", "--rank", "2",

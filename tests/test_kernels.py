@@ -310,6 +310,53 @@ class TestLazySource:
         n_rows, n_cols = len(self.rows), len(self.cols)
         assert src.entries_evaluated == 12 * n_cols + n_rows * 9
 
+    def test_superset_call_evaluates_only_new_entries(self):
+        # the second call's sets contain the first's, interleaved and out
+        # of order; its blocks equal a fresh source's
+        a = make_matrix(30, 25, seed=21)
+        first_rows, first_cols = np.array([2, 9, 17]), np.array([1, 4, 11, 20])
+        rows = np.array([0, 17, 2, 23, 9, 29])
+        cols = np.array([20, 1, 3, 4, 11, 15, 24])
+        for family in ("sne", "rbf", "linear"):
+            spec = kernels.KernelSpec(family=family, gamma=4.0,
+                                      compat=make_compat(a, "a1"))
+            src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+            big_n, big_m = src.shape
+            src.sample_blocks(first_rows, first_cols)
+            before = src.entries_evaluated
+            got = src.sample_blocks(rows, cols)
+            assert src.entries_evaluated - before == \
+                big_n * (cols.size - 4) + (rows.size - 3) * big_m
+            fresh = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+            want = fresh.sample_blocks(rows, cols)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
+            if family == "sne":
+                np.testing.assert_allclose(src.row_denoms, fresh.row_denoms,
+                                           rtol=1e-14, atol=0)
+
+    def test_call_without_previous_sets_starts_over(self):
+        spec = kernels.KernelSpec(family="sne", gamma=3.0,
+                                  compat=make_compat(self.a, "a1"))
+        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        big_n, big_m = src.shape
+        src.sample_blocks(self.rows, self.cols)
+        # drops column 1: everything is evaluated again
+        rows, cols = np.array([0, 3, 7]), np.array([2, 5, 6])
+        before = src.entries_evaluated
+        got = src.sample_blocks(rows, cols)
+        assert src.entries_evaluated - before == big_n * 3 + 3 * big_m
+        want = kernels.LazyKernelSource(
+            spec, kernels.build_sources(self.a)).sample_blocks(rows, cols)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # the kept blocks are now those of the second call: extending it
+        # evaluates one column and one row, though the first call's
+        # column 1 is missing again
+        before = src.entries_evaluated
+        src.sample_blocks(np.array([0, 3, 7, 10]), np.array([2, 5, 6, 8]))
+        assert src.entries_evaluated - before == big_n + big_m
+
     def test_matrix_source_blocks(self):
         g = make_matrix(7, 6, seed=30)
         src = kernels.MatrixSource(g)

@@ -294,6 +294,48 @@ class TestSolveToTolerance:
         assert rep.m_used == 32
         assert rep.eta > 1e-15
 
+    def sne_source(self):
+        src = kernels.DataSources(x=make_matrix(90, 6, seed=18),
+                                  z=make_matrix(70, 6, seed=19))
+        spec = kernels.KernelSpec(family="sne", gamma=2.0)
+        return lambda: kernels.LazyKernelSource(spec, src)
+
+    def test_growth_evaluates_each_entry_once(self):
+        make = self.sne_source()
+        ref = svd_exact(make().full())
+        lazy = make()
+        with pytest.raises(ToleranceUnreachableError) as exc:
+            nystrom.solve_to_tolerance(lazy, "asym_nystrom", 1e-15, ref,
+                                       exact_cfg(3, seed=0, m=8, m_max=64))
+        rep = exc.value.report
+        big_n, big_m = lazy.shape
+        n, m = rep.result.row_indices.size, rep.result.col_indices.size
+        assert [a.m for a in rep.history] == [8, 16, 32, 64]
+        assert [a.n for a in rep.history] == [10, 21, 41, 82]
+        assert (n, m) == (82, 64)
+        assert lazy.entries_evaluated == big_n * m + n * big_m
+        assert rep.history[-1].entries == lazy.entries_evaluated
+        assert [a.eta for a in rep.history][-1] == rep.eta
+        assert sum(a.wall_time for a in rep.history) == \
+            pytest.approx(rep.wall_time)
+
+    def test_seeded_solves_are_bit_identical(self):
+        make = self.sne_source()
+        ref = svd_exact(make().full())
+        cfg = nystrom.NystromConfig(r=3, seed=5, m=8)
+        reports = [nystrom.solve_to_tolerance(make(), "asym_nystrom", 0.05,
+                                              ref, cfg) for _ in range(2)]
+        first, second = reports
+        assert len(first.history) >= 3
+        for field in ("u_tilde", "v_tilde", "lambda_tilde", "row_indices",
+                      "col_indices"):
+            np.testing.assert_array_equal(getattr(first.result, field),
+                                          getattr(second.result, field))
+        assert (first.m_used, first.eta, first.status) == \
+            (second.m_used, second.eta, second.status)
+        assert [(a.m, a.n, a.eta, a.entries) for a in first.history] == \
+            [(a.m, a.n, a.eta, a.entries) for a in second.history]
+
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
             nystrom.solve_to_tolerance(self.g, "magic", 1.0, self.ref,
