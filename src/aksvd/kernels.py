@@ -18,6 +18,15 @@ row's full normalizer, a sum over all M columns, so it uses the unbiased
 estimate from the m sampled columns, (sampled sum) * M/m. Sampled blocks
 thus estimate the same matrix as the full one, at the same scale, and
 agree with it exactly when every column is sampled.
+
+Every block rests on one Gram product, ``x @ z.T``. It is computed in
+float32 when that is exact, and in float64 otherwise. Float32 is exact when
+every entry of x and z is an integer and d * max(|x|, 1) * max(|z|, 1) <=
+2^24, d the feature length: every product and partial sum is then an
+integer that float32 holds, in any summation order, so the result equals
+the float64 product bit for bit. The 0/1 adjacency matrices of directed
+graphs always qualify up to d = 2^24. Non-integral data takes the float64
+path unchanged.
 """
 from __future__ import annotations
 
@@ -36,8 +45,13 @@ from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
-# row-block size for streaming assembly; results do not depend on it
+# row-block size for streaming assembly, for the squared row norms and for
+# casting the larger operand of a float32 Gram product; results do not
+# depend on it
 _BLOCK = 512
+
+# float32 holds every integer of magnitude up to 2^24 exactly
+_F32_EXACT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -89,24 +103,69 @@ def default_gamma(data, k: float = 1.0) -> float:
     return k * float(np.sqrt(data.shape[1] * var))
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every row, (a * a).sum(1), computed a
-    block of rows at a time so no temporary as large as ``a`` is made."""
-    blocks = (a[start:start + _BLOCK] for start in range(0, a.shape[0], _BLOCK))
-    return np.concatenate([(b * b).sum(1) for b in blocks])
+def _side_stats(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Euclidean norm of every row, (a * a).sum(1), and the float32
+    scale of ``a``: max(max|a|, 1) when every entry is an integer, inf
+    otherwise. One pass, a block of rows at a time, so no temporary as
+    large as ``a`` is made."""
+    norms = []
+    scale = 1.0
+    for start in range(0, a.shape[0], _BLOCK):
+        b = a[start:start + _BLOCK]
+        norms.append((b * b).sum(1))
+        if scale < np.inf:
+            integral = np.array_equal(np.rint(b), b)
+            scale = max(scale, b.max(), -b.min()) if integral else np.inf
+    return np.concatenate(norms), float(scale)
 
 
-def _raw_block(spec: KernelSpec, x, z, norms=None) -> np.ndarray:
+def _gram(x, z, x_scale: float, z_scale: float) -> np.ndarray:
+    """x @ z.T in float64, computed in float32 when that is exact.
+
+    The scales come from ``_side_stats``; float32 is exact when
+    d * x_scale * z_scale <= 2^24. The smaller operand is cast whole and
+    the larger one a block of rows at a time, so the larger is never
+    copied whole to float32, and no float32 copy outlives the call.
+    """
+    if x.shape[1] * x_scale * z_scale > _F32_EXACT:
+        return x @ z.T
+    out = np.empty((x.shape[0], z.shape[0]))
+    if x.shape[0] >= z.shape[0]:
+        z32 = z.astype(np.float32)
+        for start in range(0, x.shape[0], _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            out[rows] = x[rows].astype(np.float32) @ z32.T
+    else:
+        x32 = x.astype(np.float32)
+        for start in range(0, z.shape[0], _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            out[:, cols] = x32 @ z[cols].astype(np.float32).T
+    return out
+
+
+def _raw_block(spec: KernelSpec, x, z, sides=None) -> np.ndarray:
     """Linear products, or the rbf numerators that sne rows are divided by.
 
-    ``norms`` is the pair of squared row norms of x and z when the caller
-    has them; otherwise they are computed here.
+    ``sides`` is the pair of ``_side_stats`` of x and z, squared row norms
+    and float32 scales, when the caller has them; otherwise they are
+    computed here. The Gram product ``x @ z.T`` is computed in float32 when
+    every entry is an integer and d * max(|x|, 1) * max(|z|, 1) <= 2^24,
+    which gives the float64 product bit for bit, and in float64 otherwise.
+    The rbf arithmetic then runs in place on the product.
     """
+    if sides is None:
+        sides = (_side_stats(x), _side_stats(z))
+    (x_sq, x_scale), (z_sq, z_scale) = sides
+    d = _gram(x, z, x_scale, z_scale)
     if spec.family == "linear":
-        return x @ z.T
-    x_sq, z_sq = norms if norms is not None else (_sq_norms(x), _sq_norms(z))
-    d = x_sq[:, None] - 2.0 * (x @ z.T) + z_sq[None, :]
-    return np.exp(-np.maximum(d, 0.0) / (spec.gamma * spec.gamma))
+        return d
+    d *= -2.0
+    d += x_sq[:, None]
+    d += z_sq
+    np.maximum(d, 0.0, out=d)
+    d /= -(spec.gamma * spec.gamma)
+    np.exp(d, out=d)
+    return d
 
 
 def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
@@ -224,9 +283,9 @@ class LazyKernelSource:
     ``row_denoms`` holds the sne normalizers behind the latest blocks:
     estimates after ``sample_blocks``, exact after ``full``.
 
-    The squared row norms of x and z are computed once, on first use, and
-    every block the source evaluates reuses them. ``entries_evaluated``
-    counts the kernel entries actually evaluated.
+    The squared row norms and float32 scales of x and z are computed once,
+    on first use, and every block the source evaluates reuses them.
+    ``entries_evaluated`` counts the kernel entries actually evaluated.
     """
 
     def __init__(self, spec: KernelSpec, sources: DataSources):
@@ -241,7 +300,7 @@ class LazyKernelSource:
         self._spec = spec
         self._x = sources.x
         self._z = sources.z
-        self._norms = None
+        self._sides = None
         self._sample = None
         self.entries_evaluated = 0
         self.row_denoms = None
@@ -252,13 +311,11 @@ class LazyKernelSource:
 
     def _block(self, x_rows=slice(None), z_rows=slice(None)) -> np.ndarray:
         """Raw block of x[x_rows] against z[z_rows], counted."""
-        x, z = self._x[x_rows], self._z[z_rows]
-        norms = None
-        if self._spec.family != "linear":
-            if self._norms is None:
-                self._norms = (_sq_norms(self._x), _sq_norms(self._z))
-            norms = (self._norms[0][x_rows], self._norms[1][z_rows])
-        block = _raw_block(self._spec, x, z, norms)
+        if self._sides is None:
+            self._sides = (_side_stats(self._x), _side_stats(self._z))
+        (x_sq, x_scale), (z_sq, z_scale) = self._sides
+        block = _raw_block(self._spec, self._x[x_rows], self._z[z_rows],
+                           ((x_sq[x_rows], x_scale), (z_sq[z_rows], z_scale)))
         self.entries_evaluated += block.size
         return block
 
@@ -293,6 +350,9 @@ class LazyKernelSource:
             n_big=np.concatenate([prev.n_big, self._block(x_rows=new_rows)]),
             sums=prev.sums + fresh_big_m.sum(1) if sne else None)
         self._sample = sample
+        # the previous blocks are copied into ``sample``; free them before
+        # the returned blocks are taken, the call's peak memory
+        del prev, fresh_big_m
 
         g_big_m = np.take(sample.big_m, _positions(sample.cols, col_idx), 1)
         g_n_big = np.take(sample.n_big, _positions(sample.rows, row_idx), 0)

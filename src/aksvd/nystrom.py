@@ -104,13 +104,6 @@ def sample_indices(shape, cfg: NystromConfig):
     return rows, cols
 
 
-def subsample(g_source, cfg: NystromConfig):
-    """Extract (G_nm, G_Nm, G_nM) for the config's sampled index sets."""
-    source = as_kernel_source(g_source)
-    rows, cols = sample_indices(source.shape, cfg)
-    return source.sample_blocks(rows, cols)
-
-
 def _small_svd(g_nm: np.ndarray, cfg: NystromConfig) -> SvdResult:
     if cfg.subproblem == "exact":
         res = svd_exact(g_nm)

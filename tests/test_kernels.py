@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aksvd import kernels
+from aksvd import datasets, kernels, ksvd
 from aksvd.compat import compat_pseudoinverse, make_compat
 from aksvd.errors import (
     CompatibilityMissingError,
@@ -365,6 +365,160 @@ class TestLazySource:
         np.testing.assert_array_equal(g_big_m, g[:, [0, 2, 5]])
         np.testing.assert_array_equal(g_n_big, g[[1, 4], :])
         assert kernels.as_kernel_source(src) is src
+
+
+# --- exact float32 Gram products ---------------------------------------------
+# Every case below must give the plain float64 result bit for bit. Integer
+# data within d * max|x| * max|z| <= 2^24 takes the float32 product; the
+# rest must take the float64 one, and the cases one step past the bound,
+# with non-integral data, and with huge integers against zeros are built so
+# that a float32 product would differ (or be NaN).
+
+def _ints(rng, shape, bound, full_row):
+    """Integers in [-bound, bound]; row ``full_row`` is all ``bound``."""
+    a = rng.integers(-bound, bound + 1, shape).astype(float)
+    a[full_row] = bound
+    return a
+
+
+def _gram_cases():
+    """Row and column data sets, by case name."""
+    rng = np.random.default_rng(40)
+    graph = datasets.synth_directed_graph("two_block", 600, seed=4).adjacency
+    src = kernels.build_sources(graph)
+    # k / 2^20 with |k| <= 2^20: float64 sums of their products are exact
+    # in any order, so every block is a bit-exact slice of the reference,
+    # while float32 would round the products
+    fine = 2.0 ** 20
+    huge = rng.integers(0, 5, (50, 20)).astype(float)
+    huge[::2, 3] = 1e39  # an integer, and inf in float32
+    return {
+        "graph": (src.x, src.z),
+        "graph_tall_x": ((rng.random((700, 50)) < 0.3).astype(float),
+                         (rng.random((200, 50)) < 0.3).astype(float)),
+        "graph_tall_z": ((rng.random((200, 50)) < 0.3).astype(float),
+                         (rng.random((700, 50)) < 0.3).astype(float)),
+        # 64 * 512 * 512 = 2^24: float32 is still exact
+        "at_bound": (_ints(rng, (30, 64), 512, 0),
+                     _ints(rng, (600, 64), 512, 0)),
+        # 97 * 257 * 673 = 2^24 + 1, odd: float32 cannot hold the (0, 0)
+        # entry
+        "past_bound": (_ints(rng, (600, 97), 257, 0),
+                       _ints(rng, (40, 97), 673, 0)),
+        "non_integral": (rng.integers(-2 ** 20, 2 ** 20, (600, 30)) / fine,
+                         rng.integers(-2 ** 20, 2 ** 20, (90, 30)) / fine),
+        "huge_vs_zero": (huge, np.zeros((30, 20))),
+    }
+
+
+def _wide_gamma(x, z):
+    """A bandwidth no squared distance exceeds, so no sne row underflows."""
+    return float(np.sqrt(x.shape[1]) * (np.abs(x).max() + np.abs(z).max()))
+
+
+def _reference_numerators(spec, x, z):
+    """Linear products or rbf numerators, in plain float64."""
+    g = x @ z.T
+    if spec.family == "linear":
+        return g
+    d = (x * x).sum(1)[:, None] - 2.0 * g + (z * z).sum(1)[None, :]
+    return np.exp(-np.maximum(d, 0.0) / (spec.gamma * spec.gamma))
+
+
+def _reference_matrix(spec, x, z):
+    g = _reference_numerators(spec, x, z)
+    return g / g.sum(1, keepdims=True) if spec.family == "sne" else g
+
+
+def _gram_params():
+    for name in _gram_cases():
+        families = (("linear", "rbf") if name == "huge_vs_zero"
+                    else ("linear", "rbf", "sne"))
+        for family in families:
+            yield pytest.param(name, family, id=f"{name}-{family}")
+
+
+class TestExactGram:
+    @pytest.mark.parametrize("name, family", _gram_params())
+    def test_kernel_matrix_equals_float64(self, name, family):
+        x, z = _gram_cases()[name]
+        spec = kernels.KernelSpec(family, _wide_gamma(x, z))
+        got = kernels.kernel_matrix(spec, kernels.DataSources(x=x, z=z))
+        np.testing.assert_array_equal(got, _reference_matrix(spec, x, z))
+
+    @pytest.mark.parametrize("name, family", _gram_params())
+    def test_incremental_sample_blocks_equal_float64(self, name, family):
+        x, z = _gram_cases()[name]
+        spec = kernels.KernelSpec(family, _wide_gamma(x, z))
+        numer = _reference_numerators(spec, x, z)
+        big_n, big_m = numer.shape
+        row_order = np.random.default_rng(1).permutation(big_n)
+        col_order = np.random.default_rng(2).permutation(big_m)
+        src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
+        sums, cols = np.zeros(big_n), np.empty(0, dtype=int)
+        for n, m in ((3, 2), (9, 7), (big_n // 2, big_m // 2), (big_n, big_m)):
+            # nested sets: each call adds rows and columns to the last, and
+            # the sne sums add the new columns' block, summed row by row
+            prev_cols = cols
+            rows, cols = np.sort(row_order[:n]), np.sort(col_order[:m])
+            new_cols = cols[~np.isin(cols, prev_cols)]
+            sums = sums + np.ascontiguousarray(numer[:, new_cols]).sum(1)
+            want_big_m, want_n_big = numer[:, cols], numer[rows]
+            if family == "sne":
+                denom = sums * (big_m / m)
+                want_big_m = want_big_m / denom[:, None]
+                want_n_big = want_n_big / denom[rows, None]
+            g_nm, g_big_m, g_n_big = src.sample_blocks(rows, cols)
+            np.testing.assert_array_equal(g_big_m, want_big_m)
+            np.testing.assert_array_equal(g_n_big, want_n_big)
+            np.testing.assert_array_equal(g_nm, want_big_m[rows])
+        # every call after the first evaluated only its new entries
+        assert src.entries_evaluated == big_n * m + n * big_m
+
+    @pytest.mark.parametrize("case", ["graph", "graph_tall", "at_bound",
+                                      "past_bound", "non_integral"])
+    @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
+    def test_oos_rows_and_columns_equal_float64(self, case, family):
+        rng = np.random.default_rng(41)
+        if case.startswith("graph"):
+            a = datasets.synth_directed_graph("two_block", 600,
+                                              seed=5).adjacency
+            n_new = 700 if case == "graph_tall" else 40
+            new_x = (rng.random((n_new, 600)) < 0.3).astype(float)
+            new_z = (rng.random((n_new, 600)) < 0.3).astype(float)
+        elif case == "at_bound":  # 64 * 512 * 512 = 2^24
+            a = _ints(rng, (64, 64), 512, 0)
+            a[:, 0] = 512
+            new_x, new_z = (_ints(rng, (20, 64), 512, 0) for _ in range(2))
+        elif case == "past_bound":  # 97 * 257 * 673 = 2^24 + 1
+            a = _ints(rng, (97, 97), 673, 0)
+            a[:, 0] = 673
+            new_x, new_z = (_ints(rng, (20, 97), 257, 0) for _ in range(2))
+        else:
+            fine = 2.0 ** 20
+            a = rng.integers(-2 ** 20, 2 ** 20, (60, 60)) / fine
+            new_x, new_z = (rng.integers(-2 ** 20, 2 ** 20, (20, 60)) / fine
+                            for _ in range(2))
+        spec = kernels.KernelSpec(family, _wide_gamma(a, a))
+        model = ksvd.fit(a, spec, r=3)
+        scale = np.sqrt(model.lam)[None, :]
+
+        rows = _reference_matrix(spec, new_x, model.train_z)
+        rows = kernels.center_oos(rows, model.centering, "row")
+        np.testing.assert_array_equal(ksvd.transform_oos(model, new_x=new_x),
+                                      rows @ model.b_psi / scale)
+        cols = _reference_numerators(spec, model.train_x, new_z)
+        if family == "sne":
+            cols = cols / model.sne_row_denoms[:, None]
+        cols = kernels.center_oos(cols, model.centering, "column").T
+        np.testing.assert_array_equal(ksvd.transform_oos(model, new_z=new_z),
+                                      cols @ model.b_phi / scale)
+
+    def test_float32_scale_of_each_side(self):
+        assert kernels._side_stats(np.array([[0.0, 1.0], [1.0, 0.0]]))[1] == 1
+        assert kernels._side_stats(np.zeros((2, 3)))[1] == 1
+        assert kernels._side_stats(np.array([[-7.0, 2.0]]))[1] == 7
+        assert kernels._side_stats(np.array([[1.0, 0.5]]))[1] == np.inf
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,8 @@ class TestSubsample:
     def test_full_sampling_is_identity(self):
         g = make_matrix(10, 8, seed=0)
         cfg = exact_cfg(2, n=10, m=8)
-        g_nm, g_big_m, g_n_big = nystrom.subsample(g, cfg)
+        g_nm, g_big_m, g_n_big = kernels.as_kernel_source(g).sample_blocks(
+            *nystrom.sample_indices(g.shape, cfg))
         np.testing.assert_array_equal(g_nm, g)
         np.testing.assert_array_equal(g_big_m, g)
         np.testing.assert_array_equal(g_n_big, g)
@@ -39,7 +40,8 @@ class TestSubsample:
         g = make_matrix(15, 12, seed=2)
         cfg = exact_cfg(2, n=6, m=5, seed=3)
         rows, cols = nystrom.sample_indices(g.shape, cfg)
-        g_nm, g_big_m, g_n_big = nystrom.subsample(g, cfg)
+        g_nm, g_big_m, g_n_big = kernels.as_kernel_source(g).sample_blocks(
+            *nystrom.sample_indices(g.shape, cfg))
         np.testing.assert_array_equal(g_nm, g_big_m[rows])
         np.testing.assert_array_equal(g_nm, g_n_big[:, cols])
         np.testing.assert_array_equal(g_big_m, g[:, cols])
@@ -47,9 +49,11 @@ class TestSubsample:
     def test_sample_too_large(self):
         g = make_matrix(5, 5, seed=3)
         with pytest.raises(SampleTooLargeError):
-            nystrom.subsample(g, exact_cfg(2, n=9, m=3))
+            kernels.as_kernel_source(g).sample_blocks(
+                *nystrom.sample_indices(g.shape, exact_cfg(2, n=9, m=3)))
         with pytest.raises(SampleTooLargeError):
-            nystrom.subsample(g, exact_cfg(4, n=3, m=3))
+            kernels.as_kernel_source(g).sample_blocks(
+                *nystrom.sample_indices(g.shape, exact_cfg(4, n=3, m=3)))
 
     def test_growth_factor_validated(self):
         with pytest.raises(ConfigError):
