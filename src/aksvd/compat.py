@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
-from .kernels import DataSources
+from .kernels import DataSources, stored
 from .linalg import as_matrix, canonicalize_signs, svd_exact
 
 MODES = ("a0", "a1", "a2", "identity")
@@ -103,7 +103,8 @@ def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
 
 
 def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
-    """Project whichever side is longer so both feature lengths agree."""
+    """Project whichever side is longer so both feature lengths agree; the
+    projected side is returned in stored form (``kernels.stored``)."""
     dx = sources.x.shape[1]
     dz = sources.z.shape[1]
     if compat.mode == "identity" or compat.c is None:
@@ -116,7 +117,7 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
         if c.shape[0] != dx:
             raise ShapeMismatchError(
                 f"compat matrix has {c.shape[0]} rows, row data needs {dx}")
-        new_x = sources.x @ c
+        new_x = stored(sources.x @ c)
         if new_x.shape[1] != dz and dx != dz:
             raise ShapeMismatchError(
                 f"compat maps to length {new_x.shape[1]}, column data has {dz}")
@@ -124,7 +125,7 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
     if c.shape[0] != dz:
         raise ShapeMismatchError(
             f"compat matrix has {c.shape[0]} rows, column data needs {dz}")
-    new_z = sources.z @ c
+    new_z = stored(sources.z @ c)
     if new_z.shape[1] != dx:
         raise ShapeMismatchError(
             f"compat maps to length {new_z.shape[1]}, row data has {dx}")

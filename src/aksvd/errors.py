@@ -74,10 +74,6 @@ class SingleClassError(UserInputError):
     """Classification requires at least two distinct labels."""
 
 
-class EmptyGridError(UserInputError):
-    """A hyperparameter grid must be non-empty."""
-
-
 class ParseError(UserInputError):
     """A file could not be parsed; message carries the line number."""
 

@@ -15,13 +15,11 @@ from . import ksvd
 from .errors import (
     ConfigError,
     DegreeTooLargeError,
-    EmptyGridError,
     LengthMismatchError,
     ShapeMismatchError,
     SingleClassError,
     SingularSystemError,
 )
-from .kernels import KernelSpec
 from .linalg import as_matrix
 
 SIDES = ("both", "left", "right")
@@ -269,56 +267,6 @@ def side_features(model, sides: str = "both", r: int | None = None) -> np.ndarra
         return left
     right = ksvd.transform(model, "right", r_right).features
     return np.hstack([left, right])
-
-
-def fold_indices(n: int, folds: int, seed: int = 0):
-    """Deterministic fold assignment: seeded permutation split into chunks."""
-    if not 2 <= folds <= n:
-        raise ConfigError(f"folds must lie in [2, {n}], got {folds}")
-    perm = np.random.default_rng(seed).permutation(n)
-    return np.array_split(perm, folds)
-
-
-_METRICS = {"accuracy": accuracy,
-            "micro_f1": lambda t, p: f1_scores(p, t)[0],
-            "macro_f1": lambda t, p: f1_scores(p, t)[1]}
-
-
-def crossval_gamma(a, labels, family: str, grid, r: int, folds: int = 10,
-                   seed: int = 0, metric="accuracy", sides: str = "left",
-                   compat=None, gamma_reg: float = 1.0) -> float:
-    """Pick the bandwidth maximizing mean validation score over seeded folds.
-
-    Features are extracted once per candidate (the extraction is
-    unsupervised), then the classifier is cross-validated on them. Ties
-    resolve to the smaller bandwidth.
-    """
-    grid = np.unique(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise EmptyGridError("bandwidth grid is empty")
-    labels = np.asarray(labels)
-    score_fn = _METRICS[metric] if isinstance(metric, str) else metric
-    a = as_matrix(a, "A")
-    if labels.shape[0] != a.shape[0]:
-        raise LengthMismatchError(
-            f"{labels.shape[0]} labels vs {a.shape[0]} rows")
-    chunks = fold_indices(a.shape[0], folds, seed=seed)
-    best_gamma, best_score = None, -np.inf
-    for gamma in grid:
-        model = ksvd.fit(a, KernelSpec(family=family, gamma=float(gamma)),
-                         r=r, compat=compat)
-        feats = side_features(model, sides=sides, r=min(r, model.rank))
-        scores = []
-        for i, val in enumerate(chunks):
-            train = np.concatenate([c for j, c in enumerate(chunks) if j != i])
-            clf = lssvm_fit(LabeledFeatures(feats[train], labels[train]),
-                            gamma_reg=gamma_reg)
-            pred = lssvm_predict(clf, feats[val])
-            scores.append(score_fn(labels[val], pred))
-        mean_score = float(np.mean(scores))
-        if mean_score > best_score:
-            best_gamma, best_score = float(gamma), mean_score
-    return best_gamma
 
 
 def split_train_test(labels, test_fraction: float = 0.2, seed: int = 0,

@@ -19,17 +19,22 @@ estimate from the m sampled columns, (sampled sum) * M/m. Sampled blocks
 thus estimate the same matrix as the full one, at the same scale, and
 agree with it exactly when every column is sampled.
 
-Every block rests on one Gram product, ``x @ z.T``. It is computed in
-float32 when that is exact, and in float64 otherwise. Float32 is exact when
-every entry of x and z is an integer and d * max(|x|, 1) * max(|z|, 1) <=
-2^24, d the feature length: every product and partial sum is then an
-integer that float32 holds, in any summation order, so the result equals
-the float64 product bit for bit. The 0/1 adjacency matrices of directed
-graphs always qualify up to d = 2^24. Non-integral data takes the float64
-path unchanged.
+Every side of the kernel data is stored once, in the narrowest float type
+that holds it exactly (``stored``): float32 when every entry is an integer
+of magnitude at most 2^24, float64 otherwise. The 0/1 adjacency matrices of
+directed graphs are stored in float32, which halves their memory.
+
+Every block rests on one Gram product, ``x @ z.T``, taken from the stored
+operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
+both sides are float32 and the product is computed in float32: every
+product and partial sum is then an integer that float32 holds, in any
+summation order, so the result equals the float64 product bit for bit.
+Graphs always qualify up to d = 2^24. Past that bound the product is taken
+in float64.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -45,9 +50,8 @@ from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
-# row-block size for streaming assembly, for the squared row norms and for
-# casting the larger operand of a float32 Gram product; results do not
-# depend on it
+# row-block size for streaming assembly, for the passes over stored data and
+# for the rows of a float32 Gram product; results do not depend on it
 _BLOCK = 512
 
 # float32 holds every integer of magnitude up to 2^24 exactly
@@ -88,8 +92,12 @@ class CenteringStats:
 
 
 def build_sources(a) -> DataSources:
+    """Rows and columns of A, both in stored form (see ``stored``)."""
     a = as_matrix(a, "A")
-    return DataSources(x=a.copy(), z=np.ascontiguousarray(a.T))
+    scale = _scale(a)  # x and z hold the same entries
+    x = stored(a, scale)
+    # a float64 A comes back as itself; the sources must not alias it
+    return DataSources(x=x.copy() if x is a else x, z=stored(a.T, scale))
 
 
 def default_gamma(data, k: float = 1.0) -> float:
@@ -103,58 +111,78 @@ def default_gamma(data, k: float = 1.0) -> float:
     return k * float(np.sqrt(data.shape[1] * var))
 
 
-def _side_stats(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _row_blocks(a):
+    """``a`` a block of rows at a time, read as float64."""
+    for start in range(0, a.shape[0], _BLOCK):
+        yield np.asarray(a[start:start + _BLOCK], dtype=np.float64)
+
+
+def _fold_scale(scale: float, b: np.ndarray) -> float:
+    """The float32 scale of the rows seen so far, extended by block ``b``:
+    max(scale, max|b|) while every entry is an integer, inf from the first
+    entry that is not."""
+    if scale == np.inf or not np.array_equal(np.rint(b), b):
+        return np.inf
+    return max(scale, float(b.max()), float(-b.min()))
+
+
+def _scale(a) -> float:
+    """The float32 scale of ``a``: max(max|a|, 1) when every entry is an
+    integer, inf otherwise."""
+    return functools.reduce(_fold_scale, _row_blocks(a), 1.0)
+
+
+def stored(a, scale: float | None = None) -> np.ndarray:
+    """``a`` in the form kernel data is kept in: C-ordered, in float32 when
+    every entry is an integer of magnitude at most 2^24, which float32 holds
+    exactly, and in float64 otherwise. ``scale`` is the float32 scale of
+    ``a`` when the caller has it. ``a`` itself is returned when it is
+    already in that form."""
+    if scale is None:
+        scale = _scale(a)
+    dtype = np.float32 if scale <= _F32_EXACT else np.float64
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _side_stats(a) -> tuple[np.ndarray, float]:
     """Squared Euclidean norm of every row, (a * a).sum(1), and the float32
-    scale of ``a``: max(max|a|, 1) when every entry is an integer, inf
-    otherwise. One pass, a block of rows at a time, so no temporary as
-    large as ``a`` is made."""
+    scale of ``a``. One pass, a block of rows at a time read as float64, so
+    the norms of a float32 side keep their bits and no temporary as large
+    as ``a`` is made."""
     norms = []
     scale = 1.0
-    for start in range(0, a.shape[0], _BLOCK):
-        b = a[start:start + _BLOCK]
+    for b in _row_blocks(a):
         norms.append((b * b).sum(1))
-        if scale < np.inf:
-            integral = np.array_equal(np.rint(b), b)
-            scale = max(scale, b.max(), -b.min()) if integral else np.inf
-    return np.concatenate(norms), float(scale)
+        scale = _fold_scale(scale, b)
+    return np.concatenate(norms), scale
 
 
 def _gram(x, z, x_scale: float, z_scale: float) -> np.ndarray:
-    """x @ z.T in float64, computed in float32 when that is exact.
+    """x @ z.T in float64, from stored operands.
 
-    The scales come from ``_side_stats``; float32 is exact when
-    d * x_scale * z_scale <= 2^24. The smaller operand is cast whole and
-    the larger one a block of rows at a time, so the larger is never
-    copied whole to float32, and no float32 copy outlives the call.
+    The scales come from ``_side_stats``. When d * x_scale * z_scale <=
+    2^24 both sides are stored in float32, and their float32 product, exact,
+    is written into the float64 result a block of rows at a time, so no
+    operand is cast and no float32 temporary is larger than a block. Past
+    the bound the product is taken in float64, float32 sides upcast.
     """
     if x.shape[1] * x_scale * z_scale > _F32_EXACT:
-        return x @ z.T
+        return np.asarray(x, dtype=np.float64) @ np.asarray(
+            z, dtype=np.float64).T
     out = np.empty((x.shape[0], z.shape[0]))
-    if x.shape[0] >= z.shape[0]:
-        z32 = z.astype(np.float32)
-        for start in range(0, x.shape[0], _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            out[rows] = x[rows].astype(np.float32) @ z32.T
-    else:
-        x32 = x.astype(np.float32)
-        for start in range(0, z.shape[0], _BLOCK):
-            cols = slice(start, start + _BLOCK)
-            out[:, cols] = x32 @ z[cols].astype(np.float32).T
+    for start in range(0, x.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        out[rows] = x[rows] @ z.T
     return out
 
 
-def _raw_block(spec: KernelSpec, x, z, sides=None) -> np.ndarray:
+def _raw_block(spec: KernelSpec, x, z, sides) -> np.ndarray:
     """Linear products, or the rbf numerators that sne rows are divided by.
 
-    ``sides`` is the pair of ``_side_stats`` of x and z, squared row norms
-    and float32 scales, when the caller has them; otherwise they are
-    computed here. The Gram product ``x @ z.T`` is computed in float32 when
-    every entry is an integer and d * max(|x|, 1) * max(|z|, 1) <= 2^24,
-    which gives the float64 product bit for bit, and in float64 otherwise.
-    The rbf arithmetic then runs in place on the product.
+    x and z are stored sides and ``sides`` their ``_side_stats``, squared
+    row norms and float32 scales. The Gram product ``x @ z.T`` comes from
+    ``_gram``; the rbf arithmetic then runs in place on it.
     """
-    if sides is None:
-        sides = (_side_stats(x), _side_stats(z))
     (x_sq, x_scale), (z_sq, z_scale) = sides
     d = _gram(x, z, x_scale, z_scale)
     if spec.family == "linear":
@@ -283,8 +311,10 @@ class LazyKernelSource:
     ``row_denoms`` holds the sne normalizers behind the latest blocks:
     estimates after ``sample_blocks``, exact after ``full``.
 
-    The squared row norms and float32 scales of x and z are computed once,
-    on first use, and every block the source evaluates reuses them.
+    x and z are evaluated in stored form (see ``stored``; hand-built sources
+    of another dtype are converted). Their squared row norms and float32
+    scales are computed once, on first use, in the same pass that decides
+    the stored form, and every block the source evaluates reuses them.
     ``entries_evaluated`` counts the kernel entries actually evaluated.
     """
 
@@ -313,6 +343,8 @@ class LazyKernelSource:
         """Raw block of x[x_rows] against z[z_rows], counted."""
         if self._sides is None:
             self._sides = (_side_stats(self._x), _side_stats(self._z))
+            self._x = stored(self._x, self._sides[0][1])
+            self._z = stored(self._z, self._sides[1][1])
         (x_sq, x_scale), (z_sq, z_scale) = self._sides
         block = _raw_block(self._spec, self._x[x_rows], self._z[z_rows],
                            ((x_sq[x_rows], x_scale), (z_sq[z_rows], z_scale)))

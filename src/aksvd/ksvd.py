@@ -53,7 +53,10 @@ class KsvdModel:
     compat: CompatMatrix
     compat_side: str | None  # "x", "z", or None for identity
     centering: CenteringStats
-    train_x: np.ndarray  # transformed row data actually fed to the kernel
+    # the row and column data actually fed to the kernel (after the compat
+    # transform), in stored form: float32 when every entry is an integer of
+    # magnitude at most 2^24, as for graphs, float64 otherwise
+    train_x: np.ndarray
     train_z: np.ndarray
     centered: bool = True
     sne_row_denoms: np.ndarray | None = None
@@ -247,7 +250,8 @@ def _oos_rows(model: KsvdModel, side: str, pts: np.ndarray) -> np.ndarray:
         g = kernels.kernel_matrix(model.kernel,
                                   DataSources(x=pts, z=model.train_z))
         return g if stats is None else kernels.center_oos(g, stats, "row")
-    g = kernels._raw_block(model.kernel, model.train_x, pts)
+    g = LazyKernelSource(model.kernel,
+                         DataSources(x=model.train_x, z=pts))._block()
     if model.kernel.family == "sne":
         kernels._sne_normalize(g, model.sne_row_denoms,
                                model.train_z.shape[0])
@@ -292,8 +296,10 @@ def save_model(model: KsvdModel, path) -> None:
     """Write the model as one uncompressed ``<path>/model.npz``.
 
     The data matrix A is stored once (``load_model`` redoes the compat
-    transform), next to a JSON snapshot of the settings. Zip entries carry a
-    fixed timestamp, so saving the same model writes the same bytes.
+    transform), as uint8 when every entry is an integer in 0..255, as for
+    graphs, and in its stored form otherwise, next to a JSON snapshot of the
+    settings. Zip entries carry a fixed timestamp, so saving the same model
+    writes the same bytes.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -301,13 +307,16 @@ def save_model(model: KsvdModel, path) -> None:
                 "kernel.gamma": model.kernel.gamma,
                 "compat.mode": model.compat.mode,
                 "compat.seed": model.compat.seed, "centered": model.centered}
+    # A itself is the side the compat transform left untouched
+    data = model.train_z.T if model.compat_side == "x" else model.train_x
+    if data.min() >= 0 and data.max() <= 255:
+        small = data.astype(np.uint8)
+        if np.array_equal(small, data):
+            data = small
     arrays = {"b_phi": model.b_phi, "b_psi": model.b_psi, "lam": model.lam,
               "row_means": model.centering.row_means,
               "col_means": model.centering.col_means,
-              "grand_mean": model.centering.grand_mean,
-              # A itself is the side the compat transform left untouched
-              "data": model.train_z.T if model.compat_side == "x"
-              else model.train_x}
+              "grand_mean": model.centering.grand_mean, "data": data}
     if model.compat.c is not None:
         arrays["compat"] = model.compat.c
     if model.sne_row_denoms is not None:
@@ -316,9 +325,11 @@ def save_model(model: KsvdModel, path) -> None:
 
 
 def load_model(path) -> KsvdModel:
-    """Read ``<path>/model.npz``. Stored arrays come back exactly; the side
-    of the training data that the compat transform touched is recomputed as
-    A @ C, as ``fit`` does, so it is bit-identical on the same BLAS build.
+    """Read ``<path>/model.npz``. Stored arrays come back exactly, A in its
+    stored form whichever dtype it was written in (uint8, float32 or
+    float64); the side of the training data that the compat transform
+    touched is recomputed as A @ C, as ``fit`` does, so it is bit-identical
+    on the same BLAS build.
 
     Raises ParseError, naming the file, when it is missing, truncated or not
     an npz, lacks a key (sne models need ``sne_row_denoms``), has another

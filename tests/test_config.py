@@ -123,8 +123,8 @@ class TestValidation:
         # OMP_NUM_THREADS and friends before launch; a config key could not
         # change them once numpy is loaded. Sampled sne rows always use the
         # M/m-scaled normalizer, so nystrom.full_denominator has no choice
-        # left to make; crossval_gamma takes its fold count as an argument,
-        # so eval.folds had nothing to set
+        # left to make; no library function takes a fold count, so
+        # eval.folds has nothing to set
         for key, value in (("threads", "2"),
                            ("nystrom.full_denominator", "true"),
                            ("eval.folds", "5")):

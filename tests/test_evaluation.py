@@ -1,4 +1,4 @@
-"""Classifier, metric, graph-reconstruction, and model-selection checks."""
+"""Classifier, metric, graph-reconstruction, and train/test split checks."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from aksvd import kernels, ksvd
 from aksvd.errors import (
     ConfigError,
     DegreeTooLargeError,
-    EmptyGridError,
     LengthMismatchError,
     ShapeMismatchError,
     SingleClassError,
@@ -301,48 +300,6 @@ class TestSideFeatures:
             ev.side_features(model, "both")
         with pytest.raises(ConfigError):
             ev.side_features(model, "middle")
-
-
-class TestCrossval:
-    def affinity_blobs(self, seed):
-        pts, labels = blobs(seed, [(0.0, 0.0), (4.0, 4.0)], spread=0.5,
-                            per_class=15)
-        return pts @ pts.T, labels
-
-    def test_single_element_grid(self):
-        a, labels = self.affinity_blobs(0)
-        assert ev.crossval_gamma(a, labels, "rbf", [3.7], r=4) == 3.7
-
-    def test_duplicates_equal_dedup(self):
-        a, labels = self.affinity_blobs(0)
-        grid = [1.0, 10.0]
-        best = ev.crossval_gamma(a, labels, "rbf", grid, r=4)
-        best_dup = ev.crossval_gamma(a, labels, "rbf", grid * 3, r=4)
-        assert best == best_dup
-
-    def test_interior_gamma_wins(self):
-        # extremes degenerate the kernel (identity-like vs constant), the
-        # middle of a log grid separates the blobs
-        for seed in range(5):
-            a, labels = self.affinity_blobs(seed)
-            base = kernels.default_gamma(a)
-            grid = base * np.logspace(-3, 3, 5)
-            best = ev.crossval_gamma(a, labels, "rbf", grid, r=4, seed=seed)
-            assert grid[0] < best < grid[-1]
-
-    def test_empty_grid(self):
-        a, labels = self.affinity_blobs(0)
-        with pytest.raises(EmptyGridError):
-            ev.crossval_gamma(a, labels, "rbf", [], r=4)
-
-    def test_fold_partition(self):
-        chunks = ev.fold_indices(23, 4, seed=3)
-        assert len(chunks) == 4
-        joined = np.sort(np.concatenate(chunks))
-        np.testing.assert_array_equal(joined, np.arange(23))
-        again = ev.fold_indices(23, 4, seed=3)
-        for a, b in zip(chunks, again):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestSplit:

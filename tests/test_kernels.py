@@ -33,6 +33,43 @@ class TestSources:
         s = kernels.build_sources(np.ones((3, 2)))
         assert s.x.shape == (3, 2) and s.z.shape == (2, 3)
 
+    # the storage rule: float32 when every entry is an integer of magnitude
+    # at most 2^24, float64 otherwise; either way every entry is kept exactly
+    @pytest.mark.parametrize("value, dtype", [
+        pytest.param(1.0, np.float32, id="zero-one"),
+        pytest.param(2.0 ** 24, np.float32, id="two-to-24"),
+        pytest.param(-2.0 ** 24, np.float32, id="minus-two-to-24"),
+        pytest.param(2.0 ** 24 + 1, np.float64, id="two-to-24-plus-1"),
+        pytest.param(0.5, np.float64, id="non-integral"),
+        pytest.param(-0.0, np.float32, id="negative-zero"),
+    ])
+    def test_storage_rule(self, value, dtype):
+        a = np.array([[0.0, 1.0, value], [1.0, 0.0, 1.0]])
+        s = kernels.build_sources(a)
+        assert s.x.dtype == dtype and s.z.dtype == dtype
+        assert s.x.flags.c_contiguous and s.z.flags.c_contiguous
+        np.testing.assert_array_equal(s.x, a)
+        np.testing.assert_array_equal(s.z, a.T)
+        np.testing.assert_array_equal(np.signbit(s.x), np.signbit(a))
+        assert kernels.stored(a).dtype == dtype
+
+    def test_build_copies_float64_input(self):
+        a = np.array([[0.5, 1.0], [2.0, 3.0]])
+        s = kernels.build_sources(a)
+        a[0, 0] = 9.0
+        assert s.x[0, 0] == 0.5
+
+    def test_lazy_source_keeps_data_in_stored_form(self):
+        graph = (np.random.default_rng(3).random((6, 6)) < 0.5).astype(float)
+        src = kernels.build_sources(graph)
+        lazy = kernels.LazyKernelSource(rbf_spec(), src)
+        lazy.full()
+        assert lazy._x is src.x and lazy._z is src.z  # no second copy
+        hand_built = kernels.LazyKernelSource(
+            rbf_spec(), kernels.DataSources(x=graph, z=graph[:4]))
+        hand_built.full()
+        assert hand_built._x.dtype == hand_built._z.dtype == np.float32
+
 
 def first_entry(spec, x, *zs):
     """kappa(x, zs[0]) through kernel_matrix; sne normalizes over all zs."""
@@ -417,7 +454,9 @@ def _wide_gamma(x, z):
 
 
 def _reference_numerators(spec, x, z):
-    """Linear products or rbf numerators, in plain float64."""
+    """Linear products or rbf numerators, in plain float64 (stored float32
+    data is read as float64 first)."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     g = x @ z.T
     if spec.family == "linear":
         return g
@@ -513,6 +552,27 @@ class TestExactGram:
         cols = kernels.center_oos(cols, model.centering, "column").T
         np.testing.assert_array_equal(ksvd.transform_oos(model, new_z=new_z),
                                       cols @ model.b_phi / scale)
+
+    def test_float32_non_integral_sources_give_float64_kernel(self):
+        # hand-built float32 data that float32 cannot multiply exactly are
+        # stored in float64; the kernel is the float64 one of the same values
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((30, 4)).astype(np.float32)
+        z = rng.standard_normal((20, 4)).astype(np.float32)
+        spec = rbf_spec(2.0)
+        got = kernels.kernel_matrix(spec, kernels.DataSources(x=x, z=z))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, _reference_matrix(spec, x, z))
+
+    @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
+    def test_int64_sources_past_the_float32_bound(self, family):
+        rng = np.random.default_rng(43)
+        x = rng.integers(-2 ** 25, 2 ** 25, (30, 4))
+        z = rng.integers(-2 ** 25, 2 ** 25, (20, 4))
+        spec = kernels.KernelSpec(family, _wide_gamma(x, z))
+        got = kernels.kernel_matrix(spec, kernels.DataSources(x=x, z=z))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, _reference_matrix(spec, x, z))
 
     def test_float32_scale_of_each_side(self):
         assert kernels._side_stats(np.array([[0.0, 1.0], [1.0, 0.0]]))[1] == 1

@@ -447,6 +447,46 @@ class TestPersistence:
             with pytest.raises(ParseError, match=key):
                 ksvd.load_model(rewrite(lacking))
 
+    @staticmethod
+    def graph_models():
+        """A square 0/1 model (identity compat) and a rectangular one (a0)."""
+        rng = np.random.default_rng(44)
+        for shape, compat in (((40, 40), "identity"), ((30, 24), "a0")):
+            a = (rng.random(shape) < 0.3).astype(float)
+            spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
+            yield ksvd.fit(a, spec, r=3, compat=compat)
+
+    def assert_same_model(self, back, model):
+        for field in ("b_phi", "b_psi", "lam", "train_x", "train_z",
+                      "sne_row_denoms"):
+            got, want = getattr(back, field), getattr(model, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        for field in ("row_means", "col_means", "grand_mean"):
+            assert np.array_equal(getattr(back.centering, field),
+                                  getattr(model.centering, field)), field
+
+    def test_data_dtype_in_the_file(self, tmp_path):
+        # 0/1 data take one byte an entry; non-integral data keep float64
+        models = [(m, np.uint8) for m in self.graph_models()]
+        models.append((self.make_model(), np.float64))
+        for i, (model, dtype) in enumerate(models):
+            ksvd.save_model(model, tmp_path / str(i))
+            with np.load(tmp_path / str(i) / "model.npz") as npz:
+                assert npz["data"].dtype == dtype
+            self.assert_same_model(ksvd.load_model(tmp_path / str(i)), model)
+
+    def test_float64_data_file_still_loads(self, tmp_path):
+        # files that hold A as float64, as written before A was narrowed,
+        # load bit for bit
+        for i, model in enumerate(self.graph_models()):
+            ksvd.save_model(model, tmp_path / "new")
+            with np.load(tmp_path / "new" / "model.npz") as npz:
+                arrays = dict(npz)
+            arrays["data"] = arrays["data"].astype(np.float64)
+            (tmp_path / str(i)).mkdir()
+            np.savez(tmp_path / str(i) / "model.npz", **arrays)
+            self.assert_same_model(ksvd.load_model(tmp_path / str(i)), model)
+
     def test_oos_after_reload(self, tmp_path):
         model = self.make_model()
         ksvd.save_model(model, tmp_path / "model")
