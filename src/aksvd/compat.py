@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
-from .kernels import DataSources, stored
+from .kernels import DataSources, prepare_side
 from .linalg import as_matrix, canonicalize_signs, svd_exact
 
 MODES = ("a0", "a1", "a2", "identity")
@@ -104,7 +104,8 @@ def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
 
 def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
     """Project whichever side is longer so both feature lengths agree; the
-    projected side is returned in stored form (``kernels.stored``)."""
+    projected side is returned in stored form (``kernels.stored``) with its
+    statistics, taken in the same pass, and the other side keeps its own."""
     dx = sources.x.shape[1]
     dz = sources.z.shape[1]
     if compat.mode == "identity" or compat.c is None:
@@ -117,19 +118,21 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
         if c.shape[0] != dx:
             raise ShapeMismatchError(
                 f"compat matrix has {c.shape[0]} rows, row data needs {dx}")
-        new_x = stored(sources.x @ c)
+        new_x, x_stats = prepare_side(sources.x @ c)
         if new_x.shape[1] != dz and dx != dz:
             raise ShapeMismatchError(
                 f"compat maps to length {new_x.shape[1]}, column data has {dz}")
-        return DataSources(x=new_x, z=sources.z)
+        return DataSources(x=new_x, z=sources.z, x_stats=x_stats,
+                           z_stats=sources.z_stats)
     if c.shape[0] != dz:
         raise ShapeMismatchError(
             f"compat matrix has {c.shape[0]} rows, column data needs {dz}")
-    new_z = stored(sources.z @ c)
+    new_z, z_stats = prepare_side(sources.z @ c)
     if new_z.shape[1] != dx:
         raise ShapeMismatchError(
             f"compat maps to length {new_z.shape[1]}, row data has {dx}")
-    return DataSources(x=sources.x, z=new_z)
+    return DataSources(x=sources.x, z=new_z, x_stats=sources.x_stats,
+                       z_stats=z_stats)
 
 
 def make_compat(a, mode: str, seed: int | None = None,

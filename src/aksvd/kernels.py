@@ -19,10 +19,23 @@ estimate from the m sampled columns, (sampled sum) * M/m. Sampled blocks
 thus estimate the same matrix as the full one, at the same scale, and
 agree with it exactly when every column is sampled.
 
+The two large sampled blocks, G_Nm and G_nM, are ``ChunkedBlock``s: the
+raw column and row chunks exactly as they were evaluated, grown chunk by
+chunk as the sample grows and never copied, reordered or normalized. The
+sorted order, the sne row normalizers and any double centering are applied
+to the thin factors that multiply a block and to the r-column products, as
+a gather, a diagonal and rank-one corrections; ``np.asarray`` of a block
+gives the dense block bit for bit.
+
 Every side of the kernel data is stored once, in the narrowest float type
 that holds it exactly (``stored``): float32 when every entry is an integer
 of magnitude at most 2^24, float64 otherwise. The 0/1 adjacency matrices of
-directed graphs are stored in float32, which halves their memory.
+directed graphs are stored in float32, which halves their memory. Each
+side's squared row norms and float32 scale (``_side_stats``) are computed
+in the same pass that stores it (``build_sources``, ``compat.apply_compat``,
+and so ``ksvd.load_model``), travel with it in ``DataSources``, and are
+reused by every ``LazyKernelSource`` over those sources and every
+out-of-sample projection of a model.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -34,7 +47,7 @@ in float64.
 """
 from __future__ import annotations
 
-import functools
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +58,7 @@ from .errors import (
     ConfigError,
     EmptyDenominatorWarning,
     LengthMismatchError,
+    NonFiniteError,
 )
 from .linalg import as_matrix
 
@@ -78,10 +92,18 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class DataSources:
-    """Row data set (rows of A) and column data set (columns of A, as rows)."""
+    """Row data set (rows of A) and column data set (columns of A, as rows).
+
+    ``x_stats`` and ``z_stats`` are the sides' ``_side_stats``, squared row
+    norms and float32 scale, set where a side is stored (``build_sources``,
+    ``compat.apply_compat``). A side given without them is stored and
+    measured by ``LazyKernelSource``.
+    """
 
     x: np.ndarray
     z: np.ndarray
+    x_stats: tuple[np.ndarray, float] | None = None
+    z_stats: tuple[np.ndarray, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -92,12 +114,19 @@ class CenteringStats:
 
 
 def build_sources(a) -> DataSources:
-    """Rows and columns of A, both in stored form (see ``stored``)."""
+    """Rows and columns of A, both in stored form (see ``stored``), with
+    their statistics."""
     a = as_matrix(a, "A")
-    scale = _scale(a)  # x and z hold the same entries
-    x = stored(a, scale)
+    x_stats = _side_stats(a)
+    x = stored(a, x_stats[1])
+    # x and z hold the same entries, so z takes x's type; copied a panel of
+    # A's rows at a time, which is twice as fast as one strided copy
+    z = np.empty(a.shape[::-1], dtype=x.dtype)
+    for start in range(0, a.shape[0], _BLOCK):
+        z[:, start:start + _BLOCK] = a[start:start + _BLOCK].T
     # a float64 A comes back as itself; the sources must not alias it
-    return DataSources(x=x.copy() if x is a else x, z=stored(a.T, scale))
+    return DataSources(x=x.copy() if x is a else x, z=z, x_stats=x_stats,
+                       z_stats=_side_stats(z, x_stats[1]))
 
 
 def default_gamma(data, k: float = 1.0) -> float:
@@ -126,12 +155,6 @@ def _fold_scale(scale: float, b: np.ndarray) -> float:
     return max(scale, float(b.max()), float(-b.min()))
 
 
-def _scale(a) -> float:
-    """The float32 scale of ``a``: max(max|a|, 1) when every entry is an
-    integer, inf otherwise."""
-    return functools.reduce(_fold_scale, _row_blocks(a), 1.0)
-
-
 def stored(a, scale: float | None = None) -> np.ndarray:
     """``a`` in the form kernel data is kept in: C-ordered, in float32 when
     every entry is an integer of magnitude at most 2^24, which float32 holds
@@ -139,22 +162,33 @@ def stored(a, scale: float | None = None) -> np.ndarray:
     ``a`` when the caller has it. ``a`` itself is returned when it is
     already in that form."""
     if scale is None:
-        scale = _scale(a)
+        scale = _side_stats(a)[1]
     dtype = np.float32 if scale <= _F32_EXACT else np.float64
     return np.ascontiguousarray(a, dtype=dtype)
 
 
-def _side_stats(a) -> tuple[np.ndarray, float]:
+def _side_stats(a, scale: float | None = None) -> tuple[np.ndarray, float]:
     """Squared Euclidean norm of every row, (a * a).sum(1), and the float32
-    scale of ``a``. One pass, a block of rows at a time read as float64, so
-    the norms of a float32 side keep their bits and no temporary as large
-    as ``a`` is made."""
+    scale of ``a`` (taken as given when the caller knows it). One pass, a
+    block of rows at a time read as float64, so the norms of a float32 side
+    keep their bits and no temporary as large as ``a`` is made."""
     norms = []
-    scale = 1.0
+    known = scale is not None
+    scale = scale if known else 1.0
     for b in _row_blocks(a):
         norms.append((b * b).sum(1))
-        scale = _fold_scale(scale, b)
+        if not known:
+            scale = _fold_scale(scale, b)
     return np.concatenate(norms), scale
+
+
+def prepare_side(a, stats=None) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+    """``a`` in stored form with its ``_side_stats``; ``stats``, when given,
+    are those of ``a`` and ``a`` is already stored."""
+    if stats is None:
+        stats = _side_stats(a)
+        a = stored(a, stats[1])
+    return a, stats
 
 
 def _gram(x, z, x_scale: float, z_scale: float) -> np.ndarray:
@@ -196,20 +230,27 @@ def _raw_block(spec: KernelSpec, x, z, sides) -> np.ndarray:
     return d
 
 
-def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
-    """Divide sne rows by their normalizers in place.
-
-    Rows whose normalizer underflowed to zero become uniform at 1/width,
-    with a warning; ``width`` is the column count M of the full matrix.
-    """
-    dead = denom == 0.0
-    if dead.any():
+def _warn_dead(denom: np.ndarray) -> None:
+    dead = int((denom == 0.0).sum())
+    if dead:
         warnings.warn(
-            f"{int(dead.sum())} sne row(s) underflowed to zero; "
-            "substituting uniform rows", EmptyDenominatorWarning, stacklevel=3)
-        denom = np.where(dead, 1.0, denom)
-    block /= denom[:, None]
+            f"{dead} sne row(s) underflowed to zero; substituting uniform "
+            "rows", EmptyDenominatorWarning, stacklevel=4)
+
+
+def _divide_rows(block: np.ndarray, denom: np.ndarray, width: int) -> None:
+    """Divide sne rows by their normalizers in place; rows whose normalizer
+    underflowed to zero become uniform at 1/width, ``width`` the column
+    count M of the full matrix."""
+    dead = denom == 0.0
+    block /= np.where(dead, 1.0, denom)[:, None]
     block[dead] = 1.0 / width
+
+
+def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
+    """``_divide_rows``, with a warning when a normalizer is zero."""
+    _warn_dead(denom)
+    _divide_rows(block, denom, width)
 
 
 def kernel_matrix(spec: KernelSpec, sources: DataSources) -> np.ndarray:
@@ -259,6 +300,172 @@ def center_oos(values, stats: CenteringStats, side: str) -> np.ndarray:
 
 # --- block sources for subsampled evaluation ---------------------------------
 
+class ChunkedBlock:
+    """A sampled kernel block kept as the raw chunks it was evaluated in.
+
+    ``chunks`` are joined along ``axis``: column chunks (axis 1) for G_Nm,
+    row chunks (axis 0) for G_nM, in evaluation order. Position j of the
+    block along that axis is position ``order[j]`` of the join. Rows are
+    divided by ``denom`` when given (sne; a row whose normalizer is zero
+    reads 1/``width`` throughout), and ``centered`` subtracts row and column
+    means and adds back the grand mean. The chunks themselves are never
+    copied, reordered or normalized: a product with a thin matrix applies
+    the order to the thin side, the normalizers as a diagonal scaling and
+    the centering as rank-one corrections, so its cost is that of the thin
+    products with the chunks. ``np.asarray(block)`` gives the dense block,
+    bit for bit the array that the gather, division and centering make of
+    the joined chunks.
+
+    A block reports ``shape`` and ``size`` and supports ``block @ w`` and
+    ``block.T @ w`` for a 2-D ``w``; it takes no part in other numpy
+    arithmetic, so that nothing densifies it unnoticed.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, chunks, axis: int, order, denom=None, width=None):
+        self._chunks = tuple(chunks)
+        self._axis = axis
+        self._order = np.asarray(order, dtype=int)
+        self._denom = denom
+        self._width = width
+        self._shift = None  # (row means, column means, grand mean)
+        self._t = False
+        self._join = sum(c.shape[axis] for c in self._chunks)
+
+    @classmethod
+    def dense(cls, a) -> ChunkedBlock:
+        """A plain matrix as a block of one column chunk."""
+        return cls((a,), 1, np.arange(a.shape[1]))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        lines = self._chunks[0].shape[1 - self._axis]
+        shape = ((lines, self._order.size) if self._axis == 1
+                 else (self._order.size, lines))
+        return shape[::-1] if self._t else shape
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def T(self) -> ChunkedBlock:  # noqa: N802 (numpy's name)
+        out = copy.copy(self)
+        out._t = not self._t
+        return out
+
+    def centered(self, row_means, col_means, grand_mean: float) -> ChunkedBlock:
+        """The block minus its row and column means plus the grand mean,
+        the double centering of a kernel block with training statistics."""
+        out = copy.copy(self)
+        out._shift = (row_means, col_means, grand_mean)
+        return out
+
+    def _dense(self, part=slice(None)) -> np.ndarray:
+        """Dense rows (column blocks) or columns (row blocks) ``part``: the
+        lines across the join, selected before anything is copied."""
+        if self._axis == 1:
+            rows, cols = part, slice(None)
+            out = np.take(np.concatenate([c[part] for c in self._chunks], 1),
+                          self._order, 1)
+        else:
+            rows, cols = slice(None), part
+            out = np.take(np.concatenate([c[:, part] for c in self._chunks]),
+                          self._order, 0)
+        if self._denom is not None:
+            _divide_rows(out, self._denom[rows], self._width)
+        if self._shift is not None:
+            row_means, col_means, grand = self._shift
+            out -= row_means[rows, None]
+            out -= col_means[None, cols]
+            out += grand
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self._dense()
+        out = out.T if self._t else out
+        return out if dtype is None else out.astype(dtype)
+
+    def mean(self, axis: int) -> np.ndarray:
+        """``np.asarray(block).mean(axis)`` bit for bit, along the join axis
+        of an untransposed block, from dense slabs of ``_BLOCK`` lines."""
+        if self._t or axis != self._axis:
+            raise ValueError("mean is taken along the join axis of an "
+                             "untransposed block")
+        lines = self._chunks[0].shape[1 - axis]
+        return np.concatenate([
+            self._dense(slice(start, start + _BLOCK)).mean(axis)
+            for start in range(0, lines, _BLOCK)])
+
+    def _across(self, w: np.ndarray) -> np.ndarray:
+        """Raw product contracting the join axis: the chunks' thin products
+        with ``w`` scattered to evaluation order, summed."""
+        spread = np.zeros((self._join, w.shape[1]))
+        np.add.at(spread, self._order, w)
+        out = np.zeros((self._chunks[0].shape[1 - self._axis], w.shape[1]))
+        start = 0
+        for c in self._chunks:
+            stop = start + c.shape[self._axis]
+            out += (c if self._axis == 1 else c.T) @ spread[start:stop]
+            start = stop
+        return out
+
+    def _along(self, w: np.ndarray) -> np.ndarray:
+        """Raw product contracting the other axis: the chunks' thin products
+        with ``w`` joined, then gathered into block order."""
+        return np.concatenate([(c.T if self._axis == 1 else c) @ w
+                               for c in self._chunks])[self._order]
+
+    def __matmul__(self, w):
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} block by an "
+                             f"array of shape {w.shape}")
+        return self._transposed_times(w) if self._t else self._times(w)
+
+    def _times(self, w: np.ndarray) -> np.ndarray:
+        """B @ w: rows are divided after the product."""
+        out = self._across(w) if self._axis == 1 else self._along(w)
+        total = w.sum(0)
+        if self._denom is not None:
+            dead = self._denom == 0.0
+            out /= np.where(dead, 1.0, self._denom)[:, None]
+            out[dead] = total / self._width
+        if self._shift is not None:
+            row_means, col_means, grand = self._shift
+            out -= row_means[:, None] * total
+            out -= col_means @ w
+            out += grand * total
+        return out
+
+    def _transposed_times(self, w: np.ndarray) -> np.ndarray:
+        """B.T @ w: rows are divided before the product, as rows of w."""
+        scaled = w
+        if self._denom is not None:
+            dead = self._denom == 0.0
+            scaled = w / np.where(dead, 1.0, self._denom)[:, None]
+            scaled[dead] = 0.0
+        out = self._along(scaled) if self._axis == 1 else self._across(scaled)
+        total = w.sum(0)
+        if self._denom is not None and dead.any():
+            out += w[dead].sum(0) / self._width
+        if self._shift is not None:
+            row_means, col_means, grand = self._shift
+            out -= row_means @ w
+            out -= col_means[:, None] * total
+            out += grand * total
+        return out
+
+
+def as_block(a, name: str) -> ChunkedBlock:
+    """Pass a ChunkedBlock through; check a plain matrix (``as_matrix``)
+    and wrap it as a block of one chunk."""
+    if isinstance(a, ChunkedBlock):
+        return a
+    return ChunkedBlock.dense(as_matrix(a, name))
+
+
 class MatrixSource:
     """Block access to an already materialized kernel matrix."""
 
@@ -271,11 +478,12 @@ class MatrixSource:
         return self._g.shape
 
     def sample_blocks(self, row_idx, col_idx):
-        g_nm = self._g[np.ix_(row_idx, col_idx)]
+        """(G_nm, G_Nm, G_nM), the large two as one-chunk blocks."""
         g_big_m = self._g[:, col_idx]
         g_n_big = self._g[row_idx, :]
         self.entries_evaluated += g_big_m.size + g_n_big.size
-        return g_nm, g_big_m, g_n_big
+        return (g_big_m[row_idx], ChunkedBlock.dense(g_big_m),
+                ChunkedBlock.dense(g_n_big))
 
     def full(self) -> np.ndarray:
         self.entries_evaluated += self._g.size
@@ -288,15 +496,21 @@ def _positions(have: np.ndarray, want: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(have, want, sorter=order)]
 
 
+def _finite(chunk: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(chunk).all():
+        raise NonFiniteError(f"{name} contains NaN or Inf")
+    return chunk
+
+
 @dataclass(frozen=True)
 class _Sample:
-    """Raw blocks of the sampled index sets, in the order evaluated."""
+    """Raw chunks of the sampled index sets, in the order evaluated."""
 
     rows: np.ndarray
     cols: np.ndarray
-    big_m: np.ndarray           # N x m: linear products or rbf numerators
-    n_big: np.ndarray           # n x M
-    sums: np.ndarray | None     # sne: row sums of big_m
+    col_chunks: tuple           # N x (new columns): linear or rbf numerators
+    row_chunks: tuple           # (new rows) x M
+    sums: np.ndarray | None     # sne: row sums over the sampled columns
 
 
 class LazyKernelSource:
@@ -311,11 +525,12 @@ class LazyKernelSource:
     ``row_denoms`` holds the sne normalizers behind the latest blocks:
     estimates after ``sample_blocks``, exact after ``full``.
 
-    x and z are evaluated in stored form (see ``stored``; hand-built sources
-    of another dtype are converted). Their squared row norms and float32
-    scales are computed once, on first use, in the same pass that decides
-    the stored form, and every block the source evaluates reuses them.
-    ``entries_evaluated`` counts the kernel entries actually evaluated.
+    x and z are evaluated in stored form (see ``stored``) with their
+    statistics, squared row norms and float32 scales. Sources from
+    ``build_sources`` or ``compat.apply_compat`` carry both, and every
+    source over them reuses them; a side given without them is stored and
+    measured once, here. ``entries_evaluated`` counts the kernel entries
+    actually evaluated.
     """
 
     def __init__(self, spec: KernelSpec, sources: DataSources):
@@ -328,9 +543,9 @@ class LazyKernelSource:
                 f"data has {sources.z.shape[1]}; a compatibility transform is "
                 "required")
         self._spec = spec
-        self._x = sources.x
-        self._z = sources.z
-        self._sides = None
+        self._x, x_stats = prepare_side(sources.x, sources.x_stats)
+        self._z, z_stats = prepare_side(sources.z, sources.z_stats)
+        self._sides = (x_stats, z_stats)
         self._sample = None
         self.entries_evaluated = 0
         self.row_denoms = None
@@ -341,10 +556,6 @@ class LazyKernelSource:
 
     def _block(self, x_rows=slice(None), z_rows=slice(None)) -> np.ndarray:
         """Raw block of x[x_rows] against z[z_rows], counted."""
-        if self._sides is None:
-            self._sides = (_side_stats(self._x), _side_stats(self._z))
-            self._x = stored(self._x, self._sides[0][1])
-            self._z = stored(self._z, self._sides[1][1])
         (x_sq, x_scale), (z_sq, z_scale) = self._sides
         block = _raw_block(self._spec, self._x[x_rows], self._z[z_rows],
                            ((x_sq[x_rows], x_scale), (z_sq[z_rows], z_scale)))
@@ -354,48 +565,54 @@ class LazyKernelSource:
     def sample_blocks(self, row_idx, col_idx):
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
 
-        The raw blocks of the latest call are kept. When both index sets
+        The raw chunks of the latest call are kept. When both index sets
         contain the previous call's, only the new columns of G_Nm and the
-        new rows of G_nM are evaluated; otherwise every entry is. Each call
-        returns new arrays, sne rows divided by the current estimates.
-        G_nm is sliced out of G_Nm, so the three blocks are mutually
+        new rows of G_nM are evaluated, each as one more raw chunk (checked
+        once for NaN and Inf); otherwise every entry is. G_Nm and G_nM are
+        ``ChunkedBlock``s over the raw chunks, in requested order and with
+        sne rows divided by the current estimates; G_nm is a small dense
+        array, the requested rows of G_Nm, so the three blocks are mutually
         consistent by construction.
         """
         row_idx = np.array(row_idx, dtype=int)
         col_idx = np.array(col_idx, dtype=int)
+        big_n, big_m = self.shape
         sne = self._spec.family == "sne"
         prev = self._sample
         if prev is None or not (np.isin(prev.rows, row_idx).all()
                                 and np.isin(prev.cols, col_idx).all()):
-            big_n, big_m = self.shape
             empty = np.empty(0, dtype=int)
-            prev = _Sample(empty, empty, np.empty((big_n, 0)),
-                           np.empty((0, big_m)),
+            prev = _Sample(empty, empty, (np.empty((big_n, 0)),),
+                           (np.empty((0, big_m)),),
                            np.zeros(big_n) if sne else None)
         new_rows = row_idx[~np.isin(row_idx, prev.rows)]
         new_cols = col_idx[~np.isin(col_idx, prev.cols)]
-        fresh_big_m = self._block(z_rows=new_cols)
-        sample = _Sample(
-            rows=np.concatenate([prev.rows, new_rows]),
-            cols=np.concatenate([prev.cols, new_cols]),
-            big_m=np.concatenate([prev.big_m, fresh_big_m], axis=1),
-            n_big=np.concatenate([prev.n_big, self._block(x_rows=new_rows)]),
-            sums=prev.sums + fresh_big_m.sum(1) if sne else None)
+        col_chunks, row_chunks, sums = prev.col_chunks, prev.row_chunks, \
+            prev.sums
+        if new_cols.size:
+            fresh = _finite(self._block(z_rows=new_cols), "G_Nm")
+            col_chunks += (fresh,)
+            if sne:
+                sums = sums + fresh.sum(1)
+        if new_rows.size:
+            row_chunks += (_finite(self._block(x_rows=new_rows), "G_nM"),)
+        sample = _Sample(rows=np.concatenate([prev.rows, new_rows]),
+                         cols=np.concatenate([prev.cols, new_cols]),
+                         col_chunks=col_chunks, row_chunks=row_chunks,
+                         sums=sums)
         self._sample = sample
-        # the previous blocks are copied into ``sample``; free them before
-        # the returned blocks are taken, the call's peak memory
-        del prev, fresh_big_m
 
-        g_big_m = np.take(sample.big_m, _positions(sample.cols, col_idx), 1)
-        g_n_big = np.take(sample.n_big, _positions(sample.rows, row_idx), 0)
+        denom = None
         if sne:
-            big_m = self._z.shape[0]
-            denom = sample.sums * (big_m / col_idx.size)
+            denom = sums * (big_m / col_idx.size)
             self.row_denoms = denom
-            _sne_normalize(g_big_m, denom, big_m)
-            _sne_normalize(g_n_big, denom[row_idx], big_m)
-        g_nm = g_big_m[row_idx, :]
-        return g_nm, g_big_m, g_n_big
+            _warn_dead(denom)
+        g_big_m = ChunkedBlock(col_chunks, 1, _positions(sample.cols, col_idx),
+                               denom, big_m)
+        g_n_big = ChunkedBlock(row_chunks, 0, _positions(sample.rows, row_idx),
+                               None if denom is None else denom[row_idx],
+                               big_m)
+        return g_big_m._dense(row_idx), g_big_m, g_n_big
 
     def full(self) -> np.ndarray:
         """Materialize the exact kernel matrix (full sne normalization)."""

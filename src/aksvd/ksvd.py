@@ -54,16 +54,24 @@ class KsvdModel:
     compat_side: str | None  # "x", "z", or None for identity
     centering: CenteringStats
     # the row and column data actually fed to the kernel (after the compat
-    # transform), in stored form: float32 when every entry is an integer of
-    # magnitude at most 2^24, as for graphs, float64 otherwise
-    train_x: np.ndarray
-    train_z: np.ndarray
+    # transform), in stored form (float32 when every entry is an integer of
+    # magnitude at most 2^24, as for graphs, float64 otherwise), with the
+    # squared row norms and float32 scales that every projection reuses
+    train: DataSources
     centered: bool = True
     sne_row_denoms: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return int(self.lam.size)
+
+    @property
+    def train_x(self) -> np.ndarray:
+        return self.train.x
+
+    @property
+    def train_z(self) -> np.ndarray:
+        return self.train.z
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     return KsvdModel(
         b_phi=u / np.sqrt(lam)[None, :], b_psi=v / np.sqrt(lam)[None, :],
         lam=lam, kernel=spec, compat=compat, compat_side=side,
-        centering=stats, train_x=sources.x, train_z=sources.z,
-        centered=center, sne_row_denoms=source.row_denoms)
+        centering=stats, train=sources, centered=center,
+        sne_row_denoms=source.row_denoms)
 
 
 def _fit_nystrom(a, spec, r, compat, side, sources, center, opts):
@@ -179,19 +187,20 @@ def _fit_nystrom(a, spec, r, compat, side, sources, center, opts):
                                col_means=g_n_big.mean(axis=0),
                                grand_mean=float(g_nm.mean()))
     if center:
+        # the large blocks carry the centering to their thin products
         g_nm = g_nm - stats.row_means[rows, None] - stats.col_means[None, cols] \
             + stats.grand_mean
-        g_big_m = g_big_m - stats.row_means[:, None] \
-            - stats.col_means[None, cols] + stats.grand_mean
-        g_n_big = g_n_big - stats.row_means[rows, None] \
-            - stats.col_means[None, :] + stats.grand_mean
+        g_big_m = g_big_m.centered(stats.row_means, stats.col_means[cols],
+                                   stats.grand_mean)
+        g_n_big = g_n_big.centered(stats.row_means[rows], stats.col_means,
+                                   stats.grand_mean)
 
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, r, cfg)
     return KsvdModel(
         b_phi=u_t / np.sqrt(lam)[None, :], b_psi=v_t / np.sqrt(lam)[None, :],
         lam=lam, kernel=spec, compat=compat, compat_side=side,
-        centering=stats, train_x=sources.x, train_z=sources.z,
-        centered=center, sne_row_denoms=lazy.row_denoms)
+        centering=stats, train=sources, centered=center,
+        sne_row_denoms=lazy.row_denoms)
 
 
 def verify_kkt(model: KsvdModel, g_c) -> tuple[float, float, float]:
@@ -243,15 +252,18 @@ def _oos_rows(model: KsvdModel, side: str, pts: np.ndarray) -> np.ndarray:
     with the training statistics and laid out one row per new point.
 
     sne columns are divided by the training rows' stored normalizers, so a
-    replayed training column gives back the model's own kernel column.
+    replayed training column gives back the model's own kernel column. The
+    training side's norms and scale come with the model; only the new
+    points are measured.
     """
     stats = model.centering if model.centered else None
+    train = model.train
     if side == "x":
-        g = kernels.kernel_matrix(model.kernel,
-                                  DataSources(x=pts, z=model.train_z))
+        g = kernels.kernel_matrix(model.kernel, DataSources(
+            x=pts, z=train.z, z_stats=train.z_stats))
         return g if stats is None else kernels.center_oos(g, stats, "row")
-    g = LazyKernelSource(model.kernel,
-                         DataSources(x=model.train_x, z=pts))._block()
+    g = LazyKernelSource(model.kernel, DataSources(
+        x=train.x, z=pts, x_stats=train.x_stats))._block()
     if model.kernel.family == "sne":
         kernels._sne_normalize(g, model.sne_row_denoms,
                                model.train_z.shape[0])
@@ -329,7 +341,8 @@ def load_model(path) -> KsvdModel:
     stored form whichever dtype it was written in (uint8, float32 or
     float64); the side of the training data that the compat transform
     touched is recomputed as A @ C, as ``fit`` does, so it is bit-identical
-    on the same BLAS build.
+    on the same BLAS build. Both sides' squared row norms and float32
+    scales are computed here, once, for every later projection.
 
     Raises ParseError, naming the file, when it is missing, truncated or not
     an npz, lacks a key (sne models need ``sne_row_denoms``), has another
@@ -361,7 +374,7 @@ def load_model(path) -> KsvdModel:
             b_phi=f["b_phi"], b_psi=f["b_psi"], lam=f["lam"],
             kernel=KernelSpec(snap["kernel.family"], snap["kernel.gamma"]),
             compat=compat, compat_side=side, centering=stats,
-            train_x=sources.x, train_z=sources.z, centered=snap["centered"],
+            train=sources, centered=snap["centered"],
             sne_row_denoms=f["sne_row_denoms"]
             if snap["kernel.family"] == "sne" else None)
     except KeyError as exc:

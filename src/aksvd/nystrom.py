@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    NonFiniteError,
     RankTooLargeError,
     SampleTooLargeError,
     SubproblemRankDeficientWarning,
     ToleranceUnreachableError,
     ZeroColumnError,
 )
-from .kernels import as_kernel_source
+from .kernels import as_block, as_kernel_source
 from .linalg import (
     SvdResult,
     as_matrix,
@@ -115,13 +116,24 @@ def _small_svd(g_nm: np.ndarray, cfg: NystromConfig) -> SvdResult:
 
 def _unit_columns(a: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(a, axis=0)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError(f"{what} contains NaN or Inf")
     if np.any(norms == 0.0):
         raise ZeroColumnError(f"{what} produced an all-zero column")
     return a / norms[None, :]
 
 
 def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
-    """Core reconstruction from pre-extracted blocks.
+    """Core reconstruction from sampled blocks.
+
+    The rank-r SVD (u_s, s, v_s) of the small block G_nm gives the lift
+    U_tilde = G_Nm W and V_tilde = G_nM^T W' with W = v_s diag(1/s) and
+    W' = u_s diag(1/s). G_Nm and G_nM are ``kernels.ChunkedBlock``s as
+    ``sample_blocks`` returns them (plain arrays are checked and wrapped as
+    one-chunk blocks), so both products are sums of thin products over the
+    raw kernel chunks: the sampled order, the sne row normalizers and any
+    centering the blocks carry are applied to W, W' and the r-column
+    results, never to the chunks.
 
     Returns unit-normalized (U_tilde, V_tilde) with canonical signs and the
     rescaled singular value estimates. The estimate multiplies the
@@ -129,8 +141,8 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
     values at full sampling.
     """
     g_nm = as_matrix(g_nm, "G_nm")
-    g_big_m = as_matrix(g_big_m, "G_Nm")
-    g_n_big = as_matrix(g_n_big, "G_nM")
+    g_big_m = as_block(g_big_m, "G_Nm")
+    g_n_big = as_block(g_n_big, "G_nM")
     n, m = g_nm.shape
     big_n = g_big_m.shape[0]
     big_m = g_n_big.shape[1]

@@ -29,3 +29,19 @@ def eta_oracle(u_ref, s_ref, v_ref, u_apx, v_apx, r):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def dense_lift(g_nm, g_big_m, g_n_big, cfg):
+    """The Nystrom lift as a dense formula on ``np.asarray`` of the blocks:
+    U~ = G_Nm v_s diag(1/s) and V~ = G_nM^T u_s diag(1/s), unit columns,
+    canonical signs, and s scaled by sqrt(N M / (n m))."""
+    from aksvd import linalg, nystrom
+    g_nm = np.asarray(g_nm)
+    g_big_m, g_n_big = np.asarray(g_big_m), np.asarray(g_n_big)
+    small = nystrom._small_svd(g_nm, cfg)
+    u = g_big_m @ (small.v / small.s[None, :])
+    v = g_n_big.T @ (small.u / small.s[None, :])
+    u, v = linalg.canonicalize_signs(u / np.linalg.norm(u, axis=0),
+                                     v / np.linalg.norm(v, axis=0))
+    (n, m), big_n, big_m = g_nm.shape, g_big_m.shape[0], g_n_big.shape[1]
+    return u, v, small.s * np.sqrt(big_n * big_m / (n * m))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aksvd import datasets, kernels, ksvd
-from aksvd.compat import compat_pseudoinverse, make_compat
+from aksvd.compat import apply_compat, compat_pseudoinverse, make_compat
 from aksvd.errors import (
     CompatibilityMissingError,
     ConfigError,
@@ -282,9 +282,10 @@ class TestLazySource:
                                   compat=make_compat(self.a, "a1"))
         src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
         g_nm, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
-        np.testing.assert_array_equal(g_nm, g_big_m[self.rows])
+        np.testing.assert_array_equal(g_nm, np.asarray(g_big_m)[self.rows])
         # two separate evaluation paths agree to floating-point tolerance
-        np.testing.assert_allclose(g_n_big[:, self.cols], g_nm, atol=1e-13)
+        np.testing.assert_allclose(np.asarray(g_n_big)[:, self.cols], g_nm,
+                                   atol=1e-13)
 
     def test_full_sampling_blocks_match_full(self):
         spec = kernels.KernelSpec(family="sne", gamma=3.0,
@@ -323,8 +324,8 @@ class TestLazySource:
         src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
         with pytest.warns(EmptyDenominatorWarning):
             _, g_big_m, g_n_big = src.sample_blocks([0], [0, 1])
-        np.testing.assert_array_equal(g_big_m[0], [0.25, 0.25])
-        np.testing.assert_array_equal(g_n_big[0], np.full(4, 0.25))
+        np.testing.assert_array_equal(np.asarray(g_big_m)[0], [0.25, 0.25])
+        np.testing.assert_array_equal(np.asarray(g_n_big)[0], np.full(4, 0.25))
 
     def test_streaming_stats_match_center(self):
         for family in ("sne", "rbf", "linear"):
@@ -402,6 +403,136 @@ class TestLazySource:
         np.testing.assert_array_equal(g_big_m, g[:, [0, 2, 5]])
         np.testing.assert_array_equal(g_n_big, g[[1, 4], :])
         assert kernels.as_kernel_source(src) is src
+
+
+class TestChunkedBlock:
+    """G_Nm and G_nM as raw chunks: products, dense form and means."""
+
+    def blocks(self):
+        # 1100 x 1100 so that means take several 512-line slabs; two nested
+        # calls, the second with sorted sets, give chunks out of block
+        # order, and row 3 lies so far away that its sne normalizer
+        # underflows
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((1100, 3))
+        x[3] = 1e3
+        z = rng.standard_normal((1100, 3))
+        spec = kernels.KernelSpec("sne", 1.5)
+        src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
+        rows = rng.permutation(1100)[:60]
+        rows[0] = 3
+        cols = rng.permutation(1100)[:90]
+        with pytest.warns(EmptyDenominatorWarning):
+            src.sample_blocks(rows[:20], cols[:30])
+            return src.sample_blocks(np.sort(rows), np.sort(cols))
+
+    def test_dense_form_is_the_normalized_gather(self):
+        rng = np.random.default_rng(51)
+        x, z = rng.standard_normal((40, 3)), rng.standard_normal((30, 3))
+        spec = kernels.KernelSpec("sne", 1.0)
+        numer = kernels.LazyKernelSource(
+            kernels.KernelSpec("rbf", 1.0), kernels.DataSources(x=x, z=z)).full()
+        src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
+        rows, cols = np.array([7, 2, 30]), np.array([12, 3, 25, 1])
+        src.sample_blocks(rows[1:], cols[2:])
+        g_nm, g_big_m, g_n_big = src.sample_blocks(rows, cols)
+        # sums over the two chunks, in evaluation order; a chunk's Gram
+        # product may round apart from the full matrix's in the last bit
+        sums = numer[:, [25, 1]].sum(1) + numer[:, [12, 3]].sum(1)
+        denom = sums * (30 / 4)
+        np.testing.assert_allclose(g_big_m, numer[:, cols] / denom[:, None],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g_n_big, numer[rows] / denom[rows, None],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(g_nm, np.asarray(g_big_m)[rows])
+        assert g_big_m.shape == (40, 4) and g_big_m.size == 160
+        assert g_n_big.shape == (3, 30) and g_n_big.T.shape == (30, 3)
+        np.testing.assert_array_equal(g_n_big.T, np.asarray(g_n_big).T)
+
+    def test_thin_products_match_dense(self):
+        _, g_big_m, g_n_big = self.blocks()
+        rng = np.random.default_rng(52)
+        row_means = rng.standard_normal(1100)
+        col_means = rng.standard_normal(1100)
+        variants = (g_big_m, g_n_big,
+                    g_big_m.centered(row_means, col_means[:90], 0.3),
+                    g_n_big.centered(row_means[:60], col_means, -0.2))
+        for block in variants:
+            dense = np.asarray(block)
+            w = rng.standard_normal((block.shape[1], 4))
+            np.testing.assert_allclose(block @ w, dense @ w, rtol=0,
+                                       atol=1e-12)
+            w = rng.standard_normal((block.shape[0], 4))
+            np.testing.assert_allclose(block.T @ w, dense.T @ w, rtol=0,
+                                       atol=1e-12)
+        dense = np.asarray(g_big_m)
+        centered = np.asarray(variants[2])
+        np.testing.assert_array_equal(
+            centered, dense - row_means[:, None] - col_means[None, :90] + 0.3)
+
+    def test_means_are_those_of_the_dense_block(self):
+        _, g_big_m, g_n_big = self.blocks()
+        np.testing.assert_array_equal(g_big_m.mean(axis=1),
+                                      np.asarray(g_big_m).mean(axis=1))
+        np.testing.assert_array_equal(g_n_big.mean(axis=0),
+                                      np.asarray(g_n_big).mean(axis=0))
+
+    def test_no_silent_densification(self):
+        _, g_big_m, _ = self.blocks()
+        with pytest.raises(TypeError):
+            np.ones((2, 1100)) @ g_big_m
+        with pytest.raises(TypeError):
+            g_big_m - 1.0
+
+
+class TestPreparedSides:
+    """Squared row norms and float32 scales are computed once per side."""
+
+    @staticmethod
+    def count(monkeypatch):
+        seen = []
+        side_stats = kernels._side_stats
+
+        def counted(a, *args):
+            seen.append(a)
+            return side_stats(a, *args)
+
+        monkeypatch.setattr(kernels, "_side_stats", counted)
+        return seen
+
+    def test_sources_carry_their_statistics(self, monkeypatch):
+        seen = self.count(monkeypatch)
+        a = datasets.synth_directed_graph("two_block", 120, seed=6).adjacency
+        src = kernels.build_sources(a)
+        assert len(seen) == 2 and seen[1] is src.z
+        np.testing.assert_array_equal(src.x_stats[0], (a * a).sum(1))
+        np.testing.assert_array_equal(src.z_stats[0], (a * a).sum(0))
+        assert src.x_stats[1] == src.z_stats[1] == 1.0
+        spec = kernels.KernelSpec("sne", kernels.default_gamma(a))
+        for _ in range(2):
+            lazy = kernels.LazyKernelSource(spec, src)
+            lazy.sample_blocks([1, 5, 9], [2, 4])
+            lazy.full()
+            lazy.streaming_stats()
+        assert len(seen) == 2
+        # a compat transform measures the side it projects, and only it
+        rect = make_matrix(12, 9, seed=7)
+        src = kernels.build_sources(rect)
+        out = apply_compat(make_compat(rect, "a1"), src)  # projects z
+        assert len(seen) == 5 and seen[-1] is not src.z
+        assert out.x_stats is src.x_stats
+        np.testing.assert_array_equal(out.z_stats[0], (out.z * out.z).sum(1))
+
+    def test_hand_built_sides_are_measured_once(self, monkeypatch):
+        seen = self.count(monkeypatch)
+        rng = np.random.default_rng(8)
+        sources = kernels.DataSources(x=rng.standard_normal((20, 3)),
+                                      z=rng.standard_normal((15, 3)))
+        lazy = kernels.LazyKernelSource(rbf_spec(), sources)
+        lazy.sample_blocks([0, 3], [1, 2])
+        lazy.sample_blocks([0, 3, 4], [1, 2, 7])
+        lazy.full()
+        assert len(seen) == 2
 
 
 # --- exact float32 Gram products ---------------------------------------------

@@ -18,9 +18,10 @@ from aksvd.errors import (
     RankTooLargeError,
     ShapeMismatchError,
 )
-from aksvd.kernels import DataSources, KernelSpec
+from aksvd.kernels import CenteringStats, DataSources, KernelSpec
+from aksvd.nystrom import NystromConfig, sample_indices
 
-from conftest import make_matrix
+from conftest import dense_lift, make_matrix
 
 
 def centered_g(model):
@@ -496,6 +497,109 @@ class TestPersistence:
         np.testing.assert_allclose(ksvd.transform_oos(back, new_x=pts),
                                    ksvd.transform_oos(model, new_x=pts),
                                    atol=1e-12)
+
+
+def _dense_nystrom_fit(a, spec, r, center, center_stats, m, seed):
+    """fit(solver="nystrom") as a dense formula: statistics, centering and
+    lift on np.asarray of the sampled blocks. Returns (U~, V~, lambda,
+    centering statistics)."""
+    lazy = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+    cfg = NystromConfig(r=r, m=m, seed=seed)
+    rows, cols = sample_indices(lazy.shape, cfg)
+    g_nm, g_big_m, g_n_big = (np.asarray(b)
+                              for b in lazy.sample_blocks(rows, cols))
+    if not center:
+        stats = CenteringStats(np.zeros(a.shape[0]), np.zeros(a.shape[1]),
+                               0.0)
+    elif center_stats == "full":
+        stats = lazy.streaming_stats()
+    else:
+        stats = CenteringStats(g_big_m.mean(axis=1), g_n_big.mean(axis=0),
+                               float(g_nm.mean()))
+    if center:
+        rm, cm, gm = stats.row_means, stats.col_means, stats.grand_mean
+        g_nm = g_nm - rm[rows, None] - cm[None, cols] + gm
+        g_big_m = g_big_m - rm[:, None] - cm[None, cols] + gm
+        g_n_big = g_n_big - rm[rows, None] - cm[None, :] + gm
+    return (*dense_lift(g_nm, g_big_m, g_n_big, cfg), stats)
+
+
+class TestChunkedNystromFit:
+    """The centering rides on the chunked blocks as rank-one corrections."""
+
+    @pytest.mark.parametrize("center_stats", ["sampled", "full"])
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    @pytest.mark.parametrize("data", ["graph", "normal"])
+    def test_matches_dense_formula(self, data, family, center, center_stats):
+        a = (datasets.synth_directed_graph("two_block", 200, seed=9).adjacency
+             if data == "graph" else make_matrix(200, 200, seed=70))
+        spec = KernelSpec(family, kernels.default_gamma(a))
+        model = ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
+                         solver_opts={"m": 48, "seed": 3,
+                                      "center_stats": center_stats})
+        u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center,
+                                              center_stats, 48, 3)
+        np.testing.assert_array_equal(model.lam, lam)
+        for got, want in ((ksvd.transform(model, "left").features, u),
+                          (ksvd.transform(model, "right").features, v),
+                          (model.b_phi, u / np.sqrt(lam)),
+                          (model.b_psi, v / np.sqrt(lam))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for field in ("row_means", "col_means", "grand_mean"):
+            np.testing.assert_array_equal(getattr(model.centering, field),
+                                          getattr(stats, field))
+
+
+class TestOosPreparedSides:
+    """A model carries its training sides' norms and scales."""
+
+    def test_projections_never_measure_the_training_sides(self, tmp_path,
+                                                           monkeypatch):
+        a = datasets.synth_directed_graph("two_block", 150, seed=10).adjacency
+        model = ksvd.fit(a, KernelSpec("sne", kernels.default_gamma(a)), r=4)
+        ksvd.save_model(model, tmp_path)
+        loaded = ksvd.load_model(tmp_path)
+        for side in ("x_stats", "z_stats"):
+            for got, want in zip(getattr(loaded.train, side),
+                                 getattr(model.train, side)):
+                assert np.array_equal(got, want)
+        seen = []
+        side_stats = kernels._side_stats
+
+        def counted(arr, *args):
+            seen.append(arr)
+            return side_stats(arr, *args)
+
+        monkeypatch.setattr(kernels, "_side_stats", counted)
+        new = (np.random.default_rng(11).random((2, 10, 150)) < 0.2) * 1.0
+        for _ in range(2):
+            ksvd.transform_oos(loaded, new_x=new[0])
+            ksvd.transform_oos(loaded, new_z=new[1])
+        # only the new points are measured, once per call
+        assert len(seen) == 4
+        assert all(arr.shape == (10, 150) for arr in seen)
+
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    @pytest.mark.parametrize("data", ["graph", "normal"])
+    def test_dense_model_projection_is_unchanged(self, data, family):
+        # a model whose sides carry no statistics measures them afresh on
+        # every call; the prepared ones must give the same bits
+        rng = np.random.default_rng(12)
+        if data == "graph":
+            a = datasets.synth_directed_graph("two_block", 120,
+                                              seed=13).adjacency
+            new_x, new_z = (rng.random((2, 15, 120)) < 0.2) * 1.0
+        else:
+            a = make_matrix(120, 120, seed=14)
+            new_x, new_z = rng.standard_normal((2, 15, 120))
+        spec = KernelSpec(family, kernels.default_gamma(a))
+        model = ksvd.fit(a, spec, r=4, solver="truncated")
+        bare = dataclasses.replace(model, train=DataSources(
+            x=model.train_x, z=model.train_z))
+        for pts in ({"new_x": new_x}, {"new_z": new_z}):
+            np.testing.assert_array_equal(ksvd.transform_oos(model, **pts),
+                                          ksvd.transform_oos(bare, **pts))
 
 
 @settings(max_examples=15, deadline=None)

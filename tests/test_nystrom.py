@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from aksvd import kernels, nystrom
+from aksvd import datasets, kernels, nystrom
 from aksvd.errors import (
     ConfigError,
+    EmptyDenominatorWarning,
+    NonFiniteError,
     RankTooLargeError,
     SampleTooLargeError,
     SubproblemRankDeficientWarning,
     ToleranceUnreachableError,
     ZeroColumnError,
 )
-from aksvd.linalg import SvdResult, svd_exact
-from conftest import eta_oracle, make_matrix
+from aksvd.linalg import SvdResult, svd_exact, svd_truncated
+from conftest import dense_lift, eta_oracle, make_matrix
 
 
 def exact_cfg(r, **kw):
@@ -42,8 +44,8 @@ class TestSubsample:
         rows, cols = nystrom.sample_indices(g.shape, cfg)
         g_nm, g_big_m, g_n_big = kernels.as_kernel_source(g).sample_blocks(
             *nystrom.sample_indices(g.shape, cfg))
-        np.testing.assert_array_equal(g_nm, g_big_m[rows])
-        np.testing.assert_array_equal(g_nm, g_n_big[:, cols])
+        np.testing.assert_array_equal(g_nm, np.asarray(g_big_m)[rows])
+        np.testing.assert_array_equal(g_nm, np.asarray(g_n_big)[:, cols])
         np.testing.assert_array_equal(g_big_m, g[:, cols])
 
     def test_sample_too_large(self):
@@ -369,3 +371,118 @@ class TestSolveToTolerance:
                 budgets.append(rep.m_used)
             used[label] = np.median(budgets)
         assert used["wide"] < used["narrow"]
+
+
+# --- the lift from raw kernel chunks -------------------------------------------
+# lift_blocks multiplies the chunked blocks by thin factors and applies the
+# order, the sne normalizers and the centering in r-space; the reference
+# applies the dense formula to np.asarray of the same blocks. The small SVD
+# is the same, so lambda must agree bit for bit and U~, V~ to rounding.
+
+def assert_same_lift(got, want):
+    (u, v, lam), (u_want, v_want, lam_want) = got, want
+    np.testing.assert_array_equal(lam, lam_want)
+    np.testing.assert_allclose(u, u_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v, v_want, rtol=0, atol=1e-12)
+
+
+def _lift_data():
+    graph = datasets.synth_directed_graph("two_block", 240, seed=3).adjacency
+    return {"graph": graph, "normal": make_matrix(240, 240, seed=60)}
+
+
+class TestChunkedLift:
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    @pytest.mark.parametrize("data", ["graph", "normal"])
+    def test_nested_growth_matches_dense_formula(self, family, data):
+        a = _lift_data()[data]
+        spec = kernels.KernelSpec(family, kernels.default_gamma(a))
+        src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+        rng = np.random.default_rng(61)
+        row_perm, col_perm = rng.permutation(240), rng.permutation(240)
+        for n, m, sort in ((16, 16, True), (40, 32, False), (90, 64, True),
+                           (200, 128, True)):
+            # nested prefixes, one call with unsorted index sets
+            rows, cols = row_perm[:n], col_perm[:m]
+            if sort:
+                rows, cols = np.sort(rows), np.sort(cols)
+            cfg = nystrom.NystromConfig(r=5, seed=n)
+            blocks = src.sample_blocks(rows, cols)
+            assert_same_lift(nystrom.lift_blocks(*blocks, 5, cfg),
+                             dense_lift(*blocks, cfg))
+        # one chunk per call that brought new columns, evaluated once each
+        assert src.entries_evaluated == 240 * 128 + 200 * 240
+
+    def test_matrix_source_and_plain_arrays(self):
+        g = make_matrix(70, 50, seed=62)
+        cfg = exact_cfg(4, n=20, m=15, seed=2)
+        rows, cols = nystrom.sample_indices(g.shape, cfg)
+        blocks = kernels.MatrixSource(g).sample_blocks(rows, cols)
+        got = nystrom.lift_blocks(*blocks, 4, cfg)
+        assert_same_lift(got, dense_lift(*blocks, cfg))
+        # plain arrays are wrapped as one-chunk blocks: the same lift
+        plain = nystrom.lift_blocks(*(np.asarray(b) for b in blocks), 4, cfg)
+        assert_same_lift(plain, got)
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_dead_sne_row_matches_dense_formula(self, sampled):
+        # row 5 lies so far from every column point that its sampled sne
+        # normalizer underflows to zero: the row reads 1/M throughout
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal((40, 4))
+        x[5] = 1e3
+        z = rng.standard_normal((30, 4))
+        spec = kernels.KernelSpec("sne", 2.0)
+        src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
+        rows = np.array([1, 5, 9, 13, 20, 33]) if sampled else \
+            np.array([1, 9, 13, 20, 33, 37])
+        cols = np.array([0, 4, 7, 11, 19, 25, 28])
+        with pytest.warns(EmptyDenominatorWarning):
+            blocks = src.sample_blocks(rows, cols)
+        assert src.row_denoms[5] == 0.0
+        np.testing.assert_array_equal(np.asarray(blocks[1])[5],
+                                      np.full(7, 1 / 30))
+        cfg = nystrom.NystromConfig(r=3, seed=4)
+        got = nystrom.lift_blocks(*blocks, 3, cfg)
+        want = dense_lift(*blocks, cfg)
+        assert_same_lift(got, want)
+        np.testing.assert_allclose(got[0][5], want[0][5], rtol=0, atol=1e-15)
+
+    def test_non_finite_chunk_raises(self):
+        # linear products of 1e200 overflow: the chunk is refused when it
+        # is evaluated
+        a = np.full((6, 6), 1e200)
+        with np.errstate(over="ignore"):
+            src = kernels.LazyKernelSource(kernels.KernelSpec("linear"),
+                                           kernels.build_sources(a))
+            with pytest.raises(NonFiniteError, match="G_Nm"):
+                src.sample_blocks([0, 1], [2, 3])
+
+    def test_entry_counts_of_the_growth_loop(self, monkeypatch):
+        # entries_evaluated, the last Attempt.entries and the sizes of the
+        # two large blocks (what a tracer adds up per call) all equal
+        # N*m + n*M of the attempt, the incremental loop's only work
+        a = datasets.synth_directed_graph("random_dag", 300, seed=0).adjacency
+        spec = kernels.KernelSpec("sne", 0.35 * kernels.default_gamma(a))
+        sources = kernels.build_sources(a)
+        reference = svd_truncated(
+            kernels.LazyKernelSource(spec, sources).full(), 4, tol=1e-14)
+        sizes = []
+        sample_blocks = kernels.LazyKernelSource.sample_blocks
+
+        def traced(self, rows, cols):
+            blocks = sample_blocks(self, rows, cols)
+            sizes.append(blocks[1].size + blocks[2].size)
+            return blocks
+
+        monkeypatch.setattr(kernels.LazyKernelSource, "sample_blocks", traced)
+        src = kernels.LazyKernelSource(spec, sources)
+        with pytest.raises(ToleranceUnreachableError) as err:
+            nystrom.solve_to_tolerance(src, "asym_nystrom", 0.0, reference,
+                                       nystrom.NystromConfig(r=4, m_max=200))
+        history = err.value.report.history
+        assert [h.m for h in history] == [32, 64, 128, 200]
+        last = history[-1]
+        assert src.entries_evaluated == last.entries == \
+            300 * last.m + last.n * 300
+        assert sizes == [300 * h.m + h.n * 300 for h in history]
