@@ -56,12 +56,11 @@ def compat_pseudoinverse(a) -> CompatMatrix:
     return CompatMatrix(c=c, mode="a0")
 
 
-def compat_pca(a, target_dim: int | None = None, center: bool = True) -> CompatMatrix:
+def compat_pca(a, target_dim: int | None = None) -> CompatMatrix:
     """Top principal directions of A as projection columns.
 
     C holds the leading ``target_dim`` right singular vectors of A after
-    column-mean centering (centering is the recorded default; pass
-    center=False for the raw directions). ``A @ C @ C.T`` is then the best
+    column-mean centering. ``A @ C @ C.T`` is then the best
     rank-``target_dim`` approximation of the centered A in Frobenius norm.
     """
     a = as_matrix(a, "A")
@@ -71,7 +70,7 @@ def compat_pca(a, target_dim: int | None = None, center: bool = True) -> CompatM
     if target_dim > min(n, m):
         raise RankTooLargeError(
             f"target_dim={target_dim} exceeds min(N, M)={min(n, m)}")
-    work = a - a.mean(axis=0, keepdims=True) if center else a
+    work = a - a.mean(axis=0, keepdims=True)
     if np.linalg.norm(work) == 0.0:
         raise ZeroMatrixError("data has no variance to project onto")
     res = svd_exact(work)
@@ -136,7 +135,7 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
 
 
 def make_compat(a, mode: str, seed: int | None = None,
-                target_dim: int | None = None, center: bool = True) -> CompatMatrix:
+                target_dim: int | None = None) -> CompatMatrix:
     """Build the compatibility matrix appropriate for A's orientation.
 
     Square A with a non-identity mode still gets an x-side transform (with
@@ -154,7 +153,7 @@ def make_compat(a, mode: str, seed: int | None = None,
     if mode == "a0":
         return compat_pseudoinverse(work)
     if mode == "a1":
-        return compat_pca(work, target_dim=target_dim, center=center)
+        return compat_pca(work, target_dim=target_dim)
     if mode == "a2":
         if seed is None:
             raise ConfigError("compat mode a2 requires a seed")

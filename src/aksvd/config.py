@@ -186,8 +186,9 @@ def build_config(config_path=None, environ=None, overrides=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg["rank"] < 1:
-        raise ConfigError(f"rank must be >= 1, got {cfg['rank']}")
+    for key in ("rank", "bench.repeats", "sweep.seeds"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     if cfg["dataset.format"] != "synth":
         path = cfg["dataset.path"]
         if path is None:

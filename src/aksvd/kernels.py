@@ -2,9 +2,9 @@
 
 A data matrix ``A`` is read twice: its rows ``x_i`` form the row data set,
 its columns ``z_j`` form the column data set. The kernel matrix is
-``G[i, j] = kappa(x_i, z_j)`` (after an optional compatibility transform
-when the two sides have different feature lengths). Three families are
-supported:
+``G[i, j] = kappa(x_i, z_j)``. When the two sides have different feature
+lengths, ``compat.apply_compat`` maps them to one length first; the
+sources given here must already agree. Three families are supported:
 
 * ``rbf``      exp(-||x - z||^2 / gamma^2)
 * ``sne``      the rbf numerator normalized over the column data set, so
@@ -74,11 +74,10 @@ _F32_EXACT = 2 ** 24
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth, with an optional compatibility transform."""
+    """Kernel family plus bandwidth."""
 
     family: str
     gamma: float | None = None
-    compat: object | None = None  # CompatMatrix, kept untyped to avoid a cycle
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -534,9 +533,6 @@ class LazyKernelSource:
     """
 
     def __init__(self, spec: KernelSpec, sources: DataSources):
-        if spec.compat is not None:
-            from .compat import apply_compat
-            sources = apply_compat(spec.compat, sources)
         if sources.x.shape[1] != sources.z.shape[1]:
             raise CompatibilityMissingError(
                 f"row data has feature length {sources.x.shape[1]} but column "

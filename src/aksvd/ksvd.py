@@ -41,7 +41,14 @@ from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
 from .linalg import as_matrix, svd_exact, svd_randomized, svd_truncated
 from .nystrom import NystromConfig, lift_blocks, sample_indices
 
-SOLVERS = ("exact", "truncated", "randomized", "nystrom")
+# the solver_opts keys each solver reads; ``fit`` rejects any other key
+SOLVER_OPTS = {
+    "exact": (),
+    "truncated": ("tol", "seed"),
+    "randomized": ("oversample", "power_iters", "seed"),
+    "nystrom": ("n", "m", "seed", "subproblem", "oversample", "power_iters",
+                "center_stats"),
+}
 
 
 @dataclass(frozen=True)
@@ -97,18 +104,18 @@ def _transformed_sources(a: np.ndarray, compat: CompatMatrix):
     return out, side
 
 
-def _resolve_compat(a, compat, compat_seed, compat_target_dim, compat_center):
+def _resolve_compat(a, compat, compat_seed, compat_target_dim):
     if isinstance(compat, CompatMatrix):
         return compat
     if compat is None:
         compat = "identity" if a.shape[0] == a.shape[1] else "a0"
     return make_compat(a, compat, seed=compat_seed,
-                       target_dim=compat_target_dim, center=compat_center)
+                       target_dim=compat_target_dim)
 
 
 def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         center: bool = True, compat_seed: int | None = None,
-        compat_target_dim: int | None = None, compat_center: bool = True,
+        compat_target_dim: int | None = None,
         solver_opts: dict | None = None) -> KsvdModel:
     """Fit the model: kernel, centering, rank-r SVD, coefficient scaling.
 
@@ -116,24 +123,28 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     CompatMatrix; None picks identity for square data and a0 otherwise.
     ``solver`` selects how the SVD is obtained; "nystrom" works from
     sampled kernel blocks and never materializes the full matrix.
+    ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver.
     """
     a = as_matrix(a, "A")
     big_n, big_m = a.shape
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if solver not in SOLVER_OPTS:
+        raise ConfigError(f"unknown solver {solver!r}; expected one of "
+                          f"{tuple(SOLVER_OPTS)}")
     if r < 1 or r > min(big_n, big_m):
         raise RankTooLargeError(
             f"r={r} must lie in [1, min(N, M)={min(big_n, big_m)}]")
     opts = dict(solver_opts or {})
-    compat = _resolve_compat(a, compat, compat_seed, compat_target_dim,
-                             compat_center)
+    unread = sorted(set(opts) - set(SOLVER_OPTS[solver]))
+    if unread:
+        raise ConfigError(f"solver {solver!r} does not read solver_opts "
+                          f"{unread}; it reads {SOLVER_OPTS[solver]}")
+    compat = _resolve_compat(a, compat, compat_seed, compat_target_dim)
     sources, side = _transformed_sources(a, compat)
-    spec = KernelSpec(family=kernel.family, gamma=kernel.gamma)
 
     if solver == "nystrom":
-        return _fit_nystrom(a, spec, r, compat, side, sources, center, opts)
+        return _fit_nystrom(kernel, r, compat, side, sources, center, opts)
 
-    source = LazyKernelSource(spec, sources)
+    source = LazyKernelSource(kernel, sources)
     g = source.full()
 
     if center:
@@ -147,9 +158,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         res = svd_truncated(gc, r, tol=opts.get("tol", 1e-10),
                             start_seed=opts.get("seed", 0))
     else:
-        res = svd_randomized(gc, r, oversample=opts.get("oversample", 10),
-                             power_iters=opts.get("power_iters", 2),
-                             seed=opts.get("seed", 0))
+        res = svd_randomized(gc, r, **opts)
     take = min(r, res.rank)
     if take < r:
         warnings.warn(
@@ -161,25 +170,25 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     lam = res.s[:take]
     return KsvdModel(
         b_phi=u / np.sqrt(lam)[None, :], b_psi=v / np.sqrt(lam)[None, :],
-        lam=lam, kernel=spec, compat=compat, compat_side=side,
+        lam=lam, kernel=kernel, compat=compat, compat_side=side,
         centering=stats, train=sources, centered=center,
         sne_row_denoms=source.row_denoms)
 
 
-def _fit_nystrom(a, spec, r, compat, side, sources, center, opts):
+def _fit_nystrom(spec, r, compat, side, sources, center, opts):
+    center_stats = opts.pop("center_stats", "sampled")
+    if center_stats not in ("sampled", "full"):
+        raise ConfigError("center_stats must be 'sampled' or 'full', got "
+                          f"{center_stats!r}")
+    cfg = NystromConfig(r=r, **opts)  # the other keys are its fields
     lazy = LazyKernelSource(spec, sources)
-    cfg = NystromConfig(
-        r=r, n=opts.get("n"), m=opts.get("m"), seed=opts.get("seed", 0),
-        subproblem=opts.get("subproblem", "rsvd"),
-        oversample=opts.get("oversample", 10),
-        power_iters=opts.get("power_iters", 2))
     rows, cols = sample_indices(lazy.shape, cfg)
     g_nm, g_big_m, g_n_big = lazy.sample_blocks(rows, cols)
     big_n, big_m = lazy.shape
 
     if not center:
         stats = _zero_stats(big_n, big_m)
-    elif opts.get("center_stats", "sampled") == "full":
+    elif center_stats == "full":
         stats = lazy.streaming_stats()
     else:
         # unbiased estimates from the sampled blocks; exact at full sampling

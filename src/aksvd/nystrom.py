@@ -46,7 +46,6 @@ class NystromConfig:
     n: int | None = None        # row samples; None derives it from m
     m: int | None = None        # column samples; None -> max(4r, 32), capped
     seed: int = 0
-    epsilon: float | None = None
     m_growth: float = 2.0
     m_max: int | None = None
     subproblem: str = "rsvd"    # asym subproblem: "rsvd" (default) or "exact"
@@ -56,6 +55,10 @@ class NystromConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
+        for name in ("n", "m", "m_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 1.0 < self.m_growth <= 4.0:
             raise ConfigError(
                 f"m_growth must lie in (1, 4], got {self.m_growth}")
@@ -70,8 +73,6 @@ class NystromResult:
     lambda_tilde: np.ndarray
     row_indices: np.ndarray
     col_indices: np.ndarray
-    eta: float | None = None
-    wall_time: float = 0.0
 
 
 def resolve_sample_sizes(shape, cfg: NystromConfig) -> tuple[int, int]:
@@ -159,7 +160,6 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
 
 
 def asym_nystrom(g_source, cfg: NystromConfig,
-                 reference: SvdResult | None = None,
                  indices=None) -> NystromResult:
     """Approximate the top-r singular triplets from sampled blocks.
 
@@ -167,22 +167,15 @@ def asym_nystrom(g_source, cfg: NystromConfig,
     drawn by ``sample_indices`` from the config.
     """
     source = as_kernel_source(g_source)
-    t0 = time.perf_counter()
     rows, cols = (sample_indices(source.shape, cfg) if indices is None
                   else indices)
     g_nm, g_big_m, g_n_big = source.sample_blocks(rows, cols)
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg)
-    wall = time.perf_counter() - t0
-    eta = None
-    if reference is not None:
-        eta = eta_accuracy(u_t, v_t, reference, min(cfg.r, lam.size))
     return NystromResult(u_tilde=u_t, v_tilde=v_t, lambda_tilde=lam,
-                         row_indices=rows, col_indices=cols,
-                         eta=eta, wall_time=wall)
+                         row_indices=rows, col_indices=cols)
 
 
-def sym_nystrom(k_source, cfg: NystromConfig,
-                reference_vals: np.ndarray | None = None):
+def sym_nystrom(k_source, cfg: NystromConfig):
     """Classical Nystrom eigen-approximation of a symmetric matrix.
 
     Samples n of the N landmarks, solves the small n x n eigenproblem with
@@ -197,7 +190,6 @@ def sym_nystrom(k_source, cfg: NystromConfig,
         raise SampleTooLargeError("sym_nystrom needs a square symmetric source")
     sq_cfg = replace(cfg, n=cfg.n if cfg.n is not None else cfg.m,
                      m=cfg.m if cfg.m is not None else cfg.n)
-    t0 = time.perf_counter()
     rows, _ = sample_indices((big_n, big_n), sq_cfg)
     k_nn, k_big_n, _ = source.sample_blocks(rows, rows)
     k_nn = 0.5 * (k_nn + k_nn.T)  # symmetrize against sampling round-off
@@ -216,10 +208,8 @@ def sym_nystrom(k_source, cfg: NystromConfig,
     u_t = _unit_columns(k_big_n @ (vecs / vals[None, :]), "U_tilde")
     u_t = canonicalize_signs(u_t)
     lam = vals * (big_n / n)
-    wall = time.perf_counter() - t0
     return NystromResult(u_tilde=u_t, v_tilde=u_t, lambda_tilde=lam,
-                         row_indices=rows, col_indices=rows,
-                         eta=None, wall_time=wall)
+                         row_indices=rows, col_indices=rows)
 
 
 def eta_accuracy(u_tilde, v_tilde, reference: SvdResult, r: int) -> float:
@@ -285,20 +275,25 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
                        reference: SvdResult, cfg: NystromConfig) -> SolveReport:
     """Run one solver until its eta against the reference drops below epsilon.
 
-    Sampled solvers grow their budget multiplicatively; rsvd grows its
-    oversampling; tsvd runs once at machine precision. Wall time counts the
-    solver work only, not reference or eta evaluation, nor the dense
-    matrices the baselines start from (G, and for sym_nystrom its two Gram
-    matrices). The asymmetric solver draws one seeded permutation of the
-    rows and one of the columns per solve and samples sorted prefixes of
-    them, so each attempt's sample contains the previous one and a block
+    Sampled solvers grow their column budget multiplicatively from
+    ``cfg.m``, and every attempt derives its row count from its m, so a
+    config that sets ``n`` is rejected; rsvd grows its oversampling from
+    ``cfg.oversample``; tsvd runs once at machine precision. Wall time
+    counts the solver work only, not reference or eta evaluation, nor the
+    dense matrices the baselines start from (G, and for sym_nystrom its two
+    Gram matrices). The asymmetric solver draws one seeded permutation of
+    the rows and one of the columns per solve and samples sorted prefixes
+    of them, so each attempt's sample contains the previous one and a block
     source evaluates only the new columns and rows. The report's
     ``history`` records every attempt. If the budget cap is reached with
-    eta still above epsilon a ToleranceUnreachableError is raised,
-    carrying the last report in its ``report`` attribute.
+    eta still above epsilon a ToleranceUnreachableError is raised, carrying
+    the last report in its ``report`` attribute.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if cfg.n is not None:
+        raise ConfigError(f"n={cfg.n} is set, but every attempt derives its "
+                          "row count from m; leave n unset")
     source = as_kernel_source(g_source)
     big_n, big_m = source.shape
     r = cfg.r
@@ -324,8 +319,8 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
 
     if solver == "rsvd":
         g = source.full()
-        oversample = 10
         cap = max(min(big_n, big_m) - r, 1)
+        oversample = min(cfg.oversample, cap)
         wall = 0.0
         while True:
             t0 = time.perf_counter()
@@ -355,8 +350,7 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     wall = 0.0
     attempt = 0
     while True:
-        step_cfg = replace(cfg, m=m, n=None, seed=cfg.seed + attempt,
-                           epsilon=epsilon)
+        step_cfg = replace(cfg, m=m, seed=cfg.seed + attempt)
         if solver == "asym_nystrom":
             n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
             indices = np.sort(row_perm[:n]), np.sort(col_perm[:m])
@@ -373,8 +367,7 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
             res = NystromResult(
                 u_tilde=res_u.u_tilde, v_tilde=res_v.u_tilde,
                 lambda_tilde=np.sqrt(np.maximum(res_u.lambda_tilde, 0.0)),
-                row_indices=res_u.row_indices, col_indices=res_v.row_indices,
-                eta=None, wall_time=res_u.wall_time + res_v.wall_time)
+                row_indices=res_u.row_indices, col_indices=res_v.row_indices)
         wall += seconds
         eta = eta_accuracy(res.u_tilde, res.v_tilde, reference,
                            min(r, res.lambda_tilde.size))

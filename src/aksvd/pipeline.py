@@ -66,18 +66,17 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
 
 
 def _solver_opts(cfg: RunConfig) -> dict:
+    """The config's values for the solver_opts keys the solver reads."""
     solver = cfg["solver"]
-    if solver == "nystrom":
-        return {"n": cfg["nystrom.n"], "m": cfg["nystrom.m"],
-                "seed": cfg.get("nystrom.seed", "seed"),
-                "subproblem": cfg["nystrom.subproblem"],
-                "center_stats": cfg["nystrom.center_stats"],
-                "oversample": cfg["solver.oversample"],
-                "power_iters": cfg["solver.power_iters"]}
-    return {"tol": cfg["solver.tol"],
-            "seed": cfg.get("solver.seed", "seed"),
-            "oversample": cfg["solver.oversample"],
-            "power_iters": cfg["solver.power_iters"]}
+    values = {"n": cfg["nystrom.n"], "m": cfg["nystrom.m"],
+              "seed": cfg.get("nystrom.seed" if solver == "nystrom"
+                              else "solver.seed", "seed"),
+              "subproblem": cfg["nystrom.subproblem"],
+              "center_stats": cfg["nystrom.center_stats"],
+              "tol": cfg["solver.tol"],
+              "oversample": cfg["solver.oversample"],
+              "power_iters": cfg["solver.power_iters"]}
+    return {key: values[key] for key in ksvd.SOLVER_OPTS[solver]}
 
 
 def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
@@ -313,7 +312,7 @@ def _kernel_parts(cfg: RunConfig, a: np.ndarray):
     mode = cfg["compat.mode"]
     compat = ksvd._resolve_compat(a, None if mode == "auto" else mode,
                                   cfg.get("compat.seed", "seed"),
-                                  cfg["compat.target_dim"], True)
+                                  cfg["compat.target_dim"])
     sources, _ = ksvd._transformed_sources(a, compat)
     return spec, sources
 
@@ -399,7 +398,8 @@ def run_sweep(cfg: RunConfig) -> Path:
         t_dense = time.perf_counter() - t0
         for seed in seeds:
             ncfg = NystromConfig(
-                r=cfg["rank"], seed=seed, m_growth=cfg["nystrom.growth"],
+                r=cfg["rank"], n=cfg["nystrom.n"], m=cfg["nystrom.m"],
+                seed=seed, m_growth=cfg["nystrom.growth"],
                 subproblem=cfg["nystrom.subproblem"],
                 oversample=cfg["solver.oversample"],
                 power_iters=cfg["solver.power_iters"])

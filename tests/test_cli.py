@@ -101,6 +101,19 @@ class TestExtract:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["kernel.gamma"] == 0.9
 
+    @pytest.mark.parametrize("solver", ["exact", "truncated", "randomized",
+                                        "nystrom"])
+    def test_every_solver_gets_only_the_options_it_reads(self, tmp_path,
+                                                         solver):
+        out = tmp_path / "run"
+        assert run("extract", "--format", "synth", "--rank", "2",
+                   "--solver", solver, "--set", "dataset.synth_n=24",
+                   "--set", "solver.tol=1e-9", "--set", "nystrom.m=12",
+                   "--set", "nystrom.center_stats=full",
+                   "--out", str(out)) == 0
+        lam = np.loadtxt(out / "lambda.csv", delimiter=",", ndmin=2)
+        assert lam.shape[0] == 2
+
     def test_env_override_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AKSVD_RANK", "2")
         out = tmp_path / "run"
@@ -139,6 +152,37 @@ class TestExitCodes:
                    "--set", "dataset.synth_n=6", "--out", str(tmp_path / "x"))
         assert code == 3
         assert "numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, setting", [
+        ("bench", "bench.repeats=0"),
+        ("bench", "bench.repeats=-2"),
+        ("nystrom-sweep", "sweep.seeds=0"),
+    ])
+    def test_no_repeats_or_seeds_rejected(self, tmp_path, capsys, command,
+                                          setting):
+        out = tmp_path / "x"
+        code = run(command, "--format", "synth", "--set", "dataset.synth_n=60",
+                   "--set", setting, "--out", str(out))
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_sample_budget_is_config_error(self, tmp_path, capsys):
+        code = run("extract", "--format", "synth", "--solver", "nystrom",
+                   "--set", "dataset.synth_n=24", "--set", "nystrom.m=-5",
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "m must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "nystrom-sweep"])
+    def test_row_sample_count_rejected(self, tmp_path, capsys, command):
+        # every attempt of the growth loop derives n from m
+        code = run(command, "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=24", "--set", "nystrom.n=12",
+                   "--set", "bench.repeats=1", "--set", "sweep.seeds=1",
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "n=12" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
@@ -314,6 +358,20 @@ class TestSweep:
         gammas = [float(row["gamma"]) for row in rows]
         assert gammas == sorted(gammas)
         assert {row["seed"] for row in rows} == {"0", "1"}
+
+    def test_starting_budget_is_honored(self, tmp_path):
+        # loose tolerance: every solve stops at its starting budget
+        out = tmp_path / "run"
+        code = run("nystrom-sweep", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=24",
+                   "--set", "sweep.gammas=0.5", "--set", "sweep.seeds=2",
+                   "--set", "nystrom.epsilon=10.0", "--set", "nystrom.m=8",
+                   "--out", str(out))
+        assert code == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["m_used"] for row in rows] == ["8", "8"]
+        assert {row["status"] for row in rows} == {"ok"}
 
     def test_explicit_gamma_grid(self, tmp_path):
         out = tmp_path / "run"

@@ -31,10 +31,13 @@ class TestPseudoInverse:
 
 class TestPca:
     def test_near_rank_one(self):
+        # centered rank-one data: the column means are zero, and centering
+        # the outer product leaves it rank one
         rng = np.random.default_rng(3)
-        a = np.outer(rng.standard_normal(8), rng.standard_normal(5))
+        u = rng.standard_normal(8)
+        a = np.outer(u - u.mean(), rng.standard_normal(5))
         a += 1e-12 * rng.standard_normal((8, 5))
-        c = compat.compat_pca(a, target_dim=1, center=False).c
+        c = compat.compat_pca(a, target_dim=1).c
         recon = a @ c @ c.T
         assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
 
@@ -139,14 +142,16 @@ class TestMakeCompat:
     def test_linear_recovery_wide(self):
         # pinv compat with a linear kernel reproduces the data matrix
         a = make_matrix(4, 6, seed=17, cond=10)
-        spec = kernels.KernelSpec(family="linear", compat=compat.make_compat(a, "a0"))
-        g = kernels.kernel_matrix(spec, kernels.build_sources(a))
+        sources = compat.apply_compat(compat.make_compat(a, "a0"),
+                                      kernels.build_sources(a))
+        g = kernels.kernel_matrix(kernels.KernelSpec(family="linear"), sources)
         assert np.linalg.norm(g - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_linear_recovery_tall(self):
         a = make_matrix(6, 4, seed=18, cond=10)
-        spec = kernels.KernelSpec(family="linear", compat=compat.make_compat(a, "a0"))
-        g = kernels.kernel_matrix(spec, kernels.build_sources(a))
+        sources = compat.apply_compat(compat.make_compat(a, "a0"),
+                                      kernels.build_sources(a))
+        g = kernels.kernel_matrix(kernels.KernelSpec(family="linear"), sources)
         assert np.linalg.norm(g - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_identity_requires_square(self):

@@ -17,6 +17,11 @@ def rbf_spec(gamma=1.0):
     return kernels.KernelSpec(family="rbf", gamma=gamma)
 
 
+def compat_sources(a, mode, **kw):
+    """The sources of A through the compat transform of the given mode."""
+    return apply_compat(make_compat(a, mode, **kw), kernels.build_sources(a))
+
+
 class TestSources:
     def test_build(self):
         s = kernels.build_sources([[1.0, 2.0], [3.0, 4.0]])
@@ -111,8 +116,9 @@ class TestKernelValue:
 class TestKernelMatrix:
     def test_linear_pinv_recovers_a(self):
         a = make_matrix(6, 6, seed=4, cond=10)
-        spec = kernels.KernelSpec(family="linear", compat=compat_pseudoinverse(a))
-        g = kernels.kernel_matrix(spec, kernels.build_sources(a))
+        spec = kernels.KernelSpec(family="linear")
+        g = kernels.kernel_matrix(spec, apply_compat(
+            compat_pseudoinverse(a), kernels.build_sources(a)))
         assert np.linalg.norm(g - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_sne_rows_sum_to_one(self):
@@ -267,9 +273,9 @@ class TestLazySource:
         self.cols = np.array([1, 2, 5, 6, 8])
 
     def test_rbf_blocks_match_full(self):
-        spec = kernels.KernelSpec(family="rbf", gamma=2.0,
-                                  compat=make_compat(self.a, "a2", seed=0))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="rbf", gamma=2.0)
+        src = kernels.LazyKernelSource(spec,
+                                       compat_sources(self.a, "a2", seed=0))
         g_nm, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
         g = src.full()
         np.testing.assert_allclose(g_big_m, g[:, self.cols], atol=1e-14)
@@ -278,9 +284,8 @@ class TestLazySource:
                                    atol=1e-14)
 
     def test_block_consistency(self):
-        spec = kernels.KernelSpec(family="sne", gamma=3.0,
-                                  compat=make_compat(self.a, "a1"))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="sne", gamma=3.0)
+        src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
         g_nm, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
         np.testing.assert_array_equal(g_nm, np.asarray(g_big_m)[self.rows])
         # two separate evaluation paths agree to floating-point tolerance
@@ -288,9 +293,8 @@ class TestLazySource:
                                    atol=1e-13)
 
     def test_full_sampling_blocks_match_full(self):
-        spec = kernels.KernelSpec(family="sne", gamma=3.0,
-                                  compat=make_compat(self.a, "a1"))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="sne", gamma=3.0)
+        src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
         big_n, big_m = src.shape
         g_nm, g_big_m, g_n_big = src.sample_blocks(np.arange(big_n),
                                                    np.arange(big_m))
@@ -303,13 +307,12 @@ class TestLazySource:
     def test_sampled_sne_estimates_full_scale(self):
         # each row's normalizer is its sampled sum scaled by M/m, an
         # unbiased estimate of its sum over all M columns
-        spec = kernels.KernelSpec(family="sne", gamma=3.0,
-                                  compat=make_compat(self.a, "a1"))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="sne", gamma=3.0)
+        src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
         _, g_big_m, g_n_big = src.sample_blocks(self.rows, self.cols)
         numer = kernels.LazyKernelSource(
-            kernels.KernelSpec(family="rbf", gamma=3.0, compat=spec.compat),
-            kernels.build_sources(self.a)).full()
+            kernels.KernelSpec(family="rbf", gamma=3.0),
+            compat_sources(self.a, "a1")).full()
         denom = numer[:, self.cols].sum(1) * (src.shape[1] / len(self.cols))
         np.testing.assert_allclose(src.row_denoms, denom, rtol=1e-13)
         np.testing.assert_allclose(
@@ -329,9 +332,8 @@ class TestLazySource:
 
     def test_streaming_stats_match_center(self):
         for family in ("sne", "rbf", "linear"):
-            spec = kernels.KernelSpec(family=family, gamma=3.0,
-                                      compat=make_compat(self.a, "a1"))
-            src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+            spec = kernels.KernelSpec(family=family, gamma=3.0)
+            src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
             _, want = kernels.center(src.full())
             got = src.streaming_stats()
             np.testing.assert_allclose(got.row_means, want.row_means,
@@ -341,9 +343,9 @@ class TestLazySource:
             assert got.grand_mean == pytest.approx(want.grand_mean, abs=1e-14)
 
     def test_entry_accounting(self):
-        spec = kernels.KernelSpec(family="rbf", gamma=2.0,
-                                  compat=make_compat(self.a, "a2", seed=1))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="rbf", gamma=2.0)
+        src = kernels.LazyKernelSource(spec,
+                                       compat_sources(self.a, "a2", seed=1))
         src.sample_blocks(self.rows, self.cols)
         n_rows, n_cols = len(self.rows), len(self.cols)
         assert src.entries_evaluated == 12 * n_cols + n_rows * 9
@@ -356,16 +358,15 @@ class TestLazySource:
         rows = np.array([0, 17, 2, 23, 9, 29])
         cols = np.array([20, 1, 3, 4, 11, 15, 24])
         for family in ("sne", "rbf", "linear"):
-            spec = kernels.KernelSpec(family=family, gamma=4.0,
-                                      compat=make_compat(a, "a1"))
-            src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+            spec = kernels.KernelSpec(family=family, gamma=4.0)
+            src = kernels.LazyKernelSource(spec, compat_sources(a, "a1"))
             big_n, big_m = src.shape
             src.sample_blocks(first_rows, first_cols)
             before = src.entries_evaluated
             got = src.sample_blocks(rows, cols)
             assert src.entries_evaluated - before == \
                 big_n * (cols.size - 4) + (rows.size - 3) * big_m
-            fresh = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+            fresh = kernels.LazyKernelSource(spec, compat_sources(a, "a1"))
             want = fresh.sample_blocks(rows, cols)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
@@ -374,9 +375,8 @@ class TestLazySource:
                                            rtol=1e-14, atol=0)
 
     def test_call_without_previous_sets_starts_over(self):
-        spec = kernels.KernelSpec(family="sne", gamma=3.0,
-                                  compat=make_compat(self.a, "a1"))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(self.a))
+        spec = kernels.KernelSpec(family="sne", gamma=3.0)
+        src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
         big_n, big_m = src.shape
         src.sample_blocks(self.rows, self.cols)
         # drops column 1: everything is evaluated again
@@ -385,7 +385,7 @@ class TestLazySource:
         got = src.sample_blocks(rows, cols)
         assert src.entries_evaluated - before == big_n * 3 + 3 * big_m
         want = kernels.LazyKernelSource(
-            spec, kernels.build_sources(self.a)).sample_blocks(rows, cols)
+            spec, compat_sources(self.a, "a1")).sample_blocks(rows, cols)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         # the kept blocks are now those of the second call: extending it

@@ -26,9 +26,8 @@ from conftest import dense_lift, make_matrix
 
 def centered_g(model):
     """Rebuild the (optionally centered) kernel matrix a model was fit on."""
-    spec = dataclasses.replace(model.kernel)
-    g = kernels.kernel_matrix(spec, DataSources(x=model.train_x,
-                                                z=model.train_z))
+    g = kernels.kernel_matrix(model.kernel, DataSources(x=model.train_x,
+                                                        z=model.train_z))
     return kernels.center(g)[0] if model.centered else g
 
 
@@ -522,6 +521,46 @@ def _dense_nystrom_fit(a, spec, r, center, center_stats, m, seed):
         g_big_m = g_big_m - rm[:, None] - cm[None, cols] + gm
         g_n_big = g_n_big - rm[rows, None] - cm[None, :] + gm
     return (*dense_lift(g_nm, g_big_m, g_n_big, cfg), stats)
+
+
+class TestSolverOpts:
+    """Every solver_opts key is read by the solver it is given to."""
+
+    @pytest.mark.parametrize("solver, opts", [
+        ("exact", {"m": 5}),
+        ("exact", {"tol": 1e-8}),
+        ("truncated", {"m": 5}),
+        ("truncated", {"oversample": 4}),
+        ("randomized", {"tol": 1e-8}),
+        ("nystrom", {"mm": 5}),
+        ("nystrom", {"tol": 1e-8}),
+    ])
+    def test_unread_key_rejected(self, solver, opts):
+        a = make_matrix(12, 12, seed=80)
+        with pytest.raises(ConfigError, match=next(iter(opts))):
+            ksvd.fit(a, rbf_spec(a), r=3, solver=solver, solver_opts=opts)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_unknown_center_stats_rejected(self, center):
+        a = make_matrix(12, 12, seed=81)
+        with pytest.raises(ConfigError, match="fulll"):
+            ksvd.fit(a, rbf_spec(a), r=3, solver="nystrom", center=center,
+                     solver_opts={"center_stats": "fulll"})
+
+    @pytest.mark.parametrize("solver", list(ksvd.SOLVER_OPTS))
+    def test_every_listed_key_is_accepted(self, solver):
+        a = make_matrix(12, 12, seed=82)
+        values = {"tol": 1e-10, "seed": 1, "oversample": 4, "power_iters": 1,
+                  "n": 8, "m": 8, "subproblem": "exact",
+                  "center_stats": "full"}
+        opts = {key: values[key] for key in ksvd.SOLVER_OPTS[solver]}
+        assert ksvd.fit(a, rbf_spec(a), r=3, solver=solver,
+                        solver_opts=opts).rank == 3
+
+    def test_kernel_spec_has_no_compat(self):
+        # the one compat transform is fit's ``compat`` argument
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == \
+            ["family", "gamma"]
 
 
 class TestChunkedNystromFit:

@@ -63,6 +63,18 @@ class TestSubsample:
         with pytest.raises(ConfigError):
             nystrom.NystromConfig(r=2, m_growth=5.0)
 
+    @pytest.mark.parametrize("name", ["n", "m", "m_max"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_sample_counts_below_one_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            nystrom.NystromConfig(r=2, **{name: value})
+
+    def test_positive_budget_below_rank_is_too_small(self):
+        # a budget of 1 or more is a valid setting that cannot hold rank 4
+        cfg = exact_cfg(4, m=2)
+        with pytest.raises(SampleTooLargeError):
+            nystrom.resolve_sample_sizes((20, 20), cfg)
+
     def test_rectangular_coupling(self):
         # row budget tracks the aspect ratio
         n, m = nystrom.resolve_sample_sizes((200, 100), exact_cfg(4, m=30))
@@ -73,8 +85,8 @@ class TestAsym:
     def test_full_sampling_exact(self):
         g = make_matrix(25, 18, seed=4)
         ref = svd_exact(g)
-        res = nystrom.asym_nystrom(g, exact_cfg(4, n=25, m=18), reference=ref)
-        assert res.eta <= 1e-8
+        res = nystrom.asym_nystrom(g, exact_cfg(4, n=25, m=18))
+        assert nystrom.eta_accuracy(res.u_tilde, res.v_tilde, ref, 4) <= 1e-8
         np.testing.assert_allclose(res.lambda_tilde, ref.s[:4], rtol=1e-10)
 
     def test_symmetric_reduction(self):
@@ -104,8 +116,8 @@ class TestAsym:
         v0[cols[:3], [0, 1, 2]] = 1.0
         g = u0 @ np.diag([5.0, 3.0, 1.0]) @ v0.T
         ref = svd_exact(g)
-        res = nystrom.asym_nystrom(g, cfg, reference=ref)
-        assert res.eta <= 1e-6
+        res = nystrom.asym_nystrom(g, cfg)
+        assert nystrom.eta_accuracy(res.u_tilde, res.v_tilde, ref, 3) <= 1e-6
 
     def test_low_rank_subspace_exact(self):
         # with dense factors the lift mixes directions inside the target
@@ -270,6 +282,12 @@ class TestSolveToTolerance:
                                          nystrom.NystromConfig(r=3, seed=0))
         assert rep.status == "ok" and rep.eta <= 1e-6
 
+    def test_rsvd_starts_from_the_configured_oversampling(self):
+        rep = nystrom.solve_to_tolerance(
+            self.g, "rsvd", 10.0, self.ref,
+            nystrom.NystromConfig(r=3, seed=0, oversample=4))
+        assert [a.m for a in rep.history] == [4]
+
     def test_sym_path(self):
         # needs a clear gap after the first two singular values: the one-shot
         # gram subsample cannot split a near-degenerate leading pair
@@ -287,7 +305,7 @@ class TestSolveToTolerance:
         g = make_matrix(30, 24, seed=15)
         ref = svd_exact(g)
         rep = nystrom.solve_to_tolerance(
-            g, "asym_nystrom", 1e-8, ref, exact_cfg(3, n=30, m=24))
+            g, "asym_nystrom", 1e-8, ref, exact_cfg(3, m=24))
         assert rep.eta <= 1e-8
 
     def test_unreachable_carries_report(self):
@@ -346,6 +364,13 @@ class TestSolveToTolerance:
         with pytest.raises(ConfigError):
             nystrom.solve_to_tolerance(self.g, "magic", 1.0, self.ref,
                                        exact_cfg(2))
+
+    @pytest.mark.parametrize("solver", nystrom.SOLVERS)
+    def test_row_count_is_rejected(self, solver):
+        # every attempt derives n from m, so a set n would be ignored
+        with pytest.raises(ConfigError, match="n=10"):
+            nystrom.solve_to_tolerance(self.g, solver, 1.0, self.ref,
+                                       exact_cfg(3, n=10, m=10))
 
     def test_sharper_spectrum_needs_fewer_samples(self):
         # wide bandwidths flatten the row-normalized kernel toward rank one,
