@@ -155,8 +155,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     if solver == "exact":
         res = svd_exact(gc)
     elif solver == "truncated":
-        res = svd_truncated(gc, r, tol=opts.get("tol", 1e-10),
-                            start_seed=opts.get("seed", 0))
+        res = svd_truncated(gc, r, **opts)
     else:
         res = svd_randomized(gc, r, **opts)
     take = min(r, res.rank)

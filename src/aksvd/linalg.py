@@ -80,7 +80,7 @@ def svd_exact(a, tol: float = 1e-10) -> SvdResult:
 
 
 def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
-                   seed: int = 0, tol: float = 1e-10) -> SvdResult:
+                   seed: int = 0) -> SvdResult:
     """Rank-r randomized SVD: Gaussian sketch plus a block-Krylov subspace.
 
     The projection basis stacks A*Omega with ``power_iters`` repeated
@@ -106,7 +106,7 @@ def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
     q, _ = np.linalg.qr(np.hstack(blocks))
     b = q.T @ a
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    keep = s > tol * s[0]
+    keep = s > 1e-10 * s[0]
     keep[r:] = False
     u = (q @ ub)[:, keep]
     v = vt[keep].T
@@ -114,8 +114,7 @@ def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
     return SvdResult(u=u, s=s[keep], v=v)
 
 
-def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
-                  start_seed: int = 0) -> SvdResult:
+def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
     """Top-r SVD by Golub-Kahan-Lanczos bidiagonalization.
 
     The Krylov basis is extended in blocks with full reorthogonalization
@@ -131,13 +130,12 @@ def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
         raise RankTooLargeError(f"r={r} exceeds min(rows, cols)={kdim}")
     if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_truncated requires a non-zero matrix")
-    cap = kdim if max_iters is None else min(int(max_iters), kdim)
-    rng = np.random.default_rng(start_seed)
+    rng = np.random.default_rng(seed)
 
-    big_u = np.zeros((n, cap))
-    big_v = np.zeros((m, cap))
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)
+    big_u = np.zeros((n, kdim))
+    big_v = np.zeros((m, kdim))
+    alphas = np.zeros(kdim)
+    betas = np.zeros(kdim)
 
     vec = rng.standard_normal(m)
     vec /= np.linalg.norm(vec)
@@ -145,7 +143,7 @@ def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
     k = 0
     left_break = False  # A v_k fell inside span(U_k): invariant pair found
     scale = np.linalg.norm(a)
-    while k < cap:
+    while k < kdim:
         u_new = a @ big_v[:, k]
         if k > 0:
             u_new -= betas[k - 1] * big_u[:, k - 1]
@@ -174,7 +172,7 @@ def svd_truncated(a, r: int, tol: float = 1e-10, max_iters: int | None = None,
             betas[k - 1] = 0.0
             break
         betas[k - 1] = beta
-        if k < cap:
+        if k < kdim:
             big_v[:, k] = v_new / beta
 
         if k >= r:

@@ -55,10 +55,11 @@ class NystromConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
-        for name in ("n", "m", "m_max"):
+        for name, low in (("n", 1), ("m", 1), ("m_max", 1), ("oversample", 0),
+                          ("power_iters", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 1.0 < self.m_growth <= 4.0:
             raise ConfigError(
                 f"m_growth must lie in (1, 4], got {self.m_growth}")
@@ -334,7 +335,8 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
                 return rep
             if oversample >= cap:
                 raise _unreachable(rep, epsilon)
-            oversample = min(int(np.ceil(oversample * cfg.m_growth)), cap)
+            # ceil(k * m_growth) > k for k >= 1; a start of 0 steps to 1
+            oversample = min(int(np.ceil(oversample * cfg.m_growth)) or 1, cap)
 
     # sampled solvers: grow m until the tolerance or the cap
     cap = min(big_n, big_m) if cfg.m_max is None else min(cfg.m_max, big_m)

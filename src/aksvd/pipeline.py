@@ -317,6 +317,18 @@ def _kernel_parts(cfg: RunConfig, a: np.ndarray):
     return spec, sources
 
 
+def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:
+    """The growth loop's config; rejects nystrom.n before any dense work."""
+    if cfg["nystrom.n"] is not None:
+        raise ConfigError(f"nystrom.n={cfg['nystrom.n']} is set, but the "
+                          "growth loop derives n from nystrom.m")
+    return NystromConfig(
+        r=cfg["rank"], m=cfg["nystrom.m"], seed=seed,
+        m_growth=cfg["nystrom.growth"], subproblem=cfg["nystrom.subproblem"],
+        oversample=cfg["solver.oversample"],
+        power_iters=cfg["solver.power_iters"])
+
+
 def run_bench(cfg: RunConfig) -> Path:
     """solve_to_tolerance for every requested solver and epsilon.
 
@@ -324,6 +336,7 @@ def run_bench(cfg: RunConfig) -> Path:
     the accuracy reference materialize it once; the sampled asymmetric
     solver only ever sees the lazy block source.
     """
+    ncfg = _growth_config(cfg, cfg.get("nystrom.seed", "seed"))
     a, _, _ = load_dataset(cfg)
     solvers = parse_names(cfg["bench.solvers"], "bench.solvers",
                           nystrom.SOLVERS)
@@ -331,12 +344,6 @@ def run_bench(cfg: RunConfig) -> Path:
     spec, sources = _kernel_parts(cfg, a)
     g = kernels.kernel_matrix(spec, sources)
     reference = _bench_reference(g, cfg["rank"])
-    ncfg = NystromConfig(
-        r=cfg["rank"], n=cfg["nystrom.n"], m=cfg["nystrom.m"],
-        seed=cfg.get("nystrom.seed", "seed"), m_growth=cfg["nystrom.growth"],
-        subproblem=cfg["nystrom.subproblem"],
-        oversample=cfg["solver.oversample"],
-        power_iters=cfg["solver.power_iters"])
     repeats = cfg["bench.repeats"]
 
     rows = []
@@ -376,6 +383,8 @@ def run_bench(cfg: RunConfig) -> Path:
 
 def run_sweep(cfg: RunConfig) -> Path:
     """Bandwidth sweep: sampled-solver budget and speedup per gamma value."""
+    ncfgs = [_growth_config(cfg, cfg["seed"] + i)
+             for i in range(cfg["sweep.seeds"])]
     a, _, _ = load_dataset(cfg)
     if cfg["sweep.gammas"] is not None:
         gammas = parse_floats(cfg["sweep.gammas"], "sweep.gammas")
@@ -384,7 +393,6 @@ def run_sweep(cfg: RunConfig) -> Path:
         scales = parse_floats(cfg["sweep.gamma_scales"], "sweep.gamma_scales")
         gammas = tuple(base * s for s in scales)
     epsilon = cfg["nystrom.epsilon"]
-    seeds = [cfg["seed"] + i for i in range(cfg["sweep.seeds"])]
 
     rows = []
     for gamma in sorted(gammas):
@@ -396,13 +404,7 @@ def run_sweep(cfg: RunConfig) -> Path:
         t0 = time.perf_counter()
         svd_truncated(g, cfg["rank"], tol=1e-10)
         t_dense = time.perf_counter() - t0
-        for seed in seeds:
-            ncfg = NystromConfig(
-                r=cfg["rank"], n=cfg["nystrom.n"], m=cfg["nystrom.m"],
-                seed=seed, m_growth=cfg["nystrom.growth"],
-                subproblem=cfg["nystrom.subproblem"],
-                oversample=cfg["solver.oversample"],
-                power_iters=cfg["solver.power_iters"])
+        for ncfg in ncfgs:
             source = LazyKernelSource(spec, sources)
             try:
                 rep = nystrom.solve_to_tolerance(source, "asym_nystrom",
@@ -412,7 +414,7 @@ def run_sweep(cfg: RunConfig) -> Path:
             speedup = t_dense / rep.wall_time if rep.wall_time > 0 else ""
             rows.append({
                 "gamma": f"{gamma:.17g}", "epsilon": f"{epsilon:.17g}",
-                "seed": seed, "m_used": rep.m_used,
+                "seed": ncfg.seed, "m_used": rep.m_used,
                 "eta": f"{rep.eta:.17g}",
                 "wall_time_s": f"{rep.wall_time:.6g}",
                 "speedup_vs_tsvd": f"{speedup:.6g}" if speedup else "",

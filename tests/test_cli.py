@@ -103,8 +103,11 @@ class TestExtract:
 
     @pytest.mark.parametrize("solver", ["exact", "truncated", "randomized",
                                         "nystrom"])
-    def test_every_solver_gets_only_the_options_it_reads(self, tmp_path,
+    def test_unread_config_keys_are_not_forwarded_to_fit(self, tmp_path,
                                                          solver):
+        # fit rejects solver_opts its solver does not read, so the pipeline
+        # passes only the chosen solver's keys; the others are dropped, not
+        # rejected (ROADMAP item 8), and rejecting them inverts this test
         out = tmp_path / "run"
         assert run("extract", "--format", "synth", "--rank", "2",
                    "--solver", solver, "--set", "dataset.synth_n=24",
@@ -177,12 +180,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["bench", "nystrom-sweep"])
     def test_row_sample_count_rejected(self, tmp_path, capsys, command):
         # every attempt of the growth loop derives n from m
+        out = tmp_path / "x"
         code = run(command, "--format", "synth", "--rank", "2",
                    "--set", "dataset.synth_n=24", "--set", "nystrom.n=12",
                    "--set", "bench.repeats=1", "--set", "sweep.seeds=1",
-                   "--out", str(tmp_path / "x"))
+                   "--out", str(out))
         assert code == 2
-        assert "n=12" in capsys.readouterr().err
+        assert "nystrom.n=12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

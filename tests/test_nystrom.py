@@ -69,6 +69,11 @@ class TestSubsample:
         with pytest.raises(ConfigError, match=name):
             nystrom.NystromConfig(r=2, **{name: value})
 
+    @pytest.mark.parametrize("name", ["oversample", "power_iters"])
+    def test_negative_subproblem_knobs_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            nystrom.NystromConfig(r=2, **{name: -1})
+
     def test_positive_budget_below_rank_is_too_small(self):
         # a budget of 1 or more is a valid setting that cannot hold rank 4
         cfg = exact_cfg(4, m=2)
@@ -287,6 +292,18 @@ class TestSolveToTolerance:
             self.g, "rsvd", 10.0, self.ref,
             nystrom.NystromConfig(r=3, seed=0, oversample=4))
         assert [a.m for a in rep.history] == [4]
+
+    @pytest.mark.parametrize("oversample", [0, 1])
+    def test_rsvd_small_oversampling_terminates(self, oversample):
+        # each step grows the oversampling by at least one, up to the cap
+        cfg = nystrom.NystromConfig(r=3, seed=0, oversample=oversample,
+                                    power_iters=0)
+        with pytest.raises(ToleranceUnreachableError) as exc:
+            nystrom.solve_to_tolerance(self.g, "rsvd", 1e-300, self.ref, cfg)
+        steps = [a.m for a in exc.value.report.history]
+        assert steps[0] == oversample
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+        assert steps[-1] == 32 - 3  # the cap, min(N, M) - r
 
     def test_sym_path(self):
         # needs a clear gap after the first two singular values: the one-shot
