@@ -25,7 +25,16 @@ chunk as the sample grows and never copied, reordered or normalized. The
 sorted order, the sne row normalizers and any double centering are applied
 to the thin factors that multiply a block and to the r-column products, as
 a gather, a diagonal and rank-one corrections; ``np.asarray`` of a block
-gives the dense block bit for bit.
+gives the dense block bit for bit. ``ChunkedBlock`` also serves the
+out-of-sample projection (``ksvd.transform_oos``): the raw kernel rows or
+columns of a chunk of new points form one block, centered with their own
+means, which the same thin product yields through one more column.
+
+An sne row whose normalizer underflows to zero reads uniformly 1/M. The
+public calls that can meet one (``fit``, ``transform_oos``,
+``solve_to_tolerance`` and the ``LazyKernelSource`` methods) give at most
+one ``EmptyDenominatorWarning`` a call (``warns_dead_rows``), naming the
+caller's line rather than a line of this package.
 
 Every side of the kernel data is stored once, in the narrowest float type
 that holds it exactly (``stored``): float32 when every entry is an integer
@@ -35,7 +44,10 @@ side's squared row norms and float32 scale (``_side_stats``) are computed
 in the same pass that stores it (``build_sources``, ``compat.apply_compat``,
 and so ``ksvd.load_model``), travel with it in ``DataSources``, and are
 reused by every ``LazyKernelSource`` over those sources and every
-out-of-sample projection of a model.
+out-of-sample projection of a model. Integer or boolean data, as a saved
+model's uint8 graph, go from their own type to float32 in one pass over
+panels of rows, with exact integer norms and no float64 copy
+(``_integer_sources``); the result is the same, bit for bit.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -48,6 +60,10 @@ in float64.
 from __future__ import annotations
 
 import copy
+import functools
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -64,12 +80,17 @@ from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
-# row-block size for streaming assembly, for the passes over stored data and
-# for the rows of a float32 Gram product; results do not depend on it
+# row-block size for streaming assembly and for the rows of a float32 Gram
+# product; results do not depend on it
 _BLOCK = 512
+# entries in a panel of rows for the pass that measures data (``_side_stats``),
+# so that a float64 panel and its temporaries stay in a core's cache
+_PANEL = 2 ** 16
 
-# float32 holds every integer of magnitude up to 2^24 exactly
+# float32 holds every integer of magnitude up to 2^24 exactly, float64 every
+# integer up to 2^53
 _F32_EXACT = 2 ** 24
+_F64_EXACT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -114,8 +135,14 @@ class CenteringStats:
 
 def build_sources(a) -> DataSources:
     """Rows and columns of A, both in stored form (see ``stored``), with
-    their statistics."""
-    a = as_matrix(a, "A")
+    their statistics. Integer or boolean A goes straight to float32 when
+    it can (``_integer_sources``), with the same result."""
+    arr = np.asarray(a)
+    if arr.dtype.kind in "biu":
+        sources = _integer_sources(arr)
+        if sources is not None:
+            return sources
+    a = as_matrix(arr, "A")
     x_stats = _side_stats(a)
     x = stored(a, x_stats[1])
     # x and z hold the same entries, so z takes x's type; copied a panel of
@@ -126,6 +153,37 @@ def build_sources(a) -> DataSources:
     # a float64 A comes back as itself; the sources must not alias it
     return DataSources(x=x.copy() if x is a else x, z=z, x_stats=x_stats,
                        z_stats=_side_stats(z, x_stats[1]))
+
+
+def _integer_sources(a: np.ndarray) -> DataSources | None:
+    """``build_sources`` of an integer or boolean matrix, bit for bit, in
+    one pass over panels of A's rows with no float64 copy of A: each panel
+    is copied into x and, transposed, into z, and its squares give x's row
+    norms and add to z's. Integers need no ``rint`` check; their scale is
+    max(1, max|A|). None, for the general path, when A is not 2-D and
+    non-empty, when float32 cannot hold every entry, or when a squared norm
+    could leave the integers that float64 holds exactly."""
+    if a.ndim != 2 or a.size == 0:
+        return None
+    scale = max(1, int(a.max()), -int(a.min()))
+    if scale > _F32_EXACT or max(a.shape) * scale * scale > _F64_EXACT:
+        return None
+    n, m = a.shape
+    x = np.empty((n, m), dtype=np.float32)
+    z = np.empty((m, n), dtype=np.float32)
+    x_sq, z_sq = np.empty(n), np.zeros(m)
+    # every square is an integer that this type holds, and every partial
+    # sum one below 2^53: the norms are exact in any summation order
+    square = np.float32 if scale * scale <= _F32_EXACT else np.float64
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        x[rows] = a[rows]
+        z[:, rows] = a[rows].T
+        squares = np.square(x[rows], dtype=square)
+        x_sq[rows] = squares.sum(1, dtype=np.float64)
+        z_sq += squares.sum(0, dtype=np.float64)
+    return DataSources(x=x, z=z, x_stats=(x_sq, float(scale)),
+                       z_stats=(z_sq, float(scale)))
 
 
 def default_gamma(data, k: float = 1.0) -> float:
@@ -140,9 +198,11 @@ def default_gamma(data, k: float = 1.0) -> float:
 
 
 def _row_blocks(a):
-    """``a`` a block of rows at a time, read as float64."""
-    for start in range(0, a.shape[0], _BLOCK):
-        yield np.asarray(a[start:start + _BLOCK], dtype=np.float64)
+    """``a`` a panel of about ``_PANEL`` entries at a time, read as
+    float64."""
+    step = max(1, _PANEL // max(1, a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        yield np.asarray(a[start:start + step], dtype=np.float64)
 
 
 def _fold_scale(scale: float, b: np.ndarray) -> float:
@@ -169,7 +229,7 @@ def stored(a, scale: float | None = None) -> np.ndarray:
 def _side_stats(a, scale: float | None = None) -> tuple[np.ndarray, float]:
     """Squared Euclidean norm of every row, (a * a).sum(1), and the float32
     scale of ``a`` (taken as given when the caller knows it). One pass, a
-    block of rows at a time read as float64, so the norms of a float32 side
+    panel of rows at a time read as float64, so the norms of a float32 side
     keep their bits and no temporary as large as ``a`` is made."""
     norms = []
     known = scale is not None
@@ -229,12 +289,60 @@ def _raw_block(spec: KernelSpec, x, z, sides) -> np.ndarray:
     return d
 
 
-def _warn_dead(denom: np.ndarray) -> None:
-    dead = int((denom == 0.0).sum())
-    if dead:
-        warnings.warn(
-            f"{dead} sne row(s) underflowed to zero; substituting uniform "
-            "rows", EmptyDenominatorWarning, stacklevel=4)
+# a warning names the first frame outside the package's own files
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+class _DeadRows(threading.local):
+    """While a public call runs in this thread (``warns_dead_rows``), the
+    most underflowed sne rows one of its steps reported; None otherwise."""
+
+    most: int | None = None
+
+
+_dead_rows = _DeadRows()
+
+
+def _warn_dead(dead: int) -> None:
+    """EmptyDenominatorWarning for ``dead`` rows, at the first frame outside
+    the package: the caller's line that reached the underflow."""
+    if not dead:
+        return
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"{dead} sne row(s) underflowed to zero; substituting uniform rows",
+        EmptyDenominatorWarning, stacklevel=level)
+
+
+def note_dead(dead: int) -> None:
+    """Report ``dead`` underflowed sne rows: kept for the running public
+    call's one warning, or warned about at once outside any."""
+    if _dead_rows.most is None:
+        _warn_dead(dead)
+    else:
+        _dead_rows.most = max(_dead_rows.most, dead)
+
+
+def warns_dead_rows(func):
+    """Decorate a public entry point so that it gives at most one
+    EmptyDenominatorWarning a call, however many blocks, chunks or attempts
+    met underflowed sne rows, naming the most that one of them reported;
+    it fires when the call returns or raises. Calls nested inside it report
+    to it; the state is per thread and cleared when the outermost call
+    ends."""
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        if _dead_rows.most is not None:
+            return func(*args, **kwargs)
+        _dead_rows.most = 0
+        try:
+            return func(*args, **kwargs)
+        finally:
+            dead, _dead_rows.most = _dead_rows.most, None
+            _warn_dead(dead)
+    return wrapper
 
 
 def _divide_rows(block: np.ndarray, denom: np.ndarray, width: int) -> None:
@@ -247,8 +355,8 @@ def _divide_rows(block: np.ndarray, denom: np.ndarray, width: int) -> None:
 
 
 def _sne_normalize(block: np.ndarray, denom: np.ndarray, width: int) -> None:
-    """``_divide_rows``, with a warning when a normalizer is zero."""
-    _warn_dead(denom)
+    """``_divide_rows``, reporting normalizers that are zero."""
+    note_dead(int((denom == 0.0).sum()))
     _divide_rows(block, denom, width)
 
 
@@ -300,20 +408,25 @@ def center_oos(values, stats: CenteringStats, side: str) -> np.ndarray:
 # --- block sources for subsampled evaluation ---------------------------------
 
 class ChunkedBlock:
-    """A sampled kernel block kept as the raw chunks it was evaluated in.
+    """A kernel block kept as the raw chunks it was evaluated in.
 
     ``chunks`` are joined along ``axis``: column chunks (axis 1) for G_Nm,
     row chunks (axis 0) for G_nM, in evaluation order. Position j of the
-    block along that axis is position ``order[j]`` of the join. Rows are
-    divided by ``denom`` when given (sne; a row whose normalizer is zero
-    reads 1/``width`` throughout), and ``centered`` subtracts row and column
-    means and adds back the grand mean. The chunks themselves are never
-    copied, reordered or normalized: a product with a thin matrix applies
-    the order to the thin side, the normalizers as a diagonal scaling and
-    the centering as rank-one corrections, so its cost is that of the thin
-    products with the chunks. ``np.asarray(block)`` gives the dense block,
-    bit for bit the array that the gather, division and centering make of
-    the joined chunks.
+    block along that axis is position ``order[j]`` of the join, or position
+    j itself when ``order`` is None. Rows are divided by ``denom`` when
+    given (sne; a row whose normalizer is zero reads 1/``width``
+    throughout), and ``centered`` subtracts row and column means and adds
+    back the grand mean. The chunks themselves are never copied, reordered
+    or normalized: a product with a thin matrix applies the order to the
+    thin side, the normalizers as a diagonal scaling and the centering as
+    rank-one corrections, so its cost is that of the thin products with the
+    chunks. ``np.asarray(block)`` gives the dense block, bit for bit the
+    array that the gather, division and centering make of the joined chunks.
+
+    The Nystrom lift multiplies sampled blocks of G this way; an
+    out-of-sample projection multiplies the kernel rows or columns of a
+    chunk of new points, centered with their own means (``centered`` with
+    None).
 
     A block reports ``shape`` and ``size`` and supports ``block @ w`` and
     ``block.T @ w`` for a 2-D ``w``; it takes no part in other numpy
@@ -322,10 +435,10 @@ class ChunkedBlock:
 
     __array_ufunc__ = None
 
-    def __init__(self, chunks, axis: int, order, denom=None, width=None):
+    def __init__(self, chunks, axis: int, order=None, denom=None, width=None):
         self._chunks = tuple(chunks)
         self._axis = axis
-        self._order = np.asarray(order, dtype=int)
+        self._order = None if order is None else np.asarray(order, dtype=int)
         self._denom = denom
         self._width = width
         self._shift = None  # (row means, column means, grand mean)
@@ -335,13 +448,13 @@ class ChunkedBlock:
     @classmethod
     def dense(cls, a) -> ChunkedBlock:
         """A plain matrix as a block of one column chunk."""
-        return cls((a,), 1, np.arange(a.shape[1]))
+        return cls((a,), 1)
 
     @property
     def shape(self) -> tuple[int, int]:
         lines = self._chunks[0].shape[1 - self._axis]
-        shape = ((lines, self._order.size) if self._axis == 1
-                 else (self._order.size, lines))
+        joined = self._join if self._order is None else self._order.size
+        shape = (lines, joined) if self._axis == 1 else (joined, lines)
         return shape[::-1] if self._t else shape
 
     @property
@@ -356,7 +469,14 @@ class ChunkedBlock:
 
     def centered(self, row_means, col_means, grand_mean: float) -> ChunkedBlock:
         """The block minus its row and column means plus the grand mean,
-        the double centering of a kernel block with training statistics."""
+        the double centering of a kernel block with training statistics.
+
+        ``row_means`` None stands for the block's own row means, which
+        ``block @ w`` takes from the same thin product through one more
+        column of ``w``; ``col_means`` None likewise for its own column
+        means in ``block.T @ w``. These are the means of a new point's
+        kernel row or column, over every training point.
+        """
         out = copy.copy(self)
         out._shift = (row_means, col_means, grand_mean)
         return out
@@ -366,18 +486,23 @@ class ChunkedBlock:
         lines across the join, selected before anything is copied."""
         if self._axis == 1:
             rows, cols = part, slice(None)
-            out = np.take(np.concatenate([c[part] for c in self._chunks], 1),
-                          self._order, 1)
+            out = np.concatenate([c[part] for c in self._chunks], 1)
         else:
             rows, cols = slice(None), part
-            out = np.take(np.concatenate([c[:, part] for c in self._chunks]),
-                          self._order, 0)
+            out = np.concatenate([c[:, part] for c in self._chunks])
+        if self._order is not None:
+            out = np.take(out, self._order, self._axis)
         if self._denom is not None:
             _divide_rows(out, self._denom[rows], self._width)
         if self._shift is not None:
+            if part != slice(None) and any(m is None
+                                           for m in self._shift[:2]):
+                raise ValueError("own means are those of the whole block")
             row_means, col_means, grand = self._shift
-            out -= row_means[rows, None]
-            out -= col_means[None, cols]
+            row_means = out.mean(1) if row_means is None else row_means[rows]
+            col_means = out.mean(0) if col_means is None else col_means[cols]
+            out -= row_means[:, None]
+            out -= col_means[None, :]
             out += grand
         return out
 
@@ -400,8 +525,10 @@ class ChunkedBlock:
     def _across(self, w: np.ndarray) -> np.ndarray:
         """Raw product contracting the join axis: the chunks' thin products
         with ``w`` scattered to evaluation order, summed."""
-        spread = np.zeros((self._join, w.shape[1]))
-        np.add.at(spread, self._order, w)
+        spread = w
+        if self._order is not None:
+            spread = np.zeros((self._join, w.shape[1]))
+            np.add.at(spread, self._order, w)
         out = np.zeros((self._chunks[0].shape[1 - self._axis], w.shape[1]))
         start = 0
         for c in self._chunks:
@@ -413,47 +540,58 @@ class ChunkedBlock:
     def _along(self, w: np.ndarray) -> np.ndarray:
         """Raw product contracting the other axis: the chunks' thin products
         with ``w`` joined, then gathered into block order."""
-        return np.concatenate([(c.T if self._axis == 1 else c) @ w
-                               for c in self._chunks])[self._order]
+        out = np.concatenate([(c.T if self._axis == 1 else c) @ w
+                              for c in self._chunks])
+        return out if self._order is None else out[self._order]
 
     def __matmul__(self, w):
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} block by an "
                              f"array of shape {w.shape}")
-        return self._transposed_times(w) if self._t else self._times(w)
+        own = self._shift is not None and self._shift[1 if self._t else 0] \
+            is None
+        if own:  # the mean of every contracted line, as one more column
+            w = np.hstack([w, np.full((w.shape[0], 1), 1.0 / w.shape[0])])
+        out = self._transposed_times(w) if self._t else self._times(w)
+        if self._shift is None:
+            return out
+        row_means, col_means, grand = self._shift
+        if own:
+            w, out, means = w[:, :-1], out[:, :-1], out[:, -1]
+            row_means, col_means = ((row_means, means) if self._t
+                                    else (means, col_means))
+        # B_c = B - r 1^T - 1 c^T + g 1 1^T, r and c the row and column means
+        total = w.sum(0)
+        if self._t:
+            out -= row_means @ w
+            out -= col_means[:, None] * total
+        else:
+            out -= row_means[:, None] * total
+            out -= col_means @ w
+        out += grand * total
+        return out
 
     def _times(self, w: np.ndarray) -> np.ndarray:
-        """B @ w: rows are divided after the product."""
+        """B @ w before centering: rows are divided after the product."""
         out = self._across(w) if self._axis == 1 else self._along(w)
-        total = w.sum(0)
         if self._denom is not None:
             dead = self._denom == 0.0
             out /= np.where(dead, 1.0, self._denom)[:, None]
-            out[dead] = total / self._width
-        if self._shift is not None:
-            row_means, col_means, grand = self._shift
-            out -= row_means[:, None] * total
-            out -= col_means @ w
-            out += grand * total
+            out[dead] = w.sum(0) / self._width
         return out
 
     def _transposed_times(self, w: np.ndarray) -> np.ndarray:
-        """B.T @ w: rows are divided before the product, as rows of w."""
+        """B.T @ w before centering: rows are divided before the product,
+        as rows of w."""
         scaled = w
         if self._denom is not None:
             dead = self._denom == 0.0
             scaled = w / np.where(dead, 1.0, self._denom)[:, None]
             scaled[dead] = 0.0
         out = self._along(scaled) if self._axis == 1 else self._across(scaled)
-        total = w.sum(0)
         if self._denom is not None and dead.any():
             out += w[dead].sum(0) / self._width
-        if self._shift is not None:
-            row_means, col_means, grand = self._shift
-            out -= row_means @ w
-            out -= col_means[:, None] * total
-            out += grand * total
         return out
 
 
@@ -558,6 +696,7 @@ class LazyKernelSource:
         self.entries_evaluated += block.size
         return block
 
+    @warns_dead_rows
     def sample_blocks(self, row_idx, col_idx):
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
 
@@ -602,7 +741,7 @@ class LazyKernelSource:
         if sne:
             denom = sums * (big_m / col_idx.size)
             self.row_denoms = denom
-            _warn_dead(denom)
+            note_dead(int((denom == 0.0).sum()))
         g_big_m = ChunkedBlock(col_chunks, 1, _positions(sample.cols, col_idx),
                                denom, big_m)
         g_n_big = ChunkedBlock(row_chunks, 0, _positions(sample.rows, row_idx),
@@ -610,6 +749,7 @@ class LazyKernelSource:
                                big_m)
         return g_big_m._dense(row_idx), g_big_m, g_n_big
 
+    @warns_dead_rows
     def full(self) -> np.ndarray:
         """Materialize the exact kernel matrix (full sne normalization)."""
         g = self._block()
@@ -618,6 +758,7 @@ class LazyKernelSource:
             _sne_normalize(g, self.row_denoms, self._z.shape[0])
         return g
 
+    @warns_dead_rows
     def streaming_stats(self) -> CenteringStats:
         """Exact centering stats of the full matrix in O(N + M) memory.
 
@@ -632,12 +773,13 @@ class LazyKernelSource:
             denom = np.zeros(n_rows)
             for cols in blocks:
                 denom += self._block(z_rows=cols).sum(1)
+            note_dead(int((denom == 0.0).sum()))
         row_sums = np.zeros(n_rows)
         col_sums = np.zeros(n_cols)
         for cols in blocks:
             block = self._block(z_rows=cols)
             if denom is not None:
-                _sne_normalize(block, denom, n_cols)
+                _divide_rows(block, denom, n_cols)
             row_sums += block.sum(1)
             col_sums[cols] = block.sum(0)
         grand = float(row_sums.sum() / (n_rows * n_cols))

@@ -12,9 +12,14 @@ which satisfy B_phi^T G_c B_psi = I and the coupled stationarity system
     G_c^T G_c B_psi = G_c^T B_phi Lambda,
     G_c G_c^T B_phi = G_c B_psi Lambda.
 
-Training embeddings are the (unit-column) singular vectors themselves;
-out-of-sample points are projected through their centered kernel rows or
-columns.
+Training embeddings are the (unit-column) singular vectors themselves.
+Out-of-sample points are projected through the adjoint eigenfunctions: a
+new x point's kernel values against the training z, normalized and
+centered as in training, times B_psi Lambda^{-1/2}, and a new z point's
+against the training x times B_phi Lambda^{-1/2}. ``transform_oos`` takes
+that product a chunk of new points at a time from the raw kernel values,
+with the normalization and centering folded into it, so no batch-sized
+kernel block is built.
 """
 from __future__ import annotations
 
@@ -113,6 +118,7 @@ def _resolve_compat(a, compat, compat_seed, compat_target_dim):
                        target_dim=compat_target_dim)
 
 
+@kernels.warns_dead_rows
 def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         center: bool = True, compat_seed: int | None = None,
         compat_target_dim: int | None = None,
@@ -255,45 +261,71 @@ def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
     return Embedding(side=side, features=feats)
 
 
-def _oos_rows(model: KsvdModel, side: str, pts: np.ndarray) -> np.ndarray:
-    """Kernel rows of new x points or kernel columns of new z points, centered
-    with the training statistics and laid out one row per new point.
+# new points are projected this many at a time: a chunk's kernel block,
+# chunk x training points in float64, is the largest array a projection
+# holds; each chunk takes its own Gram product, so much smaller chunks
+# spend more time repacking the training side for it
+OOS_CHUNK = 512
 
-    sne columns are divided by the training rows' stored normalizers, so a
-    replayed training column gives back the model's own kernel column. The
-    training side's norms and scale come with the model; only the new
-    points are measured.
+
+def _oos_scores(model: KsvdModel, side: str, count: int,
+                numerators) -> np.ndarray:
+    """Scores of ``count`` new points from their raw kernel values.
+
+    ``numerators(rows)`` evaluates new points ``rows`` (a slice): linear
+    products or rbf numerators of the new x points against the training z
+    (rows x M) on the x side, of the training x against the new z points
+    (N x rows) on the z side. Each chunk of ``OOS_CHUNK`` points is one
+    ``ChunkedBlock``, multiplied once by W = B / sqrt(lambda), the opposite
+    coefficients: sne rows are divided by the new row's own sum (x side) or
+    the training rows' stored normalizers (z side), dead rows read 1/M, and
+    a centered model subtracts the point's own mean, the training means and
+    adds the grand mean, all applied to that one thin product.
     """
-    stats = model.centering if model.centered else None
-    train = model.train
-    if side == "x":
-        g = kernels.kernel_matrix(model.kernel, DataSources(
-            x=pts, z=train.z, z_stats=train.z_stats))
-        return g if stats is None else kernels.center_oos(g, stats, "row")
-    g = LazyKernelSource(model.kernel, DataSources(
-        x=train.x, z=pts, x_stats=train.x_stats))._block()
-    if model.kernel.family == "sne":
-        kernels._sne_normalize(g, model.sne_row_denoms,
-                               model.train_z.shape[0])
-    return (g if stats is None else kernels.center_oos(g, stats, "column")).T
+    stats, sne = model.centering, model.kernel.family == "sne"
+    w = (model.b_psi if side == "x" else model.b_phi) / np.sqrt(model.lam)
+    width = model.train_z.shape[0]
+    dead = 0
+    if side == "z" and sne:
+        dead = int((model.sne_row_denoms == 0.0).sum())
+    out = np.empty((count, model.rank))
+    for start in range(0, count, OOS_CHUNK):
+        rows = slice(start, start + OOS_CHUNK)
+        values = numerators(rows)
+        if side == "x":
+            denom, means = None, (None, stats.col_means)
+            if sne:
+                denom = values.sum(1)
+                dead += int((denom == 0.0).sum())
+        else:
+            denom, means = model.sne_row_denoms, (stats.row_means, None)
+        block = kernels.ChunkedBlock((values,), 1, denom=denom, width=width)
+        if model.centered:
+            block = block.centered(*means, stats.grand_mean)
+        out[rows] = (block if side == "x" else block.T) @ w
+    kernels.note_dead(dead)
+    return out
 
 
+@kernels.warns_dead_rows
 def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     """Project out-of-sample points into the learned feature space.
 
     Exactly one of ``new_x`` (a raw row-side point, or a batch of them) and
     ``new_z`` (column-side) must be given. The point is passed through the
     model's compatibility transform when its side was projected during
-    training, its kernel row or column against the training samples is
-    computed and centered with the stored statistics, and the result is
-    projected on the opposite singular vectors with 1/lambda weights, which
-    reproduces training embeddings when training points are replayed.
+    training. Its kernel values against the training samples of the other
+    side, normalized and centered with the stored statistics, are projected
+    on the opposite singular vectors with 1/lambda weights (the adjoint
+    eigenfunctions), which reproduces training embeddings when training
+    points are replayed. New points go ``OOS_CHUNK`` at a time, and each
+    chunk's raw kernel block meets the weights in one thin product
+    (``_oos_scores``): no kernel row of the whole batch is ever built.
     """
     if (new_x is None) == (new_z is None):
         raise ConfigError("provide exactly one of new_x and new_z")
-    side, raw, train, coeff = (
-        ("x", new_x, model.train_x, model.b_psi) if new_z is None
-        else ("z", new_z, model.train_z, model.b_phi))
+    side, raw, train = (("x", new_x, model.train_x) if new_z is None
+                        else ("z", new_z, model.train_z))
     raw = np.asarray(raw, dtype=float)
     pts = as_matrix(raw, "points")
     c = model.compat.c if model.compat_side == side else None
@@ -301,8 +333,20 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     if pts.shape[1] != expect:
         raise DimensionMismatchError(
             f"new_{side} has length {pts.shape[1]}, expected {expect}")
-    rows = _oos_rows(model, side, pts if c is None else pts @ c)
-    scores = rows @ coeff / np.sqrt(model.lam)[None, :]
+    pts = pts if c is None else pts @ c
+    # the training side's norms and scale come with the model; only the
+    # new points are measured
+    train = model.train
+    if side == "x":
+        source = LazyKernelSource(model.kernel, DataSources(
+            x=pts, z=train.z, z_stats=train.z_stats))
+        scores = _oos_scores(model, side, len(pts),
+                             lambda rows: source._block(x_rows=rows))
+    else:
+        source = LazyKernelSource(model.kernel, DataSources(
+            x=train.x, z=pts, x_stats=train.x_stats))
+        scores = _oos_scores(model, side, len(pts),
+                             lambda rows: source._block(z_rows=rows))
     return scores[0] if raw.ndim == 1 else scores
 
 

@@ -27,7 +27,7 @@ from .errors import (
     ToleranceUnreachableError,
     ZeroColumnError,
 )
-from .kernels import as_block, as_kernel_source
+from .kernels import as_block, as_kernel_source, warns_dead_rows
 from .linalg import (
     SvdResult,
     as_matrix,
@@ -272,6 +272,7 @@ class SolveReport:
 SOLVERS = ("tsvd", "rsvd", "sym_nystrom", "asym_nystrom")
 
 
+@warns_dead_rows
 def solve_to_tolerance(g_source, solver: str, epsilon: float,
                        reference: SvdResult, cfg: NystromConfig) -> SolveReport:
     """Run one solver until its eta against the reference drops below epsilon.

@@ -306,15 +306,13 @@ def _timed_solve(make_source, solver: str, epsilon: float, reference,
     return rep, float(np.median(times[1:]))
 
 
-def _kernel_parts(cfg: RunConfig, a: np.ndarray):
-    """(spec, sources) for lazy kernel evaluation; compat already applied."""
-    spec = make_kernel_spec(cfg, a)
+def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
+    """The data sides for lazy kernel evaluation, compat already applied."""
     mode = cfg["compat.mode"]
     compat = ksvd._resolve_compat(a, None if mode == "auto" else mode,
                                   cfg.get("compat.seed", "seed"),
                                   cfg["compat.target_dim"])
-    sources, _ = ksvd._transformed_sources(a, compat)
-    return spec, sources
+    return ksvd._transformed_sources(a, compat)[0]
 
 
 def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:
@@ -341,7 +339,7 @@ def run_bench(cfg: RunConfig) -> Path:
     solvers = parse_names(cfg["bench.solvers"], "bench.solvers",
                           nystrom.SOLVERS)
     epsilons = parse_floats(cfg["bench.epsilons"], "bench.epsilons")
-    spec, sources = _kernel_parts(cfg, a)
+    spec, sources = make_kernel_spec(cfg, a), _kernel_sources(cfg, a)
     g = kernels.kernel_matrix(spec, sources)
     reference = _bench_reference(g, cfg["rank"])
     repeats = cfg["bench.repeats"]
@@ -393,12 +391,12 @@ def run_sweep(cfg: RunConfig) -> Path:
         scales = parse_floats(cfg["sweep.gamma_scales"], "sweep.gamma_scales")
         gammas = tuple(base * s for s in scales)
     epsilon = cfg["nystrom.epsilon"]
+    # only the bandwidth changes from one gamma to the next
+    sources = _kernel_sources(cfg, a)
 
     rows = []
     for gamma in sorted(gammas):
-        sweep_cfg = RunConfig(values=dict(cfg.values))
-        sweep_cfg.values["kernel.gamma"] = float(gamma)
-        spec, sources = _kernel_parts(sweep_cfg, a)
+        spec = KernelSpec(family=cfg["kernel.family"], gamma=float(gamma))
         g = kernels.kernel_matrix(spec, sources)
         reference = _bench_reference(g, cfg["rank"])
         t0 = time.perf_counter()

@@ -26,6 +26,12 @@ def eta_oracle(u_ref, s_ref, v_ref, u_apx, v_apx, r):
     return total / r
 
 
+def assert_close_to_largest(got, want, rel):
+    """Every entry within ``rel`` times the largest magnitude in ``want``."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=rel * np.abs(want).max())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

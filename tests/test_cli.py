@@ -378,6 +378,40 @@ class TestSweep:
         assert [row["m_used"] for row in rows] == ["8", "8"]
         assert {row["status"] for row in rows} == {"ok"}
 
+    def test_sources_are_built_once_per_sweep(self, tmp_path, monkeypatch):
+        # a rectangular csv, so the sources include a compat transform;
+        # every column but the timings equals that of one-gamma sweeps
+        from aksvd import ksvd
+        a = np.random.default_rng(9).standard_normal((30, 22))
+        write_square_csv(tmp_path / "data.csv", a)
+        calls = []
+        transformed = ksvd._transformed_sources
+
+        def counted(*args):
+            calls.append(args)
+            return transformed(*args)
+
+        monkeypatch.setattr(ksvd, "_transformed_sources", counted)
+
+        def sweep(gammas, name):
+            out = tmp_path / name
+            assert run("nystrom-sweep", "--format", "csv", "--dataset",
+                       str(tmp_path / "data.csv"), "--set", "dataset.target=t",
+                       "--rank", "2", "--set", f"sweep.gammas={gammas}",
+                       "--set", "sweep.seeds=2", "--set", "nystrom.m=6",
+                       "--out", str(out)) == 0
+            with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+                return [{k: v for k, v in row.items()
+                         if k not in ("wall_time_s", "speedup_vs_tsvd")}
+                        for row in csv.DictReader(fh)]
+
+        together = sweep("4.0,1.0,2.5", "all")
+        assert len(calls) == 1
+        apart = [row for gamma in ("1.0", "2.5", "4.0")
+                 for row in sweep(gamma, gamma)]
+        assert len(calls) == 4
+        assert together == apart
+
     def test_explicit_gamma_grid(self, tmp_path):
         out = tmp_path / "run"
         code = run("nystrom-sweep", "--format", "synth", "--rank", "2",

@@ -10,7 +10,7 @@ from aksvd.errors import (
     EmptyDenominatorWarning,
     LengthMismatchError,
 )
-from conftest import make_matrix
+from conftest import assert_close_to_largest, make_matrix
 
 
 def rbf_spec(gamma=1.0):
@@ -57,6 +57,57 @@ class TestSources:
         np.testing.assert_array_equal(s.z, a.T)
         np.testing.assert_array_equal(np.signbit(s.x), np.signbit(a))
         assert kernels.stored(a).dtype == dtype
+
+    @staticmethod
+    def typed_inputs():
+        rng = np.random.default_rng(7)
+        ints = rng.integers(-2 ** 25, 2 ** 25, (40, 30))
+        wide = rng.integers(-2 ** 24, 2 ** 24 + 1, (3, 40))
+        wide[0, 0] = 2 ** 24  # 40 * 2^48 > 2^53: the norms may round
+        return {
+            # 700 rows: two panels of A's rows
+            "uint8": (rng.integers(0, 256, (700, 300)).astype(np.uint8),
+                      np.float32),
+            "bool": (rng.random((90, 60)) < 0.3, np.float32),
+            "int16": (rng.integers(-2 ** 15, 2 ** 15, (50, 70))
+                      .astype(np.int16), np.float32),
+            "int64-past-2^24": (ints, np.float64),
+            "int64-wide-norms": (wide, np.float32),
+            "float32": (rng.integers(-9, 9, (40, 30)).astype(np.float32),
+                        np.float32),
+            "float64": (rng.standard_normal((40, 30)), np.float64),
+        }
+
+    @pytest.mark.parametrize("case", ["uint8", "bool", "int16",
+                                      "int64-past-2^24", "int64-wide-norms",
+                                      "float32", "float64"])
+    def test_typed_input_gives_the_float64_sources(self, case):
+        # every input type gives, bit for bit, the sources of the same
+        # values in float64: data, dtypes, squared norms and scales
+        a, dtype = self.typed_inputs()[case]
+        got = kernels.build_sources(a)
+        want = kernels.build_sources(a.astype(np.float64))
+        for side in ("x", "z"):
+            g, w = getattr(got, side), getattr(want, side)
+            assert g.dtype == w.dtype == dtype
+            np.testing.assert_array_equal(g, w)
+            (g_sq, g_scale), (w_sq, w_scale) = (getattr(got, side + "_stats"),
+                                                getattr(want, side + "_stats"))
+            assert g_sq.dtype == w_sq.dtype == np.float64
+            np.testing.assert_array_equal(g_sq, w_sq)
+            assert g_scale == w_scale and type(g_scale) is type(w_scale)
+        np.testing.assert_array_equal(got.x, a)
+        np.testing.assert_array_equal(got.z, a.T)
+
+    @pytest.mark.parametrize("case", ["uint8", "bool", "int16"])
+    def test_small_integers_skip_the_float64_copy(self, case, monkeypatch):
+        a, _ = self.typed_inputs()[case]
+
+        def refused(*args):
+            raise AssertionError("integer data read through as_matrix")
+
+        monkeypatch.setattr(kernels, "as_matrix", refused)
+        assert kernels.build_sources(a).x.dtype == np.float32
 
     def test_build_copies_float64_input(self):
         a = np.array([[0.5, 1.0], [2.0, 3.0]])
@@ -470,6 +521,32 @@ class TestChunkedBlock:
         np.testing.assert_array_equal(
             centered, dense - row_means[:, None] - col_means[None, :90] + 0.3)
 
+    def test_own_means_in_the_thin_product(self):
+        # None stands for the block's own row means in block @ w and its
+        # own column means in block.T @ w; row 3 is a dead sne row
+        _, g_big_m, g_n_big = self.blocks()
+        rng = np.random.default_rng(53)
+        col_means = rng.standard_normal(90)
+        row_means = rng.standard_normal(60)
+        plain = np.asarray(g_big_m)
+        rows_own = g_big_m.centered(None, col_means, 0.3)
+        want = (plain - plain.mean(1)[:, None] - col_means[None, :] + 0.3)
+        np.testing.assert_allclose(np.asarray(rows_own), want, rtol=0,
+                                   atol=1e-15)
+        w = rng.standard_normal((90, 4))
+        np.testing.assert_allclose(rows_own @ w, want @ w, rtol=0, atol=1e-12)
+
+        plain = np.asarray(g_n_big)
+        cols_own = g_n_big.centered(row_means, None, -0.2)
+        want = (plain - row_means[:, None] - plain.mean(0)[None, :] - 0.2)
+        np.testing.assert_allclose(np.asarray(cols_own), want, rtol=0,
+                                   atol=1e-15)
+        w = rng.standard_normal((60, 4))
+        np.testing.assert_allclose(cols_own.T @ w, want.T @ w, rtol=0,
+                                   atol=1e-12)
+        with pytest.raises(ValueError, match="whole block"):
+            rows_own.mean(axis=1)
+
     def test_means_are_those_of_the_dense_block(self):
         _, g_big_m, g_n_big = self.blocks()
         np.testing.assert_array_equal(g_big_m.mean(axis=1),
@@ -671,18 +748,27 @@ class TestExactGram:
                             for _ in range(2))
         spec = kernels.KernelSpec(family, _wide_gamma(a, a))
         model = ksvd.fit(a, spec, r=3)
-        scale = np.sqrt(model.lam)[None, :]
-
-        rows = _reference_matrix(spec, new_x, model.train_z)
-        rows = kernels.center_oos(rows, model.centering, "row")
-        np.testing.assert_array_equal(ksvd.transform_oos(model, new_x=new_x),
-                                      rows @ model.b_psi / scale)
+        count = len(new_x)
+        # the projection of the plain float64 numerators, chunk by chunk
+        rows = _reference_numerators(spec, new_x, model.train_z)
+        got_x = ksvd.transform_oos(model, new_x=new_x)
+        np.testing.assert_array_equal(
+            got_x, ksvd._oos_scores(model, "x", count, lambda k: rows[k]))
         cols = _reference_numerators(spec, model.train_x, new_z)
+        got_z = ksvd.transform_oos(model, new_z=new_z)
+        np.testing.assert_array_equal(got_z, ksvd._oos_scores(
+            model, "z", count, lambda k: np.ascontiguousarray(cols[:, k])))
+
+        # the dense formula: normalized kernel rows and columns, centered
+        # with center_oos, times B / sqrt(lambda)
+        scale = np.sqrt(model.lam)[None, :]
         if family == "sne":
+            rows = rows / rows.sum(1, keepdims=True)
             cols = cols / model.sne_row_denoms[:, None]
+        rows = kernels.center_oos(rows, model.centering, "row")
         cols = kernels.center_oos(cols, model.centering, "column").T
-        np.testing.assert_array_equal(ksvd.transform_oos(model, new_z=new_z),
-                                      cols @ model.b_phi / scale)
+        assert_close_to_largest(got_x, rows @ model.b_psi / scale, 1e-12)
+        assert_close_to_largest(got_z, cols @ model.b_phi / scale, 1e-12)
 
     def test_float32_non_integral_sources_give_float64_kernel(self):
         # hand-built float32 data that float32 cannot multiply exactly are

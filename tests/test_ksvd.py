@@ -9,19 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from aksvd import datasets, kernels, ksvd
+from aksvd import datasets, kernels, ksvd, linalg, nystrom
 from aksvd.errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
+    EmptyDenominatorWarning,
     ParseError,
     RankTooLargeError,
     ShapeMismatchError,
+    ToleranceUnreachableError,
 )
 from aksvd.kernels import CenteringStats, DataSources, KernelSpec
 from aksvd.nystrom import NystromConfig, sample_indices
 
-from conftest import dense_lift, make_matrix
+from conftest import assert_close_to_largest, dense_lift, make_matrix
 
 
 def centered_g(model):
@@ -639,6 +641,200 @@ class TestOosPreparedSides:
         for pts in ({"new_x": new_x}, {"new_z": new_z}):
             np.testing.assert_array_equal(ksvd.transform_oos(model, **pts),
                                           ksvd.transform_oos(bare, **pts))
+
+
+def dense_oos(model, side, pts):
+    """transform_oos as the dense formula: the whole batch's normalized
+    kernel rows or columns, centered with ``center_oos``, times
+    B / sqrt(lambda). ``pts`` are already through the compat transform."""
+    train, scale = model.train, np.sqrt(model.lam)[None, :]
+    if side == "x":
+        g = kernels.kernel_matrix(model.kernel, DataSources(x=pts, z=train.z))
+        if model.centered:
+            g = kernels.center_oos(g, model.centering, "row")
+        return g @ model.b_psi / scale
+    g = kernels.LazyKernelSource(model.kernel, DataSources(
+        x=train.x, z=pts))._block()
+    if model.kernel.family == "sne":
+        kernels._divide_rows(g, model.sne_row_denoms, train.z.shape[0])
+    if model.centered:
+        g = kernels.center_oos(g, model.centering, "column")
+    return g.T @ model.b_phi / scale
+
+
+def replay_in_batches(model, side, data, batch):
+    """transform_oos of every point of ``data``, ``batch`` points a call."""
+    key = "new_x" if side == "x" else "new_z"
+    return np.vstack([ksvd.transform_oos(model, **{key: data[i:i + batch]})
+                      for i in range(0, len(data), batch)])
+
+
+def one_warning(call):
+    """Run ``call``; return its result and the one EmptyDenominatorWarning
+    it gave, which must name this file."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = call()
+    dead = [w for w in seen if issubclass(w.category, EmptyDenominatorWarning)]
+    assert len(dead) == 1, [str(w.message) for w in dead]
+    assert dead[0].filename == __file__
+    return out, dead[0]
+
+
+class TestChunkedOos:
+    """transform_oos works a chunk of new points at a time."""
+
+    CHUNK = 8
+    BATCHES = (1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3)
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
+    def test_replay_every_training_point(self, monkeypatch, family, center):
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", self.CHUNK)
+        a = make_matrix(40, 40, seed=90)
+        spec = KernelSpec(family, kernels.default_gamma(a))
+        model = ksvd.fit(a, spec, r=4, center=center)
+        left = ksvd.transform(model, "left").features
+        right = ksvd.transform(model, "right").features
+        for batch in self.BATCHES:
+            assert_close_to_largest(replay_in_batches(model, "x", a, batch),
+                                    left, 1e-12)
+            assert_close_to_largest(replay_in_batches(model, "z", a.T, batch),
+                                    right, 1e-12)
+
+    @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
+    def test_chunks_agree_with_the_dense_formula(self, monkeypatch, family):
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", self.CHUNK)
+        a = make_matrix(30, 24, seed=91)
+        model = ksvd.fit(a, KernelSpec(family, kernels.default_gamma(a)),
+                         r=3, compat="a1")
+        rng = np.random.default_rng(92)
+        for batch in self.BATCHES:
+            new_x = rng.standard_normal((batch, 24))
+            new_z = rng.standard_normal((batch, 30))
+            # A is tall, so the compat transform acts on the z side
+            assert_close_to_largest(ksvd.transform_oos(model, new_x=new_x),
+                                    dense_oos(model, "x", new_x), 1e-12)
+            assert_close_to_largest(
+                ksvd.transform_oos(model, new_z=new_z),
+                dense_oos(model, "z", new_z @ model.compat.c), 1e-12)
+
+    def test_dead_new_row(self, monkeypatch):
+        # the new rows 3 and 11, in different chunks, lie so far from every
+        # training column that their sne sums underflow: they read 1/M
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", self.CHUNK)
+        a = make_matrix(20, 20, seed=93)
+        model = ksvd.fit(a, KernelSpec("sne", 2.0), r=3)
+        new_x = np.random.default_rng(94).standard_normal((12, 20))
+        new_x[[3, 11]] = 1e3
+        got, warning = one_warning(
+            lambda: ksvd.transform_oos(model, new_x=new_x))
+        assert str(warning.message).startswith("2 sne row(s)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyDenominatorWarning)
+            want = dense_oos(model, "x", new_x)
+        assert_close_to_largest(got, want, 1e-12)
+        # a uniform row centers to minus the column means plus the grand mean
+        stats, w = model.centering, model.b_psi / np.sqrt(model.lam)
+        uniform = (stats.grand_mean - stats.col_means) @ w
+        np.testing.assert_allclose(got[3], uniform, rtol=1e-12)
+        np.testing.assert_array_equal(got[3], got[11])
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_dead_training_row_on_the_z_side(self, monkeypatch, center):
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", self.CHUNK)
+        a = make_matrix(20, 20, seed=95)
+        model = ksvd.fit(a, KernelSpec("sne", kernels.default_gamma(a)), r=3,
+                         center=center)
+        denoms = model.sne_row_denoms.copy()
+        denoms[6] = 0.0  # training row 6 reads 1/M in every new column
+        model = dataclasses.replace(model, sne_row_denoms=denoms)
+        new_z = np.random.default_rng(96).standard_normal((19, 20))
+        got, warning = one_warning(
+            lambda: ksvd.transform_oos(model, new_z=new_z))
+        assert str(warning.message).startswith("1 sne row(s)")
+        assert_close_to_largest(got, dense_oos(model, "z", new_z), 1e-12)
+
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_large_batch_holds_no_kernel_block_of_the_batch(self, side):
+        # the raw points shrink through the compat transform, so nothing of
+        # the batch's own size need be made; 3000 x 1200 float64 is 28.8 MB
+        import tracemalloc
+        rng = np.random.default_rng(97)
+        shape, n_new, train = (30, 1200), 3000, 1200
+        a = rng.standard_normal(shape if side == "x" else shape[::-1])
+        model = ksvd.fit(a, KernelSpec("sne", kernels.default_gamma(a)), r=3,
+                         compat="a0")
+        pts = rng.standard_normal((n_new, train))
+        key = "new_x" if side == "x" else "new_z"
+        ksvd.transform_oos(model, **{key: pts[:10]})
+        tracemalloc.start()
+        try:
+            ksvd.transform_oos(model, **{key: pts})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_new * train * 8 / 2
+
+
+class TestDeadRowWarning:
+    """One EmptyDenominatorWarning a call, at the caller's line."""
+
+    @staticmethod
+    def far_row_data():
+        """x row 5 far from every z; 1100 z rows span three column blocks
+        of the streaming statistics."""
+        rng = np.random.default_rng(98)
+        x = rng.standard_normal((60, 4))
+        x[5] = 1e3
+        return x, rng.standard_normal((1100, 4))
+
+    @pytest.mark.parametrize("solver, opts", [
+        ("exact", {}),
+        # sampled blocks and the streaming statistics both see the row
+        ("nystrom", {"m": 8, "center_stats": "full"}),
+    ])
+    def test_fit(self, solver, opts):
+        # row 4 of x is 1e3 throughout; every column z carries 1e3 in its
+        # coordinate 4, but only x_4 is that far from all of them
+        a = make_matrix(12, 12, seed=99)
+        a[4] = 1e3
+        _, warning = one_warning(lambda: ksvd.fit(
+            a, KernelSpec("sne", 100.0), r=2, solver=solver,
+            solver_opts=opts))
+        assert str(warning.message).startswith("1 sne row(s)")
+
+    def test_solve_to_tolerance(self):
+        x, z = self.far_row_data()
+        spec = KernelSpec("sne", 2.0)
+        source = kernels.LazyKernelSource(spec, DataSources(x=x, z=z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyDenominatorWarning)
+            g = source.full()
+        reference = linalg.svd_exact(g)
+
+        def solve():
+            # every attempt's normalizer estimates find the dead row; the
+            # last attempt gives up
+            with pytest.raises(ToleranceUnreachableError) as err:
+                nystrom.solve_to_tolerance(
+                    kernels.LazyKernelSource(spec, DataSources(x=x, z=z)),
+                    "asym_nystrom", 1e-3, reference,
+                    NystromConfig(r=2, m=8, seed=1))
+            return err.value.report
+
+        report, _ = one_warning(solve)
+        assert len(report.history) > 1
+
+    def test_lazy_source_methods(self):
+        x, z = self.far_row_data()
+        src = kernels.LazyKernelSource(KernelSpec("sne", 2.0),
+                                       DataSources(x=x, z=z))
+        one_warning(src.full)
+        one_warning(src.streaming_stats)  # several column blocks, one warning
+        one_warning(lambda: src.sample_blocks(np.arange(60), np.arange(50)))
+        one_warning(lambda: kernels.kernel_matrix(
+            src._spec, DataSources(x=x, z=z)))
 
 
 @settings(max_examples=15, deadline=None)
