@@ -56,6 +56,17 @@ def compat_pseudoinverse(a) -> CompatMatrix:
     return CompatMatrix(c=c, mode="a0")
 
 
+def _target_dim(target_dim: int | None, n: int, m: int) -> int:
+    """The projection's column count: min(N, M) when unset, and at least 1,
+    since a side projected to no features has nothing for a kernel to
+    compare."""
+    if target_dim is None:
+        return min(n, m)
+    if target_dim < 1:
+        raise ConfigError(f"target_dim must be at least 1, got {target_dim}")
+    return target_dim
+
+
 def compat_pca(a, target_dim: int | None = None) -> CompatMatrix:
     """Top principal directions of A as projection columns.
 
@@ -65,8 +76,7 @@ def compat_pca(a, target_dim: int | None = None) -> CompatMatrix:
     """
     a = as_matrix(a, "A")
     n, m = a.shape
-    if target_dim is None:
-        target_dim = min(n, m)
+    target_dim = _target_dim(target_dim, n, m)
     if target_dim > min(n, m):
         raise RankTooLargeError(
             f"target_dim={target_dim} exceeds min(N, M)={min(n, m)}")
@@ -94,8 +104,7 @@ def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
     """
     a = as_matrix(a, "A")
     n, m = a.shape
-    if target_dim is None:
-        target_dim = min(n, m)
+    target_dim = _target_dim(target_dim, n, m)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((m, target_dim)) / np.sqrt(m)
     return CompatMatrix(c=c, mode="a2", seed=seed)

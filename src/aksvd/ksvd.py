@@ -154,7 +154,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     g = source.full()
 
     if center:
-        gc, stats = kernels.center(g)
+        # g is this call's own array: centered in place
+        gc, stats = kernels.center(g, out=g)
     else:
         gc, stats = g, _zero_stats(big_n, big_m)
 

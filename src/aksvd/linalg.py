@@ -57,15 +57,13 @@ def canonicalize_signs(u: np.ndarray, v: np.ndarray | None = None):
 
     Flips are applied jointly to (u_s, v_s) so any product u s v^T is preserved.
     """
-    u = u.copy()
-    v = None if v is None else v.copy()
-    for s in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, s])))
-        if u[k, s] < 0:
-            u[:, s] = -u[:, s]
-            if v is not None:
-                v[:, s] = -v[:, s]
-    return u if v is None else (u, v)
+    # argmax takes the first of tied magnitudes
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    flip = peaks < 0
+    u = np.negative(u, out=u.copy(), where=flip)
+    if v is None:
+        return u
+    return u, np.negative(v, out=v.copy(), where=flip)
 
 
 def svd_exact(a, tol: float = 1e-10) -> SvdResult:

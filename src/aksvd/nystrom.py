@@ -278,8 +278,9 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     """Run one solver until its eta against the reference drops below epsilon.
 
     Sampled solvers grow their column budget multiplicatively from
-    ``cfg.m``, and every attempt derives its row count from its m, so a
-    config that sets ``n`` is rejected; rsvd grows its oversampling from
+    ``cfg.m`` up to ``cfg.m_max`` or, when that is unset, all M columns,
+    and every attempt derives its row count from its m, so a config that
+    sets ``n`` is rejected; rsvd grows its oversampling from
     ``cfg.oversample``; tsvd runs once at machine precision. Wall time
     counts the solver work only, not reference or eta evaluation, nor the
     dense matrices the baselines start from (G, and for sym_nystrom its two
@@ -339,8 +340,9 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
             # ceil(k * m_growth) > k for k >= 1; a start of 0 steps to 1
             oversample = min(int(np.ceil(oversample * cfg.m_growth)) or 1, cap)
 
-    # sampled solvers: grow m until the tolerance or the cap
-    cap = min(big_n, big_m) if cfg.m_max is None else min(cfg.m_max, big_m)
+    # sampled solvers: grow m until the tolerance or the cap, every column
+    # unless m_max says otherwise
+    cap = big_m if cfg.m_max is None else min(cfg.m_max, big_m)
     m = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
     if solver == "asym_nystrom":
         rng = np.random.default_rng(cfg.seed)

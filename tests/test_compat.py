@@ -165,3 +165,11 @@ class TestMakeCompat:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             compat.make_compat(make_matrix(3, 3, seed=21), "a9")
+
+    @pytest.mark.parametrize("mode", ["a1", "a2"])
+    @pytest.mark.parametrize("target_dim", [0, -1])
+    def test_target_dim_below_one(self, mode, target_dim):
+        # a side projected to no features has nothing for a kernel to compare
+        with pytest.raises(ConfigError, match="target_dim"):
+            compat.make_compat(make_matrix(3, 5, seed=22), mode, seed=0,
+                               target_dim=target_dim)

@@ -17,6 +17,17 @@ def rbf_spec(gamma=1.0):
     return kernels.KernelSpec(family="rbf", gamma=gamma)
 
 
+def loop_spans(a):
+    """Each row's first and one past its last nonzero column, (d, 0) for a
+    row of zeros, one row at a time."""
+    a = np.asarray(a)
+    spans = []
+    for row in a:
+        cols = np.flatnonzero(row)
+        spans.append((cols[0], cols[-1] + 1) if cols.size else (a.shape[1], 0))
+    return np.array(spans, dtype=int).reshape(-1, 2)
+
+
 def compat_sources(a, mode, **kw):
     """The sources of A through the compat transform of the given mode."""
     return apply_compat(make_compat(a, mode, **kw), kernels.build_sources(a))
@@ -83,7 +94,7 @@ class TestSources:
                                       "float32", "float64"])
     def test_typed_input_gives_the_float64_sources(self, case):
         # every input type gives, bit for bit, the sources of the same
-        # values in float64: data, dtypes, squared norms and scales
+        # values in float64: data, dtypes, squared norms, scales and spans
         a, dtype = self.typed_inputs()[case]
         got = kernels.build_sources(a)
         want = kernels.build_sources(a.astype(np.float64))
@@ -91,11 +102,17 @@ class TestSources:
             g, w = getattr(got, side), getattr(want, side)
             assert g.dtype == w.dtype == dtype
             np.testing.assert_array_equal(g, w)
-            (g_sq, g_scale), (w_sq, w_scale) = (getattr(got, side + "_stats"),
-                                                getattr(want, side + "_stats"))
+            (g_sq, g_scale, g_spans), (w_sq, w_scale, w_spans) = (
+                getattr(got, side + "_stats"), getattr(want, side + "_stats"))
             assert g_sq.dtype == w_sq.dtype == np.float64
             np.testing.assert_array_equal(g_sq, w_sq)
             assert g_scale == w_scale and type(g_scale) is type(w_scale)
+            # spans only where the float32 product can read them
+            if g_scale <= 2.0 ** 24:
+                np.testing.assert_array_equal(g_spans, w_spans)
+                np.testing.assert_array_equal(g_spans, loop_spans(g))
+            else:
+                assert g_spans is None and w_spans is None
         np.testing.assert_array_equal(got.x, a)
         np.testing.assert_array_equal(got.z, a.T)
 
@@ -631,6 +648,18 @@ def _gram_cases():
     rng = np.random.default_rng(40)
     graph = datasets.synth_directed_graph("two_block", 600, seed=4).adjacency
     src = kernels.build_sources(graph)
+    # 700 nodes: two panels of rows on each side, so tiles contract over
+    # the intersection of narrower spans
+    dag = datasets.synth_directed_graph("random_dag", 700, seed=4).adjacency
+    cycle = datasets.synth_directed_graph("cycle", 700).adjacency
+    i, j = np.indices((700, 700))
+    sparse = np.random.default_rng(46).random((2, 700, 700)) < 0.5
+    banded = ((np.abs(i - j) <= 30) & sparse[0]) * 1.0
+    # a whole panel of zero rows, scattered zero rows and zero columns
+    holes = dag.copy()
+    holes[:512] = 0.0
+    holes[600::7] = 0.0
+    holes[:, 650:] = 0.0
     # k / 2^20 with |k| <= 2^20: float64 sums of their products are exact
     # in any order, so every block is a bit-exact slice of the reference,
     # while float32 would round the products
@@ -639,6 +668,11 @@ def _gram_cases():
     huge[::2, 3] = 1e39  # an integer, and inf in float32
     return {
         "graph": (src.x, src.z),
+        "triangular": (dag, dag.T),
+        "cycle": (cycle, cycle.T),
+        "banded": (banded, banded.T),
+        "zero_rows_and_columns": (holes, holes.T),
+        "zero_rows_against_dense": (holes, sparse[1, :400] * 1.0),
         "graph_tall_x": ((rng.random((700, 50)) < 0.3).astype(float),
                          (rng.random((200, 50)) < 0.3).astype(float)),
         "graph_tall_z": ((rng.random((200, 50)) < 0.3).astype(float),
@@ -769,6 +803,87 @@ class TestExactGram:
         cols = kernels.center_oos(cols, model.centering, "column").T
         assert_close_to_largest(got_x, rows @ model.b_psi / scale, 1e-12)
         assert_close_to_largest(got_z, cols @ model.b_phi / scale, 1e-12)
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_tiles_contract_only_the_span_intersection(self, integral):
+        # spans that claim fewer columns than the data hold show what each
+        # tile contracts: the float32 path only the columns where the two
+        # panels' spans meet, the float64 path (non-integral data) every one
+        rng = np.random.default_rng(44)
+        x = rng.integers(1, 4, (700, 40)) / (1.0 if integral else 4.0)
+        z = rng.integers(1, 4, (600, 40)) / (1.0 if integral else 4.0)
+        x_side, z_side = kernels._side_stats(x), kernels._side_stats(z)
+        # spans are measured only for a side the float32 path can take
+        assert (x_side.spans is None) is (z_side.spans is None) is (
+            not integral)
+        # panel spans: x rows 0:512 cover 0:12, x rows 512:700 cover 10:40;
+        # z rows 0:512 cover 20:40, z rows 512:600 cover 0:25
+        x_spans = np.empty((700, 2), dtype=int)
+        x_spans[:256], x_spans[256:512], x_spans[512:] = (0, 8), (4, 12), \
+            (10, 40)
+        z_spans = np.empty((600, 2), dtype=int)
+        z_spans[:512], z_spans[512:] = (20, 40), (0, 25)
+        got = kernels._gram(kernels.stored(x), kernels.stored(z),
+                            x_side._replace(spans=x_spans),
+                            z_side._replace(spans=z_spans))
+        if not integral:
+            np.testing.assert_array_equal(got, x @ z.T)
+            return
+        want = np.zeros((700, 600))  # x panel 0 against z panel 0: empty
+        want[:512, 512:] = x[:512, 0:12] @ z[512:, 0:12].T
+        want[512:, :512] = x[512:, 20:40] @ z[:512, 20:40].T
+        want[512:, 512:] = x[512:, 10:25] @ z[512:, 10:25].T
+        np.testing.assert_array_equal(got, want)
+
+    def test_tiles_join_neighbours_over_the_same_columns(self):
+        panels = [(slice(0, 512), 0, 40), (slice(512, 1024), 0, 40),
+                  (slice(1024, 1536), 30, 60), (slice(1536, 2048), 50, 60),
+                  (slice(2048, 2560), 70, 80), (slice(2560, 3072), 0, 5)]
+        # every panel meets an x span of 0:100 over its own columns
+        assert kernels._tiles(panels, 0, 100) == [
+            (slice(0, 1024), 0, 40), (slice(1024, 1536), 30, 60),
+            (slice(1536, 2048), 50, 60), (slice(2048, 2560), 70, 80),
+            (slice(2560, 3072), 0, 5)]
+        # x span 10:35 clamps the first two alike; the last three miss it,
+        # and misses join too
+        assert kernels._tiles(panels, 10, 35) == [
+            (slice(0, 1024), 10, 35), (slice(1024, 1536), 30, 35),
+            (slice(1536, 3072), 0, 0)]
+
+    def test_dense_data_take_one_product_per_x_panel(self, monkeypatch):
+        # two_block panels all reach both ends: one tile per x panel
+        graph = datasets.synth_directed_graph("two_block", 1100,
+                                              seed=0).adjacency
+        src = kernels.build_sources(graph)
+        calls = []
+        tiles = kernels._tiles
+        monkeypatch.setattr(kernels, "_tiles",
+                            lambda *a: calls.append(tiles(*a)) or calls[-1])
+        got = kernels._gram(src.x, src.z, src.x_stats, src.z_stats)
+        assert calls == [[(slice(0, 1536), 0, 1100)]] * 3
+        np.testing.assert_array_equal(got, graph @ graph)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_spans_of_every_row(self, dtype):
+        # zero rows and columns, single entries, both ends, negative entries
+        # and -0.0, which is zero; rows 100:500 have no nonzero among their
+        # first 150 columns and rows 600:700 none among their last 100, so
+        # they are read whole, in several panels; int16 takes the integer
+        # path
+        rng = np.random.default_rng(45)
+        a = (rng.random((700, 200)) < 0.05) * rng.integers(-3, 4, (700, 200))
+        a = a.astype(float)
+        a[100:500, :150] = 0.0
+        a[600:, 100:] = 0.0
+        a[3], a[4], a[5] = 0.0, 0.0, 1.0
+        a[3, 7], a[4, [0, 199]] = 1.0, -2.0
+        a[6] = -0.0
+        a[:, 30] = 0.0
+        src = kernels.build_sources(a.astype(dtype))
+        np.testing.assert_array_equal(src.x_stats.spans, loop_spans(a))
+        np.testing.assert_array_equal(src.z_stats.spans, loop_spans(a.T))
+        assert tuple(src.x_stats.spans[6]) == (200, 0)
+        assert tuple(src.z_stats.spans[30]) == (700, 0)
 
     def test_float32_non_integral_sources_give_float64_kernel(self):
         # hand-built float32 data that float32 cannot multiply exactly are

@@ -67,6 +67,38 @@ class TestSvdExact:
             k = np.argmax(np.abs(res.u[:, s]))
             assert res.u[k, s] > 0
 
+    @pytest.mark.parametrize("with_v", [True, False])
+    def test_signs_match_the_column_loop(self, with_v):
+        # tied largest magnitudes, of either sign, in one column: the first
+        # one sets the sign, as argmax takes it
+        rng = np.random.default_rng(6)
+        u = rng.integers(-3, 4, (9, 40)).astype(float)
+        u[:, 0] = [0, 3, -3, 1, 0, 0, 0, 0, 0]
+        u[:, 1] = [0, -3, 3, 1, 0, 0, 0, 0, 0]
+        u[:, 2] = 0.0
+        v = rng.standard_normal((5, 40))
+
+        def loop(u, v):
+            u, v = u.copy(), v.copy()
+            for s in range(u.shape[1]):
+                k = int(np.argmax(np.abs(u[:, s])))
+                if u[k, s] < 0:
+                    u[:, s] = -u[:, s]
+                    v[:, s] = -v[:, s]
+            return u, v
+
+        want_u, want_v = loop(u, v)
+        if with_v:
+            got_u, got_v = linalg.canonicalize_signs(u, v)
+            np.testing.assert_array_equal(got_v, want_v)
+            np.testing.assert_array_equal(np.signbit(got_v),
+                                          np.signbit(want_v))
+        else:
+            got_u = linalg.canonicalize_signs(u)
+        np.testing.assert_array_equal(got_u, want_u)
+        np.testing.assert_array_equal(np.signbit(got_u), np.signbit(want_u))
+        assert got_u[1, 0] == 3 and got_u[1, 1] == 3
+
     def test_errors(self):
         with pytest.raises(NonFiniteError):
             linalg.svd_exact(np.array([[1.0, np.nan], [0.0, 1.0]]))

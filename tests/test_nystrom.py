@@ -275,7 +275,7 @@ class TestSolveToTolerance:
         rep = nystrom.solve_to_tolerance(self.g, "asym_nystrom", 1.0,
                                          self.ref, cfg)
         assert rep.status == "ok"
-        assert rep.m_used == 32  # start budget capped at min(N, M)
+        assert rep.m_used == 32  # start budget capped at M
 
     def test_tsvd_machine_precision(self):
         rep = nystrom.solve_to_tolerance(self.g, "tsvd", 1e-8, self.ref,
@@ -324,6 +324,21 @@ class TestSolveToTolerance:
         rep = nystrom.solve_to_tolerance(
             g, "asym_nystrom", 1e-8, ref, exact_cfg(3, m=24))
         assert rep.eta <= 1e-8
+
+    def test_wide_source_grows_past_the_row_count(self):
+        # 60 rows, 1100 columns: the column budget may grow to M, not stop
+        # at min(N, M) = 60
+        rng = np.random.default_rng(98)
+        src = kernels.DataSources(x=rng.standard_normal((60, 4)),
+                                  z=rng.standard_normal((1100, 4)))
+        spec = kernels.KernelSpec("sne", 2.0)
+        reference = svd_exact(kernels.kernel_matrix(spec, src))
+        rep = nystrom.solve_to_tolerance(
+            kernels.LazyKernelSource(spec, src), "asym_nystrom", 1e-3,
+            reference, nystrom.NystromConfig(r=2, m=8, seed=1))
+        assert rep.status == "ok" and rep.eta <= 1e-3
+        assert rep.m_used > 60
+        assert [a.m for a in rep.history][:4] == [8, 16, 32, 64]
 
     def test_unreachable_carries_report(self):
         cfg = exact_cfg(3, seed=0)
