@@ -143,13 +143,14 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
                        z_stats=z_stats)
 
 
-def make_compat(a, mode: str, seed: int | None = None,
-                target_dim: int | None = None) -> CompatMatrix:
+def make_compat(a, mode: str, seed: int | None = None) -> CompatMatrix:
     """Build the compatibility matrix appropriate for A's orientation.
 
     Square A with a non-identity mode still gets an x-side transform (with
     a0 and a linear kernel that choice reproduces G = A). For N > M the
     construction runs on A^T so the projection applies to the z side.
+    The a1 and a2 projections keep min(N, M) columns, the shorter side's
+    feature length, which is the only length ``apply_compat`` can match.
     """
     a = as_matrix(a, "A")
     n, m = a.shape
@@ -162,9 +163,9 @@ def make_compat(a, mode: str, seed: int | None = None,
     if mode == "a0":
         return compat_pseudoinverse(work)
     if mode == "a1":
-        return compat_pca(work, target_dim=target_dim)
+        return compat_pca(work)
     if mode == "a2":
         if seed is None:
             raise ConfigError("compat mode a2 requires a seed")
-        return compat_random(work, seed=seed, target_dim=target_dim)
+        return compat_random(work, seed=seed)
     raise ConfigError(f"unknown compat mode {mode!r}")

@@ -60,7 +60,6 @@ KNOWN: dict[str, Key] = {
     "kernel.gamma_k": Key(1.0, float),
     "compat.mode": Key("auto", str, ("auto", "identity", "a0", "a1", "a2")),
     "compat.seed": Key(None, _parse_opt(int)),
-    "compat.target_dim": Key(None, _parse_opt(int)),
     "rank": Key(4, int),
     "center": Key(True, _parse_bool),
     "solver": Key("exact", str, ("exact", "truncated", "randomized",

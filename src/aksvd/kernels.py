@@ -884,26 +884,25 @@ class LazyKernelSource:
     def streaming_stats(self) -> CenteringStats:
         """Exact centering stats of the full matrix in O(N + M) memory.
 
-        One pass over column blocks (two for sne, whose normalizers must be
-        known first). Nothing larger than a block is ever held.
+        One pass over panels of ``_BLOCK`` rows: a panel holds its rows
+        whole, so sne rows are divided by their own exact sums there.
+        Nothing larger than a panel is ever held.
         """
         n_rows, n_cols = self.shape
-        blocks = [slice(start, start + _BLOCK)
-                  for start in range(0, n_cols, _BLOCK)]
-        denom = None
-        if self._spec.family == "sne":
-            denom = np.zeros(n_rows)
-            for cols in blocks:
-                denom += self._block(z_rows=cols).sum(1)
-            note_dead(int((denom == 0.0).sum()))
-        row_sums = np.zeros(n_rows)
+        row_sums = np.empty(n_rows)
         col_sums = np.zeros(n_cols)
-        for cols in blocks:
-            block = self._block(z_rows=cols)
-            if denom is not None:
+        dead = 0
+        for start in range(0, n_rows, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            block = self._block(x_rows=rows)
+            if self._spec.family == "sne":
+                denom = block.sum(1)
+                dead += int((denom == 0.0).sum())
                 _divide_rows(block, denom, n_cols)
-            row_sums += block.sum(1)
-            col_sums[cols] = block.sum(0)
+            row_sums[rows] = block.sum(1)
+            col_sums += block.sum(0)
+        # every panel's dead rows are different rows: one report of them all
+        note_dead(dead)
         grand = float(row_sums.sum() / (n_rows * n_cols))
         return CenteringStats(row_means=row_sums / n_cols,
                               col_means=col_sums / n_rows,

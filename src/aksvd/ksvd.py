@@ -109,19 +109,17 @@ def _transformed_sources(a: np.ndarray, compat: CompatMatrix):
     return out, side
 
 
-def _resolve_compat(a, compat, compat_seed, compat_target_dim):
+def _resolve_compat(a, compat, compat_seed):
     if isinstance(compat, CompatMatrix):
         return compat
     if compat is None:
         compat = "identity" if a.shape[0] == a.shape[1] else "a0"
-    return make_compat(a, compat, seed=compat_seed,
-                       target_dim=compat_target_dim)
+    return make_compat(a, compat, seed=compat_seed)
 
 
 @kernels.warns_dead_rows
 def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         center: bool = True, compat_seed: int | None = None,
-        compat_target_dim: int | None = None,
         solver_opts: dict | None = None) -> KsvdModel:
     """Fit the model: kernel, centering, rank-r SVD, coefficient scaling.
 
@@ -129,7 +127,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     CompatMatrix; None picks identity for square data and a0 otherwise.
     ``solver`` selects how the SVD is obtained; "nystrom" works from
     sampled kernel blocks and never materializes the full matrix.
-    ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver.
+    ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver;
+    its ``center_stats="full"`` is rejected with ``center=False``.
     """
     a = as_matrix(a, "A")
     big_n, big_m = a.shape
@@ -144,7 +143,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     if unread:
         raise ConfigError(f"solver {solver!r} does not read solver_opts "
                           f"{unread}; it reads {SOLVER_OPTS[solver]}")
-    compat = _resolve_compat(a, compat, compat_seed, compat_target_dim)
+    compat = _resolve_compat(a, compat, compat_seed)
     sources, side = _transformed_sources(a, compat)
 
     if solver == "nystrom":
@@ -186,6 +185,9 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
     if center_stats not in ("sampled", "full"):
         raise ConfigError("center_stats must be 'sampled' or 'full', got "
                           f"{center_stats!r}")
+    if center_stats == "full" and not center:
+        raise ConfigError("center_stats='full' computes centering statistics, "
+                          "but center=False uses none")
     cfg = NystromConfig(r=r, **opts)  # the other keys are its fields
     lazy = LazyKernelSource(spec, sources)
     rows, cols = sample_indices(lazy.shape, cfg)

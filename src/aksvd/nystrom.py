@@ -277,20 +277,25 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
                        reference: SvdResult, cfg: NystromConfig) -> SolveReport:
     """Run one solver until its eta against the reference drops below epsilon.
 
-    Sampled solvers grow their column budget multiplicatively from
-    ``cfg.m`` up to ``cfg.m_max`` or, when that is unset, all M columns,
-    and every attempt derives its row count from its m, so a config that
-    sets ``n`` is rejected; rsvd grows its oversampling from
-    ``cfg.oversample``; tsvd runs once at machine precision. Wall time
-    counts the solver work only, not reference or eta evaluation, nor the
-    dense matrices the baselines start from (G, and for sym_nystrom its two
-    Gram matrices). The asymmetric solver draws one seeded permutation of
-    the rows and one of the columns per solve and samples sorted prefixes
-    of them, so each attempt's sample contains the previous one and a block
-    source evaluates only the new columns and rows. The report's
-    ``history`` records every attempt. If the budget cap is reached with
-    eta still above epsilon a ToleranceUnreachableError is raised, carrying
-    the last report in its ``report`` attribute.
+    Every solver has a budget k that starts at a floor and grows to a cap,
+    min(ceil(k * m_growth) or 1, cap) per attempt, until eta meets epsilon:
+
+    - tsvd: no budget (k = cap = 0); it runs once at machine precision.
+    - rsvd: the oversampling, from ``cfg.oversample`` up to min(N, M) - r.
+    - sym_nystrom and asym_nystrom: the column count m, from ``cfg.m`` (or
+      max(4r, 32)) up to ``cfg.m_max`` or, when that is unset, all M
+      columns. Every attempt derives its row count from its m, so a config
+      that sets ``n`` is rejected.
+
+    Wall time counts the solver work only, not reference or eta evaluation,
+    nor the dense matrices the baselines start from (G, and for sym_nystrom
+    its two Gram matrices). The asymmetric solver draws one seeded
+    permutation of the rows and one of the columns per solve and samples
+    sorted prefixes of them, so each attempt's sample contains the previous
+    one and a block source evaluates only the new columns and rows. The
+    report's ``history`` records every attempt. If the budget cap is reached
+    with eta still above epsilon a ToleranceUnreachableError is raised,
+    carrying the last report in its ``report`` attribute.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
@@ -300,94 +305,72 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     source = as_kernel_source(g_source)
     big_n, big_m = source.shape
     r = cfg.r
-    history = []
 
-    def report(res, m_used, n_used, eta, seconds, wall):
-        history.append(Attempt(m_used, n_used, eta, seconds,
-                               source.entries_evaluated))
-        return SolveReport(solver, res, m_used, eta, wall,
-                           "ok" if eta <= epsilon else "tolerance_unreachable",
-                           tuple(history))
-
-    if solver == "tsvd":
-        g = source.full()
-        t0 = time.perf_counter()
-        res = svd_truncated(g, r, tol=1e-14)
-        wall = time.perf_counter() - t0
-        eta = eta_accuracy(res.u, res.v, reference, min(r, res.rank))
-        rep = report(res, 0, 0, eta, wall, wall)
-        if eta > epsilon:
-            raise _unreachable(rep, epsilon)
-        return rep
-
-    if solver == "rsvd":
-        g = source.full()
-        cap = max(min(big_n, big_m) - r, 1)
-        oversample = min(cfg.oversample, cap)
-        wall = 0.0
-        while True:
-            t0 = time.perf_counter()
-            res = svd_randomized(g, r, oversample=oversample,
-                                 power_iters=cfg.power_iters, seed=cfg.seed)
-            seconds = time.perf_counter() - t0
-            wall += seconds
-            eta = eta_accuracy(res.u, res.v, reference, min(r, res.rank))
-            rep = report(res, oversample, 0, eta, seconds, wall)
-            if eta <= epsilon:
-                return rep
-            if oversample >= cap:
-                raise _unreachable(rep, epsilon)
-            # ceil(k * m_growth) > k for k >= 1; a start of 0 steps to 1
-            oversample = min(int(np.ceil(oversample * cfg.m_growth)) or 1, cap)
-
-    # sampled solvers: grow m until the tolerance or the cap, every column
-    # unless m_max says otherwise
+    # each solver: its budget k, its cap, and attempt(k, i), what attempt i
+    # computes at budget k
     cap = big_m if cfg.m_max is None else min(cfg.m_max, big_m)
-    m = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
+    k = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
     if solver == "asym_nystrom":
         rng = np.random.default_rng(cfg.seed)
         row_perm = rng.permutation(big_n)
         col_perm = rng.permutation(big_m)
+
+        def attempt(m, i):
+            step_cfg = replace(cfg, m=m, seed=cfg.seed + i)
+            n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
+            return asym_nystrom(source, step_cfg, indices=(
+                np.sort(row_perm[:n]), np.sort(col_perm[:m])))
     else:
         g = source.full()
+    if solver == "tsvd":
+        k = cap = 0
+
+        def attempt(*_):
+            return svd_truncated(g, r, tol=1e-14)
+    elif solver == "rsvd":
+        cap = max(min(big_n, big_m) - r, 1)
+        k = min(cfg.oversample, cap)
+
+        def attempt(oversample, i):
+            return svd_randomized(g, r, oversample=oversample,
+                                  power_iters=cfg.power_iters, seed=cfg.seed)
+    elif solver == "sym_nystrom":
         gram_u = as_kernel_source(g @ g.T)
         gram_v = as_kernel_source(g.T @ g)
-    wall = 0.0
-    attempt = 0
-    while True:
-        step_cfg = replace(cfg, m=m, seed=cfg.seed + attempt)
-        if solver == "asym_nystrom":
-            n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
-            indices = np.sort(row_perm[:n]), np.sort(col_perm[:m])
-            t0 = time.perf_counter()
-            res = asym_nystrom(source, step_cfg, indices=indices)
-            seconds = time.perf_counter() - t0
-        else:
-            t0 = time.perf_counter()
-            res_u = sym_nystrom(gram_u, replace(step_cfg, n=min(m, big_n),
-                                                m=min(m, big_n)))
-            res_v = sym_nystrom(gram_v, replace(step_cfg, n=min(m, big_m),
-                                                m=min(m, big_m)))
-            seconds = time.perf_counter() - t0
-            res = NystromResult(
+
+        def attempt(m, i):
+            res_u = sym_nystrom(gram_u, replace(
+                cfg, n=min(m, big_n), m=min(m, big_n), seed=cfg.seed + i))
+            res_v = sym_nystrom(gram_v, replace(
+                cfg, n=min(m, big_m), m=min(m, big_m), seed=cfg.seed + i))
+            return NystromResult(
                 u_tilde=res_u.u_tilde, v_tilde=res_v.u_tilde,
                 lambda_tilde=np.sqrt(np.maximum(res_u.lambda_tilde, 0.0)),
                 row_indices=res_u.row_indices, col_indices=res_v.row_indices)
+
+    history, wall = [], 0.0
+    while True:
+        t0 = time.perf_counter()
+        res = attempt(k, len(history))
+        seconds = time.perf_counter() - t0
         wall += seconds
-        eta = eta_accuracy(res.u_tilde, res.v_tilde, reference,
-                           min(r, res.lambda_tilde.size))
-        rep = report(res, m, res.row_indices.size, eta, seconds, wall)
+        if isinstance(res, SvdResult):
+            u, v, rank, n = res.u, res.v, res.rank, 0
+        else:
+            u, v, rank, n = (res.u_tilde, res.v_tilde, res.lambda_tilde.size,
+                             res.row_indices.size)
+        eta = eta_accuracy(u, v, reference, min(r, rank))
+        history.append(Attempt(k, n, eta, seconds, source.entries_evaluated))
+        rep = SolveReport(solver, res, k, eta, wall,
+                          "ok" if eta <= epsilon else "tolerance_unreachable",
+                          tuple(history))
         if eta <= epsilon:
             return rep
-        if m >= cap:
-            raise _unreachable(rep, epsilon)
-        m = min(int(np.ceil(m * cfg.m_growth)), cap)
-        attempt += 1
-
-
-def _unreachable(report: SolveReport, epsilon: float) -> ToleranceUnreachableError:
-    err = ToleranceUnreachableError(
-        f"{report.solver} reached its budget cap with eta={report.eta:.3e} "
-        f"> epsilon={epsilon:.3e}")
-    err.report = report
-    return err
+        if k >= cap:
+            err = ToleranceUnreachableError(
+                f"{solver} reached its budget cap with eta={eta:.3e} "
+                f"> epsilon={epsilon:.3e}")
+            err.report = rep
+            raise err
+        # ceil(k * m_growth) > k for k >= 1; a start of 0 steps to 1
+        k = min(int(np.ceil(k * cfg.m_growth)) or 1, cap)

@@ -86,7 +86,6 @@ def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
         compat=None if mode == "auto" else mode,
         solver=cfg["solver"], center=cfg["center"],
         compat_seed=cfg.get("compat.seed", "seed"),
-        compat_target_dim=cfg["compat.target_dim"],
         solver_opts=_solver_opts(cfg))
 
 
@@ -100,7 +99,8 @@ def resolve_sides(cfg: RunConfig, a: np.ndarray) -> str:
 # --- baselines -------------------------------------------------------------------
 
 def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
-    """Features for the configured method; optionally the right-side set too.
+    """Features for the configured method, the right-side set too when asked
+    (else None), and the kernel that produced them (None for svd and pca).
 
     ksvd is the package model; svd takes the exact factors of the raw
     matrix; kpca runs an RBF kernel over (symmetrized, for square inputs)
@@ -113,29 +113,30 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
         r = min(r, model.rank)
         if with_right:
             return (ksvd.transform(model, "left", r).features,
-                    ksvd.transform(model, "right", r).features)
-        return evaluation.side_features(model, resolve_sides(cfg, a), r), None
+                    ksvd.transform(model, "right", r).features, model.kernel)
+        return (evaluation.side_features(model, resolve_sides(cfg, a), r),
+                None, model.kernel)
     if method == "svd":
         res = svd_exact(a)
         take = min(r, res.rank)
-        return res.u[:, :take], (res.v[:, :take] if with_right else None)
+        return res.u[:, :take], (res.v[:, :take] if with_right else None), None
     if method == "kpca":
         rows = 0.5 * (a + a.T) if a.shape[0] == a.shape[1] else a
         gamma = cfg["kernel.gamma"]
         if gamma is None:
             gamma = kernels.default_gamma(rows, k=cfg["kernel.gamma_k"])
-        k = kernels.kernel_matrix(KernelSpec(family="rbf", gamma=gamma),
-                                  DataSources(x=rows, z=rows))
+        spec = KernelSpec(family="rbf", gamma=gamma)
+        k = kernels.kernel_matrix(spec, DataSources(x=rows, z=rows))
         kc = kernels.center(k)[0]
         res = svd_exact(kc)
         feats = res.u[:, :min(r, res.rank)]
-        return feats, (feats if with_right else None)
+        return feats, (feats if with_right else None), spec
     # pca: scores on the top principal directions of the centered rows
     centered = a - a.mean(axis=0, keepdims=True)
     res = svd_exact(centered)
     take = min(r, res.rank)
     feats = centered @ res.v[:, :take]
-    return feats, (feats if with_right else None)
+    return feats, (feats if with_right else None), None
 
 
 # --- output helpers --------------------------------------------------------------
@@ -163,22 +164,31 @@ def write_manifest(cfg: RunConfig, command: str, out: Path) -> Path:
     return path
 
 
-def write_metric_rows(path: Path, rows: list[dict]) -> None:
-    fields = ["task", "method", "kernel", "gamma", "seed", "metric_name",
-              "value"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+def _write_rows(cfg: RunConfig, command: str, name: str,
+                rows: list[dict]) -> Path:
+    """The CSV ``name``, the first row's keys in order as its header, and
+    the manifest, in the output directory."""
+    out = _out_dir(cfg)
+    with open(out / name, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+    write_manifest(cfg, command, out)
+    return out
 
 
-def _metric_row(cfg: RunConfig, task: str, spec_gamma, name: str,
-                value: float) -> dict:
-    return {"task": task, "method": cfg["method"],
-            "kernel": cfg["kernel.family"],
-            "gamma": "" if spec_gamma is None else f"{spec_gamma:.17g}",
-            "seed": cfg["seed"], "metric_name": name,
-            "value": f"{value:.17g}"}
+def _write_metrics(cfg: RunConfig, command: str, spec: KernelSpec | None,
+                   metrics: dict) -> Path:
+    """``metrics.csv``, one row per metric, and the manifest. ``spec`` is
+    the kernel that produced the features: its family and gamma (blank for
+    linear) are recorded, and both are blank without one."""
+    gamma = None if spec is None or spec.family == "linear" else spec.gamma
+    rows = [{"task": command, "method": cfg["method"],
+             "kernel": "" if spec is None else spec.family,
+             "gamma": "" if gamma is None else f"{gamma:.17g}",
+             "seed": cfg["seed"], "metric_name": name,
+             "value": f"{value:.17g}"} for name, value in metrics.items()]
+    return _write_rows(cfg, command, "metrics.csv", rows)
 
 
 # --- commands --------------------------------------------------------------------
@@ -209,7 +219,7 @@ def run_classify(cfg: RunConfig) -> Path:
         labels.shape[0], dtype=bool)
     if np.unique(labels[keep]).size < 2:
         raise SingleClassError("need at least two classes to classify")
-    feats, _ = method_features(cfg, a)
+    feats, _, spec = method_features(cfg, a)
     feats, labels = feats[keep], labels[keep]
     train, test = evaluation.split_train_test(
         labels, cfg["split.test_fraction"], seed=cfg.get("split.seed", "seed"))
@@ -219,44 +229,27 @@ def run_classify(cfg: RunConfig) -> Path:
     pred = evaluation.lssvm_predict(clf, feats[test])
     truth = labels[test]
     micro, macro = evaluation.f1_scores(pred, truth)
-    spec_gamma = None if cfg["kernel.family"] == "linear" else \
-        make_kernel_spec(cfg, a).gamma
-    rows = [
-        _metric_row(cfg, "classify", spec_gamma, "accuracy",
-                    evaluation.accuracy(pred, truth)),
-        _metric_row(cfg, "classify", spec_gamma, "micro_f1", micro),
-        _metric_row(cfg, "classify", spec_gamma, "macro_f1", macro),
-    ]
+    metrics = {"accuracy": evaluation.accuracy(pred, truth),
+               "micro_f1": micro, "macro_f1": macro}
     if clf.classes.size == 2:
         scores = evaluation.lssvm_decision(clf, feats[test])
-        rows.append(_metric_row(cfg, "classify", spec_gamma, "auroc",
-                                evaluation.auroc(scores[:, 1] - scores[:, 0],
-                                                 truth)))
-    out = _out_dir(cfg)
-    write_metric_rows(out / "metrics.csv", rows)
-    write_manifest(cfg, "classify", out)
-    return out
+        metrics["auroc"] = evaluation.auroc(scores[:, 1] - scores[:, 0], truth)
+    return _write_metrics(cfg, "classify", spec, metrics)
 
 
 def run_regress(cfg: RunConfig) -> Path:
     a, targets, task = load_dataset(cfg)
     if task != "regression":
         raise ConfigError("regress needs dataset.task = regression")
-    feats, _ = method_features(cfg, a)
+    feats, _, spec = method_features(cfg, a)
     train, test = evaluation.split_train_test(
         targets, cfg["split.test_fraction"], seed=cfg.get("split.seed", "seed"),
         stratify=False)
     fit = evaluation.ridge_fit(feats[train], np.asarray(targets)[train],
                                gamma_reg=cfg["eval.gamma_reg"])
     pred = evaluation.ridge_predict(fit, feats[test])
-    spec_gamma = None if cfg["kernel.family"] == "linear" else \
-        make_kernel_spec(cfg, a).gamma
-    rows = [_metric_row(cfg, "regress", spec_gamma, "rmse",
-                        evaluation.rmse(pred, np.asarray(targets)[test]))]
-    out = _out_dir(cfg)
-    write_metric_rows(out / "metrics.csv", rows)
-    write_manifest(cfg, "regress", out)
-    return out
+    return _write_metrics(cfg, "regress", spec, {
+        "rmse": evaluation.rmse(pred, np.asarray(targets)[test])})
 
 
 def run_reconstruct(cfg: RunConfig) -> Path:
@@ -264,18 +257,11 @@ def run_reconstruct(cfg: RunConfig) -> Path:
     if cfg["dataset.format"] == "csv":
         raise ConfigError("graph reconstruction needs a graph dataset")
     degrees = a.sum(axis=1).astype(int)
-    left, right = method_features(cfg, a, with_right=True)
+    left, right, spec = method_features(cfg, a, with_right=True)
     recon = evaluation.graph_reconstruct(left, degrees,
                                          target_embedding=right)
     l1, l2 = evaluation.reconstruction_error(recon, a)
-    spec_gamma = None if cfg["kernel.family"] == "linear" else \
-        make_kernel_spec(cfg, a).gamma
-    rows = [_metric_row(cfg, "reconstruct", spec_gamma, "l1", l1),
-            _metric_row(cfg, "reconstruct", spec_gamma, "l2", l2)]
-    out = _out_dir(cfg)
-    write_metric_rows(out / "metrics.csv", rows)
-    write_manifest(cfg, "reconstruct", out)
-    return out
+    return _write_metrics(cfg, "reconstruct", spec, {"l1": l1, "l2": l2})
 
 
 # --- benchmarking ----------------------------------------------------------------
@@ -310,8 +296,7 @@ def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
     """The data sides for lazy kernel evaluation, compat already applied."""
     mode = cfg["compat.mode"]
     compat = ksvd._resolve_compat(a, None if mode == "auto" else mode,
-                                  cfg.get("compat.seed", "seed"),
-                                  cfg["compat.target_dim"])
+                                  cfg.get("compat.seed", "seed"))
     return ksvd._transformed_sources(a, compat)[0]
 
 
@@ -368,15 +353,7 @@ def run_bench(cfg: RunConfig) -> Path:
             row["speedup"] = f"{t_rsvd / own:.6g}" if t_rsvd and own > 0 \
                 else ""
         rows += eps_rows
-    out = _out_dir(cfg)
-    fields = ["solver", "N", "M", "r", "epsilon", "m_used", "eta",
-              "wall_time_s", "seed", "status", "speedup"]
-    with open(out / "bench.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    write_manifest(cfg, "bench", out)
-    return out
+    return _write_rows(cfg, "bench", "bench.csv", rows)
 
 
 def run_sweep(cfg: RunConfig) -> Path:
@@ -418,12 +395,4 @@ def run_sweep(cfg: RunConfig) -> Path:
                 "speedup_vs_tsvd": f"{speedup:.6g}" if speedup else "",
                 "status": rep.status,
             })
-    out = _out_dir(cfg)
-    fields = ["gamma", "epsilon", "seed", "m_used", "eta", "wall_time_s",
-              "speedup_vs_tsvd", "status"]
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    write_manifest(cfg, "nystrom-sweep", out)
-    return out
+    return _write_rows(cfg, "nystrom-sweep", "sweep.csv", rows)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from aksvd import cli
+from aksvd import cli, datasets, kernels
 
 
 @pytest.fixture(autouse=True)
@@ -28,10 +28,14 @@ def write_square_csv(path, a):
             fh.write(f"{cells},{i % 2}\n")
 
 
-def read_metrics(out_dir):
+def read_rows(out_dir):
     with open(out_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
-        return {row["metric_name"]: float(row["value"])
-                for row in csv.DictReader(fh)}
+        return list(csv.DictReader(fh))
+
+
+def read_metrics(out_dir):
+    return {row["metric_name"]: float(row["value"])
+            for row in read_rows(out_dir)}
 
 
 class TestExtract:
@@ -189,6 +193,24 @@ class TestExitCodes:
         assert "nystrom.n=12" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_full_center_stats_without_centering_rejected(self, tmp_path,
+                                                          capsys):
+        code = run("extract", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=24", "--solver", "nystrom",
+                   "--set", "center=false",
+                   "--set", "nystrom.center_stats=full",
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "center=False" in capsys.readouterr().err
+
+    def test_uncentered_nystrom_keeps_the_default_center_stats(self,
+                                                              tmp_path):
+        # the pipeline always forwards nystrom.center_stats, "sampled" unset
+        assert run("extract", "--format", "synth", "--rank", "2",
+                   "--solver", "nystrom", "--set", "dataset.synth_n=24",
+                   "--set", "nystrom.m=12", "--set", "center=false",
+                   "--out", str(tmp_path / "x")) == 0
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "extract" in capsys.readouterr().out
@@ -230,13 +252,39 @@ class TestClassify:
         assert code == 2
 
     def test_baseline_methods_run(self, tmp_path):
-        for method in ("kpca", "svd", "pca"):
+        # each row names the kernel that made the features: kpca's rbf with
+        # the bandwidth of the symmetrized data, and none for svd and pca
+        a = datasets.synth_directed_graph("two_block", 40, seed=0).adjacency
+        kpca_gamma = f"{kernels.default_gamma(0.5 * (a + a.T)):.17g}"
+        for method, kernel, gamma in (("kpca", "rbf", kpca_gamma),
+                                      ("svd", "", ""), ("pca", "", "")):
             out = tmp_path / method
             code = run("classify", "--format", "synth", "--rank", "3",
                        "--set", "dataset.synth_n=40", "--method", method,
                        "--out", str(out))
             assert code == 0, method
             assert "accuracy" in read_metrics(out)
+            for row in read_rows(out):
+                assert (row["kernel"], row["gamma"]) == (kernel, gamma), method
+
+    @pytest.mark.parametrize("family", ["sne", "linear"])
+    def test_ksvd_rows_name_the_configured_kernel(self, tmp_path, family):
+        a = datasets.synth_directed_graph("two_block", 40, seed=3).adjacency
+        gamma = "" if family == "linear" else \
+            f"{kernels.default_gamma(a):.17g}"
+        out = tmp_path / "run"
+        assert run("classify", "--format", "synth", "--rank", "3",
+                   "--set", "dataset.synth_n=40", "--seed", "3",
+                   "--set", f"kernel.family={family}",
+                   "--out", str(out)) == 0
+        rows = read_rows(out)
+        assert [row["metric_name"] for row in rows] == \
+            ["accuracy", "micro_f1", "macro_f1", "auroc"]
+        for row in rows:
+            assert {k: v for k, v in row.items()
+                    if k not in ("metric_name", "value")} == {
+                "task": "classify", "method": "ksvd", "kernel": family,
+                "gamma": gamma, "seed": "3"}
 
 
 class TestReconstruct:

@@ -169,7 +169,11 @@ class TestMakeCompat:
     @pytest.mark.parametrize("mode", ["a1", "a2"])
     @pytest.mark.parametrize("target_dim", [0, -1])
     def test_target_dim_below_one(self, mode, target_dim):
-        # a side projected to no features has nothing for a kernel to compare
+        # a side projected to no features has nothing for a kernel to compare;
+        # make_compat always keeps min(N, M), so ask its builders directly
+        a = make_matrix(3, 5, seed=22)
         with pytest.raises(ConfigError, match="target_dim"):
-            compat.make_compat(make_matrix(3, 5, seed=22), mode, seed=0,
-                               target_dim=target_dim)
+            if mode == "a1":
+                compat.compat_pca(a, target_dim=target_dim)
+            else:
+                compat.compat_random(a, seed=0, target_dim=target_dim)

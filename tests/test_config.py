@@ -96,11 +96,11 @@ class TestEnv:
         cfg = config.build_config(environ={
             "AKSVD_KERNEL_GAMMA": "0.5",
             "AKSVD_DATASET_ZSCORE": "true",
-            "AKSVD_COMPAT_TARGET_DIM": "none",
+            "AKSVD_COMPAT_SEED": "none",
         })
         assert cfg["kernel.gamma"] == 0.5
         assert cfg["dataset.zscore"] is True
-        assert cfg["compat.target_dim"] is None
+        assert cfg["compat.seed"] is None
 
 
 class TestValidation:

@@ -473,6 +473,59 @@ class TestLazySource:
         assert kernels.as_kernel_source(src) is src
 
 
+class TestStreamingStats:
+    """Exact centering statistics in one pass over panels of rows."""
+
+    BLOCK = 64  # several panels of rows and blocks of columns at N = 300
+
+    @classmethod
+    def two_pass(cls, src):
+        """The statistics from column blocks: a first pass sums each sne row
+        over every block, the second sums the normalized blocks."""
+        n_rows, n_cols = src.shape
+        blocks = [slice(j, j + cls.BLOCK)
+                  for j in range(0, n_cols, cls.BLOCK)]
+        denom = None
+        if src._spec.family == "sne":
+            denom = sum(src._block(z_rows=cols).sum(1) for cols in blocks)
+        row_sums, col_sums = np.zeros(n_rows), np.zeros(n_cols)
+        for cols in blocks:
+            block = src._block(z_rows=cols)
+            if denom is not None:
+                kernels._divide_rows(block, denom, n_cols)
+            row_sums += block.sum(1)
+            col_sums[cols] = block.sum(0)
+        return kernels.CenteringStats(row_sums / n_cols, col_sums / n_rows,
+                                      float(row_sums.sum() / (n_rows * n_cols)))
+
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    def test_one_pass_matches_two(self, monkeypatch, family):
+        monkeypatch.setattr(kernels, "_BLOCK", self.BLOCK)
+        a = datasets.synth_directed_graph("two_block", 300, seed=12).adjacency
+        spec = kernels.KernelSpec(family, kernels.default_gamma(a))
+        src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
+        got = src.streaming_stats()
+        assert src.entries_evaluated == 300 * 300
+        want = self.two_pass(src)
+        for field in ("row_means", "col_means", "grand_mean"):
+            np.testing.assert_allclose(getattr(got, field),
+                                       getattr(want, field), rtol=1e-14)
+
+    def test_dead_rows_of_every_panel_warn_once(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK", self.BLOCK)
+        rng = np.random.default_rng(13)
+        x, z = rng.standard_normal((300, 3)), rng.standard_normal((200, 3))
+        x[[3, 200]] = 1e3  # in panels 0 and 3
+        src = kernels.LazyKernelSource(kernels.KernelSpec("sne", 1.0),
+                                       kernels.DataSources(x=x, z=z))
+        with pytest.warns(EmptyDenominatorWarning) as seen:
+            stats = src.streaming_stats()
+        assert [str(w.message) for w in seen] == [
+            "2 sne row(s) underflowed to zero; substituting uniform rows"]
+        # a dead row reads 1/M in every column
+        assert stats.row_means[[3, 200]] == pytest.approx(1.0 / 200, rel=1e-14)
+
+
 class TestChunkedBlock:
     """G_Nm and G_nM as raw chunks: products, dense form and means."""
 

@@ -576,9 +576,15 @@ class TestChunkedNystromFit:
         a = (datasets.synth_directed_graph("two_block", 200, seed=9).adjacency
              if data == "graph" else make_matrix(200, 200, seed=70))
         spec = KernelSpec(family, kernels.default_gamma(a))
+        opts = {"m": 48, "seed": 3, "center_stats": center_stats}
+        if center_stats == "full" and not center:
+            # an uncentered fit uses no statistics to compute in full
+            with pytest.raises(ConfigError, match="center=False"):
+                ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
+                         solver_opts=opts)
+            return
         model = ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
-                         solver_opts={"m": 48, "seed": 3,
-                                      "center_stats": center_stats})
+                         solver_opts=opts)
         u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center,
                                               center_stats, 48, 3)
         np.testing.assert_array_equal(model.lam, lam)
@@ -831,7 +837,7 @@ class TestDeadRowWarning:
         src = kernels.LazyKernelSource(KernelSpec("sne", 2.0),
                                        DataSources(x=x, z=z))
         one_warning(src.full)
-        one_warning(src.streaming_stats)  # several column blocks, one warning
+        one_warning(src.streaming_stats)
         one_warning(lambda: src.sample_blocks(np.arange(60), np.arange(50)))
         one_warning(lambda: kernels.kernel_matrix(
             src._spec, DataSources(x=x, z=z)))
