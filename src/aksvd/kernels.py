@@ -57,22 +57,33 @@ both sides are float32 and the product is computed in float32: every
 product and partial sum is then an integer that float32 holds, in any
 summation order, so the result equals the float64 product bit for bit.
 Graphs always qualify up to d = 2^24. Past that bound the product is taken
-in float64, over every column. The float32 product runs in tiles of 512
-rows of x against 512 rows of z, and each tile contracts only the columns
-where both of its panels have nonzeros, the intersection of their row
-spans; a tile whose intersection is empty is zero. Neighbouring tiles of
-one x panel that contract the same columns are one product, so on dense
-data each x panel takes one product against all of z. Every term left out
-is zero and every sum exact, so the result is still the float64 product
-bit for bit. The saving rests on one property of the data: the nonzeros of
-nearby rows lie in a narrow range of columns. A DAG numbered in
-topological order is strictly upper-triangular, so a panel of its rows
-starts late and a panel of its columns ends early. The share of the dense
-contraction that the tiles keep is 0.56 over the blocks the adaptive
-Nystrom solve of a 4000-node ``random_dag`` evaluates as its sample grows
-(0.36 for its final 1024-row and 1024-column blocks taken at once), 0.23
-for the full kernel of that graph, 0.19 for that of a 2000-node ``cycle``,
-and 1.0 for ``two_block`` graphs, whose every panel reaches both ends.
+in float64, over every column. The float32 product runs in tiles, and each
+tile contracts only the columns where both of its panels have nonzeros, the
+intersection of their row spans; a tile whose intersection is empty is
+zero. The tiles are laid out over panels of 512 rows of the side with fewer
+rows, x on a tie, against panels of 512 rows of the other side, and the
+other side's neighbouring panels that a panel meets over the same columns
+are one product, so on dense data each 512-row panel takes one product
+against all of the other side. When one side has fewer rows, each of its
+panels is cut into sub-panels of 64 rows if, counted from the spans before
+any product, their tiles keep at most 3/4 of the contraction that the whole
+panel's tiles keep; neighbouring sub-panels with the same tiles join again.
+A chunk of columns or rows that a growing Nystrom sample adds is a sorted
+random subset of all of them, so its panel spans nearly every feature while
+its sub-panels span far fewer. A panel of consecutive rows, as
+``streaming_stats`` takes, narrows little when cut and mostly stays whole; a
+panel of dense rows always does, and sides of equal length (``full``) are
+never cut. Every term left out is zero and every sum exact, so the result is
+still the float64 product bit for bit. The saving rests on one property of
+the data: the nonzeros of nearby rows lie in a narrow range of columns. A
+DAG numbered in topological order is strictly upper-triangular, so a panel
+of its rows starts late and a panel of its columns ends early. The share of the dense contraction that the tiles keep
+is 0.30 over the blocks the adaptive Nystrom solve of a 4000-node
+``random_dag`` evaluates as its sample grows (0.56 with its chunks' panels
+whole; 0.22 for its final 1024-row and 1024-column blocks taken at
+once), 0.23 for the full kernel of that graph, 0.19 for that of a 2000-node
+``cycle``, and 1.0 for ``two_block`` graphs, whose every panel and
+sub-panel reaches both ends.
 """
 from __future__ import annotations
 
@@ -101,6 +112,9 @@ FAMILIES = ("rbf", "sne", "linear")
 # row-block size for streaming assembly and for the rows of a float32 Gram
 # product; results do not depend on it
 _BLOCK = 512
+# rows in a sub-panel of the shorter side of a float32 Gram product
+# (``_layout``); results do not depend on it
+_SUB = 64
 # entries in a panel of rows for the pass that measures data (``_side_stats``),
 # so that a float64 panel and its temporaries stay in a core's cache
 _PANEL = 2 ** 16
@@ -330,11 +344,11 @@ def prepare_side(a, stats=None) -> tuple[np.ndarray, SideStats]:
     return a, stats
 
 
-def _panels(count: int, spans: np.ndarray):
-    """(rows, lo, hi) of every panel of ``_BLOCK`` rows: the rows and the
-    columns lo:hi that hold all of their nonzeros."""
-    for start in range(0, count, _BLOCK):
-        rows = slice(start, start + _BLOCK)
+def _panels(spans: np.ndarray, start: int, stop: int, size: int):
+    """(rows, lo, hi) of every panel of ``size`` rows in start:stop: the
+    rows and the columns lo:hi that hold all of their nonzeros."""
+    for begin in range(start, stop, size):
+        rows = slice(begin, min(begin + size, stop))
         yield rows, int(spans[rows, 0].min()), int(spans[rows, 1].max())
 
 
@@ -344,44 +358,88 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
     When d times the two sides' scales is at most 2^24, both sides are
     stored in float32, and their float32 product, exact, is written into
     the float64 result a tile at a time, so no operand is cast and no
-    float32 temporary is larger than a panel of ``_BLOCK`` rows of x
-    against all of z. Each tile, an x panel against one or more panels of
-    ``_BLOCK`` rows of z (``_tiles``), contracts only the columns where
-    both sides have nonzeros, the intersection of their spans, and is zero
-    when that is empty; the terms left out are all zero, so the integer
-    result is the same. Past the bound the product is taken in float64,
-    float32 sides upcast, over every column.
+    float32 temporary is larger than a panel of ``_BLOCK`` rows of one side
+    against all of the other. The tiles are laid out over the panels of the
+    side with fewer rows, x on a tie (``_layout``); each contracts only the
+    columns where both sides have nonzeros, the intersection of their
+    spans, and is zero when that is empty; the terms left out are all zero,
+    so the integer result is the same. Past the bound the product is taken
+    in float64, float32 sides upcast, over every column.
     """
     d = x.shape[1]
     if d * x_side.scale * z_side.scale > _F32_EXACT:
         return np.asarray(x, dtype=np.float64) @ np.asarray(
             z, dtype=np.float64).T
     out = np.empty((x.shape[0], z.shape[0]))
-    z_panels = list(_panels(z.shape[0], z_side.spans))
-    for rows, x_lo, x_hi in _panels(x.shape[0], x_side.spans):
-        for cols, lo, hi in _tiles(z_panels, x_lo, x_hi):
+    flip = z.shape[0] < x.shape[0]
+    short, long = (z_side, x_side) if flip else (x_side, z_side)
+    for rows, tiles in _layout(short.spans, long.spans):
+        for cols, lo, hi in tiles:
+            x_rows, z_rows = (cols, rows) if flip else (rows, cols)
             if lo < hi:
-                out[rows, cols] = x[rows, lo:hi] @ z[cols, lo:hi].T
+                out[x_rows, z_rows] = x[x_rows, lo:hi] @ z[z_rows, lo:hi].T
             else:
-                out[rows, cols] = 0.0
+                out[x_rows, z_rows] = 0.0
     return out
 
 
-def _tiles(z_panels, x_lo: int, x_hi: int) -> list:
-    """(cols, lo, hi) of an x panel's tiles, x_lo:x_hi its span: the
-    columns lo:hi where it meets each z panel's span, (0, 0) when they do
-    not meet. Neighbouring z panels with the same lo:hi form one tile, so
-    a panel that meets every z panel over the same columns, as on dense
-    data, takes one product against all of z."""
-    tiles = []
-    for cols, z_lo, z_hi in z_panels:
-        lo, hi = max(x_lo, z_lo), min(x_hi, z_hi)
-        if lo >= hi:
-            lo, hi = 0, 0
-        if tiles and tiles[-1][1:] == (lo, hi):
-            tiles[-1] = (slice(tiles[-1][0].start, cols.stop), lo, hi)
+def _layout(short: np.ndarray, long: np.ndarray):
+    """(rows, tiles) of a Gram product, from the spans of its sides:
+    ``short``, the side whose panels the tiles are laid out over, and
+    ``long``. Every panel of ``_BLOCK`` rows of ``short`` has its tiles
+    against the panels of ``_BLOCK`` rows of ``long`` (``_tiles``). When
+    ``short`` has fewer rows, a panel is cut into sub-panels
+    (``_sub_panels``) where, counted from the spans, their tiles keep at
+    most 3/4 of the contraction that the whole panel's tiles keep
+    (``_contraction``): a sorted random subset of a DAG's rows spans nearly
+    every column, while its sub-panels span far fewer. The saving must
+    outweigh the slower products of 64-row operands; cutting every panel
+    of the shorter side slowed ``streaming_stats`` on a 4000-node DAG."""
+    long_panels = list(_panels(long, 0, len(long), _BLOCK))
+    for rows, lo, hi in _panels(short, 0, len(short), _BLOCK):
+        whole = [(rows, _tiles(long_panels, lo, hi))]
+        if len(short) < len(long):
+            parts = _sub_panels(short, rows, long_panels)
+            if 4 * _contraction(parts) <= 3 * _contraction(whole):
+                whole = parts
+        yield from whole
+
+
+def _sub_panels(spans: np.ndarray, panel: slice, long_panels) -> list:
+    """(rows, tiles) of the sub-panels of ``_SUB`` rows of ``panel``;
+    neighbours with the same tiles are one sub-panel."""
+    parts = []
+    for rows, lo, hi in _panels(spans, panel.start, panel.stop, _SUB):
+        tiles = _tiles(long_panels, lo, hi)
+        if parts and parts[-1][1] == tiles:
+            parts[-1] = (slice(parts[-1][0].start, rows.stop), tiles)
         else:
-            tiles.append((cols, lo, hi))
+            parts.append((rows, tiles))
+    return parts
+
+
+def _contraction(parts) -> int:
+    """Multiply-adds of the tiles of ``parts``, (rows, tiles) pairs."""
+    return sum((rows.stop - rows.start) * sum(
+        (cols.stop - cols.start) * (hi - lo) for cols, lo, hi in tiles)
+        for rows, tiles in parts)
+
+
+def _tiles(panels, lo: int, hi: int) -> list:
+    """(cols, lo, hi) of the tiles of a panel whose span is lo:hi: the
+    columns where it meets each of ``panels``' spans, (0, 0) when they do
+    not meet. Neighbouring panels with the same lo:hi form one tile, so a
+    panel that meets every one over the same columns, as on dense data,
+    takes one product against all of them."""
+    tiles = []
+    for cols, p_lo, p_hi in panels:
+        t_lo, t_hi = max(lo, p_lo), min(hi, p_hi)
+        if t_lo >= t_hi:
+            t_lo, t_hi = 0, 0
+        if tiles and tiles[-1][1:] == (t_lo, t_hi):
+            tiles[-1] = (slice(tiles[-1][0].start, cols.stop), t_lo, t_hi)
+        else:
+            tiles.append((cols, t_lo, t_hi))
     return tiles
 
 

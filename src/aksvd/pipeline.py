@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, evaluation, kernels, ksvd, nystrom
-from .config import RunConfig, parse_floats, parse_names
+from .config import KNOWN, RunConfig, parse_floats, parse_names
 from .errors import (
     ConfigError,
     SingleClassError,
@@ -65,18 +65,33 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
     return KernelSpec(family=family, gamma=gamma)
 
 
+# the config key behind each of fit's solver_opts but seed, which is
+# nystrom.seed for the nystrom solver and solver.seed for the others
+_OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
+             "subproblem": "nystrom.subproblem",
+             "center_stats": "nystrom.center_stats", "tol": "solver.tol",
+             "oversample": "solver.oversample",
+             "power_iters": "solver.power_iters"}
+
+
 def _solver_opts(cfg: RunConfig) -> dict:
-    """The config's values for the solver_opts keys the solver reads."""
+    """The config's values for the solver_opts keys the solver reads. A
+    config key behind solver_opts that the solver does not read is rejected
+    unless it holds its default; nystrom.growth and nystrom.epsilon are no
+    such keys, since bench and nystrom-sweep read them."""
     solver = cfg["solver"]
-    values = {"n": cfg["nystrom.n"], "m": cfg["nystrom.m"],
-              "seed": cfg.get("nystrom.seed" if solver == "nystrom"
-                              else "solver.seed", "seed"),
-              "subproblem": cfg["nystrom.subproblem"],
-              "center_stats": cfg["nystrom.center_stats"],
-              "tol": cfg["solver.tol"],
-              "oversample": cfg["solver.oversample"],
-              "power_iters": cfg["solver.power_iters"]}
-    return {key: values[key] for key in ksvd.SOLVER_OPTS[solver]}
+    keys = dict(_OPT_KEYS, seed="nystrom.seed" if solver == "nystrom"
+                else "solver.seed")
+    read = {keys[opt] for opt in ksvd.SOLVER_OPTS[solver]}
+    every = {*_OPT_KEYS.values(), "nystrom.seed", "solver.seed"}
+    unread = [key for key in sorted(every - read)
+              if cfg[key] != KNOWN[key].default]
+    if unread:
+        raise ConfigError(f"solver {solver!r} does not read "
+                          f"{', '.join(unread)}; it reads "
+                          f"{', '.join(sorted(read)) or 'none of them'}")
+    return {opt: cfg.get(keys[opt], "seed" if opt == "seed" else None)
+            for opt in ksvd.SOLVER_OPTS[solver]}
 
 
 def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:

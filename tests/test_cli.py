@@ -108,16 +108,44 @@ class TestExtract:
     @pytest.mark.parametrize("solver", ["exact", "truncated", "randomized",
                                         "nystrom"])
     def test_unread_config_keys_are_not_forwarded_to_fit(self, tmp_path,
-                                                         solver):
-        # fit rejects solver_opts its solver does not read, so the pipeline
-        # passes only the chosen solver's keys; the others are dropped, not
-        # rejected (ROADMAP item 8), and rejecting them inverts this test
+                                                         solver, capsys):
+        # a non-default value of a config key behind a solver_opts key that
+        # the solver does not read is rejected (exit 2), naming the key and
+        # the solver; the keys it reads pass, as do unread keys at their
+        # defaults
+        values = {"nystrom.n": "12", "nystrom.m": "12", "nystrom.seed": "3",
+                  "nystrom.subproblem": "exact",
+                  "nystrom.center_stats": "full", "solver.tol": "1e-9",
+                  "solver.oversample": "4", "solver.power_iters": "1",
+                  "solver.seed": "3"}
+        reads = {"exact": (), "truncated": ("solver.tol", "solver.seed"),
+                 "randomized": ("solver.oversample", "solver.power_iters",
+                                "solver.seed"),
+                 "nystrom": ("nystrom.n", "nystrom.m", "nystrom.seed",
+                             "nystrom.subproblem", "nystrom.center_stats",
+                             "solver.oversample", "solver.power_iters")}
+        base = ("extract", "--format", "synth", "--rank", "2", "--solver",
+                solver, "--set", "dataset.synth_n=24")
+        unread = [key for key in values if key not in reads[solver]]
+        assert unread
+        for key in unread:
+            assert run(*base, "--set", f"{key}={values[key]}",
+                       "--out", str(tmp_path / key)) == 2
+            err = capsys.readouterr().err
+            assert key in err and repr(solver) in err
+            assert not (tmp_path / key).exists()
+        # the keys it reads, the others at their defaults
+        defaults = {"nystrom.n": "none", "nystrom.m": "none",
+                    "nystrom.seed": "none", "nystrom.subproblem": "rsvd",
+                    "nystrom.center_stats": "sampled", "solver.tol": "1e-10",
+                    "solver.oversample": "10", "solver.power_iters": "2",
+                    "solver.seed": "none"}
+        chosen = {key: values[key] if key in reads[solver] else defaults[key]
+                  for key in values}
+        sets = [arg for key, value in chosen.items()
+                for arg in ("--set", f"{key}={value}")]
         out = tmp_path / "run"
-        assert run("extract", "--format", "synth", "--rank", "2",
-                   "--solver", solver, "--set", "dataset.synth_n=24",
-                   "--set", "solver.tol=1e-9", "--set", "nystrom.m=12",
-                   "--set", "nystrom.center_stats=full",
-                   "--out", str(out)) == 0
+        assert run(*base, *sets, "--out", str(out)) == 0
         lam = np.loadtxt(out / "lambda.csv", delimiter=",", ndmin=2)
         assert lam.shape[0] == 2
 

@@ -28,6 +28,12 @@ def loop_spans(a):
     return np.array(spans, dtype=int).reshape(-1, 2)
 
 
+def multiply_adds(parts):
+    """Multiply-adds of a Gram product's tiles, from (rows, tiles) pairs."""
+    return sum((rows.stop - rows.start) * (cols.stop - cols.start) * (hi - lo)
+               for rows, tiles in parts for cols, lo, hi in tiles)
+
+
 def compat_sources(a, mode, **kw):
     """The sources of A through the compat transform of the given mode."""
     return apply_compat(make_compat(a, mode, **kw), kernels.build_sources(a))
@@ -713,6 +719,13 @@ def _gram_cases():
     holes[:512] = 0.0
     holes[600::7] = 0.0
     holes[:, 650:] = 0.0
+    # a chunk of sampled columns: a sorted random subset of a DAG's columns
+    # against all of its rows, and the same product transposed; the chunk's
+    # panels span nearly every feature, its sub-panels far fewer
+    chunk_dag = datasets.synth_directed_graph("random_dag", 1200,
+                                              seed=4).adjacency
+    picked = np.random.default_rng(47).choice(1200, 300, replace=False)
+    chunk = chunk_dag.T[np.sort(picked)]
     # k / 2^20 with |k| <= 2^20: float64 sums of their products are exact
     # in any order, so every block is a bit-exact slice of the reference,
     # while float32 would round the products
@@ -726,6 +739,8 @@ def _gram_cases():
         "banded": (banded, banded.T),
         "zero_rows_and_columns": (holes, holes.T),
         "zero_rows_against_dense": (holes, sparse[1, :400] * 1.0),
+        "column_chunk": (chunk_dag, chunk),
+        "column_chunk_transposed": (chunk, chunk_dag),
         "graph_tall_x": ((rng.random((700, 50)) < 0.3).astype(float),
                          (rng.random((200, 50)) < 0.3).astype(float)),
         "graph_tall_z": ((rng.random((200, 50)) < 0.3).astype(float),
@@ -809,8 +824,9 @@ class TestExactGram:
         # every call after the first evaluated only its new entries
         assert src.entries_evaluated == big_n * m + n * big_m
 
-    @pytest.mark.parametrize("case", ["graph", "graph_tall", "at_bound",
-                                      "past_bound", "non_integral"])
+    @pytest.mark.parametrize("case", ["graph", "graph_tall", "dag_chunk",
+                                      "at_bound", "past_bound",
+                                      "non_integral"])
     @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
     def test_oos_rows_and_columns_equal_float64(self, case, family):
         rng = np.random.default_rng(41)
@@ -820,6 +836,15 @@ class TestExactGram:
             n_new = 700 if case == "graph_tall" else 40
             new_x = (rng.random((n_new, 600)) < 0.3).astype(float)
             new_z = (rng.random((n_new, 600)) < 0.3).astype(float)
+        elif case == "dag_chunk":
+            # sorted random rows and columns of another DAG: their chunk
+            # spans nearly every feature, its sub-panels far fewer
+            a = datasets.synth_directed_graph("random_dag", 600,
+                                              seed=5).adjacency
+            other = datasets.synth_directed_graph("random_dag", 600,
+                                                  seed=6).adjacency
+            new_x = other[np.sort(rng.choice(600, 300, replace=False))]
+            new_z = other.T[np.sort(rng.choice(600, 300, replace=False))]
         elif case == "at_bound":  # 64 * 512 * 512 = 2^24
             a = _ints(rng, (64, 64), 512, 0)
             a[:, 0] = 512
@@ -903,6 +928,79 @@ class TestExactGram:
             (slice(0, 1024), 10, 35), (slice(1024, 1536), 30, 35),
             (slice(1536, 3072), 0, 0)]
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_cut_sub_panels_contract_only_their_span_intersection(self, flip):
+        # the 200-row side is the shorter one, x or z, and its panel is cut
+        # into sub-panels of 64 rows; spans set by hand, claiming fewer
+        # columns than the data hold, show what each tile contracts
+        rng = np.random.default_rng(48)
+        long = rng.integers(1, 4, (1100, 40)).astype(float)
+        short = rng.integers(1, 4, (200, 40)).astype(float)
+        long_spans = np.empty((1100, 2), dtype=int)
+        long_spans[:512], long_spans[512:1024], long_spans[1024:] = \
+            (0, 40), (25, 40), (5, 15)
+        # rows 0:64 and 64:128 meet every long panel alike and are one
+        # sub-panel; the whole panel would span 0:40
+        short_spans = np.empty((200, 2), dtype=int)
+        short_spans[:128], short_spans[128:192], short_spans[192:] = \
+            (0, 10), (30, 40), (20, 35)
+        want = np.zeros((1100, 200))  # long rows 512:1024 miss short 0:128
+        want[:512, :128] = long[:512, 0:10] @ short[:128, 0:10].T
+        want[1024:, :128] = long[1024:, 5:10] @ short[:128, 5:10].T
+        want[:1024, 128:192] = long[:1024, 30:40] @ short[128:192, 30:40].T
+        want[:512, 192:] = long[:512, 20:35] @ short[192:, 20:35].T
+        want[512:1024, 192:] = long[512:1024, 25:35] @ short[192:, 25:35].T
+        sides = [(long, long_spans), (short, short_spans)]
+        if flip:
+            sides, want = sides[::-1], want.T
+        (x, x_spans), (z, z_spans) = sides
+        got = kernels._gram(kernels.stored(x), kernels.stored(z),
+                            kernels._side_stats(x)._replace(spans=x_spans),
+                            kernels._side_stats(z)._replace(spans=z_spans))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("narrow, cut", [(50, True), (51, False)])
+    def test_a_panel_is_cut_where_its_sub_panels_keep_three_quarters(
+            self, narrow, cut):
+        # against one long panel over 0:100, two sub-panels over 0:narrow
+        # and two over 0:100 keep (narrow + 100) / 200 of the whole panel's
+        # contraction, 3/4 at 50; neighbours with the same tiles join
+        short = np.array([(0, narrow)] * 128 + [(0, 100)] * 128)
+        long = np.array([(0, 100)] * 512)
+        whole = [(slice(0, 256), [(slice(0, 512), 0, 100)])]
+        parts = [(slice(0, 128), [(slice(0, 512), 0, narrow)]),
+                 (slice(128, 256), [(slice(0, 512), 0, 100)])]
+        assert list(kernels._layout(short, long)) == (parts if cut else whole)
+        # sides with as many rows as each other are never cut
+        assert list(kernels._layout(short, short)) == [
+            (slice(0, 256), [(slice(0, 256), 0, 100)])]
+
+    @pytest.mark.parametrize("name", ["column_chunk",
+                                      "column_chunk_transposed"])
+    def test_a_sampled_chunk_keeps_at_most_three_quarters(self, name,
+                                                          monkeypatch):
+        x, z = _gram_cases()[name]
+        sides = [kernels._side_stats(x), kernels._side_stats(z)]
+        laid = []
+        layout = kernels._layout
+        monkeypatch.setattr(kernels, "_layout",
+                            lambda *a: laid.extend(layout(*a)) or laid)
+        got = kernels._gram(kernels.stored(x), kernels.stored(z), *sides)
+        np.testing.assert_array_equal(got, x @ z.T)
+        short, long = sorted((side.spans for side in sides), key=len)
+        # the tiles cover every entry of the product once
+        covered = np.zeros((len(short), len(long)), dtype=int)
+        for rows, tiles in laid:
+            for cols, _, _ in tiles:
+                covered[rows, cols] += 1
+        assert (covered == 1).all()
+        # the 300-row panel whole, against the panels of the other side
+        long_panels = list(kernels._panels(long, 0, len(long), 512))
+        uncut = [(rows, kernels._tiles(long_panels, lo, hi))
+                 for rows, lo, hi in kernels._panels(short, 0, 300, 512)]
+        assert len(uncut) == 1 and len(laid) > 1
+        assert 4 * multiply_adds(laid) <= 3 * multiply_adds(uncut)
+
     def test_dense_data_take_one_product_per_x_panel(self, monkeypatch):
         # two_block panels all reach both ends: one tile per x panel
         graph = datasets.synth_directed_graph("two_block", 1100,
@@ -913,8 +1011,31 @@ class TestExactGram:
         monkeypatch.setattr(kernels, "_tiles",
                             lambda *a: calls.append(tiles(*a)) or calls[-1])
         got = kernels._gram(src.x, src.z, src.x_stats, src.z_stats)
-        assert calls == [[(slice(0, 1536), 0, 1100)]] * 3
+        assert calls == [[(slice(0, 1100), 0, 1100)]] * 3
         np.testing.assert_array_equal(got, graph @ graph)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_a_dense_chunk_takes_one_product_per_512_rows(self, flip,
+                                                          monkeypatch):
+        # the shapes of an out-of-sample projection: 512 new two_block
+        # points against 2000 training points, as rows (x) and as columns
+        # (z); the chunk's sub-panels reach both ends like the chunk, so it
+        # stays whole, and the training side joins into one tile
+        graph = datasets.synth_directed_graph("two_block", 2000,
+                                              seed=0).adjacency
+        new = datasets.synth_directed_graph("two_block", 2000,
+                                            seed=1).adjacency
+        picked = np.sort(np.random.default_rng(49).choice(2000, 512,
+                                                          replace=False))
+        x, z = (graph, new.T[picked]) if flip else (new[picked], graph.T)
+        laid = []
+        layout = kernels._layout
+        monkeypatch.setattr(kernels, "_layout",
+                            lambda *a: laid.extend(layout(*a)) or laid)
+        got = kernels._gram(kernels.stored(x), kernels.stored(z),
+                            kernels._side_stats(x), kernels._side_stats(z))
+        assert laid == [(slice(0, 512), [(slice(0, 2000), 0, 2000)])]
+        np.testing.assert_array_equal(got, x @ z.T)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.float64])
     def test_spans_of_every_row(self, dtype):
