@@ -795,8 +795,9 @@ class MatrixSource:
     def shape(self):
         return self._g.shape
 
-    def sample_blocks(self, row_idx, col_idx):
-        """(G_nm, G_Nm, G_nM), the large two as one-chunk blocks."""
+    def sample_blocks(self, row_idx, col_idx, col_weights=None):
+        """(G_nm, G_Nm, G_nM), the large two as one-chunk blocks; G holds
+        no normalizers to estimate, so ``col_weights`` changes nothing."""
         g_big_m = self._g[:, col_idx]
         g_n_big = self._g[row_idx, :]
         self.entries_evaluated += g_big_m.size + g_n_big.size
@@ -828,7 +829,6 @@ class _Sample:
     cols: np.ndarray
     col_chunks: tuple           # N x (new columns): linear or rbf numerators
     row_chunks: tuple           # (new rows) x M
-    sums: np.ndarray | None     # sne: row sums over the sampled columns
 
 
 class LazyKernelSource:
@@ -836,12 +836,14 @@ class LazyKernelSource:
 
     A sampled run touches N*m + n*M entries. For the sne family each row's
     normalizer, its sum over all M columns, is estimated without bias from
-    the m sampled columns as (sampled sum) * M/m, and both sampled blocks
-    are divided by the same estimates. The factor M/m is common to every
-    row: it puts the blocks at the full matrix's scale and leaves the
-    singular vectors of a plain sampled-sum normalization unchanged.
-    ``row_denoms`` holds the sne normalizers behind the latest blocks:
-    estimates after ``sample_blocks``, exact after ``full``.
+    the m sampled columns by the Horvitz-Thompson sum of raw_ij / pi_j, pi_j
+    the inclusion probability of column j. A uniform sample has pi_j = m/M,
+    so the estimate is (sampled sum) * M/m: the factor is common to every
+    row, puts the blocks at the full matrix's scale and leaves the singular
+    vectors of a plain sampled-sum normalization unchanged. Both sampled
+    blocks are divided by the same estimates. ``row_denoms`` holds the sne
+    normalizers behind the latest blocks: estimates after ``sample_blocks``,
+    exact after ``full``.
 
     x and z are evaluated in stored form (see ``stored``) with their
     ``SideStats``. Sources from ``build_sources`` or ``compat.apply_compat``
@@ -877,7 +879,7 @@ class LazyKernelSource:
         return block
 
     @warns_dead_rows
-    def sample_blocks(self, row_idx, col_idx):
+    def sample_blocks(self, row_idx, col_idx, col_weights=None):
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
 
         The raw chunks of the latest call are kept. When both index sets
@@ -888,42 +890,45 @@ class LazyKernelSource:
         sne rows divided by the current estimates; G_nm is a small dense
         array, the requested rows of G_Nm, so the three blocks are mutually
         consistent by construction.
+
+        ``col_weights`` are the Horvitz-Thompson weights 1/pi_j of the
+        requested columns, in their order; None stands for a uniform
+        sample, M/m each. sne normalizers are the weighted sums of the raw
+        columns; the chunks themselves are never weighted.
         """
         row_idx = np.array(row_idx, dtype=int)
         col_idx = np.array(col_idx, dtype=int)
         big_n, big_m = self.shape
-        sne = self._spec.family == "sne"
         prev = self._sample
         if prev is None or not (np.isin(prev.rows, row_idx).all()
                                 and np.isin(prev.cols, col_idx).all()):
             empty = np.empty(0, dtype=int)
             prev = _Sample(empty, empty, (np.empty((big_n, 0)),),
-                           (np.empty((0, big_m)),),
-                           np.zeros(big_n) if sne else None)
+                           (np.empty((0, big_m)),))
         new_rows = row_idx[~np.isin(row_idx, prev.rows)]
         new_cols = col_idx[~np.isin(col_idx, prev.cols)]
-        col_chunks, row_chunks, sums = prev.col_chunks, prev.row_chunks, \
-            prev.sums
+        col_chunks, row_chunks = prev.col_chunks, prev.row_chunks
         if new_cols.size:
-            fresh = _finite(self._block(z_rows=new_cols), "G_Nm")
-            col_chunks += (fresh,)
-            if sne:
-                sums = sums + fresh.sum(1)
+            col_chunks += (_finite(self._block(z_rows=new_cols), "G_Nm"),)
         if new_rows.size:
             row_chunks += (_finite(self._block(x_rows=new_rows), "G_nM"),)
         sample = _Sample(rows=np.concatenate([prev.rows, new_rows]),
                          cols=np.concatenate([prev.cols, new_cols]),
-                         col_chunks=col_chunks, row_chunks=row_chunks,
-                         sums=sums)
+                         col_chunks=col_chunks, row_chunks=row_chunks)
         self._sample = sample
 
+        col_order = _positions(sample.cols, col_idx)
         denom = None
-        if sne:
-            denom = sums * (big_m / col_idx.size)
+        if self._spec.family == "sne":
+            if col_weights is None:
+                denom = sum(c.sum(1) for c in col_chunks) \
+                    * (big_m / col_idx.size)
+            else:
+                denom = (ChunkedBlock(col_chunks, 1, col_order)
+                         @ np.reshape(col_weights, (-1, 1)))[:, 0]
             self.row_denoms = denom
             note_dead(int((denom == 0.0).sum()))
-        g_big_m = ChunkedBlock(col_chunks, 1, _positions(sample.cols, col_idx),
-                               denom, big_m)
+        g_big_m = ChunkedBlock(col_chunks, 1, col_order, denom, big_m)
         g_n_big = ChunkedBlock(row_chunks, 0, _positions(sample.rows, row_idx),
                                None if denom is None else denom[row_idx],
                                big_m)

@@ -8,7 +8,8 @@ full matrix, which is where the speedup over direct solvers comes from.
 A symmetric baseline (the classical Nystrom eigen-approximation, applied
 to the two Gram matrices) and the eta alignment metric used to compare
 solvers are also provided, together with a budget-growth driver that
-raises the sample count until a target eta is met.
+raises the sample count, each later sample drawn by the leverage of the
+last and lifted with importance weights, until a target eta is met.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ class NystromConfig:
     m: int | None = None        # column samples; None -> max(4r, 32), capped
     seed: int = 0
     m_growth: float = 2.0
-    m_max: int | None = None
+    m_max: int | None = None    # cap on solve_to_tolerance's column budget
     subproblem: str = "rsvd"    # asym subproblem: "rsvd" (default) or "exact"
     oversample: int = 10
     power_iters: int = 2
@@ -125,22 +126,30 @@ def _unit_columns(a: np.ndarray, what: str) -> np.ndarray:
     return a / norms[None, :]
 
 
-def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
+def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
+                weights=None):
     """Core reconstruction from sampled blocks.
 
-    The rank-r SVD (u_s, s, v_s) of the small block G_nm gives the lift
-    U_tilde = G_Nm W and V_tilde = G_nM^T W' with W = v_s diag(1/s) and
-    W' = u_s diag(1/s). G_Nm and G_nM are ``kernels.ChunkedBlock``s as
+    ``weights`` is None for a uniform sample, or the pair of Horvitz-Thompson
+    weights 1/pi of the sampled rows and columns (in block order) for a
+    sample drawn with unequal inclusion probabilities pi. With D_r and D_c
+    the diagonals of their square roots, the rank-r SVD (u_s, s, v_s) of the
+    small block D_r G_nm D_c gives the lift U_tilde = G_Nm W and
+    V_tilde = G_nM^T W' with W = D_c v_s diag(1/s) and
+    W' = D_r u_s diag(1/s); a uniform sample has D_r and D_c equal to the
+    identity. G_Nm and G_nM are ``kernels.ChunkedBlock``s as
     ``sample_blocks`` returns them (plain arrays are checked and wrapped as
     one-chunk blocks), so both products are sums of thin products over the
-    raw kernel chunks: the sampled order, the sne row normalizers and any
-    centering the blocks carry are applied to W, W' and the r-column
-    results, never to the chunks.
+    raw kernel chunks: the sampled order, the weights, the sne row
+    normalizers and any centering the blocks carry are applied to W, W' and
+    the r-column results, never to the chunks.
 
     Returns unit-normalized (U_tilde, V_tilde) with canonical signs and the
-    rescaled singular value estimates. The estimate multiplies the
-    subproblem values by sqrt(N*M / (n*m)), which reproduces the exact
-    values at full sampling.
+    singular value estimates. A uniform sample multiplies s by
+    sqrt(N*M / (n*m)), which reproduces the exact values at full sampling.
+    A weighted sample takes the Horvitz-Thompson Rayleigh quotient, the sum
+    over sampled columns j of (u_k^T G[:, j]) v_jk / pi_j, at the cost of
+    one more thin product G_Nm^T U_tilde.
     """
     g_nm = as_matrix(g_nm, "G_nm")
     g_big_m = as_block(g_big_m, "G_Nm")
@@ -148,30 +157,45 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig):
     n, m = g_nm.shape
     big_n = g_big_m.shape[0]
     big_m = g_n_big.shape[1]
-    small = _small_svd(g_nm, cfg)
+    # unit weights scale nothing, bit for bit
+    d_r, d_c = ((np.ones(n), np.ones(m)) if weights is None
+                else (np.sqrt(w) for w in weights))
+    small = _small_svd(d_r[:, None] * g_nm * d_c[None, :], cfg)
     if small.rank < r:
         warnings.warn(
             f"sampled block has numerical rank {small.rank} < requested {r}; "
             "result truncated", SubproblemRankDeficientWarning, stacklevel=3)
-    u_t = _unit_columns(g_big_m @ (small.v / small.s[None, :]), "U_tilde")
-    v_t = _unit_columns(g_n_big.T @ (small.u / small.s[None, :]), "V_tilde")
+    w_x = d_c[:, None] * small.v / small.s[None, :]
+    w_z = d_r[:, None] * small.u / small.s[None, :]
+    u_t = _unit_columns(g_big_m @ w_x, "U_tilde")
+    v_raw = g_n_big.T @ w_z
+    v_t = _unit_columns(v_raw, "V_tilde")
+    if weights is None:
+        lam = small.s * np.sqrt(big_n * big_m / (n * m))
+    else:
+        # V_tilde on the sampled columns: G_nm is G_nM's block of them
+        v_c = (g_nm.T @ w_z) / np.linalg.norm(v_raw, axis=0)[None, :]
+        lam = np.einsum("jk,jk,j->k", g_big_m.T @ u_t, v_c, weights[1])
     u_t, v_t = canonicalize_signs(u_t, v_t)
-    lam = small.s * np.sqrt(big_n * big_m / (n * m))
     return u_t, v_t, lam
 
 
-def asym_nystrom(g_source, cfg: NystromConfig,
-                 indices=None) -> NystromResult:
+def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
+                 weights=None) -> NystromResult:
     """Approximate the top-r singular triplets from sampled blocks.
 
     ``indices`` is the (rows, columns) pair to sample; by default it is
-    drawn by ``sample_indices`` from the config.
+    drawn by ``sample_indices`` from the config. ``weights`` is None for a
+    uniform sample, or the Horvitz-Thompson weights 1/pi of those rows and
+    columns (see ``lift_blocks``); the column weights also make the sne
+    row normalizers.
     """
     source = as_kernel_source(g_source)
     rows, cols = (sample_indices(source.shape, cfg) if indices is None
                   else indices)
-    g_nm, g_big_m, g_n_big = source.sample_blocks(rows, cols)
-    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg)
+    g_nm, g_big_m, g_n_big = source.sample_blocks(
+        rows, cols, None if weights is None else weights[1])
+    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg, weights)
     return NystromResult(u_tilde=u_t, v_tilde=v_t, lambda_tilde=lam,
                          row_indices=rows, col_indices=cols)
 
@@ -245,9 +269,9 @@ def eta_accuracy(u_tilde, v_tilde, reference: SvdResult, r: int) -> float:
 class Attempt:
     """One attempt of ``solve_to_tolerance``.
 
-    ``m`` and ``n`` are the column and row sample counts (for rsvd, ``m``
-    is the oversampling; tsvd and rsvd sample no rows, and tsvd no
-    columns). ``wall_time`` is this attempt's solver time and ``entries``
+    ``m`` and ``n`` are the column and row counts sampled, which for
+    asym_nystrom vary around the budget (for rsvd, ``m`` is the
+    oversampling; tsvd and rsvd sample no rows, and tsvd no columns). ``wall_time`` is this attempt's solver time and ``entries``
     the kernel entries the source has evaluated so far.
     """
 
@@ -271,6 +295,25 @@ class SolveReport:
 
 SOLVERS = ("tsvd", "rsvd", "sym_nystrom", "asym_nystrom")
 
+# The growth loop's sampler. After the first attempt each index i of a side
+# of length L has inclusion probability pi_i = min(1, ceil(b L p_i) / L) at
+# budget b, with p = LEVERAGE_MIX * (leverage of the previous attempt's
+# factor on that side) + (1 - LEVERAGE_MIX) / L; 0 samples uniformly.
+LEVERAGE_MIX = 0.8
+
+
+def _limits(budget: int, size: int, factor) -> np.ndarray:
+    """L pi_i = ceil(b L p_i), capped at L, for every index of one side of
+    length L at budget b: the number of keys below pi_i, an integer, so
+    inclusion is exact. Without a factor (the first attempt) every index
+    gets b, which samples a prefix; at a budget of L, every index gets L."""
+    if factor is None or budget >= size:
+        return np.full(size, budget)
+    q = np.linalg.qr(factor)[0]
+    lev = np.einsum("ij,ij->i", q, q)
+    scaled = LEVERAGE_MIX * size * (lev / lev.sum()) + (1.0 - LEVERAGE_MIX)
+    return np.minimum(np.ceil(budget * scaled).astype(int), size)
+
 
 @warns_dead_rows
 def solve_to_tolerance(g_source, solver: str, epsilon: float,
@@ -282,20 +325,37 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
 
     - tsvd: no budget (k = cap = 0); it runs once at machine precision.
     - rsvd: the oversampling, from ``cfg.oversample`` up to min(N, M) - r.
-    - sym_nystrom and asym_nystrom: the column count m, from ``cfg.m`` (or
+    - sym_nystrom and asym_nystrom: the column budget m, from ``cfg.m`` (or
       max(4r, 32)) up to ``cfg.m_max`` or, when that is unset, all M
-      columns. Every attempt derives its row count from its m, so a config
-      that sets ``n`` is rejected.
+      columns. Every attempt derives its row budget from its m, so a config
+      that sets ``n`` is rejected. asym_nystrom's later attempts sample
+      counts around their budgets (see below), so at a cap of ``m_max`` an
+      attempt may sample more columns than ``m_max``.
 
     Wall time counts the solver work only, not reference or eta evaluation,
     nor the dense matrices the baselines start from (G, and for sym_nystrom
-    its two Gram matrices). The asymmetric solver draws one seeded
-    permutation of the rows and one of the columns per solve and samples
-    sorted prefixes of them, so each attempt's sample contains the previous
-    one and a block source evaluates only the new columns and rows. The
-    report's ``history`` records every attempt. If the budget cap is reached
-    with eta still above epsilon a ToleranceUnreachableError is raised,
-    carrying the last report in its ``report`` attribute.
+    its two Gram matrices).
+
+    The asymmetric solver draws one seeded permutation of the rows and one
+    of the columns per solve; index i's key is its position in its
+    permutation over the side's length L, and i is sampled while its key
+    lies below its inclusion probability pi_i. The first attempt gives every
+    index pi = b/L at budget b (b = n for rows, m for columns), which
+    samples a prefix of each permutation. Every later attempt raises pi_i to
+    min(1, ceil(b L p_i) / L) where that is larger, with p the mixture of
+    ``LEVERAGE_MIX`` times the leverage scores of the previous attempt's
+    U~ (rows) or V~ (columns) and the rest uniform; at a budget of L the
+    whole side is sampled. pi only grows, so each attempt's sample contains
+    the previous one and a block source evaluates only the new columns and
+    rows. A sample with unequal pi is lifted with the Horvitz-Thompson
+    weights 1/pi (see ``lift_blocks``), which also estimate the sne row
+    normalizers; ``LEVERAGE_MIX`` = 0 keeps every pi equal and samples
+    prefixes throughout. The sample sizes vary around the budget: ``m_used``
+    and every ``Attempt`` report the counts sampled.
+
+    The report's ``history`` records every attempt. If the budget cap is
+    reached with eta still above epsilon a ToleranceUnreachableError is
+    raised, carrying the last report in its ``report`` attribute.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
@@ -312,14 +372,30 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     k = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
     if solver == "asym_nystrom":
         rng = np.random.default_rng(cfg.seed)
-        row_perm = rng.permutation(big_n)
-        col_perm = rng.permutation(big_m)
+        # inclusion keys: position in one seeded permutation per side
+        keys = [np.argsort(rng.permutation(big_n)),
+                np.argsort(rng.permutation(big_m))]
+        limits = [np.zeros(big_n, dtype=int), np.zeros(big_m, dtype=int)]
+        factors = [None, None]  # the previous attempt's U~ and V~
 
         def attempt(m, i):
             step_cfg = replace(cfg, m=m, seed=cfg.seed + i)
             n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
-            return asym_nystrom(source, step_cfg, indices=(
-                np.sort(row_perm[:n]), np.sort(col_perm[:m])))
+            for side, budget in enumerate((n, m)):
+                np.maximum(limits[side],
+                           _limits(budget, limits[side].size, factors[side]),
+                           out=limits[side])
+            picked = [np.flatnonzero(key < limit)
+                      for key, limit in zip(keys, limits)]
+            # equal probabilities make a uniform sample, lifted unweighted
+            weights = None
+            if any(np.ptp(limit) for limit in limits):
+                weights = tuple(limit.size / limit[idx]
+                                for limit, idx in zip(limits, picked))
+            res = asym_nystrom(source, step_cfg, indices=picked,
+                               weights=weights)
+            factors[:] = res.u_tilde, res.v_tilde
+            return res
     else:
         g = source.full()
     if solver == "tsvd":
@@ -355,13 +431,13 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
         seconds = time.perf_counter() - t0
         wall += seconds
         if isinstance(res, SvdResult):
-            u, v, rank, n = res.u, res.v, res.rank, 0
+            u, v, rank, m, n = res.u, res.v, res.rank, k, 0
         else:
-            u, v, rank, n = (res.u_tilde, res.v_tilde, res.lambda_tilde.size,
-                             res.row_indices.size)
+            u, v, rank = res.u_tilde, res.v_tilde, res.lambda_tilde.size
+            m, n = res.col_indices.size, res.row_indices.size
         eta = eta_accuracy(u, v, reference, min(r, rank))
-        history.append(Attempt(k, n, eta, seconds, source.entries_evaluated))
-        rep = SolveReport(solver, res, k, eta, wall,
+        history.append(Attempt(m, n, eta, seconds, source.entries_evaluated))
+        rep = SolveReport(solver, res, m, eta, wall,
                           "ok" if eta <= epsilon else "tolerance_unreachable",
                           tuple(history))
         if eta <= epsilon:

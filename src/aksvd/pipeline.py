@@ -357,7 +357,8 @@ def run_bench(cfg: RunConfig) -> Path:
             eps_rows.append({
                 "solver": solver, "N": g.shape[0], "M": g.shape[1],
                 "r": cfg["rank"], "epsilon": f"{epsilon:.17g}",
-                "m_used": rep.m_used, "eta": f"{rep.eta:.17g}",
+                "m_used": rep.m_used, "entries": rep.history[-1].entries,
+                "attempts": len(rep.history), "eta": f"{rep.eta:.17g}",
                 "wall_time_s": f"{median_time:.6g}", "seed": ncfg.seed,
                 "status": rep.status,
             })
@@ -405,7 +406,8 @@ def run_sweep(cfg: RunConfig) -> Path:
             rows.append({
                 "gamma": f"{gamma:.17g}", "epsilon": f"{epsilon:.17g}",
                 "seed": ncfg.seed, "m_used": rep.m_used,
-                "eta": f"{rep.eta:.17g}",
+                "entries": rep.history[-1].entries,
+                "attempts": len(rep.history), "eta": f"{rep.eta:.17g}",
                 "wall_time_s": f"{rep.wall_time:.6g}",
                 "speedup_vs_tsvd": f"{speedup:.6g}" if speedup else "",
                 "status": rep.status,

@@ -381,6 +381,12 @@ class TestBench:
         # loose tolerance: the sampled solver stops at its starting budget
         assert int(rows["asym_nystrom"]["m_used"]) == 8
         assert float(rows["rsvd"]["speedup"]) == 1.0
+        # one attempt each; the sampled solver evaluates N*m + n*M entries,
+        # the dense baselines all of G
+        assert {row["attempts"] for row in rows.values()} == {"1"}
+        assert int(rows["asym_nystrom"]["entries"]) == 24 * 8 + 8 * 24
+        assert int(rows["tsvd"]["entries"]) == 24 * 24
+        assert int(rows["rsvd"]["entries"]) == 24 * 24
 
     def test_speedups_use_unrounded_times(self, tmp_path, monkeypatch):
         # a time that rounds at 6 significant digits: rsvd's speedup over
@@ -411,6 +417,10 @@ class TestBench:
         rows = self.read_rows(out)
         assert len(rows) == 1
         assert rows[0]["status"] == "tolerance_unreachable"
+        # the starting budget, 32 columns, is capped at M = 16: one attempt
+        # that evaluates every entry of both blocks
+        assert rows[0]["attempts"] == "1"
+        assert int(rows[0]["entries"]) == 2 * 16 * 16
 
     def test_two_epsilons_make_two_row_groups(self, tmp_path):
         out = tmp_path / "run"
@@ -453,6 +463,8 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["m_used"] for row in rows] == ["8", "8"]
         assert {row["status"] for row in rows} == {"ok"}
+        assert [row["attempts"] for row in rows] == ["1", "1"]
+        assert [row["entries"] for row in rows] == [str(24 * 8 + 8 * 24)] * 2
 
     def test_sources_are_built_once_per_sweep(self, tmp_path, monkeypatch):
         # a rectangular csv, so the sources include a compat transform;

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from aksvd.errors import (
     ToleranceUnreachableError,
     ZeroColumnError,
 )
-from aksvd.linalg import SvdResult, svd_exact, svd_truncated
+from aksvd.linalg import (
+    SvdResult,
+    canonicalize_signs,
+    svd_exact,
+    svd_truncated,
+)
 from conftest import dense_lift, eta_oracle, make_matrix
 
 
@@ -338,7 +345,9 @@ class TestSolveToTolerance:
             reference, nystrom.NystromConfig(r=2, m=8, seed=1))
         assert rep.status == "ok" and rep.eta <= 1e-3
         assert rep.m_used > 60
-        assert [a.m for a in rep.history][:4] == [8, 16, 32, 64]
+        sizes = [a.m for a in rep.history]
+        assert sizes[0] == 8
+        assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_unreachable_carries_report(self):
         cfg = exact_cfg(3, seed=0)
@@ -366,9 +375,13 @@ class TestSolveToTolerance:
         rep = exc.value.report
         big_n, big_m = lazy.shape
         n, m = rep.result.row_indices.size, rep.result.col_indices.size
-        assert [a.m for a in rep.history] == [8, 16, 32, 64]
-        assert [a.n for a in rep.history] == [10, 21, 41, 82]
-        assert (n, m) == (82, 64)
+        # four attempts, at column budgets 8, 16, 32 and 64; each samples
+        # more rows and columns than the last
+        assert len(rep.history) == 4
+        assert (rep.history[0].m, rep.history[0].n) == (8, 10)
+        assert (rep.history[-1].m, rep.history[-1].n) == (m, n)
+        for a, b in zip(rep.history, rep.history[1:]):
+            assert b.m > a.m and b.n > a.n
         assert lazy.entries_evaluated == big_n * m + n * big_m
         assert rep.history[-1].entries == lazy.entries_evaluated
         assert [a.eta for a in rep.history][-1] == rep.eta
@@ -527,8 +540,8 @@ class TestChunkedLift:
         sizes = []
         sample_blocks = kernels.LazyKernelSource.sample_blocks
 
-        def traced(self, rows, cols):
-            blocks = sample_blocks(self, rows, cols)
+        def traced(self, rows, cols, col_weights=None):
+            blocks = sample_blocks(self, rows, cols, col_weights)
             sizes.append(blocks[1].size + blocks[2].size)
             return blocks
 
@@ -538,8 +551,202 @@ class TestChunkedLift:
             nystrom.solve_to_tolerance(src, "asym_nystrom", 0.0, reference,
                                        nystrom.NystromConfig(r=4, m_max=200))
         history = err.value.report.history
-        assert [h.m for h in history] == [32, 64, 128, 200]
+        # column budgets 32, 64, 128 and m_max = 200: m_max caps the budget,
+        # not the count sampled, and here the leverage mixture gives its
+        # favoured columns pi = 1 and samples 119 at the cap
+        assert [(h.m, h.n) for h in history] == [
+            (32, 32), (66, 54), (98, 84), (119, 109)]
         last = history[-1]
         assert src.entries_evaluated == last.entries == \
             300 * last.m + last.n * 300
         assert sizes == [300 * h.m + h.n * 300 for h in history]
+
+
+# --- the leverage-weighted sampler of the growth loop --------------------------
+
+def prefix_loop(source, epsilon, reference, cfg):
+    """The growth loop as it sampled before leverage weights: every attempt
+    takes sorted prefixes of one seeded row and one column permutation,
+    uniform, at column budgets m, ceil(m * m_growth), ... up to M."""
+    big_n, big_m = source.shape
+    rng = np.random.default_rng(cfg.seed)
+    row_perm, col_perm = rng.permutation(big_n), rng.permutation(big_m)
+    m, history = cfg.m, []
+    while True:
+        step = replace(cfg, m=m, seed=cfg.seed + len(history))
+        n, _ = nystrom.resolve_sample_sizes((big_n, big_m), step)
+        res = nystrom.asym_nystrom(source, step, indices=(
+            np.sort(row_perm[:n]), np.sort(col_perm[:m])))
+        eta = nystrom.eta_accuracy(res.u_tilde, res.v_tilde, reference,
+                                   min(cfg.r, res.lambda_tilde.size))
+        history.append((m, n))
+        if eta <= epsilon or m >= big_m:
+            return res, history
+        m = min(int(np.ceil(m * cfg.m_growth)), big_m)
+
+
+def dag_problem(n_nodes, r):
+    a = datasets.synth_directed_graph("random_dag", n_nodes, seed=0).adjacency
+    spec = kernels.KernelSpec("sne", 0.35 * kernels.default_gamma(a))
+    sources = kernels.build_sources(a)
+    reference = svd_truncated(
+        kernels.LazyKernelSource(spec, sources).full(), r, tol=1e-14)
+    return (lambda: kernels.LazyKernelSource(spec, sources)), reference
+
+
+@pytest.fixture(scope="module")
+def grow_problem():
+    # the benchmark's nystrom-grow graph: 4000 nodes
+    return dag_problem(4000, 8)
+
+
+def solve(source, epsilon, reference, cfg):
+    try:
+        return nystrom.solve_to_tolerance(source, "asym_nystrom", epsilon,
+                                          reference, cfg)
+    except ToleranceUnreachableError as err:
+        return err.report
+
+
+class TestLeverageSampling:
+    @pytest.mark.parametrize("epsilon", [0.05, 0.0])
+    def test_no_leverage_reproduces_the_prefix_loop(self, monkeypatch,
+                                                    epsilon):
+        monkeypatch.setattr(nystrom, "LEVERAGE_MIX", 0.0)
+        make = TestSolveToTolerance().sne_source()
+        reference = svd_exact(make().full())
+        cfg = nystrom.NystromConfig(r=3, seed=5, m=8)
+        rep = solve(make(), epsilon, reference, cfg)
+        want, history = prefix_loop(make(), epsilon, reference, cfg)
+        assert len(history) >= 3
+        assert [(a.m, a.n) for a in rep.history] == history
+        got = rep.result
+        np.testing.assert_array_equal(got.row_indices, want.row_indices)
+        np.testing.assert_array_equal(got.col_indices, want.col_indices)
+        for field in ("u_tilde", "v_tilde", "lambda_tilde"):
+            np.testing.assert_allclose(getattr(got, field),
+                                       getattr(want, field), rtol=0,
+                                       atol=1e-12)
+
+    def test_fewer_entries_at_the_same_accuracy_and_scale(self, monkeypatch):
+        # a 1000-node DAG at the benchmark's bandwidth scale: every seed
+        # meets epsilon with lambda_1 within 10% of sigma_1, after fewer
+        # kernel entries than the uniform prefixes of the same seed
+        make, reference = dag_problem(1000, 8)
+        epsilon = 0.01
+        for seed in range(10):
+            cfg = nystrom.NystromConfig(r=8, seed=seed)
+            lazy = make()
+            rep = solve(lazy, epsilon, reference, cfg)
+            assert rep.status == "ok" and rep.eta <= epsilon
+            fold = rep.result.lambda_tilde[0] / reference.s[0]
+            assert abs(fold - 1.0) <= 0.10, (seed, fold)
+            with monkeypatch.context() as patch:
+                patch.setattr(nystrom, "LEVERAGE_MIX", 0.0)
+                uniform = make()
+                solve(uniform, epsilon, reference, cfg)
+            assert lazy.entries_evaluated < uniform.entries_evaluated, seed
+
+    @pytest.mark.parametrize("seed", [0, pytest.param(19, marks=(
+        pytest.mark.xfail(strict=True, reason=(
+            "known scale miss: lambda_1 fold 1.109 at this seed, the one "
+            "of sampling seeds 0-29 outside 0.10"))))])
+    def test_benchmark_graph_at_the_benchmark_epsilon(self, grow_problem,
+                                                      seed):
+        # nystrom-grow's graph, bandwidth and epsilon: within the entry
+        # ceiling of 4,096,000 at every seed, and lambda_1 within 10% of
+        # sigma_1 except at the seed where the estimate is known to miss
+        make, reference = grow_problem
+        lazy = make()
+        rep = solve(lazy, 0.004, reference, nystrom.NystromConfig(r=8,
+                                                                  seed=seed))
+        assert rep.status == "ok" and rep.eta <= 0.004
+        assert lazy.entries_evaluated <= 4_096_000
+        fold = rep.result.lambda_tilde[0] / reference.s[0]
+        assert abs(fold - 1.0) <= 0.10, fold
+
+    def test_samples_are_nested_and_weighted(self, monkeypatch):
+        # every attempt's sample contains the last; the later ones reach
+        # the lift with Horvitz-Thompson weights N / (N pi) of the rows and
+        # columns they sampled
+        make, reference = dag_problem(300, 4)
+        calls = []
+        lift = nystrom.lift_blocks
+
+        def traced(g_nm, g_big_m, g_n_big, r, cfg, weights=None):
+            calls.append((g_nm.shape, weights))
+            return lift(g_nm, g_big_m, g_n_big, r, cfg, weights)
+
+        monkeypatch.setattr(nystrom, "lift_blocks", traced)
+        lazy = make()
+        rep = solve(lazy, 0.0, reference, nystrom.NystromConfig(r=4, m=16))
+        assert rep.status == "tolerance_unreachable"
+        assert calls[0][1] is None  # the first attempt is uniform
+        assert calls[-1][1] is None  # so is the cap, where pi = 1
+        assert calls[-1][0] == (300, 300)
+        for (shape, weights), attempt in zip(calls[1:-1], rep.history[1:-1]):
+            assert shape == (attempt.n, attempt.m)
+            for w, size in zip(weights, shape):
+                assert w.shape == (size,)
+                assert np.all(w >= 1.0)
+                # 1/pi with pi a multiple of 1/300
+                np.testing.assert_allclose(300 / w, np.round(300 / w),
+                                           rtol=0, atol=1e-9)
+            assert np.ptp(np.concatenate(weights)) > 0
+        for a, b in zip(rep.history, rep.history[1:]):
+            assert b.m >= a.m and b.n >= a.n
+        assert lazy.entries_evaluated == 300 * 300 + 300 * 300
+
+    def test_cap_attempt_is_the_exact_svd(self):
+        make, _ = dag_problem(120, 4)
+        g = make().full()
+        exact = svd_exact(g)
+        rep = solve(make(), 0.0, exact,
+                    nystrom.NystromConfig(r=4, seed=3, subproblem="exact"))
+        res = rep.result
+        assert (res.row_indices.size, res.col_indices.size) == (120, 120)
+        np.testing.assert_allclose(res.lambda_tilde, exact.s[:4], rtol=1e-10,
+                                   atol=0)
+        np.testing.assert_allclose(res.u_tilde, exact.u[:, :4], rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(res.v_tilde, exact.v[:, :4], rtol=0,
+                                   atol=1e-10)
+
+    def test_weighted_lift_matches_dense_formula(self):
+        # sne blocks on weighted columns: the normalizers are the weighted
+        # sums of the raw rows, and the lift is the dense formula with the
+        # weights on both sides of G_nm and the HT Rayleigh quotient as
+        # lambda
+        a = _lift_data()["graph"]
+        spec = kernels.KernelSpec("sne", kernels.default_gamma(a))
+        sources = kernels.build_sources(a)
+        raw = kernels.LazyKernelSource(kernels.KernelSpec(
+            "rbf", spec.gamma), sources).full()
+        rng = np.random.default_rng(64)
+        rows = np.sort(rng.choice(240, 50, replace=False))
+        cols = rng.permutation(240)[:40]
+        w_r, w_c = 1.0 + 5.0 * rng.random(50), 1.0 + 5.0 * rng.random(40)
+        src = kernels.LazyKernelSource(spec, sources)
+        blocks = src.sample_blocks(rows, cols, w_c)
+        denom = raw[:, cols] @ w_c
+        np.testing.assert_allclose(src.row_denoms, denom, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(blocks[1]),
+                                   raw[:, cols] / denom[:, None], rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(blocks[2]),
+                                   raw[rows] / denom[rows, None], rtol=1e-12)
+
+        cfg = exact_cfg(5, seed=0)
+        u, v, lam = nystrom.lift_blocks(*blocks, 5, cfg, (w_r, w_c))
+        g_nm, g_big_m, g_n_big = (np.asarray(b) for b in blocks)
+        d_r, d_c = np.sqrt(w_r), np.sqrt(w_c)
+        small = svd_exact(d_r[:, None] * g_nm * d_c[None, :])
+        u_want = g_big_m @ (d_c[:, None] * small.v[:, :5] / small.s[:5])
+        v_want = g_n_big.T @ (d_r[:, None] * small.u[:, :5] / small.s[:5])
+        u_want /= np.linalg.norm(u_want, axis=0)
+        v_want /= np.linalg.norm(v_want, axis=0)
+        u_want, v_want = canonicalize_signs(u_want, v_want)
+        np.testing.assert_allclose(u, u_want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, v_want, rtol=0, atol=1e-12)
+        lam_want = np.einsum("jk,jk,j->k", g_big_m.T @ u_want,
+                             v_want[cols], w_c)
+        np.testing.assert_allclose(lam, lam_want, rtol=1e-12)
