@@ -26,7 +26,8 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
-from .kernels import DataSources, prepare_side
+from . import kernels
+from .kernels import DataSources
 from .linalg import as_matrix, canonicalize_signs, svd_exact
 
 MODES = ("a0", "a1", "a2", "identity")
@@ -112,8 +113,8 @@ def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
 
 def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
     """Project whichever side is longer so both feature lengths agree; the
-    projected side is returned in stored form (``kernels.stored``) with its
-    statistics, taken in the same pass, and the other side keeps its own."""
+    projected side is stored and measured by ``kernels.prepare_side``, and
+    the other side keeps its own form and statistics."""
     dx = sources.x.shape[1]
     dz = sources.z.shape[1]
     if compat.mode == "identity" or compat.c is None:
@@ -126,7 +127,7 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
         if c.shape[0] != dx:
             raise ShapeMismatchError(
                 f"compat matrix has {c.shape[0]} rows, row data needs {dx}")
-        new_x, x_stats = prepare_side(sources.x @ c)
+        new_x, x_stats = kernels.prepare_side(sources.x @ c)
         if new_x.shape[1] != dz and dx != dz:
             raise ShapeMismatchError(
                 f"compat maps to length {new_x.shape[1]}, column data has {dz}")
@@ -135,7 +136,7 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
     if c.shape[0] != dz:
         raise ShapeMismatchError(
             f"compat matrix has {c.shape[0]} rows, column data needs {dz}")
-    new_z, z_stats = prepare_side(sources.z @ c)
+    new_z, z_stats = kernels.prepare_side(sources.z @ c)
     if new_z.shape[1] != dx:
         raise ShapeMismatchError(
             f"compat maps to length {new_z.shape[1]}, row data has {dx}")
@@ -152,13 +153,13 @@ def make_compat(a, mode: str, seed: int | None = None) -> CompatMatrix:
     The a1 and a2 projections keep min(N, M) columns, the shorter side's
     feature length, which is the only length ``apply_compat`` can match.
     """
+    if mode == "identity":  # nothing is computed from A: it stays as it is
+        if np.ndim(a) != 2 or len(a) != np.shape(a)[1]:
+            raise ConfigError(
+                f"identity compat requires square A, got {np.shape(a)}")
+        return IDENTITY
     a = as_matrix(a, "A")
     n, m = a.shape
-    if mode == "identity":
-        if n != m:
-            raise ConfigError(
-                f"identity compat requires square A, got {n} x {m}")
-        return IDENTITY
     work = a if m >= n else a.T
     if mode == "a0":
         return compat_pseudoinverse(work)

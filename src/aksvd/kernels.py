@@ -36,20 +36,17 @@ public calls that can meet one (``fit``, ``transform_oos``,
 one ``EmptyDenominatorWarning`` a call (``warns_dead_rows``), naming the
 caller's line rather than a line of this package.
 
-Every side of the kernel data is stored once, in the narrowest float type
-that holds it exactly (``stored``): float32 when every entry is an integer
-of magnitude at most 2^24, float64 otherwise. The 0/1 adjacency matrices of
-directed graphs are stored in float32, which halves their memory. Each
-side's ``SideStats``, its squared row norms, float32 scale and row spans
-(the columns from each row's first to its last nonzero), are measured
-where it is stored (``build_sources``, ``compat.apply_compat``,
-and so ``ksvd.load_model``), travel with it in ``DataSources``, and are
-reused by every ``LazyKernelSource`` over those sources and every
-out-of-sample projection of a model; only new points are measured.
-Integer or boolean data, as a saved model's uint8 graph, go from their own
-type to float32 in one pass over panels of rows, with exact integer norms
-and no float64 copy (``_integer_sources``); the result is the same, bit for
-bit.
+Every side of the kernel data is stored and measured once, by
+``prepare_side``, whichever path it comes by: ``build_sources``,
+``compat.apply_compat``, ``LazyKernelSource`` (a side given without
+statistics), ``ksvd.transform_oos`` (new points) and, through
+``build_sources``, ``ksvd.load_model``. A side is stored in float32 when
+every entry is an integer of magnitude at most 2^24, in float64 otherwise,
+so graphs take half the memory; integer or boolean data, as a saved model's
+uint8 graph, go to float32 with no float64 copy. Each side's ``SideStats``,
+its squared row norms, float32 scale and row spans (the columns from each
+row's first to its last nonzero), travel with it in ``DataSources``, and
+every kernel source and out-of-sample projection over it reuses them.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -104,6 +101,7 @@ from .errors import (
     EmptyDenominatorWarning,
     LengthMismatchError,
     NonFiniteError,
+    ShapeMismatchError,
 )
 from .linalg import as_matrix
 
@@ -115,17 +113,15 @@ _BLOCK = 512
 # rows in a sub-panel of the shorter side of a float32 Gram product
 # (``_layout``); results do not depend on it
 _SUB = 64
-# entries in a panel of rows for the pass that measures data (``_side_stats``),
-# so that a float64 panel and its temporaries stay in a core's cache
+# entries in a panel of rows that ``prepare_side`` reads at a time, so that
+# a float64 panel and its temporaries stay in a core's cache
 _PANEL = 2 ** 16
 # leading columns searched for a row's first nonzero before the whole row
 # is: on dense data nearly every row has one there
 _PROBE = 64
 
-# float32 holds every integer of magnitude up to 2^24 exactly, float64 every
-# integer up to 2^53
+# float32 holds every integer of magnitude up to 2^24 exactly
 _F32_EXACT = 2 ** 24
-_F64_EXACT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ class KernelSpec:
 
 
 class SideStats(NamedTuple):
-    """What the pass that stores a side measures of it (``_side_stats``).
+    """What ``prepare_side`` measures of a side as it stores it.
 
     ``sq_norms`` holds every row's squared Euclidean norm, ``scale`` the
     side's float32 scale (max(1, max|a|) while every entry is an integer,
@@ -172,8 +168,9 @@ class DataSources:
     """Row data set (rows of A) and column data set (columns of A, as rows).
 
     ``x_stats`` and ``z_stats`` are the sides' ``SideStats``, set where a
-    side is stored (``build_sources``, ``compat.apply_compat``). A side
-    given without them is stored and measured by ``LazyKernelSource``.
+    side is stored (``prepare_side``, through ``build_sources`` and
+    ``compat.apply_compat``). A side given without them is stored and
+    measured by ``LazyKernelSource``.
     """
 
     x: np.ndarray
@@ -190,58 +187,19 @@ class CenteringStats:
 
 
 def build_sources(a) -> DataSources:
-    """Rows and columns of A, both in stored form (see ``stored``), with
-    their statistics. Integer or boolean A goes straight to float32 when
-    it can (``_integer_sources``), with the same result."""
+    """Rows and columns of A, both stored and measured by ``prepare_side``:
+    x is A stored and z its transposed copy. The sources never alias A."""
+    x, x_stats = prepare_side(a, "A")
+    if np.may_share_memory(x, a):
+        x = x.copy()
+    # z by row panels (twice as fast as one strided copy), from A if narrower
     arr = np.asarray(a)
-    if arr.dtype.kind in "biu":
-        sources = _integer_sources(arr)
-        if sources is not None:
-            return sources
-    a = as_matrix(arr, "A")
-    x_stats = _side_stats(a)
-    x = stored(a, x_stats.scale)
-    # x and z hold the same entries, so z takes x's type; copied a panel of
-    # A's rows at a time, which is twice as fast as one strided copy
-    z = np.empty(a.shape[::-1], dtype=x.dtype)
-    for start in range(0, a.shape[0], _BLOCK):
-        z[:, start:start + _BLOCK] = a[start:start + _BLOCK].T
-    # a float64 A comes back as itself; the sources must not alias it
-    return DataSources(x=x.copy() if x is a else x, z=z, x_stats=x_stats,
-                       z_stats=_side_stats(z, x_stats.scale))
-
-
-def _integer_sources(a: np.ndarray) -> DataSources | None:
-    """``build_sources`` of an integer or boolean matrix, bit for bit, in
-    one pass over panels of A's rows with no float64 copy of A: each panel
-    is copied into x and, transposed, into z, and its squares give x's row
-    norms and add to z's; the spans are read from A and z (``_spans``).
-    Integers need no ``rint`` check; their scale is max(1, max|A|). None,
-    for the general path, when A is not 2-D and non-empty, when float32
-    cannot hold every entry, or when a squared norm could leave the
-    integers that float64 holds exactly."""
-    if a.ndim != 2 or a.size == 0:
-        return None
-    scale = max(1, int(a.max()), -int(a.min()))
-    if scale > _F32_EXACT or max(a.shape) * scale * scale > _F64_EXACT:
-        return None
-    n, m = a.shape
-    x = np.empty((n, m), dtype=np.float32)
-    z = np.empty((m, n), dtype=np.float32)
-    x_sq, z_sq = np.empty(n), np.zeros(m)
-    # every square is an integer that this type holds, and every partial
-    # sum one below 2^53: the norms are exact in any summation order
-    square = np.float32 if scale * scale <= _F32_EXACT else np.float64
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        x[rows] = a[rows]
-        z[:, rows] = a[rows].T
-        squares = np.square(x[rows], dtype=square)
-        x_sq[rows] = squares.sum(1, dtype=np.float64)
-        z_sq += squares.sum(0, dtype=np.float64)
-    scale = float(scale)
-    return DataSources(x=x, z=z, x_stats=SideStats(x_sq, scale, _spans(a)),
-                       z_stats=SideStats(z_sq, scale, _spans(z)))
+    src = arr if arr.shape == x.shape and arr.itemsize < x.itemsize else x
+    z = np.empty(x.shape[::-1], dtype=x.dtype)
+    for start in range(0, x.shape[0], _BLOCK):
+        z[:, start:start + _BLOCK] = src[start:start + _BLOCK].T
+    z, z_stats = prepare_side(z, scale=x_stats.scale)
+    return DataSources(x=x, z=z, x_stats=x_stats, z_stats=z_stats)
 
 
 def default_gamma(data, k: float = 1.0) -> float:
@@ -253,37 +211,6 @@ def default_gamma(data, k: float = 1.0) -> float:
     if var == 0.0:
         raise ConfigError("cannot derive a bandwidth from constant data")
     return k * float(np.sqrt(data.shape[1] * var))
-
-
-def _row_blocks(a):
-    """``a`` a panel of about ``_PANEL`` entries at a time, read as
-    float64."""
-    step = max(1, _PANEL // max(1, a.shape[1]))
-    for start in range(0, a.shape[0], step):
-        yield np.asarray(a[start:start + step], dtype=np.float64)
-
-
-def _fold_scale(scale: float, b: np.ndarray) -> float:
-    """The float32 scale of the rows seen so far, extended by block ``b``:
-    max(scale, max|b|) while every entry is an integer, inf from the first
-    entry that is not."""
-    if scale == np.inf or not np.array_equal(np.rint(b), b):
-        return np.inf
-    return max(scale, float(b.max()), float(-b.min()))
-
-
-def stored(a, scale: float | None = None) -> np.ndarray:
-    """``a`` in the form kernel data is kept in: C-ordered, in float32 when
-    every entry is an integer of magnitude at most 2^24, which float32 holds
-    exactly, and in float64 otherwise. ``scale`` is the float32 scale of
-    ``a`` when the caller has it. ``a`` itself is returned when it is
-    already in that form."""
-    if scale is None:
-        scale = 1.0
-        for b in _row_blocks(a):
-            scale = _fold_scale(scale, b)
-    dtype = np.float32 if scale <= _F32_EXACT else np.float64
-    return np.ascontiguousarray(a, dtype=dtype)
 
 
 def _first_nonzero(a) -> np.ndarray:
@@ -317,31 +244,54 @@ def _spans(a) -> np.ndarray:
                      a.shape[1] - _first_nonzero(a[:, ::-1])], 1)
 
 
-def _side_stats(a, scale: float | None = None) -> SideStats:
-    """The ``SideStats`` of ``a``, its scale taken as given when the caller
-    knows it. The norms and scale take one pass, a panel of rows at a time
-    read as float64, so the norms of a float32 side keep their bits and no
-    temporary as large as ``a`` is made; the spans, measured only when the
-    scale admits the float32 product, read every row's leading columns, and
-    read whole only the rows without a nonzero there (``_spans``)."""
-    norms = []
-    known = scale is not None
-    scale = scale if known else 1.0
-    for b in _row_blocks(a):
-        norms.append((b * b).sum(1))
-        if not known:
-            scale = _fold_scale(scale, b)
-    spans = _spans(a) if scale <= _F32_EXACT else None
-    return SideStats(np.concatenate(norms), scale, spans)
+def prepare_side(a, name: str = "data",
+                 scale: float | None = None) -> tuple[np.ndarray, SideStats]:
+    """``a`` in stored form with its ``SideStats``: the one routine that
+    stores and measures a side of kernel data.
 
-
-def prepare_side(a, stats=None) -> tuple[np.ndarray, SideStats]:
-    """``a`` in stored form with its ``_side_stats``; ``stats``, when given,
-    are those of ``a`` and ``a`` is already stored."""
-    if stats is None:
-        stats = _side_stats(a)
-        a = stored(a, stats.scale)
-    return a, stats
+    ``a`` is a 2-D array of booleans, integers or floats (a vector is one
+    row), non-empty and finite. Its scale comes from its extremes for an
+    integer type, and from float64 row panels for floats; ``scale`` gives
+    it for a side already checked. The side is stored in float32 when the
+    scale is at most 2^24, in float64 otherwise (``a`` itself when already
+    so), never through a float64 copy of integer input. Its norms are sums
+    of float64 squares, or float32 sums where the Gram product's rule makes
+    them exact; its spans are taken only where that product reads them."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biuf":
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeMismatchError(
+            f"{name} must be 2-D and non-empty, got shape {arr.shape}")
+    step = max(1, _PANEL // arr.shape[1])
+    if scale is None and arr.dtype.kind in "biu":
+        scale = float(max(1, int(arr.max()), -int(arr.min())))
+    elif scale is None:
+        # in one call: checked on panels, the small temporaries left glibc
+        # mapping later kernel blocks afresh (2155 page faults a solve, not 8)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{name} contains NaN or Inf")
+        scale = 1.0
+        for start in range(0, arr.shape[0], step):
+            b = np.asarray(arr[start:start + step], dtype=np.float64)
+            if not np.array_equal(np.rint(b), b):
+                scale = np.inf
+                break
+            scale = max(scale, float(b.max()), float(-b.min()))
+    exact = scale <= _F32_EXACT
+    out = np.ascontiguousarray(arr, dtype=np.float32 if exact else np.float64)
+    if out.shape[1] * scale * scale <= _F32_EXACT:
+        # the Gram product's own rule: every square and partial sum is an
+        # integer that float32 holds, so the norms are exact in any order
+        sq_norms = np.einsum("ij,ij->i", out, out).astype(np.float64)
+    else:
+        sq_norms = np.empty(out.shape[0])
+        for start in range(0, out.shape[0], step):
+            rows = slice(start, start + step)
+            sq_norms[rows] = np.square(out[rows], dtype=np.float64).sum(1)
+    return out, SideStats(sq_norms, scale, _spans(out) if exact else None)
 
 
 def _panels(spans: np.ndarray, start: int, stop: int, size: int):
@@ -845,7 +795,7 @@ class LazyKernelSource:
     normalizers behind the latest blocks: estimates after ``sample_blocks``,
     exact after ``full``.
 
-    x and z are evaluated in stored form (see ``stored``) with their
+    x and z are evaluated in stored form (see ``prepare_side``) with their
     ``SideStats``. Sources from ``build_sources`` or ``compat.apply_compat``
     carry both, and every source over them reuses them; a side given
     without them is stored and measured once, here. ``entries_evaluated``
@@ -859,8 +809,10 @@ class LazyKernelSource:
                 f"data has {sources.z.shape[1]}; a compatibility transform is "
                 "required")
         self._spec = spec
-        self._x, x_stats = prepare_side(sources.x, sources.x_stats)
-        self._z, z_stats = prepare_side(sources.z, sources.z_stats)
+        (self._x, x_stats), (self._z, z_stats) = [
+            (side, stats) if stats is not None else prepare_side(side, name)
+            for side, stats, name in ((sources.x, sources.x_stats, "x"),
+                                      (sources.z, sources.z_stats, "z"))]
         self._sides = (x_stats, z_stats)
         self._sample = None
         self.entries_evaluated = 0

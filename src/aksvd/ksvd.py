@@ -65,10 +65,8 @@ class KsvdModel:
     compat: CompatMatrix
     compat_side: str | None  # "x", "z", or None for identity
     centering: CenteringStats
-    # the row and column data actually fed to the kernel (after the compat
-    # transform), in stored form (float32 when every entry is an integer of
-    # magnitude at most 2^24, as for graphs, float64 otherwise), with the
-    # squared row norms and float32 scales that every projection reuses
+    # the data fed to the kernel (after the compat transform), stored and
+    # measured by ``kernels.prepare_side`` for every projection to reuse
     train: DataSources
     centered: bool = True
     sne_row_denoms: np.ndarray | None = None
@@ -97,23 +95,19 @@ def _zero_stats(n: int, m: int) -> CenteringStats:
                           grand_mean=0.0)
 
 
-def _transformed_sources(a: np.ndarray, compat: CompatMatrix):
-    sources = kernels.build_sources(a)
-    out = apply_compat(compat, sources)
-    if compat.mode == "identity":
-        side = None
-    elif a.shape[1] >= a.shape[0]:
-        side = "x"
-    else:
-        side = "z"
-    return out, side
+def _transformed_sources(sources: DataSources, compat: CompatMatrix):
+    """The sources of A through ``compat``, and the side it projects."""
+    side = None if compat.mode == "identity" else (
+        "x" if sources.x.shape[1] >= sources.z.shape[1] else "z")
+    return apply_compat(compat, sources), side
 
 
 def _resolve_compat(a, compat, compat_seed):
     if isinstance(compat, CompatMatrix):
         return compat
     if compat is None:
-        compat = "identity" if a.shape[0] == a.shape[1] else "a0"
+        n, m = np.shape(a)
+        compat = "identity" if n == m else "a0"
     return make_compat(a, compat, seed=compat_seed)
 
 
@@ -130,8 +124,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver;
     its ``center_stats="full"`` is rejected with ``center=False``.
     """
-    a = as_matrix(a, "A")
-    big_n, big_m = a.shape
+    sources = kernels.build_sources(a)  # validates A
+    big_n, big_m = sources.x.shape
     if solver not in SOLVER_OPTS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of "
                           f"{tuple(SOLVER_OPTS)}")
@@ -144,7 +138,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         raise ConfigError(f"solver {solver!r} does not read solver_opts "
                           f"{unread}; it reads {SOLVER_OPTS[solver]}")
     compat = _resolve_compat(a, compat, compat_seed)
-    sources, side = _transformed_sources(a, compat)
+    sources, side = _transformed_sources(sources, compat)
 
     if solver == "nystrom":
         return _fit_nystrom(kernel, r, compat, side, sources, center, opts)
@@ -329,28 +323,28 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
         raise ConfigError("provide exactly one of new_x and new_z")
     side, raw, train = (("x", new_x, model.train_x) if new_z is None
                         else ("z", new_z, model.train_z))
-    raw = np.asarray(raw, dtype=float)
-    pts = as_matrix(raw, "points")
+    # the new points are stored and measured, again once projected; the
+    # training side's statistics come with the model
+    pts, stats = kernels.prepare_side(raw, "points")
     c = model.compat.c if model.compat_side == side else None
     expect = train.shape[1] if c is None else c.shape[0]
     if pts.shape[1] != expect:
         raise DimensionMismatchError(
             f"new_{side} has length {pts.shape[1]}, expected {expect}")
-    pts = pts if c is None else pts @ c
-    # the training side's norms and scale come with the model; only the
-    # new points are measured
+    if c is not None:
+        pts, stats = kernels.prepare_side(pts @ c, "points")
     train = model.train
     if side == "x":
         source = LazyKernelSource(model.kernel, DataSources(
-            x=pts, z=train.z, z_stats=train.z_stats))
+            x=pts, z=train.z, x_stats=stats, z_stats=train.z_stats))
         scores = _oos_scores(model, side, len(pts),
                              lambda rows: source._block(x_rows=rows))
     else:
         source = LazyKernelSource(model.kernel, DataSources(
-            x=train.x, z=pts, x_stats=train.x_stats))
+            x=train.x, z=pts, x_stats=train.x_stats, z_stats=stats))
         scores = _oos_scores(model, side, len(pts),
                              lambda rows: source._block(z_rows=rows))
-    return scores[0] if raw.ndim == 1 else scores
+    return scores[0] if np.ndim(raw) == 1 else scores
 
 
 # --- persistence --------------------------------------------------------------
@@ -374,12 +368,13 @@ def save_model(model: KsvdModel, path) -> None:
                 "kernel.gamma": model.kernel.gamma,
                 "compat.mode": model.compat.mode,
                 "compat.seed": model.compat.seed, "centered": model.centered}
-    # A itself is the side the compat transform left untouched
-    data = model.train_z.T if model.compat_side == "x" else model.train_x
-    if data.min() >= 0 and data.max() <= 255:
-        small = data.astype(np.uint8)
-        if np.array_equal(small, data):
-            data = small
+    # A itself is the side the compat transform left untouched; its scale is
+    # max(1, max|A|) while every entry is an integer
+    data, stats = ((model.train_z.T, model.train.z_stats)
+                   if model.compat_side == "x"
+                   else (model.train_x, model.train.x_stats))
+    if stats.scale <= 255 and data.min() >= 0:
+        data = data.astype(np.uint8)
     arrays = {"b_phi": model.b_phi, "b_psi": model.b_psi, "lam": model.lam,
               "row_means": model.centering.row_means,
               "col_means": model.centering.col_means,
@@ -422,7 +417,8 @@ def load_model(path) -> KsvdModel:
         mode = snap["compat.mode"]
         compat = IDENTITY if mode == "identity" else CompatMatrix(
             c=f["compat"], mode=mode, seed=snap["compat.seed"])
-        sources, side = _transformed_sources(f["data"], compat)
+        sources, side = _transformed_sources(
+            kernels.build_sources(f["data"]), compat)
         stats = CenteringStats(f["row_means"], f["col_means"],
                                float(f["grand_mean"]))
         return KsvdModel(

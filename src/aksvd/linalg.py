@@ -126,44 +126,46 @@ def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
     kdim = min(n, m)
     if r > kdim:
         raise RankTooLargeError(f"r={r} exceeds min(rows, cols)={kdim}")
-    if np.linalg.norm(a) == 0.0:
+    scale = np.linalg.norm(a)
+    if scale == 0.0:
         raise ZeroMatrixError("svd_truncated requires a non-zero matrix")
     rng = np.random.default_rng(seed)
 
-    big_u = np.zeros((n, kdim))
-    big_v = np.zeros((m, kdim))
+    # the Krylov bases are kept as rows, so every product with the first k
+    # of them reads contiguous memory
+    big_u = np.zeros((kdim, n))
+    big_v = np.zeros((kdim, m))
     alphas = np.zeros(kdim)
     betas = np.zeros(kdim)
 
     vec = rng.standard_normal(m)
     vec /= np.linalg.norm(vec)
-    big_v[:, 0] = vec
+    big_v[0] = vec
     k = 0
     left_break = False  # A v_k fell inside span(U_k): invariant pair found
-    scale = np.linalg.norm(a)
     while k < kdim:
-        u_new = a @ big_v[:, k]
+        u_new = a @ big_v[k]
         if k > 0:
-            u_new -= betas[k - 1] * big_u[:, k - 1]
+            u_new -= betas[k - 1] * big_u[k - 1]
         # full reorthogonalization, twice for safety
         for _ in range(2):
-            u_new -= big_u[:, :k] @ (big_u[:, :k].T @ u_new)
+            u_new -= big_u[:k].T @ (big_u[:k] @ u_new)
         alpha = np.linalg.norm(u_new)
         if alpha <= 1e-13 * scale:
             if k == 0:
                 # start vector landed in the null space; redraw
                 vec = rng.standard_normal(m)
-                big_v[:, 0] = vec / np.linalg.norm(vec)
+                big_v[0] = vec / np.linalg.norm(vec)
                 continue
             left_break = True
             break
         u_new /= alpha
-        big_u[:, k] = u_new
+        big_u[k] = u_new
         alphas[k] = alpha
 
-        v_new = a.T @ u_new - alpha * big_v[:, k]
+        v_new = a.T @ u_new - alpha * big_v[k]
         for _ in range(2):
-            v_new -= big_v[:, : k + 1] @ (big_v[:, : k + 1].T @ v_new)
+            v_new -= big_v[: k + 1].T @ (big_v[: k + 1] @ v_new)
         beta = np.linalg.norm(v_new)
         k += 1
         if beta <= 1e-13 * scale:
@@ -171,7 +173,7 @@ def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
             break
         betas[k - 1] = beta
         if k < kdim:
-            big_v[:, k] = v_new / beta
+            big_v[k] = v_new / beta
 
         if k >= r:
             bid = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1)
@@ -195,8 +197,8 @@ def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
     s = sig[:take]
     keep = s > tol * sig[0]
     s = s[keep]
-    u = big_u[:, :k] @ p[:, :take][:, keep]
-    v = big_v[:, :nv] @ qt[:take].T[:, keep]
+    u = big_u[:k].T @ p[:, :take][:, keep]
+    v = big_v[:nv].T @ qt[:take].T[:, keep]
     u, v = canonicalize_signs(u, v)
     return SvdResult(u=u, s=s, v=v)
 

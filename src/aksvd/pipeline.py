@@ -312,7 +312,7 @@ def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
     mode = cfg["compat.mode"]
     compat = ksvd._resolve_compat(a, None if mode == "auto" else mode,
                                   cfg.get("compat.seed", "seed"))
-    return ksvd._transformed_sources(a, compat)[0]
+    return ksvd._transformed_sources(kernels.build_sources(a), compat)[0]
 
 
 def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:

@@ -97,6 +97,32 @@ class TestEdgeList:
         g = ds.load_edge_list(p)
         np.testing.assert_array_equal(g.out_degrees(), [2, 1, 0])
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("keep_self_loops", [True, False])
+    def test_adjacency_matches_the_edge_loop(self, tmp_path, directed,
+                                             keep_self_loops):
+        # repeated edges, reversed pairs and self-loops among 40 nodes; the
+        # adjacency is the one an assignment per edge makes
+        edges = np.random.default_rng(5).integers(0, 40, (300, 2))
+        edges[:20, 1] = edges[:20, 0]
+        p = write(tmp_path, "g.txt",
+                  "".join(f"{s} {d}\n" for s, d in edges))
+        g = ds.load_edge_list(p, node_count=40, directed=directed,
+                              keep_self_loops=keep_self_loops)
+        want = np.zeros((40, 40))
+        for src, dst in edges:
+            if src == dst and not keep_self_loops:
+                continue
+            want[src, dst] = 1.0
+            if not directed:
+                want[dst, src] = 1.0
+        assert g.adjacency.dtype == want.dtype
+        np.testing.assert_array_equal(g.adjacency, want)
+
+    def test_no_edges(self, tmp_path):
+        p = write(tmp_path, "g.txt", "# nothing\n")
+        assert ds.load_edge_list(p, node_count=3).adjacency.sum() == 0.0
+
 
 class TestGraphDatasetValidation:
     def test_square_required(self):
@@ -203,6 +229,45 @@ class TestSynth:
         a = ds.synth_directed_graph("two_block", 30, seed=5)
         b = ds.synth_directed_graph("two_block", 30, seed=5)
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
+
+    @staticmethod
+    def whole_matrix(kind, n, seed, p_in=0.5, p_ab=0.3, p_ba=0.05,
+                     edge_prob=0.3):
+        """The adjacency built from draws of the whole matrix at once."""
+        rng = np.random.default_rng(seed)
+        if kind == "random_dag":
+            return np.triu((rng.random((n, n)) < edge_prob).astype(float),
+                           k=1)
+        half = n // 2
+        adj = np.zeros((n, n))
+        blocks = [np.arange(half), np.arange(half, n)]
+        probs = {(0, 0): p_in, (1, 1): p_in, (0, 1): p_ab, (1, 0): p_ba}
+        for (bi, bj), p in probs.items():
+            sub = rng.random((blocks[bi].size, blocks[bj].size)) < p
+            adj[np.ix_(blocks[bi], blocks[bj])] = sub
+        np.fill_diagonal(adj, 0.0)
+        return adj
+
+    @pytest.mark.parametrize("kind", ["random_dag", "two_block"])
+    @pytest.mark.parametrize("n, seed", [(5, 0), (513, 3), (1537, 0)])
+    def test_panels_draw_the_whole_matrix_draws(self, kind, n, seed):
+        # the same generator calls in the same order, a panel of rows at a
+        # time: 1537 nodes take whole panels and one row, and two_block's
+        # odd halves end mid-panel
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            g = ds.synth_directed_graph(kind, n, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = self.whole_matrix(kind, n, seed)
+        assert g.adjacency.dtype == want.dtype
+        np.testing.assert_array_equal(g.adjacency, want)
+        # nothing but the output and at most two panels of draws, plus
+        # 64 KiB of the generator's and interpreter's own
+        panel = min(ds._PANEL_ROWS, n) * n * 8
+        assert peak <= want.nbytes + 2 * panel + 2 ** 16
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -73,7 +73,7 @@ class TestSources:
         np.testing.assert_array_equal(s.x, a)
         np.testing.assert_array_equal(s.z, a.T)
         np.testing.assert_array_equal(np.signbit(s.x), np.signbit(a))
-        assert kernels.stored(a).dtype == dtype
+        assert kernels.prepare_side(a)[0].dtype == dtype
 
     @staticmethod
     def typed_inputs():
@@ -638,19 +638,192 @@ class TestChunkedBlock:
             g_big_m - 1.0
 
 
+# --- the storage of a side, against the two paths it replaced ----------------
+# Copies of the earlier storage code: a general path that read any A as
+# float64 (``as_matrix``) and measured it in float64 row panels, and an
+# integer path that went from an integer or boolean A straight to float32
+# when float32 held every entry and the norms stayed exact.
+
+_OLD_PANEL = 2 ** 16
+
+
+def _old_row_blocks(a):
+    step = max(1, _OLD_PANEL // max(1, a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        yield np.asarray(a[start:start + step], dtype=np.float64)
+
+
+def _old_fold_scale(scale, b):
+    if scale == np.inf or not np.array_equal(np.rint(b), b):
+        return np.inf
+    return max(scale, float(b.max()), float(-b.min()))
+
+
+def _old_side_stats(a, scale=None):
+    norms, known = [], scale is not None
+    scale = scale if known else 1.0
+    for b in _old_row_blocks(a):
+        norms.append((b * b).sum(1))
+        if not known:
+            scale = _old_fold_scale(scale, b)
+    spans = loop_spans(a) if scale <= 2 ** 24 else None
+    return kernels.SideStats(np.concatenate(norms), scale, spans)
+
+
+def _old_stored(a, scale):
+    dtype = np.float32 if scale <= 2 ** 24 else np.float64
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _old_integer_sources(a):
+    if a.ndim != 2 or a.size == 0:
+        return None
+    scale = max(1, int(a.max()), -int(a.min()))
+    if scale > 2 ** 24 or max(a.shape) * scale * scale > 2 ** 53:
+        return None
+    n, m = a.shape
+    x = np.empty((n, m), dtype=np.float32)
+    z = np.empty((m, n), dtype=np.float32)
+    x_sq, z_sq = np.empty(n), np.zeros(m)
+    square = np.float32 if scale * scale <= 2 ** 24 else np.float64
+    for start in range(0, n, 512):
+        rows = slice(start, start + 512)
+        x[rows] = a[rows]
+        z[:, rows] = a[rows].T
+        squares = np.square(x[rows], dtype=square)
+        x_sq[rows] = squares.sum(1, dtype=np.float64)
+        z_sq += squares.sum(0, dtype=np.float64)
+    scale = float(scale)
+    return kernels.DataSources(
+        x=x, z=z, x_stats=kernels.SideStats(x_sq, scale, loop_spans(a)),
+        z_stats=kernels.SideStats(z_sq, scale, loop_spans(z)))
+
+
+def _old_build_sources(a):
+    a = np.asarray(a)
+    if a.dtype.kind in "biu":
+        sources = _old_integer_sources(a)
+        if sources is not None:
+            return sources
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    x_stats = _old_side_stats(a)
+    z = _old_stored(a.T, x_stats.scale)
+    return kernels.DataSources(x=_old_stored(a, x_stats.scale).copy(), z=z,
+                               x_stats=x_stats,
+                               z_stats=_old_side_stats(z, x_stats.scale))
+
+
+def _assert_same_side(got, want, got_stats, want_stats):
+    """Data and ``SideStats`` bit for bit: dtype, order, -0.0, and a scale
+    of the same Python type."""
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert got_stats.sq_norms.dtype == np.float64
+    np.testing.assert_array_equal(got_stats.sq_norms, want_stats.sq_norms)
+    assert got_stats.scale == want_stats.scale
+    assert type(got_stats.scale) is type(want_stats.scale) is float
+    if want_stats.spans is None:
+        assert got_stats.spans is None
+    else:
+        np.testing.assert_array_equal(got_stats.spans, want_stats.spans)
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(50)
+    above = rng.integers(-2 ** 30, 2 ** 30, (50, 40))
+    above[0, 0] = 2 ** 31
+    dag = datasets.synth_directed_graph("random_dag", 700, seed=3).adjacency
+    return {
+        # 700 rows: two panels of rows; 0..255 over 300 columns takes the
+        # norms' float64 panels, 0/1 data their exact float32 products
+        "uint8": rng.integers(0, 256, (700, 300)).astype(np.uint8),
+        "bool": rng.random((90, 600)) < 0.3,
+        "negative-int64": rng.integers(-50, 50, (70, 80)),
+        "integral-float64": dag,
+        "float64": rng.standard_normal((60, 50)),
+        "float32": rng.integers(-9, 9, (40, 30)).astype(np.float32),
+        "int64-past-2^24": above,
+    }
+
+
+class TestOneStorageRoutine:
+    """``build_sources`` and ``prepare_side`` against the two earlier paths,
+    field by field, and without a float64 copy of integer data."""
+
+    @pytest.mark.parametrize("case", list(_oracle_inputs()))
+    def test_sources_match_the_earlier_paths(self, case):
+        a = _oracle_inputs()[case]
+        got, want = kernels.build_sources(a), _old_build_sources(a)
+        _assert_same_side(got.x, want.x, got.x_stats, want.x_stats)
+        _assert_same_side(got.z, want.z, got.z_stats, want.z_stats)
+        # one side alone is the general path's stored side and statistics
+        side, stats = kernels.prepare_side(a)
+        want_side = np.asarray(a, dtype=np.float64)
+        want_stats = _old_side_stats(want_side)
+        _assert_same_side(side, _old_stored(want_side, want_stats.scale),
+                          stats, want_stats)
+
+    @pytest.mark.parametrize("mode", ["a0", "a1"])
+    @pytest.mark.parametrize("shape", [(30, 22), (22, 30)])
+    def test_a_projected_side_matches_the_general_path(self, mode, shape):
+        a = make_matrix(*shape, seed=51)
+        a[a > 1.0] = np.round(a[a > 1.0])
+        out = compat_sources(a, mode)
+        projected = "x" if shape[1] >= shape[0] else "z"
+        c = make_compat(a, mode).c
+        raw = (a if projected == "x" else a.T) @ c
+        want_stats = _old_side_stats(raw)
+        _assert_same_side(getattr(out, projected),
+                          _old_stored(raw, want_stats.scale),
+                          getattr(out, projected + "_stats"), want_stats)
+
+    def test_integer_sources_hold_no_float64_copy(self):
+        import tracemalloc
+        n = 1500
+        a = (np.random.default_rng(52).random((n, n)) < 0.3).astype(np.uint8)
+        kernels.build_sources(a[:10, :10])
+        tracemalloc.start()
+        try:
+            src = kernels.build_sources(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x and z in float32, and less than a float64 copy of A besides
+        assert src.x.dtype == src.z.dtype == np.float32
+        assert peak < 2 * n * n * 4 + n * n * 8 / 2
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((0, 3)), "ShapeMismatchError"),
+        (np.zeros((2, 2, 2)), "ShapeMismatchError"),
+        (np.array([[1.0, np.nan]]), "NonFiniteError"),
+        (np.array([[np.inf, 0.0]], dtype=np.float32), "NonFiniteError"),
+    ])
+    def test_validation(self, bad, error):
+        with pytest.raises(Exception) as info:
+            kernels.prepare_side(bad, "A")
+        assert type(info.value).__name__ == error
+        assert "A" in str(info.value)
+
+    def test_a_vector_is_one_row(self):
+        side, stats = kernels.prepare_side([3, 0, 4])
+        np.testing.assert_array_equal(side, [[3, 0, 4]])
+        assert side.dtype == np.float32 and stats.sq_norms.tolist() == [25.0]
+
+
 class TestPreparedSides:
     """Squared row norms and float32 scales are computed once per side."""
 
     @staticmethod
     def count(monkeypatch):
         seen = []
-        side_stats = kernels._side_stats
+        prepare_side = kernels.prepare_side
 
-        def counted(a, *args):
+        def counted(a, *args, **kwargs):
             seen.append(a)
-            return side_stats(a, *args)
+            return prepare_side(a, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "_side_stats", counted)
+        monkeypatch.setattr(kernels, "prepare_side", counted)
         return seen
 
     def test_sources_carry_their_statistics(self, monkeypatch):
@@ -890,7 +1063,8 @@ class TestExactGram:
         rng = np.random.default_rng(44)
         x = rng.integers(1, 4, (700, 40)) / (1.0 if integral else 4.0)
         z = rng.integers(1, 4, (600, 40)) / (1.0 if integral else 4.0)
-        x_side, z_side = kernels._side_stats(x), kernels._side_stats(z)
+        (x32, x_side), (z32, z_side) = (kernels.prepare_side(x),
+                                        kernels.prepare_side(z))
         # spans are measured only for a side the float32 path can take
         assert (x_side.spans is None) is (z_side.spans is None) is (
             not integral)
@@ -901,8 +1075,7 @@ class TestExactGram:
             (10, 40)
         z_spans = np.empty((600, 2), dtype=int)
         z_spans[:512], z_spans[512:] = (20, 40), (0, 25)
-        got = kernels._gram(kernels.stored(x), kernels.stored(z),
-                            x_side._replace(spans=x_spans),
+        got = kernels._gram(x32, z32, x_side._replace(spans=x_spans),
                             z_side._replace(spans=z_spans))
         if not integral:
             np.testing.assert_array_equal(got, x @ z.T)
@@ -954,9 +1127,10 @@ class TestExactGram:
         if flip:
             sides, want = sides[::-1], want.T
         (x, x_spans), (z, z_spans) = sides
-        got = kernels._gram(kernels.stored(x), kernels.stored(z),
-                            kernels._side_stats(x)._replace(spans=x_spans),
-                            kernels._side_stats(z)._replace(spans=z_spans))
+        (x32, x_side), (z32, z_side) = (kernels.prepare_side(x),
+                                        kernels.prepare_side(z))
+        got = kernels._gram(x32, z32, x_side._replace(spans=x_spans),
+                            z_side._replace(spans=z_spans))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("narrow, cut", [(50, True), (51, False)])
@@ -980,12 +1154,14 @@ class TestExactGram:
     def test_a_sampled_chunk_keeps_at_most_three_quarters(self, name,
                                                           monkeypatch):
         x, z = _gram_cases()[name]
-        sides = [kernels._side_stats(x), kernels._side_stats(z)]
+        (x32, x_side), (z32, z_side) = (kernels.prepare_side(x),
+                                        kernels.prepare_side(z))
+        sides = [x_side, z_side]
         laid = []
         layout = kernels._layout
         monkeypatch.setattr(kernels, "_layout",
                             lambda *a: laid.extend(layout(*a)) or laid)
-        got = kernels._gram(kernels.stored(x), kernels.stored(z), *sides)
+        got = kernels._gram(x32, z32, *sides)
         np.testing.assert_array_equal(got, x @ z.T)
         short, long = sorted((side.spans for side in sides), key=len)
         # the tiles cover every entry of the product once
@@ -1032,8 +1208,9 @@ class TestExactGram:
         layout = kernels._layout
         monkeypatch.setattr(kernels, "_layout",
                             lambda *a: laid.extend(layout(*a)) or laid)
-        got = kernels._gram(kernels.stored(x), kernels.stored(z),
-                            kernels._side_stats(x), kernels._side_stats(z))
+        (x32, x_side), (z32, z_side) = (kernels.prepare_side(x),
+                                        kernels.prepare_side(z))
+        got = kernels._gram(x32, z32, x_side, z_side)
         assert laid == [(slice(0, 512), [(slice(0, 2000), 0, 2000)])]
         np.testing.assert_array_equal(got, x @ z.T)
 
@@ -1081,10 +1258,16 @@ class TestExactGram:
         np.testing.assert_array_equal(got, _reference_matrix(spec, x, z))
 
     def test_float32_scale_of_each_side(self):
-        assert kernels._side_stats(np.array([[0.0, 1.0], [1.0, 0.0]]))[1] == 1
-        assert kernels._side_stats(np.zeros((2, 3)))[1] == 1
-        assert kernels._side_stats(np.array([[-7.0, 2.0]]))[1] == 7
-        assert kernels._side_stats(np.array([[1.0, 0.5]]))[1] == np.inf
+        def scale(a):
+            return kernels.prepare_side(np.array(a))[1].scale
+
+        assert scale([[0.0, 1.0], [1.0, 0.0]]) == 1
+        assert scale(np.zeros((2, 3))) == 1
+        assert scale([[-7.0, 2.0]]) == 7
+        assert scale([[1.0, 0.5]]) == np.inf
+        # integer types take it from their extremes
+        assert scale(np.array([[-7, 2]], dtype=np.int8)) == 7
+        assert scale(np.zeros((2, 3), dtype=bool)) == 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -329,7 +329,7 @@ class TestNystromSolver:
         model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
                          solver_opts={"m": 10, "center_stats": "full",
                                       "subproblem": "exact"})
-        sources, _ = ksvd._transformed_sources(np.asarray(a, dtype=float),
+        sources, _ = ksvd._transformed_sources(kernels.build_sources(a),
                                                model.compat)
         _, stats = kernels.center(kernels.kernel_matrix(spec, sources))
         np.testing.assert_allclose(model.centering.row_means,
@@ -468,9 +468,18 @@ class TestPersistence:
                                   getattr(model.centering, field)), field
 
     def test_data_dtype_in_the_file(self, tmp_path):
-        # 0/1 data take one byte an entry; non-integral data keep float64
+        # 0/1 data take one byte an entry, and so do integers up to 255;
+        # integers below 0 or above 255 keep their float32 stored form, and
+        # non-integral data float64
         models = [(m, np.uint8) for m in self.graph_models()]
         models.append((self.make_model(), np.float64))
+        rng = np.random.default_rng(45)
+        for low, high, dtype in ((0, 256, np.uint8), (-1, 255, np.float32),
+                                 (0, 257, np.float32)):
+            a = rng.integers(low, high, (20, 20)).astype(float)
+            a[0, 0] = high - 1
+            spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
+            models.append((ksvd.fit(a, spec, r=3), dtype))
         for i, (model, dtype) in enumerate(models):
             ksvd.save_model(model, tmp_path / str(i))
             with np.load(tmp_path / str(i) / "model.npz") as npz:
@@ -612,13 +621,13 @@ class TestOosPreparedSides:
                                  getattr(model.train, side)):
                 assert np.array_equal(got, want)
         seen = []
-        side_stats = kernels._side_stats
+        prepare_side = kernels.prepare_side
 
-        def counted(arr, *args):
+        def counted(arr, *args, **kwargs):
             seen.append(arr)
-            return side_stats(arr, *args)
+            return prepare_side(arr, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "_side_stats", counted)
+        monkeypatch.setattr(kernels, "prepare_side", counted)
         new = (np.random.default_rng(11).random((2, 10, 150)) < 0.2) * 1.0
         for _ in range(2):
             ksvd.transform_oos(loaded, new_x=new[0])
@@ -626,6 +635,28 @@ class TestOosPreparedSides:
         # only the new points are measured, once per call
         assert len(seen) == 4
         assert all(arr.shape == (10, 150) for arr in seen)
+
+    def test_integer_points_hold_no_float64_copy(self, monkeypatch):
+        # uint8 points go to float32 straight from their own type; with
+        # small chunks, their kernel blocks are small beside that copy
+        import tracemalloc
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", 128)
+        n = 1200
+        rng = np.random.default_rng(15)
+        a = (rng.random((n, n)) < 0.3).astype(np.uint8)
+        model = ksvd.fit(a, KernelSpec("sne", 40.0), r=2, solver="randomized")
+        new = (rng.random((2, n, n)) < 0.3).astype(np.uint8)
+        want = [ksvd.transform_oos(model, new_x=new[0].astype(float)),
+                ksvd.transform_oos(model, new_z=new[1].astype(float))]
+        for pts, expect in zip(({"new_x": new[0]}, {"new_z": new[1]}), want):
+            tracemalloc.start()
+            try:
+                got = ksvd.transform_oos(model, **pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(got, expect)
+            assert peak < n * n * 8
 
     @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
     @pytest.mark.parametrize("data", ["graph", "normal"])
