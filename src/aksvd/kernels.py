@@ -74,18 +74,40 @@ never cut. Every term left out is zero and every sum exact, so the result is
 still the float64 product bit for bit. The saving rests on one property of
 the data: the nonzeros of nearby rows lie in a narrow range of columns. A
 DAG numbered in topological order is strictly upper-triangular, so a panel
-of its rows starts late and a panel of its columns ends early. The share of the dense contraction that the tiles keep
-is 0.30 over the blocks the adaptive Nystrom solve of a 4000-node
-``random_dag`` evaluates as its sample grows (0.56 with its chunks' panels
-whole; 0.22 for its final 1024-row and 1024-column blocks taken at
-once), 0.23 for the full kernel of that graph, 0.19 for that of a 2000-node
-``cycle``, and 1.0 for ``two_block`` graphs, whose every panel and
-sub-panel reaches both ends.
+of its rows starts late and a panel of its columns ends early. The share of
+the dense contraction that the tiles keep is 0.39 over the blocks the
+leverage-sampled Nystrom solve of a 4000-node ``random_dag`` evaluates as
+its sample grows (2.997e9 multiply-adds for 1,896,000 entries of 4000
+features), 0.23 for the full kernel of that graph, 0.19 for that of a
+2000-node ``cycle``, and 1.0 for ``two_block`` graphs, whose every panel
+and sub-panel reaches both ends.
+
+Each tile also takes two rows of the shorter side's panel in one float32
+lane, which halves its multiply-adds: rows i and i + 1 are packed as
+row i + B * row (i+1) and multiplied against the other side once, and each
+packed value v = p + B q, p and q the two rows' products, is read back as
+q = rint(v / B) and p = v - B q; an odd last row takes the plain product.
+This is exact under one more bound. Let c = isqrt(max(1, max |x|^2) *
+max(1, max |z|^2)), from the two sides' squared row norms. By
+Cauchy-Schwarz, c bounds |x . z| over any subset of the columns, so it
+bounds every partial sum of p and of q that a BLAS forms, in any order.
+B is the least power of two >= 2c + 2, and rows are packed only when
+c (B + 1) <= 2^24. Every packed entry (at most e (B + 1), e the packed
+side's largest entry, and e <= c, since each norm counts at least 1), every
+product and every partial sum is then an integer of magnitude at most
+c (B + 1) that float32 holds; dividing by B is exact, and since
+|p| <= c < B/2, rint recovers q for signed data too. On 0/1 data c is the
+geometric mean of the two sides' largest row degrees, rounded down, so a
+graph packs while that is at most 2047: c is 864 for the 2000-node
+training side of the benchmark's projection and 1283 for its 4000-node
+``random_dag``, while a 5000-node ``two_block`` graph (c = 2121) takes the
+plain product.
 """
 from __future__ import annotations
 
 import copy
 import functools
+import math
 import os
 import sys
 import threading
@@ -203,14 +225,22 @@ def build_sources(a) -> DataSources:
 
 
 def default_gamma(data, k: float = 1.0) -> float:
-    """Data-dependent bandwidth: k * sqrt(feature_dim * var(data))."""
-    data = as_matrix(data, "data")
+    """Data-dependent bandwidth: k * sqrt(feature_dim * var(data)).
+
+    Integer or boolean matrices are read as they are, with no float64 copy:
+    the sum of their entries is exact (below 2^53), so the mean, every
+    deviation from it and the variance are the float64 copy's bit for
+    bit."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biu" or arr.ndim != 2 or arr.size == 0:
+        arr = as_matrix(data, "data")
     if not k > 0:
         raise ConfigError(f"gamma scale k must be positive, got {k!r}")
-    var = float(data.var())
+    # booleans as 0/1 bytes: numpy's var of booleans takes a second copy
+    var = float((arr.view(np.uint8) if arr.dtype == bool else arr).var())
     if var == 0.0:
         raise ConfigError("cannot derive a bandwidth from constant data")
-    return k * float(np.sqrt(data.shape[1] * var))
+    return k * float(np.sqrt(arr.shape[1] * var))
 
 
 def _first_nonzero(a) -> np.ndarray:
@@ -315,6 +345,18 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
     spans, and is zero when that is empty; the terms left out are all zero,
     so the integer result is the same. Past the bound the product is taken
     in float64, float32 sides upcast, over every column.
+
+    When c (B + 1) <= 2^24, c = isqrt(max(1, max |x|^2) * max(1, max |z|^2))
+    from the sides' norms and B the least power of two >= 2c + 2, each tile
+    packs pairs of rows of its shorter-side panel as row i + B * row (i+1)
+    and takes one float32 product of half the rows; each packed value v is
+    decoded into the two rows (columns when z is the shorter side) of the
+    float64 result as q = rint(v / B) and v - B q. An odd last row takes the
+    plain product. c bounds every dot product over any subset of columns,
+    so every packed entry, product and partial sum is an integer that
+    float32 holds, in any order, and the lower row's part, at most c < B/2
+    in magnitude, is what rint rounds away: the result is still the float64
+    product bit for bit.
     """
     d = x.shape[1]
     if d * x_side.scale * z_side.scale > _F32_EXACT:
@@ -322,14 +364,44 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
             z, dtype=np.float64).T
     out = np.empty((x.shape[0], z.shape[0]))
     flip = z.shape[0] < x.shape[0]
-    short, long = (z_side, x_side) if flip else (x_side, z_side)
+    (short, s32), (long, l32) = ((z_side, z), (x_side, x)) if flip else (
+        (x_side, x), (z_side, z))
+    # o[i, j] is short row i against long row j; each product is taken in
+    # out's own orientation, x rows against z rows
+    o = out.T if flip else out
+
+    def product(a, b):
+        return (b @ a.T).T if flip else a @ b.T
+
+    # c bounds |x . z| over any columns; base is the least power of two
+    # >= 2c + 2, and 0 where packing would not be exact
+    c = math.isqrt(max(1, int(x_side.sq_norms.max()))
+                   * max(1, int(z_side.sq_norms.max())))
+    base = 1 << (2 * c + 1).bit_length()
+    if c * (base + 1) > _F32_EXACT:
+        base = 0
     for rows, tiles in _layout(short.spans, long.spans):
         for cols, lo, hi in tiles:
-            x_rows, z_rows = (cols, rows) if flip else (rows, cols)
-            if lo < hi:
-                out[x_rows, z_rows] = x[x_rows, lo:hi] @ z[z_rows, lo:hi].T
-            else:
-                out[x_rows, z_rows] = 0.0
+            if lo >= hi:
+                o[rows, cols] = 0.0
+                continue
+            panel, other = s32[rows, lo:hi], l32[cols, lo:hi]
+            # rows i and i + 1 share a float32 lane as row i + base * row i+1
+            pairs = len(panel) // 2 * 2 if base else 0
+            if pairs:
+                v = product(panel[1:pairs:2] * np.float32(base)
+                            + panel[:pairs:2], other)
+                stop = rows.start + pairs
+                high = o[rows.start + 1:stop:2, cols]
+                low = o[rows.start:stop:2, cols]
+                np.multiply(v, 1.0 / base, out=high)
+                np.rint(high, out=high)
+                np.multiply(high, -base, out=low)
+                low += v
+                del v
+            if pairs < len(panel):
+                o[rows.start + pairs:rows.stop, cols] = product(
+                    panel[pairs:], other)
     return out
 
 

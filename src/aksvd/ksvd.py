@@ -300,6 +300,8 @@ def _oos_scores(model: KsvdModel, side: str, count: int,
         if model.centered:
             block = block.centered(*means, stats.grand_mean)
         out[rows] = (block if side == "x" else block.T) @ w
+        # the next chunk is evaluated with this one's block released
+        del values, block
     kernels.note_dead(dead)
     return out
 

@@ -339,6 +339,26 @@ class TestDefaultGamma:
         with pytest.raises(ConfigError):
             kernels.default_gamma(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("kind", ["uint8", "int64", "bool"])
+    def test_integer_data_take_no_float64_copy(self, kind):
+        import tracemalloc
+        n = 1000
+        rng = np.random.default_rng(53)
+        a = {"uint8": lambda: rng.integers(0, 256, (n, n)).astype(np.uint8),
+             "int64": lambda: rng.integers(-50, 51, (n, n)),
+             "bool": lambda: rng.random((n, n)) < 0.3}[kind]()
+        want = kernels.default_gamma(a.astype(float))
+        tracemalloc.start()
+        try:
+            got = kernels.default_gamma(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the same bits as from the float64 copy, with one float64
+        # temporary (the deviations from the mean) where the copy made two
+        assert got == want
+        assert peak < 1.5 * n * n * 8
+
 
 class TestLazySource:
     def setup_method(self):
@@ -875,6 +895,17 @@ def _ints(rng, shape, bound, full_row):
     return a
 
 
+def _zero_one(rng, x_shape, z_shape, odd_row=None):
+    """0/1 data whose row 0 on each side is all ones; with ``odd_row`` set,
+    x's row 1 is all ones and its row 0 holds that many."""
+    x, z = ((rng.random(shape) < 0.5) * 1.0 for shape in (x_shape, z_shape))
+    x[0], z[0] = 1.0, 1.0
+    if odd_row is not None:
+        x[1], x[0] = 1.0, 0.0
+        x[0, :odd_row] = 1.0
+    return x, z
+
+
 def _gram_cases():
     """Row and column data sets, by case name."""
     rng = np.random.default_rng(40)
@@ -928,6 +959,25 @@ def _gram_cases():
         "non_integral": (rng.integers(-2 ** 20, 2 ** 20, (600, 30)) / fine,
                          rng.integers(-2 ** 20, 2 ** 20, (90, 30)) / fine),
         "huge_vs_zero": (huge, np.zeros((30, 20))),
+        # packed pairs of rows: c = sqrt(max |x|^2 * max |z|^2) bounds every
+        # dot product, and rows pack two to a float32 lane while c * (B + 1)
+        # <= 2^24, B the least power of two >= 2c + 2. At c = 2047, B = 4096
+        # and the full rows' product, 2047 = c, is read back only with that
+        # B; at c = 2048, B = 8192 fails the bound, and packing row 1 (all
+        # ones) over row 0 (1001 ones) would give 2^24 + 1001
+        "pack_inside": _zero_one(rng, (41, 2047), (90, 2047)),
+        "pack_outside": _zero_one(rng, (41, 2048), (90, 2048), odd_row=1001),
+        # negative low rows read back through rint; an odd short side, x or
+        # z, ends in a row of its own
+        "signed": (_ints(rng, (61, 30), 3, 0), _ints(rng, (150, 30), 3, 0)),
+        "signed_flipped": (_ints(rng, (150, 30), 3, 0),
+                           _ints(rng, (61, 30), 3, 0)),
+        "one_row_short_side": (_ints(rng, (1, 40), 3, 0),
+                               _ints(rng, (300, 40), 3, 0)),
+        # a zero long side would give c = 0; each norm counts as at least 1,
+        # so c = 12 comes from the short side's largest norm, 16 * 3^2, and
+        # bounds every packed entry, at most 3 (B + 1), too
+        "zero_long_side": (_ints(rng, (31, 16), 3, 0), np.zeros((90, 16))),
     }
 
 
@@ -978,9 +1028,11 @@ class TestExactGram:
         col_order = np.random.default_rng(2).permutation(big_m)
         src = kernels.LazyKernelSource(spec, kernels.DataSources(x=x, z=z))
         sums, cols = np.zeros(big_n), np.empty(0, dtype=int)
-        for n, m in ((3, 2), (9, 7), (big_n // 2, big_m // 2), (big_n, big_m)):
-            # nested sets: each call adds rows and columns to the last, and
-            # the sne sums add the new columns' block, summed row by row
+        half = (max(1, big_n // 2), max(1, big_m // 2))
+        for n, m in ((3, 2), (9, 7), half, (big_n, big_m)):
+            # nested sets: each call adds rows and columns to the last (or
+            # keeps a one-row side's one row), and the sne sums add the new
+            # columns' block, summed row by row
             prev_cols = cols
             rows, cols = np.sort(row_order[:n]), np.sort(col_order[:m])
             new_cols = cols[~np.isin(cols, prev_cols)]

@@ -756,6 +756,43 @@ class TestChunkedOos:
                 ksvd.transform_oos(model, new_z=new_z),
                 dense_oos(model, "z", new_z @ model.compat.c), 1e-12)
 
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_packed_batches_equal_each_point_alone(self, side):
+        # at the real OOS_CHUNK of 512, against 600 training points, the new
+        # points are the shorter side of each Gram product and pack two to a
+        # float32 lane; 511 leave an odd last row, 513 a chunk of one row
+        a = datasets.synth_directed_graph("two_block", 600, seed=7).adjacency
+        model = ksvd.fit(a, KernelSpec("sne", kernels.default_gamma(a)), r=3)
+        pts = (np.random.default_rng(99).random((513, 600)) < 0.3) * 1.0
+        key = "new_" + side
+        alone = np.array([ksvd.transform_oos(model, **{key: p}) for p in pts])
+        for batch in (1, 2, 511, 513):
+            assert_close_to_largest(
+                ksvd.transform_oos(model, **{key: pts[:batch]}),
+                alone[:batch], 1e-12)
+
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_one_chunk_block_at_a_time(self, side):
+        import tracemalloc
+        n = 1500
+        rng = np.random.default_rng(16)
+        a = (rng.random((n, n)) < 0.3).astype(np.uint8)
+        model = ksvd.fit(a, KernelSpec("sne", 40.0), r=2, solver="randomized")
+        pts = (rng.random((n, n)) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            ksvd.transform_oos(model, **{"new_" + side: pts})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 points (9.0 MB), one float64 block of 512 points
+        # against the training side (6.1 MB) and the packed tile's two
+        # float32 temporaries of 256 rows (3.1 MB), with 1 MB for the rest;
+        # a second block held over from the last chunk would add 6.1 MB
+        points, block = n * n * 4, ksvd.OOS_CHUNK * n * 8
+        packed = 2 * (ksvd.OOS_CHUNK // 2) * n * 4
+        assert peak < points + block + packed + 2 ** 20
+
     def test_dead_new_row(self, monkeypatch):
         # the new rows 3 and 11, in different chunks, lie so far from every
         # training column that their sne sums underflow: they read 1/M
