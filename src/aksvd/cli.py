@@ -14,21 +14,30 @@ import sys
 from .config import KNOWN, build_config
 from .errors import ConfigError, NumericError, UserInputError
 
-COMMANDS = ("extract", "classify", "regress", "reconstruct", "bench",
-            "nystrom-sweep")
+# command -> (its function in ``pipeline``, help line)
+_COMMANDS = {
+    "extract": ("run_extract", "fit a model and write embeddings"),
+    "classify": ("run_classify", "node/sample classification metrics"),
+    "regress": ("run_regress", "regression metrics on a csv dataset"),
+    "reconstruct": ("run_reconstruct", "graph reconstruction error"),
+    "bench": ("run_bench", "solver benchmark at target accuracies"),
+    "nystrom-sweep": ("run_sweep",
+                      "sample-budget sweep over kernel bandwidths"),
+}
 
-# convenience flags and the config keys they set
+# convenience flag -> (the config key it sets, help line, metavar); each
+# value is parsed and checked against the key's choices by build_config
 _FLAG_KEYS = {
-    "dataset": "dataset.path",
-    "format": "dataset.format",
-    "kernel": "kernel.family",
-    "gamma": "kernel.gamma",
-    "compat": "compat.mode",
-    "method": "method",
-    "rank": "rank",
-    "solver": "solver",
-    "seed": "seed",
-    "out": "out",
+    "dataset": ("dataset.path", "dataset file", "PATH"),
+    "format": ("dataset.format", "dataset format", None),
+    "kernel": ("kernel.family", "kernel family", None),
+    "gamma": ("kernel.gamma", "kernel bandwidth", None),
+    "compat": ("compat.mode", "compatibility transform mode", None),
+    "method": ("method", "feature method for downstream tasks", None),
+    "rank": ("rank", "number of components", None),
+    "solver": ("solver", "SVD solver for fitting", None),
+    "seed": ("seed", "master random seed", None),
+    "out": ("out", "output directory", "DIR"),
 }
 
 
@@ -39,59 +48,29 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", metavar="KEY=VALUE", action="append",
                         default=[], dest="assignments",
                         help="override any config key (repeatable)")
-    common.add_argument("--dataset", metavar="PATH", help="dataset file")
-    common.add_argument("--format", choices=("edge_list", "csv", "synth"),
-                        help="dataset format")
-    common.add_argument("--kernel", choices=("rbf", "sne", "linear"),
-                        help="kernel family")
-    common.add_argument("--gamma", type=float, help="kernel bandwidth")
-    common.add_argument("--compat",
-                        choices=("auto", "identity", "a0", "a1", "a2"),
-                        help="compatibility transform mode")
-    common.add_argument("--method", choices=("ksvd", "kpca", "svd", "pca"),
-                        help="feature method for downstream tasks")
-    common.add_argument("--rank", type=int, help="number of components")
-    common.add_argument("--solver",
-                        choices=("exact", "truncated", "randomized",
-                                 "nystrom"),
-                        help="SVD solver for fitting")
-    common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    for flag, (key, help_line, metavar) in _FLAG_KEYS.items():
+        common.add_argument(f"--{flag}", choices=KNOWN[key].choices,
+                            metavar=metavar, help=help_line)
 
     parser = argparse.ArgumentParser(
         prog="aksvd",
         description="Feature learning via SVD of asymmetric kernel matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("extract", parents=[common],
-                   help="fit a model and write embeddings")
-    sub.add_parser("classify", parents=[common],
-                   help="node/sample classification metrics")
-    sub.add_parser("regress", parents=[common],
-                   help="regression metrics on a csv dataset")
-    sub.add_parser("reconstruct", parents=[common],
-                   help="graph reconstruction error")
-    sub.add_parser("bench", parents=[common],
-                   help="solver benchmark at target accuracies")
-    sub.add_parser("nystrom-sweep", parents=[common],
-                   help="sample-budget sweep over kernel bandwidths")
+    for command, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(command, parents=[common], help=help_line)
     return parser
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict[str, str] = {}
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {key: getattr(args, flag)
+                 for flag, (key, _, _) in _FLAG_KEYS.items()
+                 if getattr(args, flag) is not None}
     for assignment in args.assignments:
         if "=" not in assignment:
             raise ConfigError(
                 f"--set expects KEY=VALUE, got {assignment!r}")
         key, _, value = assignment.partition("=")
-        key = key.strip()
-        if key not in KNOWN:
-            raise ConfigError(f"unknown config key {key!r}")
-        overrides[key] = value.strip()
+        overrides[key.strip()] = value.strip()
     return overrides
 
 
@@ -105,15 +84,7 @@ def main(argv=None) -> int:
         cfg = build_config(config_path=args.config,
                            overrides=_overrides_from_args(args))
         from . import pipeline
-        runner = {
-            "extract": pipeline.run_extract,
-            "classify": pipeline.run_classify,
-            "regress": pipeline.run_regress,
-            "reconstruct": pipeline.run_reconstruct,
-            "bench": pipeline.run_bench,
-            "nystrom-sweep": pipeline.run_sweep,
-        }[args.command]
-        out = runner(cfg)
+        out = getattr(pipeline, _COMMANDS[args.command][0])(cfg)
     except UserInputError as err:
         print(f"aksvd: error: {err}", file=sys.stderr)
         return 2

@@ -10,9 +10,11 @@ kernel is evaluated. Three constructions are available:
 * a2  a seeded Gaussian projection, scaled so projected norms stay
       comparable to the originals.
 
-Each constructor builds C for the "project x" orientation (C has shape
-feature_len(x) by target). ``make_compat`` handles the mirrored case
-N > M by running the same construction on A^T, producing a z-side C.
+Each constructor builds C for the "project x" orientation: C has
+feature_len(x) rows and min(N, M) columns, the shorter side's feature
+length and the only one ``apply_compat`` can match. ``make_compat``
+handles the mirrored case N > M by running the same construction on A^T,
+producing a z-side C.
 """
 from __future__ import annotations
 
@@ -20,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    RankTooLargeError,
-    ShapeMismatchError,
-    ZeroMatrixError,
-)
+from .errors import ConfigError, ShapeMismatchError, ZeroMatrixError
 from . import kernels
 from .kernels import DataSources
 from .linalg import as_matrix, canonicalize_signs, svd_exact
@@ -57,47 +54,33 @@ def compat_pseudoinverse(a) -> CompatMatrix:
     return CompatMatrix(c=c, mode="a0")
 
 
-def _target_dim(target_dim: int | None, n: int, m: int) -> int:
-    """The projection's column count: min(N, M) when unset, and at least 1,
-    since a side projected to no features has nothing for a kernel to
-    compare."""
-    if target_dim is None:
-        return min(n, m)
-    if target_dim < 1:
-        raise ConfigError(f"target_dim must be at least 1, got {target_dim}")
-    return target_dim
-
-
-def compat_pca(a, target_dim: int | None = None) -> CompatMatrix:
+def compat_pca(a) -> CompatMatrix:
     """Top principal directions of A as projection columns.
 
-    C holds the leading ``target_dim`` right singular vectors of A after
-    column-mean centering. ``A @ C @ C.T`` is then the best
-    rank-``target_dim`` approximation of the centered A in Frobenius norm.
+    C holds the min(N, M) leading right singular vectors of A after
+    column-mean centering, in descending order of singular value, so for
+    every k its first k columns C_k make ``A @ C_k @ C_k.T`` the best
+    rank-k approximation of the centered A in Frobenius norm. When the
+    centered A has lower rank, a seeded orthonormal complement fills the
+    remaining columns.
     """
     a = as_matrix(a, "A")
     n, m = a.shape
-    target_dim = _target_dim(target_dim, n, m)
-    if target_dim > min(n, m):
-        raise RankTooLargeError(
-            f"target_dim={target_dim} exceeds min(N, M)={min(n, m)}")
     work = a - a.mean(axis=0, keepdims=True)
     if np.linalg.norm(work) == 0.0:
         raise ZeroMatrixError("data has no variance to project onto")
-    res = svd_exact(work)
-    if res.rank < target_dim:
+    c = svd_exact(work).v
+    if c.shape[1] < min(n, m):
         # complete the basis: QR of [V | seeded noise] keeps V's columns and
         # fills the remainder with an orthonormal complement, deterministically
-        filler = np.random.default_rng(0).standard_normal((m, target_dim - res.rank))
-        q = np.linalg.qr(np.hstack([res.v, filler]))[0]
-        c = q[:, :target_dim]
-    else:
-        c = res.v[:, :target_dim]
+        filler = np.random.default_rng(0).standard_normal(
+            (m, min(n, m) - c.shape[1]))
+        c = np.linalg.qr(np.hstack([c, filler]))[0]
     return CompatMatrix(c=canonicalize_signs(c), mode="a1")
 
 
-def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
-    """Seeded Gaussian projection.
+def compat_random(a, seed: int) -> CompatMatrix:
+    """Seeded Gaussian projection to min(N, M) columns.
 
     Entries are scaled by 1/sqrt(source feature length), so each column of
     C has norm concentrated near 1 and a projected vector lands on the same
@@ -105,9 +88,8 @@ def compat_random(a, seed: int, target_dim: int | None = None) -> CompatMatrix:
     """
     a = as_matrix(a, "A")
     n, m = a.shape
-    target_dim = _target_dim(target_dim, n, m)
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((m, target_dim)) / np.sqrt(m)
+    c = rng.standard_normal((m, min(n, m))) / np.sqrt(m)
     return CompatMatrix(c=c, mode="a2", seed=seed)
 
 
@@ -150,8 +132,6 @@ def make_compat(a, mode: str, seed: int | None = None) -> CompatMatrix:
     Square A with a non-identity mode still gets an x-side transform (with
     a0 and a linear kernel that choice reproduces G = A). For N > M the
     construction runs on A^T so the projection applies to the z side.
-    The a1 and a2 projections keep min(N, M) columns, the shorter side's
-    feature length, which is the only length ``apply_compat`` can match.
     """
     if mode == "identity":  # nothing is computed from A: it stays as it is
         if np.ndim(a) != 2 or len(a) != np.shape(a)[1]:

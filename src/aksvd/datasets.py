@@ -19,6 +19,10 @@ TASKS = ("classification", "regression")
 # gives the same numbers in the same order); small panels keep glibc from
 # holding freed ones as heap, 7 MB of peak RSS at 512 rows and 4000 nodes
 _PANEL_ROWS = 64
+# edge probabilities of the synthetic graphs: two_block within a block, from
+# block A to B and back; random_dag above the diagonal
+P_IN, P_AB, P_BA = 0.5, 0.3, 0.05
+DAG_EDGE_PROB = 0.3
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,14 @@ def _tokenize(path: Path):
 
 
 def load_edge_list(path, node_count: int | None = None, directed: bool = True,
-                   labels_path=None, keep_self_loops: bool = False,
-                   name: str | None = None) -> GraphDataset:
+                   labels_path=None, name: str | None = None) -> GraphDataset:
     """Read "src dst" pairs into a dense adjacency matrix.
 
     Node ids are mapped to dense indices in first-appearance order; passing
     ``node_count`` instead requires integer ids already in [0, node_count)
     and keeps them as-is (useful when a label file covers isolated nodes).
-    Repeated edges stay 1; self-loops are dropped unless requested.
+    Repeated edges stay 1; self-loops are dropped. A file that names no
+    node, and no ``node_count``, is a ParseError.
     """
     path = Path(path)
     edges = []
@@ -121,10 +125,10 @@ def load_edge_list(path, node_count: int | None = None, directed: bool = True,
         edges.append((resolve(tokens[0], lineno), resolve(tokens[1], lineno)))
 
     n = node_count if node_count is not None else len(index)
+    if n == 0:
+        raise ParseError(f"{path.name}: no edges")
     pairs = np.array(edges, dtype=int).reshape(-1, 2)
-    if not keep_self_loops:
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    src, dst = pairs.T
+    src, dst = pairs[pairs[:, 0] != pairs[:, 1]].T
     adj = np.zeros((n, n))
     adj[src, dst] = 1.0
     if not directed:
@@ -259,15 +263,15 @@ def _bernoulli(rng, out: np.ndarray, p: float) -> None:
         np.less(draw, p, out=out[start:start + len(draw)])
 
 
-def synth_directed_graph(kind: str, n: int, seed: int = 0, p_in: float = 0.5,
-                         p_ab: float = 0.3, p_ba: float = 0.05,
-                         edge_prob: float = 0.3) -> GraphDataset:
+def synth_directed_graph(kind: str, n: int, seed: int = 0) -> GraphDataset:
     """Seeded synthetic directed graphs for tests and benchmarks.
 
     cycle: the directed n-cycle (a permutation matrix, all singular values
-    1). two_block: two communities, dense within, asymmetric across (block
-    A reaches B with probability p_ab, the reverse only p_ba); node labels
-    are the block ids. random_dag: strictly upper-triangular random edges.
+    1). two_block: two communities, each dense within (edge probability
+    ``P_IN``), asymmetric across (block A reaches B with probability
+    ``P_AB``, the reverse only ``P_BA``); node labels are the block ids.
+    random_dag: strictly upper-triangular edges, each with probability
+    ``DAG_EDGE_PROB``.
     """
     if kind not in GRAPH_KINDS:
         raise ConfigError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
@@ -280,14 +284,14 @@ def synth_directed_graph(kind: str, n: int, seed: int = 0, p_in: float = 0.5,
         adj[np.arange(n), (np.arange(n) + 1) % n] = 1.0
     elif kind == "random_dag":
         adj = np.empty((n, n))
-        _bernoulli(rng, adj, edge_prob)
+        _bernoulli(rng, adj, DAG_EDGE_PROB)
         for i in range(n):  # strictly upper-triangular
             adj[i, :i + 1] = 0.0
     else:
         half = n // 2
         adj = np.empty((n, n))
         blocks = [slice(0, half), slice(half, n)]
-        probs = {(0, 0): p_in, (1, 1): p_in, (0, 1): p_ab, (1, 0): p_ba}
+        probs = {(0, 0): P_IN, (1, 1): P_IN, (0, 1): P_AB, (1, 0): P_BA}
         for (bi, bj), p in probs.items():
             _bernoulli(rng, adj[blocks[bi], blocks[bj]], p)
         np.fill_diagonal(adj, 0.0)

@@ -51,7 +51,10 @@ class LssvmModel:
 
 
 def _ridge_solve(f: np.ndarray, y: np.ndarray, gamma_reg: float):
-    """Solve (F^T F + I/gamma) w = F^T y, bias from the mean residual."""
+    """Solve (F^T F + I/gamma) w = F^T y, bias from the mean residual; a
+    gamma that is not positive is a ConfigError."""
+    if not gamma_reg > 0:
+        raise ConfigError(f"gamma_reg must be positive, got {gamma_reg!r}")
     gram = f.T @ f + np.eye(f.shape[1]) / gamma_reg
     w = np.linalg.solve(gram, f.T @ y)
     b = float(np.mean(y - f @ w))
@@ -60,8 +63,6 @@ def _ridge_solve(f: np.ndarray, y: np.ndarray, gamma_reg: float):
 
 def lssvm_fit(train: LabeledFeatures, gamma_reg: float = 1.0) -> LssvmModel:
     """One-vs-rest ridge classifier on +-1 targets per class."""
-    if not gamma_reg > 0:
-        raise ConfigError(f"gamma_reg must be positive, got {gamma_reg!r}")
     f = train.features
     if not np.isfinite(f).all():
         raise SingularSystemError("features contain non-finite values")

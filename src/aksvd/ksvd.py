@@ -320,6 +320,10 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     points are replayed. New points go ``OOS_CHUNK`` at a time, and each
     chunk's raw kernel block meets the weights in one thin product
     (``_oos_scores``): no kernel row of the whole batch is ever built.
+    A point's kernel values do not depend on its batch, but BLAS may sum
+    one row of the thin product in another order alone than within a
+    batch, so a point's projection agrees across batch sizes to rounding
+    (about 1e-16 relative), not bit for bit.
     """
     if (new_x is None) == (new_z is None):
         raise ConfigError("provide exactly one of new_x and new_z")

@@ -7,9 +7,11 @@ Three solvers share the ``SvdResult`` contract:
 * ``svd_truncated``: Golub-Kahan-Lanczos bidiagonalization with full
   reorthogonalization, extended until the leading triplets converge.
 
-All solvers emit singular values in descending order, drop values at or
-below ``tol * sigma_1``, and canonicalize signs so the largest-magnitude
-entry of each left vector is positive.
+All solvers emit singular values in descending order and canonicalize
+signs so the largest-magnitude entry of each left vector is positive.
+``svd_exact`` and ``svd_randomized`` drop values at or below
+``RANK_TOL * sigma_1``; ``svd_truncated`` drops those at or below its
+``tol * sigma_1``, the same ``tol`` that decides its convergence.
 """
 from __future__ import annotations
 
@@ -23,6 +25,10 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
+
+# relative cutoff below which svd_exact and svd_randomized drop a singular
+# value: sigma_k <= RANK_TOL * sigma_1 counts as zero
+RANK_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -66,13 +72,14 @@ def canonicalize_signs(u: np.ndarray, v: np.ndarray | None = None):
     return u, np.negative(v, out=v.copy(), where=flip)
 
 
-def svd_exact(a, tol: float = 1e-10) -> SvdResult:
-    """Compact SVD by LAPACK (``np.linalg.svd``); values <= tol*s1 are dropped."""
+def svd_exact(a) -> SvdResult:
+    """Compact SVD by LAPACK (``np.linalg.svd``); values <= RANK_TOL * s1
+    are dropped."""
     a = as_matrix(a, "A")
     if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_exact requires a non-zero matrix")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > tol * s[0]
+    keep = s > RANK_TOL * s[0]
     u, v = canonicalize_signs(u[:, keep], vt[keep].T)
     return SvdResult(u=u, s=s[keep], v=v)
 
@@ -104,7 +111,7 @@ def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
     q, _ = np.linalg.qr(np.hstack(blocks))
     b = q.T @ a
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    keep = s > 1e-10 * s[0]
+    keep = s > RANK_TOL * s[0]
     keep[r:] = False
     u = (q @ ub)[:, keep]
     v = vt[keep].T

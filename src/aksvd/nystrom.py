@@ -41,14 +41,17 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Sampling and subproblem knobs for the Nystrom solvers."""
+    """Sampling and subproblem knobs for the Nystrom solvers.
+
+    ``m_growth`` is the factor by which ``solve_to_tolerance`` raises the
+    column budget per attempt; the budget stops at M, every column.
+    """
 
     r: int
     n: int | None = None        # row samples; None derives it from m
     m: int | None = None        # column samples; None -> max(4r, 32), capped
     seed: int = 0
     m_growth: float = 2.0
-    m_max: int | None = None    # cap on solve_to_tolerance's column budget
     subproblem: str = "rsvd"    # asym subproblem: "rsvd" (default) or "exact"
     oversample: int = 10
     power_iters: int = 2
@@ -56,7 +59,7 @@ class NystromConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
-        for name, low in (("n", 1), ("m", 1), ("m_max", 1), ("oversample", 0),
+        for name, low in (("n", 1), ("m", 1), ("oversample", 0),
                           ("power_iters", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
@@ -326,11 +329,10 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     - tsvd: no budget (k = cap = 0); it runs once at machine precision.
     - rsvd: the oversampling, from ``cfg.oversample`` up to min(N, M) - r.
     - sym_nystrom and asym_nystrom: the column budget m, from ``cfg.m`` (or
-      max(4r, 32)) up to ``cfg.m_max`` or, when that is unset, all M
-      columns. Every attempt derives its row budget from its m, so a config
-      that sets ``n`` is rejected. asym_nystrom's later attempts sample
-      counts around their budgets (see below), so at a cap of ``m_max`` an
-      attempt may sample more columns than ``m_max``.
+      max(4r, 32)) up to all M columns. Every attempt derives its row
+      budget from its m, so a config that sets ``n`` is rejected.
+      asym_nystrom's later attempts sample counts around their budgets
+      (see below); the last, at budget M, samples every row and column.
 
     Wall time counts the solver work only, not reference or eta evaluation,
     nor the dense matrices the baselines start from (G, and for sym_nystrom
@@ -368,7 +370,7 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
 
     # each solver: its budget k, its cap, and attempt(k, i), what attempt i
     # computes at budget k
-    cap = big_m if cfg.m_max is None else min(cfg.m_max, big_m)
+    cap = big_m
     k = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
     if solver == "asym_nystrom":
         rng = np.random.default_rng(cfg.seed)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aksvd import cli, datasets, kernels
+from aksvd.config import KNOWN
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +159,35 @@ class TestExtract:
         assert lam.shape[0] == 2
 
 
+class TestFlags:
+    @pytest.mark.parametrize("flag", list(cli._FLAG_KEYS))
+    def test_flag_writes_the_manifest_of_its_config_key(self, tmp_path,
+                                                        monkeypatch, flag):
+        # synth data ignore dataset.path, and edge_list data read base.edges;
+        # the base run's path and rank come from the environment, since
+        # --set would override the flag
+        for name in ("base.edges", "other.edges"):
+            (tmp_path / name).write_text(
+                "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n2 5\n",
+                encoding="utf-8")
+        monkeypatch.setenv("AKSVD_DATASET_PATH", str(tmp_path / "base.edges"))
+        monkeypatch.setenv("AKSVD_RANK", "2")
+        out = tmp_path / "run"
+        value = {"dataset": str(tmp_path / "other.edges"),
+                 "format": "edge_list", "kernel": "rbf", "gamma": "0.5",
+                 "compat": "identity", "method": "svd", "rank": "3",
+                 "solver": "truncated", "seed": "7", "out": str(out)}[flag]
+        key = cli._FLAG_KEYS[flag][0]
+        manifests = []
+        for args in ((f"--{flag}", value), ("--set", f"{key}={value}")):
+            assert run("extract", "--set", "dataset.synth_n=12",
+                       "--out", str(out), *args) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        written = json.loads(manifests[0])["config"][key]
+        assert written == KNOWN[key].parse(value) != KNOWN[key].default
+
+
 class TestExitCodes:
     def test_unknown_set_key(self, tmp_path, capsys):
         code = run("extract", "--set", "no.such.key=1",
@@ -238,6 +268,23 @@ class TestExitCodes:
                    "--solver", "nystrom", "--set", "dataset.synth_n=24",
                    "--set", "nystrom.m=12", "--set", "center=false",
                    "--out", str(tmp_path / "x")) == 0
+
+    @pytest.mark.parametrize("args", [("--rank", "abc"),
+                                      ("--kernel", "bogus")])
+    def test_bad_flag_value(self, tmp_path, args):
+        # --rank is parsed by the config layer, --kernel checked by argparse
+        # against the config key's choices; both are bad input
+        assert run("extract", "--format", "synth", *args,
+                   "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_edge_list_without_edges(self, tmp_path, capsys):
+        data = tmp_path / "empty.edges"
+        data.write_text("# no edges\n", encoding="utf-8")
+        code = run("extract", "--format", "edge_list", "--dataset", str(data),
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "empty.edges: no edges" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
@@ -353,6 +400,21 @@ class TestRegress:
                    "--rank", "3", "--out", str(out))
         assert code == 0
         assert read_metrics(out)["rmse"] >= 0.0
+
+    @pytest.mark.parametrize("gamma_reg", ["0", "-1"])
+    def test_non_positive_gamma_reg_rejected(self, tmp_path, capsys,
+                                             gamma_reg):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,y\n1,0,1\n0,1,2\n1,1,3\n2,1,4\n",
+                        encoding="utf-8")
+        out = tmp_path / "run"
+        code = run("regress", "--format", "csv", "--dataset", str(data),
+                   "--set", "dataset.target=y",
+                   "--set", "dataset.task=regression", "--rank", "1",
+                   "--set", f"eval.gamma_reg={gamma_reg}", "--out", str(out))
+        assert code == 2
+        assert "gamma_reg must be positive" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_classification_task_rejected(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aksvd import compat, kernels
-from aksvd.errors import ConfigError, RankTooLargeError, ShapeMismatchError
+from aksvd.errors import ConfigError, ShapeMismatchError
 from aksvd.linalg import svd_exact
 from conftest import make_matrix
 
@@ -32,13 +32,15 @@ class TestPseudoInverse:
 class TestPca:
     def test_near_rank_one(self):
         # centered rank-one data: the column means are zero, and centering
-        # the outer product leaves it rank one
+        # the outer product leaves it rank one, so C's first column alone
+        # reconstructs it
         rng = np.random.default_rng(3)
         u = rng.standard_normal(8)
         a = np.outer(u - u.mean(), rng.standard_normal(5))
         a += 1e-12 * rng.standard_normal((8, 5))
-        c = compat.compat_pca(a, target_dim=1).c
-        recon = a @ c @ c.T
+        c = compat.compat_pca(a).c
+        assert c.shape == (5, 5)
+        recon = a @ c[:, :1] @ c[:, :1].T
         assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
 
     def test_full_target_reconstructs(self):
@@ -48,13 +50,15 @@ class TestPca:
         assert np.linalg.norm(ac - ac @ c @ c.T) <= 1e-8 * np.linalg.norm(ac)
 
     def test_orthonormal_columns(self):
-        c = compat.compat_pca(make_matrix(10, 6, seed=5), target_dim=3).c
-        np.testing.assert_allclose(c.T @ c, np.eye(3), atol=1e-10)
+        c = compat.compat_pca(make_matrix(10, 6, seed=5)).c
+        np.testing.assert_allclose(c.T @ c, np.eye(6), atol=1e-10)
 
     def test_objective_equals_tail_energy(self):
+        # C's columns come in descending order of variance: its first two
+        # leave exactly the energy of the last two singular values
         a = make_matrix(10, 4, seed=6)
         ac = a - a.mean(axis=0)
-        c = compat.compat_pca(a, target_dim=2).c
+        c = compat.compat_pca(a).c[:, :2]
         objective = np.linalg.norm(ac - ac @ c @ c.T) ** 2
         s = svd_exact(ac).s
         assert abs(objective - (s[2] ** 2 + s[3] ** 2)) <= 1e-8
@@ -62,17 +66,13 @@ class TestPca:
     def test_beats_random_orthonormal(self):
         a = make_matrix(10, 5, seed=7)
         ac = a - a.mean(axis=0)
-        c = compat.compat_pca(a, target_dim=2).c
+        c = compat.compat_pca(a).c[:, :2]
         best = np.linalg.norm(ac - ac @ c @ c.T)
         rng = np.random.default_rng(8)
         for _ in range(5):
             q = np.linalg.qr(rng.standard_normal((5, 2)))[0]
             other = np.linalg.norm(ac - ac @ q @ q.T)
             assert other >= best - 1e-8
-
-    def test_target_too_large(self):
-        with pytest.raises(RankTooLargeError):
-            compat.compat_pca(make_matrix(5, 3, seed=0), target_dim=4)
 
 
 class TestRandom:
@@ -165,15 +165,3 @@ class TestMakeCompat:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             compat.make_compat(make_matrix(3, 3, seed=21), "a9")
-
-    @pytest.mark.parametrize("mode", ["a1", "a2"])
-    @pytest.mark.parametrize("target_dim", [0, -1])
-    def test_target_dim_below_one(self, mode, target_dim):
-        # a side projected to no features has nothing for a kernel to compare;
-        # make_compat always keeps min(N, M), so ask its builders directly
-        a = make_matrix(3, 5, seed=22)
-        with pytest.raises(ConfigError, match="target_dim"):
-            if mode == "a1":
-                compat.compat_pca(a, target_dim=target_dim)
-            else:
-                compat.compat_random(a, seed=0, target_dim=target_dim)

@@ -57,8 +57,7 @@ class TestEdgeList:
         p = write(tmp_path, "g.txt", "0 0\n0 1\n")
         dropped = ds.load_edge_list(p)
         assert dropped.adjacency[0, 0] == 0.0
-        kept = ds.load_edge_list(p, keep_self_loops=True)
-        assert kept.adjacency[0, 0] == 1.0
+        assert dropped.adjacency.sum() == 1.0
 
     def test_node_count_identity_mapping(self, tmp_path):
         p = write(tmp_path, "g.txt", "3 1\n")
@@ -98,20 +97,17 @@ class TestEdgeList:
         np.testing.assert_array_equal(g.out_degrees(), [2, 1, 0])
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("keep_self_loops", [True, False])
-    def test_adjacency_matches_the_edge_loop(self, tmp_path, directed,
-                                             keep_self_loops):
+    def test_adjacency_matches_the_edge_loop(self, tmp_path, directed):
         # repeated edges, reversed pairs and self-loops among 40 nodes; the
-        # adjacency is the one an assignment per edge makes
+        # adjacency is the one an assignment per edge but a self-loop makes
         edges = np.random.default_rng(5).integers(0, 40, (300, 2))
         edges[:20, 1] = edges[:20, 0]
         p = write(tmp_path, "g.txt",
                   "".join(f"{s} {d}\n" for s, d in edges))
-        g = ds.load_edge_list(p, node_count=40, directed=directed,
-                              keep_self_loops=keep_self_loops)
+        g = ds.load_edge_list(p, node_count=40, directed=directed)
         want = np.zeros((40, 40))
         for src, dst in edges:
-            if src == dst and not keep_self_loops:
+            if src == dst:
                 continue
             want[src, dst] = 1.0
             if not directed:
@@ -122,6 +118,12 @@ class TestEdgeList:
     def test_no_edges(self, tmp_path):
         p = write(tmp_path, "g.txt", "# nothing\n")
         assert ds.load_edge_list(p, node_count=3).adjacency.sum() == 0.0
+
+    def test_no_nodes_is_a_parse_error(self, tmp_path):
+        # without node_count, a file with no edges names no node at all
+        p = write(tmp_path, "empty.txt", "# nothing\n\n")
+        with pytest.raises(ParseError, match="empty.txt: no edges"):
+            ds.load_edge_list(p)
 
 
 class TestGraphDatasetValidation:

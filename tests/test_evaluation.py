@@ -93,6 +93,16 @@ class TestLssvm:
         fit = ev.ridge_fit(f, y, gamma_reg=1e6)
         assert ev.rmse(ev.ridge_predict(fit, f), y) <= 1e-3
 
+    @pytest.mark.parametrize("gamma_reg", [0.0, -1.0])
+    def test_non_positive_gamma_rejected(self, gamma_reg):
+        # 1/gamma is the ridge: zero divides by zero and a negative one
+        # subtracts from F^T F, for regression as for classification
+        feats, labels = blobs(2, [(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ConfigError, match="gamma_reg"):
+            ev.ridge_fit(feats, labels.astype(float), gamma_reg=gamma_reg)
+        with pytest.raises(ConfigError, match="gamma_reg"):
+            ev.lssvm_fit(LabeledFeatures(feats, labels), gamma_reg=gamma_reg)
+
 
 class TestF1:
     def test_perfect(self):

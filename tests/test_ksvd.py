@@ -889,12 +889,12 @@ class TestDeadRowWarning:
 
         def solve():
             # every attempt's normalizer estimates find the dead row; the
-            # last attempt, at the column cap m_max, gives up
+            # last attempt, at the column cap M, gives up
             with pytest.raises(ToleranceUnreachableError) as err:
                 nystrom.solve_to_tolerance(
                     kernels.LazyKernelSource(spec, DataSources(x=x, z=z)),
-                    "asym_nystrom", 1e-3, reference,
-                    NystromConfig(r=2, m=8, seed=1, m_max=60))
+                    "asym_nystrom", 0.0, reference,
+                    NystromConfig(r=2, m=8, seed=1))
             return err.value.report
 
         report, _ = one_warning(solve)

@@ -35,9 +35,10 @@ class TestSvdExact:
 
     def test_reconstruction_and_orthonormality(self):
         a = make_matrix(40, 25, seed=3)
-        res = linalg.svd_exact(a, tol=1e-10)
+        res = linalg.svd_exact(a)
         recon = res.u @ np.diag(res.s) @ res.v.T
-        assert np.linalg.norm(a - recon) <= 10 * 1e-10 * np.linalg.norm(a)
+        assert np.linalg.norm(a - recon) <= \
+            10 * linalg.RANK_TOL * np.linalg.norm(a)
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(res.rank), atol=1e-9)
         np.testing.assert_allclose(res.v.T @ res.v, np.eye(res.rank), atol=1e-9)
 

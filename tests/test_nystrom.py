@@ -70,7 +70,7 @@ class TestSubsample:
         with pytest.raises(ConfigError):
             nystrom.NystromConfig(r=2, m_growth=5.0)
 
-    @pytest.mark.parametrize("name", ["n", "m", "m_max"])
+    @pytest.mark.parametrize("name", ["n", "m"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_sample_counts_below_one_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -370,15 +370,16 @@ class TestSolveToTolerance:
         ref = svd_exact(make().full())
         lazy = make()
         with pytest.raises(ToleranceUnreachableError) as exc:
-            nystrom.solve_to_tolerance(lazy, "asym_nystrom", 1e-15, ref,
-                                       exact_cfg(3, seed=0, m=8, m_max=64))
+            nystrom.solve_to_tolerance(lazy, "asym_nystrom", 0.0, ref,
+                                       exact_cfg(3, seed=0, m=8))
         rep = exc.value.report
         big_n, big_m = lazy.shape
         n, m = rep.result.row_indices.size, rep.result.col_indices.size
-        # four attempts, at column budgets 8, 16, 32 and 64; each samples
-        # more rows and columns than the last
-        assert len(rep.history) == 4
+        # five attempts, at column budgets 8, 16, 32, 64 and M = 70; each
+        # samples more rows and columns than the last, and the last all
+        assert len(rep.history) == 5
         assert (rep.history[0].m, rep.history[0].n) == (8, 10)
+        assert (m, n) == (big_m, big_n)
         assert (rep.history[-1].m, rep.history[-1].n) == (m, n)
         for a, b in zip(rep.history, rep.history[1:]):
             assert b.m > a.m and b.n > a.n
@@ -549,13 +550,14 @@ class TestChunkedLift:
         src = kernels.LazyKernelSource(spec, sources)
         with pytest.raises(ToleranceUnreachableError) as err:
             nystrom.solve_to_tolerance(src, "asym_nystrom", 0.0, reference,
-                                       nystrom.NystromConfig(r=4, m_max=200))
+                                       nystrom.NystromConfig(r=4))
         history = err.value.report.history
-        # column budgets 32, 64, 128 and m_max = 200: m_max caps the budget,
-        # not the count sampled, and here the leverage mixture gives its
-        # favoured columns pi = 1 and samples 119 at the cap
+        # column budgets 32, 64, 128, 256 and M = 300: the leverage mixture
+        # samples counts around each budget, short of it where it gives its
+        # favoured columns pi = 1, and the last attempt samples every row
+        # and column
         assert [(h.m, h.n) for h in history] == [
-            (32, 32), (66, 54), (98, 84), (119, 109)]
+            (32, 32), (66, 54), (98, 84), (136, 137), (300, 300)]
         last = history[-1]
         assert src.entries_evaluated == last.entries == \
             300 * last.m + last.n * 300
