@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from . import datasets, errors, evaluation, kernels, linalg  # noqa: F401
+from . import datasets, errors, evaluation, kernels, linalg, parallel  # noqa: F401
 from .compat import CompatMatrix, make_compat
 from .kernels import (
     DataSources,

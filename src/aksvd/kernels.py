@@ -40,13 +40,15 @@ Every side of the kernel data is stored and measured once, by
 ``prepare_side``, whichever path it comes by: ``build_sources``,
 ``compat.apply_compat``, ``LazyKernelSource`` (a side given without
 statistics), ``ksvd.transform_oos`` (new points) and, through
-``build_sources``, ``ksvd.load_model``. A side is stored in float32 when
-every entry is an integer of magnitude at most 2^24, in float64 otherwise,
-so graphs take half the memory; integer or boolean data, as a saved model's
-uint8 graph, go to float32 with no float64 copy. Each side's ``SideStats``,
-its squared row norms, float32 scale and row spans (the columns from each
-row's first to its last nonzero), travel with it in ``DataSources``, and
-every kernel source and out-of-sample projection over it reuses them.
+``build_sources``, ``ksvd.load_model``; new points are stored a chunk at a
+time, each chunk in its own unit of work (``parallel.parallel_map``). A
+side is stored in float32 when every entry is an integer of magnitude at
+most 2^24, in float64 otherwise, so graphs take half the memory; integer
+or boolean data, as a saved model's uint8 graph, go to float32 with no
+float64 copy. Each side's ``SideStats``, its squared row norms, float32
+scale and row spans (the columns from each row's first to its last
+nonzero), travel with it in ``DataSources``, and every kernel source and
+out-of-sample projection over it reuses them.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -274,6 +276,22 @@ def _spans(a) -> np.ndarray:
                      a.shape[1] - _first_nonzero(a[:, ::-1])], 1)
 
 
+def as_side(a, name: str = "data") -> np.ndarray:
+    """``a`` as the 2-D array that ``prepare_side`` stores: booleans,
+    integers and floats in their own type, anything else as float64, a
+    vector as one row. Raises ShapeMismatchError unless it is 2-D and
+    non-empty; its entries are not checked."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biuf":
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeMismatchError(
+            f"{name} must be 2-D and non-empty, got shape {arr.shape}")
+    return arr
+
+
 def prepare_side(a, name: str = "data",
                  scale: float | None = None) -> tuple[np.ndarray, SideStats]:
     """``a`` in stored form with its ``SideStats``: the one routine that
@@ -287,14 +305,7 @@ def prepare_side(a, name: str = "data",
     so), never through a float64 copy of integer input. Its norms are sums
     of float64 squares, or float32 sums where the Gram product's rule makes
     them exact; its spans are taken only where that product reads them."""
-    arr = np.asarray(a)
-    if arr.dtype.kind not in "biuf":
-        arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeMismatchError(
-            f"{name} must be 2-D and non-empty, got shape {arr.shape}")
+    arr = as_side(a, name)
     step = max(1, _PANEL // arr.shape[1])
     if scale is None and arr.dtype.kind in "biu":
         scale = float(max(1, int(arr.max()), -int(arr.min())))

@@ -31,12 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 from .compat import IDENTITY, CompatMatrix, apply_compat, make_compat
 from .errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
+    NonFiniteError,
     NumericError,
     ParseError,
     RankTooLargeError,
@@ -258,10 +259,12 @@ def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
     return Embedding(side=side, features=feats)
 
 
-# new points are projected this many at a time: a chunk's kernel block,
-# chunk x training points in float64, is the largest array a projection
-# holds; each chunk takes its own Gram product, so much smaller chunks
-# spend more time repacking the training side for it
+# new points are projected this many at a time, each chunk one unit of
+# work (``parallel.parallel_map``): a chunk's kernel block, chunk x training
+# points in float64, is the largest array a unit holds, and up to
+# ``parallel.POOL_SIZE`` units are live at once; each chunk takes its own
+# Gram product, so much smaller chunks spend more time repacking the
+# training side for it
 OOS_CHUNK = 512
 
 
@@ -272,36 +275,41 @@ def _oos_scores(model: KsvdModel, side: str, count: int,
     ``numerators(rows)`` evaluates new points ``rows`` (a slice): linear
     products or rbf numerators of the new x points against the training z
     (rows x M) on the x side, of the training x against the new z points
-    (N x rows) on the z side. Each chunk of ``OOS_CHUNK`` points is one
-    ``ChunkedBlock``, multiplied once by W = B / sqrt(lambda), the opposite
-    coefficients: sne rows are divided by the new row's own sum (x side) or
-    the training rows' stored normalizers (z side), dead rows read 1/M, and
-    a centered model subtracts the point's own mean, the training means and
-    adds the grand mean, all applied to that one thin product.
+    (N x rows) on the z side. Each chunk of ``OOS_CHUNK`` points is one unit
+    of work (``parallel.parallel_map``) that evaluates its block, makes it
+    one ``ChunkedBlock`` and writes its own rows of the scores with one
+    product by W = B / sqrt(lambda), the opposite coefficients: sne rows are
+    divided by the new row's own sum (x side) or the training rows' stored
+    normalizers (z side), dead rows read 1/M, and a centered model
+    subtracts the point's own mean, the training means and adds the grand
+    mean, all applied to that one thin product. Units return the dead rows
+    they met, which are reported here, in the caller's thread.
     """
     stats, sne = model.centering, model.kernel.family == "sne"
     w = (model.b_psi if side == "x" else model.b_phi) / np.sqrt(model.lam)
     width = model.train_z.shape[0]
-    dead = 0
-    if side == "z" and sne:
-        dead = int((model.sne_row_denoms == 0.0).sum())
     out = np.empty((count, model.rank))
-    for start in range(0, count, OOS_CHUNK):
+
+    def unit(start: int) -> int:
         rows = slice(start, start + OOS_CHUNK)
         values = numerators(rows)
+        dead = 0
         if side == "x":
             denom, means = None, (None, stats.col_means)
             if sne:
                 denom = values.sum(1)
-                dead += int((denom == 0.0).sum())
+                dead = int((denom == 0.0).sum())
         else:
             denom, means = model.sne_row_denoms, (stats.row_means, None)
         block = kernels.ChunkedBlock((values,), 1, denom=denom, width=width)
         if model.centered:
             block = block.centered(*means, stats.grand_mean)
         out[rows] = (block if side == "x" else block.T) @ w
-        # the next chunk is evaluated with this one's block released
-        del values, block
+        return dead
+
+    dead = sum(parallel.parallel_map(unit, range(0, count, OOS_CHUNK)))
+    if side == "z" and sne:
+        dead += int((model.sne_row_denoms == 0.0).sum())
     kernels.note_dead(dead)
     return out
 
@@ -320,36 +328,43 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     points are replayed. New points go ``OOS_CHUNK`` at a time, and each
     chunk's raw kernel block meets the weights in one thin product
     (``_oos_scores``): no kernel row of the whole batch is ever built.
-    A point's kernel values do not depend on its batch, but BLAS may sum
-    one row of the thin product in another order alone than within a
-    batch, so a point's projection agrees across batch sizes to rounding
-    (about 1e-16 relative), not bit for bit.
+    Chunks are independent units, up to ``parallel.POOL_SIZE`` of them at
+    once, so that many chunk blocks may be live together; the scores are
+    the same bits at any pool size. A point's kernel values do not depend
+    on its batch, but BLAS may sum one row of the thin product in another
+    order alone than within a batch, so a point's projection agrees across
+    batch sizes to rounding (about 1e-16 relative), not bit for bit.
     """
     if (new_x is None) == (new_z is None):
         raise ConfigError("provide exactly one of new_x and new_z")
     side, raw, train = (("x", new_x, model.train_x) if new_z is None
                         else ("z", new_z, model.train_z))
-    # the new points are stored and measured, again once projected; the
-    # training side's statistics come with the model
-    pts, stats = kernels.prepare_side(raw, "points")
+    points = kernels.as_side(raw, "points")
     c = model.compat.c if model.compat_side == side else None
     expect = train.shape[1] if c is None else c.shape[0]
-    if pts.shape[1] != expect:
+    if points.shape[1] != expect:
         raise DimensionMismatchError(
-            f"new_{side} has length {pts.shape[1]}, expected {expect}")
+            f"new_{side} has length {points.shape[1]}, expected {expect}")
     if c is not None:
-        pts, stats = kernels.prepare_side(pts @ c, "points")
+        # checked before the product, which would warn on inf * 0
+        if points.dtype.kind == "f" and not np.isfinite(points).all():
+            raise NonFiniteError("points contains NaN or Inf")
+        # one product over the whole batch: BLAS may round a float64
+        # product taken a chunk at a time differently
+        points = np.asarray(points, dtype=np.float64) @ c
     train = model.train
-    if side == "x":
-        source = LazyKernelSource(model.kernel, DataSources(
-            x=pts, z=train.z, x_stats=stats, z_stats=train.z_stats))
-        scores = _oos_scores(model, side, len(pts),
-                             lambda rows: source._block(x_rows=rows))
-    else:
-        source = LazyKernelSource(model.kernel, DataSources(
-            x=train.x, z=pts, x_stats=train.x_stats, z_stats=stats))
-        scores = _oos_scores(model, side, len(pts),
-                             lambda rows: source._block(z_rows=rows))
+
+    def numerators(rows):
+        # in the chunk's unit: its points are stored and measured there;
+        # the training side's statistics come with the model
+        pts, stats = kernels.prepare_side(points[rows], "points")
+        sides = (DataSources(x=pts, z=train.z, x_stats=stats,
+                             z_stats=train.z_stats) if side == "x" else
+                 DataSources(x=train.x, z=pts, x_stats=train.x_stats,
+                             z_stats=stats))
+        return LazyKernelSource(model.kernel, sides)._block()
+
+    scores = _oos_scores(model, side, len(points), numerators)
     return scores[0] if np.ndim(raw) == 1 else scores
 
 

@@ -355,12 +355,15 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     prefixes throughout. The sample sizes vary around the budget: ``m_used``
     and every ``Attempt`` report the counts sampled.
 
-    The report's ``history`` records every attempt. If the budget cap is
+    ``epsilon`` must be >= 0; a negative or NaN one is a ConfigError. The
+    report's ``history`` records every attempt. If the budget cap is
     reached with eta still above epsilon a ToleranceUnreachableError is
     raised, carrying the last report in its ``report`` attribute.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if not epsilon >= 0:  # eta is never negative: such a solve never stops
+        raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
     if cfg.n is not None:
         raise ConfigError(f"n={cfg.n} is set, but every attempt derives its "
                           "row count from m; leave n unset")

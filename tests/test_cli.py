@@ -484,6 +484,15 @@ class TestBench:
         assert rows[0]["attempts"] == "1"
         assert int(rows[0]["entries"]) == 2 * 16 * 16
 
+    def test_negative_epsilon_rejected(self, tmp_path, capsys):
+        # eta is never negative: every solver would grow to its cap
+        code = run("bench", "--format", "synth",
+                   "--set", "dataset.synth_n=40", "--set", "bench.epsilons=-1",
+                   "--set", "bench.repeats=1", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "epsilon must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "bench.csv").exists()
+
     def test_two_epsilons_make_two_row_groups(self, tmp_path):
         out = tmp_path / "run"
         code = run("bench", "--format", "synth", "--rank", "2",
@@ -527,6 +536,14 @@ class TestSweep:
         assert {row["status"] for row in rows} == {"ok"}
         assert [row["attempts"] for row in rows] == ["1", "1"]
         assert [row["entries"] for row in rows] == [str(24 * 8 + 8 * 24)] * 2
+
+    def test_negative_epsilon_rejected(self, tmp_path, capsys):
+        code = run("nystrom-sweep", "--format", "synth",
+                   "--set", "dataset.synth_n=24", "--set", "sweep.seeds=1",
+                   "--set", "nystrom.epsilon=-1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "epsilon must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "sweep.csv").exists()
 
     def test_sources_are_built_once_per_sweep(self, tmp_path, monkeypatch):
         # a rectangular csv, so the sources include a compat transform;

@@ -1,6 +1,8 @@
 """Model fitting, stationarity checks, embeddings, out-of-sample, persistence."""
 import dataclasses
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from aksvd import datasets, kernels, ksvd, linalg, nystrom
+from aksvd import datasets, kernels, ksvd, linalg, nystrom, parallel
 from aksvd.errors import (
     ConfigError,
     DegenerateKernelWarning,
     DimensionMismatchError,
     EmptyDenominatorWarning,
+    NonFiniteError,
     ParseError,
     RankTooLargeError,
     ShapeMismatchError,
@@ -656,7 +659,12 @@ class TestOosPreparedSides:
             finally:
                 tracemalloc.stop()
             np.testing.assert_array_equal(got, expect)
-            assert peak < n * n * 8
+            # each live unit: its chunk's float32 points, its float64 block
+            # and the packed tile's two float32 temporaries of 64 rows; no
+            # copy of the batch, 11.5 MB in float64, is ever made
+            chunk = ksvd.OOS_CHUNK
+            unit = chunk * n * 4 + chunk * n * 8 + 2 * (chunk // 2) * n * 4
+            assert peak < parallel.POOL_SIZE * unit + 2 ** 20
 
     @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
     @pytest.mark.parametrize("data", ["graph", "normal"])
@@ -785,13 +793,14 @@ class TestChunkedOos:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float32 points (9.0 MB), one float64 block of 512 points
-        # against the training side (6.1 MB) and the packed tile's two
-        # float32 temporaries of 256 rows (3.1 MB), with 1 MB for the rest;
-        # a second block held over from the last chunk would add 6.1 MB
-        points, block = n * n * 4, ksvd.OOS_CHUNK * n * 8
+        # each live unit: its chunk's float32 points (3.1 MB), its float64
+        # block of 512 points against the training side (6.1 MB) and the
+        # packed tile's two float32 temporaries of 256 rows (3.1 MB), with
+        # 1 MB for the rest; a block held over from a finished unit would
+        # add 6.1 MB, and float32 points of the whole batch 9.0 MB
+        points, block = ksvd.OOS_CHUNK * n * 4, ksvd.OOS_CHUNK * n * 8
         packed = 2 * (ksvd.OOS_CHUNK // 2) * n * 4
-        assert peak < points + block + packed + 2 ** 20
+        assert peak < parallel.POOL_SIZE * (points + block + packed) + 2 ** 20
 
     def test_dead_new_row(self, monkeypatch):
         # the new rows 3 and 11, in different chunks, lie so far from every
@@ -813,6 +822,11 @@ class TestChunkedOos:
         uniform = (stats.grand_mean - stats.col_means) @ w
         np.testing.assert_allclose(got[3], uniform, rtol=1e-12)
         np.testing.assert_array_equal(got[3], got[11])
+
+    def test_dead_new_row_on_a_pool_of_two(self, monkeypatch):
+        # the two dead rows lie in two units, each run in a worker thread
+        monkeypatch.setattr(parallel, "POOL_SIZE", 2)
+        self.test_dead_new_row(monkeypatch)
 
     @pytest.mark.parametrize("center", [True, False])
     def test_dead_training_row_on_the_z_side(self, monkeypatch, center):
@@ -848,7 +862,97 @@ class TestChunkedOos:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n_new * train * 8 / 2
+        # each live unit: its chunk's projected points and its float64
+        # block (4.9 MB), beside the projected batch (0.7 MB), with 1 MB
+        # for the rest; a block of the whole batch would be 28.8 MB
+        chunk, projected = ksvd.OOS_CHUNK, n_new * shape[0] * 8
+        unit = chunk * shape[0] * 8 + chunk * train * 8
+        assert peak < parallel.POOL_SIZE * unit + projected + 2 ** 20
+
+
+class TestOosPool:
+    """Chunks of new points run as units on a thread pool: the scores,
+    errors and entry counts are those of the chunks run one by one."""
+
+    @pytest.mark.parametrize("compat", ["identity", "a0", "a1"])
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    @pytest.mark.parametrize("data", ["graph", "normal"])
+    def test_same_bits_at_any_pool_size(self, monkeypatch, data, family,
+                                        compat):
+        # a0 on wide data projects the x side, a1 on tall data the z side;
+        # 511 points leave one unit, 513 a second of one point
+        shape = {"identity": (60, 60), "a0": (48, 60), "a1": (60, 48)}[compat]
+        rng = np.random.default_rng(20)
+        if data == "graph":
+            a = datasets.synth_directed_graph("two_block", 60, seed=21)\
+                .adjacency[:shape[0], :shape[1]]
+        else:
+            a = rng.standard_normal(shape)
+        model = ksvd.fit(a, KernelSpec(family, kernels.default_gamma(a)), r=3,
+                         compat=compat)
+        for side, length in (("x", shape[1]), ("z", shape[0])):
+            for batch in (1, 511, 513, 2000):
+                if data == "graph":
+                    pts = (rng.random((batch, length)) < 0.2).astype(np.uint8)
+                else:
+                    pts = rng.standard_normal((batch, length))
+                scores = []
+                for size in (1, 2):
+                    monkeypatch.setattr(parallel, "POOL_SIZE", size)
+                    scores.append(ksvd.transform_oos(
+                        model, **{"new_" + side: pts}))
+                assert np.array_equal(*scores), (side, batch)
+
+    @pytest.mark.parametrize("compat", ["identity", "a0"])
+    def test_nan_in_the_third_chunk(self, monkeypatch, compat):
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", 8)
+        a = make_matrix(20, 20, seed=23)
+        model = ksvd.fit(a, KernelSpec("sne", 2.0), r=3, compat=compat)
+        new_x = np.random.default_rng(24).standard_normal((40, 20))
+        # row 19 of the third chunk: found in that chunk's unit, or under
+        # a0 before the one compat product of the whole batch
+        new_x[19, 4] = np.nan
+        for size in (1, 2):
+            monkeypatch.setattr(parallel, "POOL_SIZE", size)
+            with pytest.raises(NonFiniteError,
+                               match="^points contains NaN or Inf$"):
+                ksvd.transform_oos(model, new_x=new_x)
+
+    @pytest.mark.parametrize("size", [2, 8])
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_entry_count_is_exact(self, monkeypatch, side, size):
+        # more workers than cores, switching threads as often as it can: a
+        # chunk lost or run twice, or rows written by another unit, show
+        monkeypatch.setattr(ksvd, "OOS_CHUNK", 8)
+        a = make_matrix(40, 30, seed=25)
+        model = ksvd.fit(a, KernelSpec("rbf", kernels.default_gamma(a)), r=3,
+                         compat="a0")
+        # new x points have A's 30 columns, new z points its 40 rows
+        key, length = ("new_x", 30) if side == "x" else ("new_z", 40)
+        pts = np.random.default_rng(26).standard_normal((203, length))
+        monkeypatch.setattr(parallel, "POOL_SIZE", 1)
+        want = ksvd.transform_oos(model, **{key: pts})
+        entries, lock = [], threading.Lock()
+        raw_block = kernels._raw_block
+
+        def counted(*args):
+            block = raw_block(*args)
+            with lock:
+                entries.append(block.size)
+            return block
+
+        monkeypatch.setattr(kernels, "_raw_block", counted)
+        monkeypatch.setattr(parallel, "POOL_SIZE", size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ksvd.transform_oos(model, **{key: pts})
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+        # 26 chunks, each against every training point of the other side
+        assert len(entries) == 26
+        assert sum(entries) == 203 * (30 if side == "x" else 40)
 
 
 class TestDeadRowWarning:

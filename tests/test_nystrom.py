@@ -411,6 +411,13 @@ class TestSolveToTolerance:
             nystrom.solve_to_tolerance(self.g, "magic", 1.0, self.ref,
                                        exact_cfg(2))
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan")])
+    @pytest.mark.parametrize("solver", nystrom.SOLVERS)
+    def test_epsilon_below_zero_or_nan_is_rejected(self, solver, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+            nystrom.solve_to_tolerance(self.g, solver, epsilon, self.ref,
+                                       exact_cfg(3))
+
     @pytest.mark.parametrize("solver", nystrom.SOLVERS)
     def test_row_count_is_rejected(self, solver):
         # every attempt derives n from m, so a set n would be ignored
