@@ -82,7 +82,10 @@ leverage-sampled Nystrom solve of a 4000-node ``random_dag`` evaluates as
 its sample grows (2.997e9 multiply-adds for 1,896,000 entries of 4000
 features), 0.23 for the full kernel of that graph, 0.19 for that of a
 2000-node ``cycle``, and 1.0 for ``two_block`` graphs, whose every panel
-and sub-panel reaches both ends.
+and sub-panel reaches both ends. Each tile is one unit of work on the
+thread pool (``parallel.parallel_map``) that writes its own region of the
+result and, for rbf and sne, runs the kernel's arithmetic there, so the
+result is the same bits at any pool size.
 
 Each tile also takes two rows of the shorter side's panel in one float32
 lane, which halves its multiply-adds: rows i and i + 1 are packed as
@@ -119,6 +122,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     CompatibilityMissingError,
     ConfigError,
@@ -343,8 +347,11 @@ def _panels(spans: np.ndarray, start: int, stop: int, size: int):
         yield rows, int(spans[rows, 0].min()), int(spans[rows, 1].max())
 
 
-def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
-    """x @ z.T in float64, from stored operands and their ``SideStats``.
+def _gram(x, z, x_side: SideStats, z_side: SideStats,
+          finish=None) -> np.ndarray:
+    """x @ z.T in float64, from stored operands and their ``SideStats``;
+    ``finish(region, x_rows, z_rows)``, when given, runs in place on each
+    region of the result as it is written.
 
     When d times the two sides' scales is at most 2^24, both sides are
     stored in float32, and their float32 product, exact, is written into
@@ -354,8 +361,12 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
     side with fewer rows, x on a tie (``_layout``); each contracts only the
     columns where both sides have nonzeros, the intersection of their
     spans, and is zero when that is empty; the terms left out are all zero,
-    so the integer result is the same. Past the bound the product is taken
-    in float64, float32 sides upcast, over every column.
+    so the integer result is the same. Each tile is one unit of work
+    (``parallel.parallel_map``) that writes and finishes its own region:
+    every entry takes the same operations on any thread, so the result is
+    the same bits at any pool size. Past the bound the product is taken in
+    float64, float32 sides upcast, over every column, as one product and
+    one region, since OpenBLAS rounds slices of it differently.
 
     When c (B + 1) <= 2^24, c = isqrt(max(1, max |x|^2) * max(1, max |z|^2))
     from the sides' norms and B the least power of two >= 2c + 2, each tile
@@ -371,8 +382,11 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
     """
     d = x.shape[1]
     if d * x_side.scale * z_side.scale > _F32_EXACT:
-        return np.asarray(x, dtype=np.float64) @ np.asarray(
+        out = np.asarray(x, dtype=np.float64) @ np.asarray(
             z, dtype=np.float64).T
+        if finish is not None:
+            finish(out, slice(None), slice(None))
+        return out
     out = np.empty((x.shape[0], z.shape[0]))
     flip = z.shape[0] < x.shape[0]
     (short, s32), (long, l32) = ((z_side, z), (x_side, x)) if flip else (
@@ -391,28 +405,38 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats) -> np.ndarray:
     base = 1 << (2 * c + 1).bit_length()
     if c * (base + 1) > _F32_EXACT:
         base = 0
-    for rows, tiles in _layout(short.spans, long.spans):
-        for cols, lo, hi in tiles:
-            if lo >= hi:
-                o[rows, cols] = 0.0
-                continue
-            panel, other = s32[rows, lo:hi], l32[cols, lo:hi]
-            # rows i and i + 1 share a float32 lane as row i + base * row i+1
-            pairs = len(panel) // 2 * 2 if base else 0
-            if pairs:
-                v = product(panel[1:pairs:2] * np.float32(base)
-                            + panel[:pairs:2], other)
-                stop = rows.start + pairs
-                high = o[rows.start + 1:stop:2, cols]
-                low = o[rows.start:stop:2, cols]
-                np.multiply(v, 1.0 / base, out=high)
-                np.rint(high, out=high)
-                np.multiply(high, -base, out=low)
-                low += v
-                del v
-            if pairs < len(panel):
-                o[rows.start + pairs:rows.stop, cols] = product(
-                    panel[pairs:], other)
+
+    def fill(rows, cols, lo, hi):
+        if lo >= hi:
+            o[rows, cols] = 0.0
+            return
+        panel, other = s32[rows, lo:hi], l32[cols, lo:hi]
+        # rows i and i + 1 share a float32 lane as row i + base * row i+1
+        pairs = len(panel) // 2 * 2 if base else 0
+        if pairs:
+            v = product(panel[1:pairs:2] * np.float32(base)
+                        + panel[:pairs:2], other)
+            stop = rows.start + pairs
+            high = o[rows.start + 1:stop:2, cols]
+            low = o[rows.start:stop:2, cols]
+            np.multiply(v, 1.0 / base, out=high)
+            np.rint(high, out=high)
+            np.multiply(high, -base, out=low)
+            low += v
+            del v
+        if pairs < len(panel):
+            o[rows.start + pairs:rows.stop, cols] = product(
+                panel[pairs:], other)
+
+    def unit(tile):
+        rows, cols = tile[:2]
+        fill(*tile)
+        if finish is not None:
+            finish(*((out[cols, rows], cols, rows) if flip
+                     else (out[rows, cols], rows, cols)))
+
+    parallel.parallel_map(unit, [(rows, *tile) for rows, tiles in _layout(
+        short.spans, long.spans) for tile in tiles])
     return out
 
 
@@ -480,20 +504,22 @@ def _raw_block(spec: KernelSpec, x, z, sides) -> np.ndarray:
     """Linear products, or the rbf numerators that sne rows are divided by.
 
     x and z are stored sides and ``sides`` their ``SideStats``. The Gram
-    product ``x @ z.T`` comes from ``_gram``; the rbf arithmetic then runs
-    in place on it.
+    product ``x @ z.T`` comes from ``_gram``, which runs the rbf arithmetic
+    in place on each region of it as the region is written.
     """
     x_side, z_side = sides
-    d = _gram(x, z, x_side, z_side)
     if spec.family == "linear":
-        return d
-    d *= -2.0
-    d += x_side.sq_norms[:, None]
-    d += z_side.sq_norms
-    np.maximum(d, 0.0, out=d)
-    d /= -(spec.gamma * spec.gamma)
-    np.exp(d, out=d)
-    return d
+        return _gram(x, z, x_side, z_side)
+
+    def rbf(d, x_rows, z_rows):
+        d *= -2.0
+        d += x_side.sq_norms[x_rows, None]
+        d += z_side.sq_norms[z_rows]
+        np.maximum(d, 0.0, out=d)
+        d /= -(spec.gamma * spec.gamma)
+        np.exp(d, out=d)
+
+    return _gram(x, z, x_side, z_side, rbf)
 
 
 # a warning names the first frame outside the package's own files

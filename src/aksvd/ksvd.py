@@ -138,6 +138,10 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     if unread:
         raise ConfigError(f"solver {solver!r} does not read solver_opts "
                           f"{unread}; it reads {SOLVER_OPTS[solver]}")
+    for name in ("tol", "oversample", "power_iters"):
+        # NaN fails the comparison too
+        if name in opts and not opts[name] >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {opts[name]}")
     compat = _resolve_compat(a, compat, compat_seed)
     sources, side = _transformed_sources(sources, compat)
 

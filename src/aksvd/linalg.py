@@ -125,8 +125,10 @@ def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
     The Krylov basis is extended in blocks with full reorthogonalization
     until every requested triplet has residual below ``tol * sigma_1`` (or
     the basis exhausts min(N, M), at which point the factorization is
-    complete and exact). Deterministic: the start vector comes from a
-    seeded generator.
+    complete and exact). ``tol`` = 0 asks for no early stop: the basis
+    grows until every residual is at most 1e-15 * sigma_1, the check's
+    floor, or exhausts, and every nonzero value is kept. Deterministic: the
+    start vector comes from a seeded generator.
     """
     a = as_matrix(a, "A")
     n, m = a.shape

@@ -1,18 +1,20 @@
 """Independent units of work on a thread pool sized from the BLAS thread
 variables.
 
-``parallel_map`` runs units of work that share no state, such as the
-chunks of new points that ``ksvd.transform_oos`` projects, on one lazily
-made thread pool of ``POOL_SIZE`` workers, fixed at import as
-max(1, cpus // blas): cpus the cores this process may run on, blas the
-first positive integer in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS`` (OpenBLAS's own order), or cpus when none is set
-(``pool_size``). With no thread variable set BLAS takes every core and
-units run one after another in the caller's thread; with
-``OPENBLAS_NUM_THREADS=1`` each core takes a unit. A unit computes exactly
-what it would alone, so results are the same bits at any pool size. Only
-the out-of-sample projection uses the pool; nothing that ``fit`` or the
-Nystrom solver runs does.
+``parallel_map`` runs units of work that share no state, the tiles of an
+exact Gram product (``kernels._gram``) and the chunks of new points that
+``ksvd.transform_oos`` projects, on one lazily made thread pool of
+``POOL_SIZE`` workers, fixed at import as max(1, cpus // blas): cpus the
+cores this process may run on, blas the first positive integer in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+(OpenBLAS's own order), or cpus when none is set (``pool_size``). With no
+thread variable set BLAS takes every core and units run one after another
+in the caller's thread; with ``OPENBLAS_NUM_THREADS=1`` each core takes a
+unit. A unit computes exactly what it would alone, so results are the same
+bits at any pool size. Every kernel block that ``fit``, the Nystrom solver
+and ``streaming_stats`` evaluate splits its float32 product's tiles over
+the pool; a float64 product stays one unit, and a chunk of new points,
+already a unit, runs its tiles inline.
 
 The pool lives in a module of its own so that the package's largest
 module, ``kernels``, compiles no larger for it: where bytecode is not

@@ -232,6 +232,21 @@ class TestExitCodes:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver, setting", [
+        ("randomized", "solver.oversample=-3"),
+        ("randomized", "solver.power_iters=-1"),
+        ("truncated", "solver.tol=-1"),
+        ("truncated", "solver.tol=nan"),
+    ])
+    def test_negative_dense_solver_option_is_config_error(
+            self, tmp_path, capsys, solver, setting):
+        code = run("extract", "--format", "synth", "--solver", solver,
+                   "--set", "dataset.synth_n=40", "--set", setting,
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        name = setting.split("=")[0].split(".")[1]
+        assert f"{name} must be >= 0" in capsys.readouterr().err
+
     def test_negative_sample_budget_is_config_error(self, tmp_path, capsys):
         code = run("extract", "--format", "synth", "--solver", "nystrom",
                    "--set", "dataset.synth_n=24", "--set", "nystrom.m=-5",

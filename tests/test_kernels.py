@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aksvd import datasets, kernels, ksvd
+from aksvd import datasets, kernels, ksvd, parallel
 from aksvd.compat import apply_compat, compat_pseudoinverse, make_compat
 from aksvd.errors import (
     CompatibilityMissingError,
@@ -1320,6 +1322,91 @@ class TestExactGram:
         # integer types take it from their extremes
         assert scale(np.array([[-7, 2]], dtype=np.int8)) == 7
         assert scale(np.zeros((2, 3), dtype=bool)) == 1
+
+
+def _pool_outputs(spec, x, z):
+    """Every block the kernel sources of x and z evaluate: the full matrix,
+    the blocks of three nested ``sample_blocks`` calls, the last over every
+    row and column, with the entry count, and the streaming statistics."""
+    sources = kernels.DataSources(x=x, z=z)
+    got = [kernels.kernel_matrix(spec, sources)]
+    src = kernels.LazyKernelSource(spec, sources)
+    big_n, big_m = src.shape
+    row_order = np.random.default_rng(3).permutation(big_n)
+    col_order = np.random.default_rng(4).permutation(big_m)
+    for n, m in ((3, 2), (max(1, big_n // 2), max(1, big_m // 2)),
+                 (big_n, big_m)):
+        blocks = src.sample_blocks(np.sort(row_order[:n]),
+                                   np.sort(col_order[:m]))
+        got += [np.asarray(block) for block in blocks]
+    # every call after the first evaluated only its new entries
+    assert src.entries_evaluated == 2 * big_n * big_m
+    stats = kernels.LazyKernelSource(spec, sources).streaming_stats()
+    return got + [stats.row_means, stats.col_means, stats.grand_mean]
+
+
+class TestGramPool:
+    """Each tile of a float32 Gram product is one unit of work on the
+    pool; the float64 product stays whole. Results are the same bits at
+    any pool size."""
+
+    @pytest.mark.parametrize("name, family", _gram_params())
+    def test_every_block_is_the_same_at_pool_sizes_one_to_three(
+            self, name, family, monkeypatch):
+        x, z = _gram_cases()[name]
+        spec = kernels.KernelSpec(family, _wide_gamma(x, z))
+        monkeypatch.setattr(parallel, "POOL_SIZE", 1)
+        want = _pool_outputs(spec, x, z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for size in (2, 3):
+                monkeypatch.setattr(parallel, "POOL_SIZE", size)
+                for got, expected in zip(_pool_outputs(spec, x, z), want,
+                                         strict=True):
+                    assert np.array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def units(monkeypatch) -> list:
+        """Records the unit count of every ``parallel_map`` call."""
+        counts, parallel_map = [], parallel.parallel_map
+        monkeypatch.setattr(parallel, "parallel_map", lambda func, items: (
+            counts.append(len(items)) or parallel_map(func, items)))
+        return counts
+
+    def test_dead_row_on_a_pool_of_two_warns_once(self, monkeypatch):
+        # 600 sampled columns of z: two panels of the shorter side, so the
+        # G_Nm chunk is two units
+        monkeypatch.setattr(parallel, "POOL_SIZE", 2)
+        counts = self.units(monkeypatch)
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 3, (1200, 3)).astype(float)
+        z = rng.integers(0, 3, (1200, 3)).astype(float)
+        x[[5, 900]] = 1000.0
+        src = kernels.LazyKernelSource(kernels.KernelSpec("sne", 1.0),
+                                       kernels.DataSources(x=x, z=z))
+        with pytest.warns(EmptyDenominatorWarning) as seen:
+            src.sample_blocks(np.arange(0, 1200, 4), np.arange(0, 1200, 2))
+        assert counts == [2, 1]
+        assert [str(w.message) for w in seen] == [
+            "2 sne row(s) underflowed to zero; substituting uniform rows"]
+        assert seen[0].filename == __file__
+        np.testing.assert_array_equal(src.row_denoms[[5, 900]], 0.0)
+
+    def test_a_one_tile_block_makes_no_pool(self, monkeypatch):
+        # a dense 300-node graph is one tile: it runs inline
+        monkeypatch.setattr(parallel, "POOL_SIZE", 2)
+        monkeypatch.setattr(parallel, "_pool", None)
+        counts = self.units(monkeypatch)
+        graph = datasets.synth_directed_graph("two_block", 300,
+                                              seed=0).adjacency
+        got = kernels.kernel_matrix(kernels.KernelSpec("linear"),
+                                    kernels.build_sources(graph))
+        assert counts == [1]
+        assert parallel._pool is None
+        np.testing.assert_array_equal(got, graph @ graph)
 
 
 @settings(max_examples=30, deadline=None)

@@ -571,6 +571,25 @@ class TestSolverOpts:
         assert ksvd.fit(a, rbf_spec(a), r=3, solver=solver,
                         solver_opts=opts).rank == 3
 
+    @pytest.mark.parametrize("solver, opts", [
+        ("randomized", {"oversample": -3}),
+        ("randomized", {"power_iters": -1}),
+        ("truncated", {"tol": -1.0}),
+        ("truncated", {"tol": float("nan")}),
+    ])
+    def test_negative_or_nan_option_rejected(self, solver, opts):
+        # the dense solvers would clamp, skip or ignore these values
+        a = make_matrix(12, 12, seed=83)
+        with pytest.raises(ConfigError, match=f"{next(iter(opts))} must be"):
+            ksvd.fit(a, rbf_spec(a), r=3, solver=solver, solver_opts=opts)
+
+    def test_zero_tolerance_is_accepted(self):
+        a = make_matrix(12, 12, seed=84)
+        got = ksvd.fit(a, rbf_spec(a), r=3, solver="truncated",
+                       solver_opts={"tol": 0.0})
+        want = ksvd.fit(a, rbf_spec(a), r=3)
+        np.testing.assert_allclose(got.lam, want.lam, rtol=1e-10)
+
     def test_kernel_spec_has_no_compat(self):
         # the one compat transform is fit's ``compat`` argument
         assert [f.name for f in dataclasses.fields(KernelSpec)] == \
