@@ -3,7 +3,24 @@
 Errors fall into two families that the command line maps to exit codes:
 ``UserInputError`` covers malformed configs, files and requests (exit 2),
 ``NumericError`` covers failures of the numerics themselves (exit 3).
+Every warning of the package is given by ``warn_outside``.
 """
+import os
+import sys
+import warnings
+
+# a warning names the first frame outside the package's own files
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def warn_outside(message: str, category: type[Warning]) -> None:
+    """Warn with ``category`` at the first frame outside the package: the
+    caller's line that led to the warning, however deep inside the package
+    it was raised."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class AksvdError(Exception):

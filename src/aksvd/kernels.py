@@ -63,29 +63,22 @@ zero. The tiles are laid out over panels of 512 rows of the side with fewer
 rows, x on a tie, against panels of 512 rows of the other side, and the
 other side's neighbouring panels that a panel meets over the same columns
 are one product, so on dense data each 512-row panel takes one product
-against all of the other side. When one side has fewer rows, each of its
-panels is cut into sub-panels of 64 rows if, counted from the spans before
-any product, their tiles keep at most 3/4 of the contraction that the whole
-panel's tiles keep; neighbouring sub-panels with the same tiles join again.
-A chunk of columns or rows that a growing Nystrom sample adds is a sorted
-random subset of all of them, so its panel spans nearly every feature while
-its sub-panels span far fewer. A panel of consecutive rows, as
-``streaming_stats`` takes, narrows little when cut and mostly stays whole; a
-panel of dense rows always does, and sides of equal length (``full``) are
-never cut. Every term left out is zero and every sum exact, so the result is
-still the float64 product bit for bit. The saving rests on one property of
-the data: the nonzeros of nearby rows lie in a narrow range of columns. A
-DAG numbered in topological order is strictly upper-triangular, so a panel
-of its rows starts late and a panel of its columns ends early. The share of
-the dense contraction that the tiles keep is 0.39 over the blocks the
-leverage-sampled Nystrom solve of a 4000-node ``random_dag`` evaluates as
-its sample grows (2.997e9 multiply-adds for 1,896,000 entries of 4000
-features), 0.23 for the full kernel of that graph, 0.19 for that of a
+against all of the other side. Every term left out is zero and every sum
+exact, so the result is still the float64 product bit for bit. The saving
+rests on one property of the data: the nonzeros of nearby rows lie in a
+narrow range of columns. A DAG numbered in topological order is strictly
+upper-triangular, so a panel of its rows starts late and a panel of its
+columns ends early. The share of the dense contraction that the tiles keep
+is 0.46 over the blocks the leverage-sampled Nystrom solve of a 4000-node
+``random_dag`` evaluates as its sample grows (3.49e9 multiply-adds for
+1,896,000 entries of 4000 features: a chunk of sampled columns or rows is a
+sorted random subset of all of them, so its panels span nearly every
+feature), 0.23 for the full kernel of that graph, 0.19 for that of a
 2000-node ``cycle``, and 1.0 for ``two_block`` graphs, whose every panel
-and sub-panel reaches both ends. Each tile is one unit of work on the
-thread pool (``parallel.parallel_map``) that writes its own region of the
-result and, for rbf and sne, runs the kernel's arithmetic there, so the
-result is the same bits at any pool size.
+reaches both ends. Each tile is one unit of work on the thread pool
+(``parallel.parallel_map``) that writes its own region of the result and,
+for rbf and sne, runs the kernel's arithmetic there, so the result is the
+same bits at any pool size.
 
 Each tile also takes two rows of the shorter side's panel in one float32
 lane, which halves its multiply-adds: rows i and i + 1 are packed as
@@ -113,10 +106,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import os
-import sys
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,6 +120,7 @@ from .errors import (
     LengthMismatchError,
     NonFiniteError,
     ShapeMismatchError,
+    warn_outside,
 )
 from .linalg import as_matrix
 
@@ -138,9 +129,6 @@ FAMILIES = ("rbf", "sne", "linear")
 # row-block size for streaming assembly and for the rows of a float32 Gram
 # product; results do not depend on it
 _BLOCK = 512
-# rows in a sub-panel of the shorter side of a float32 Gram product
-# (``_layout``); results do not depend on it
-_SUB = 64
 # entries in a panel of rows that ``prepare_side`` reads at a time, so that
 # a float64 panel and its temporaries stay in a core's cache
 _PANEL = 2 ** 16
@@ -339,11 +327,12 @@ def prepare_side(a, name: str = "data",
     return out, SideStats(sq_norms, scale, _spans(out) if exact else None)
 
 
-def _panels(spans: np.ndarray, start: int, stop: int, size: int):
-    """(rows, lo, hi) of every panel of ``size`` rows in start:stop: the
-    rows and the columns lo:hi that hold all of their nonzeros."""
-    for begin in range(start, stop, size):
-        rows = slice(begin, min(begin + size, stop))
+def _panels(spans: np.ndarray):
+    """(rows, lo, hi) of every panel of ``_BLOCK`` rows of a side, from its
+    spans: the rows and the columns lo:hi that hold all of their
+    nonzeros."""
+    for begin in range(0, len(spans), _BLOCK):
+        rows = slice(begin, min(begin + _BLOCK, len(spans)))
         yield rows, int(spans[rows, 0].min()), int(spans[rows, 1].max())
 
 
@@ -444,42 +433,10 @@ def _layout(short: np.ndarray, long: np.ndarray):
     """(rows, tiles) of a Gram product, from the spans of its sides:
     ``short``, the side whose panels the tiles are laid out over, and
     ``long``. Every panel of ``_BLOCK`` rows of ``short`` has its tiles
-    against the panels of ``_BLOCK`` rows of ``long`` (``_tiles``). When
-    ``short`` has fewer rows, a panel is cut into sub-panels
-    (``_sub_panels``) where, counted from the spans, their tiles keep at
-    most 3/4 of the contraction that the whole panel's tiles keep
-    (``_contraction``): a sorted random subset of a DAG's rows spans nearly
-    every column, while its sub-panels span far fewer. The saving must
-    outweigh the slower products of 64-row operands; cutting every panel
-    of the shorter side slowed ``streaming_stats`` on a 4000-node DAG."""
-    long_panels = list(_panels(long, 0, len(long), _BLOCK))
-    for rows, lo, hi in _panels(short, 0, len(short), _BLOCK):
-        whole = [(rows, _tiles(long_panels, lo, hi))]
-        if len(short) < len(long):
-            parts = _sub_panels(short, rows, long_panels)
-            if 4 * _contraction(parts) <= 3 * _contraction(whole):
-                whole = parts
-        yield from whole
-
-
-def _sub_panels(spans: np.ndarray, panel: slice, long_panels) -> list:
-    """(rows, tiles) of the sub-panels of ``_SUB`` rows of ``panel``;
-    neighbours with the same tiles are one sub-panel."""
-    parts = []
-    for rows, lo, hi in _panels(spans, panel.start, panel.stop, _SUB):
-        tiles = _tiles(long_panels, lo, hi)
-        if parts and parts[-1][1] == tiles:
-            parts[-1] = (slice(parts[-1][0].start, rows.stop), tiles)
-        else:
-            parts.append((rows, tiles))
-    return parts
-
-
-def _contraction(parts) -> int:
-    """Multiply-adds of the tiles of ``parts``, (rows, tiles) pairs."""
-    return sum((rows.stop - rows.start) * sum(
-        (cols.stop - cols.start) * (hi - lo) for cols, lo, hi in tiles)
-        for rows, tiles in parts)
+    against the panels of ``_BLOCK`` rows of ``long`` (``_tiles``)."""
+    long_panels = list(_panels(long))
+    for rows, lo, hi in _panels(short):
+        yield rows, _tiles(long_panels, lo, hi)
 
 
 def _tiles(panels, lo: int, hi: int) -> list:
@@ -522,10 +479,6 @@ def _raw_block(spec: KernelSpec, x, z, sides) -> np.ndarray:
     return _gram(x, z, x_side, z_side, rbf)
 
 
-# a warning names the first frame outside the package's own files
-_PACKAGE = os.path.dirname(__file__) + os.sep
-
-
 class _DeadRows(threading.local):
     """While a public call runs in this thread (``warns_dead_rows``), the
     most underflowed sne rows one of its steps reported; None otherwise."""
@@ -537,16 +490,11 @@ _dead_rows = _DeadRows()
 
 
 def _warn_dead(dead: int) -> None:
-    """EmptyDenominatorWarning for ``dead`` rows, at the first frame outside
-    the package: the caller's line that reached the underflow."""
-    if not dead:
-        return
-    frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(
-        f"{dead} sne row(s) underflowed to zero; substituting uniform rows",
-        EmptyDenominatorWarning, stacklevel=level)
+    """EmptyDenominatorWarning for ``dead`` rows, at the caller's line that
+    reached the underflow (``warn_outside``)."""
+    if dead:
+        warn_outside(f"{dead} sne row(s) underflowed to zero; substituting "
+                     "uniform rows", EmptyDenominatorWarning)
 
 
 def note_dead(dead: int) -> None:

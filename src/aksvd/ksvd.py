@@ -24,7 +24,6 @@ kernel block is built.
 from __future__ import annotations
 
 import json
-import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +41,7 @@ from .errors import (
     ParseError,
     RankTooLargeError,
     ShapeMismatchError,
+    warn_outside,
 )
 from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
 from .linalg import as_matrix, svd_exact, svd_randomized, svd_truncated
@@ -165,10 +165,9 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         res = svd_randomized(gc, r, **opts)
     take = min(r, res.rank)
     if take < r:
-        warnings.warn(
+        warn_outside(
             f"centered kernel matrix has numerical rank {res.rank} < "
-            f"requested {r}; model truncated", DegenerateKernelWarning,
-            stacklevel=2)
+            f"requested {r}; model truncated", DegenerateKernelWarning)
     u = res.u[:, :take]
     v = res.v[:, :take]
     lam = res.s[:take]

@@ -14,7 +14,6 @@ last and lifted with importance weights, until a target eta is met.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     SubproblemRankDeficientWarning,
     ToleranceUnreachableError,
     ZeroColumnError,
+    warn_outside,
 )
 from .kernels import as_block, as_kernel_source, warns_dead_rows
 from .linalg import (
@@ -165,9 +165,9 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
                 else (np.sqrt(w) for w in weights))
     small = _small_svd(d_r[:, None] * g_nm * d_c[None, :], cfg)
     if small.rank < r:
-        warnings.warn(
+        warn_outside(
             f"sampled block has numerical rank {small.rank} < requested {r}; "
-            "result truncated", SubproblemRankDeficientWarning, stacklevel=3)
+            "result truncated", SubproblemRankDeficientWarning)
     w_x = d_c[:, None] * small.v / small.s[None, :]
     w_z = d_r[:, None] * small.u / small.s[None, :]
     u_t = _unit_columns(g_big_m @ w_x, "U_tilde")
@@ -227,10 +227,10 @@ def sym_nystrom(k_source, cfg: NystromConfig):
     vals, vecs = vals_all[order], canonicalize_signs(vecs_all[:, order])
     positive = vals > 1e-12 * max(vals.max(), 1e-300)
     if positive.sum() < cfg.r:
-        warnings.warn(
+        warn_outside(
             f"sampled block has {int(positive.sum())} positive eigenvalues "
             f"< requested {cfg.r}; result truncated",
-            SubproblemRankDeficientWarning, stacklevel=2)
+            SubproblemRankDeficientWarning)
     vals = vals[positive]
     vecs = vecs[:, positive]
     u_t = _unit_columns(k_big_n @ (vecs / vals[None, :]), "U_tilde")
@@ -274,8 +274,9 @@ class Attempt:
 
     ``m`` and ``n`` are the column and row counts sampled, which for
     asym_nystrom vary around the budget (for rsvd, ``m`` is the
-    oversampling; tsvd and rsvd sample no rows, and tsvd no columns). ``wall_time`` is this attempt's solver time and ``entries``
-    the kernel entries the source has evaluated so far.
+    oversampling; tsvd and rsvd sample no rows, and tsvd no columns).
+    ``wall_time`` is this attempt's solver time and ``entries`` the kernel
+    entries the source has evaluated so far.
     """
 
     m: int

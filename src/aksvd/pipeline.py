@@ -72,6 +72,8 @@ _OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
              "center_stats": "nystrom.center_stats", "tol": "solver.tol",
              "oversample": "solver.oversample",
              "power_iters": "solver.power_iters"}
+# every key behind fit's solver and solver_opts, which only ksvd reads
+_FIT_KEYS = ("solver", *_OPT_KEYS.values(), "nystrom.seed", "solver.seed")
 
 
 def _solver_opts(cfg: RunConfig) -> dict:
@@ -83,8 +85,7 @@ def _solver_opts(cfg: RunConfig) -> dict:
     keys = dict(_OPT_KEYS, seed="nystrom.seed" if solver == "nystrom"
                 else "solver.seed")
     read = {keys[opt] for opt in ksvd.SOLVER_OPTS[solver]}
-    every = {*_OPT_KEYS.values(), "nystrom.seed", "solver.seed"}
-    unread = [key for key in sorted(every - read)
+    unread = [key for key in sorted(set(_FIT_KEYS) - read - {"solver"})
               if cfg[key] != KNOWN[key].default]
     if unread:
         raise ConfigError(f"solver {solver!r} does not read "
@@ -120,9 +121,16 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
     ksvd is the package model; svd takes the exact factors of the raw
     matrix; kpca runs an RBF kernel over (symmetrized, for square inputs)
     row data; pca projects centered rows on their top principal directions.
+    svd, kpca and pca fit no solver: a solver key (``_FIT_KEYS``) other
+    than its default is a ConfigError.
     """
     method = cfg["method"]
     r = cfg["rank"]
+    unread = [key for key in _FIT_KEYS
+              if method != "ksvd" and cfg[key] != KNOWN[key].default]
+    if unread:
+        raise ConfigError(f"method {method!r} does not read "
+                          f"{', '.join(unread)}; only ksvd fits a solver")
     if method == "ksvd":
         model = fit_from_config(cfg, a)
         r = min(r, model.rank)

@@ -252,12 +252,12 @@ def test_criterion_8_cora_trend(tmp_path):
     cites = next(p for p in CORA_PATHS if p.exists())
     labels = cites.with_name(cites.name.replace(".cites", ".labels"))
     scores = {}
-    for method in ("ksvd", "svd"):
+    for method, solver in (("ksvd", "truncated"), ("svd", "exact")):
         out = tmp_path / method
         pipeline.run_classify(build_config(overrides={
             "dataset.format": "edge_list", "dataset.path": str(cites),
             "dataset.labels": str(labels) if labels.exists() else None,
-            "method": method, "rank": "32", "solver": "truncated",
+            "method": method, "rank": "32", "solver": solver,
             "out": str(out)}))
         with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
             rows = {row["metric_name"]: float(row["value"])

@@ -357,6 +357,30 @@ class TestClassify:
             for row in read_rows(out):
                 assert (row["kernel"], row["gamma"]) == (kernel, gamma), method
 
+    @pytest.mark.parametrize("method", ["svd", "kpca", "pca"])
+    def test_baseline_methods_reject_solver_keys(self, tmp_path, method,
+                                                 capsys):
+        # svd, kpca and pca fit no solver: a non-default solver, solver.*
+        # or nystrom solver key exits 2, naming the key and the method, and
+        # writes nothing; the same keys at their defaults pass
+        values = {"solver": "truncated", "solver.tol": "1e-3",
+                  "solver.oversample": "4", "solver.power_iters": "1",
+                  "solver.seed": "3", "nystrom.n": "12", "nystrom.m": "5",
+                  "nystrom.seed": "3", "nystrom.subproblem": "exact",
+                  "nystrom.center_stats": "full"}
+        base = ("classify", "--format", "synth", "--rank", "3",
+                "--set", "dataset.synth_n=40", "--method", method)
+        for key, value in values.items():
+            out = tmp_path / key
+            assert run(*base, "--set", f"{key}={value}",
+                       "--out", str(out)) == 2, key
+            err = capsys.readouterr().err
+            assert key in err and repr(method) in err
+            assert not out.exists()
+        assert run(*base, "--set", "solver=exact", "--set", "solver.tol=1e-10",
+                   "--set", "nystrom.m=none",
+                   "--out", str(tmp_path / "defaults")) == 0
+
     @pytest.mark.parametrize("family", ["sne", "linear"])
     def test_ksvd_rows_name_the_configured_kernel(self, tmp_path, family):
         a = datasets.synth_directed_graph("two_block", 40, seed=3).adjacency

@@ -30,12 +30,6 @@ def loop_spans(a):
     return np.array(spans, dtype=int).reshape(-1, 2)
 
 
-def multiply_adds(parts):
-    """Multiply-adds of a Gram product's tiles, from (rows, tiles) pairs."""
-    return sum((rows.stop - rows.start) * (cols.stop - cols.start) * (hi - lo)
-               for rows, tiles in parts for cols, lo, hi in tiles)
-
-
 def compat_sources(a, mode, **kw):
     """The sources of A through the compat transform of the given mode."""
     return apply_compat(make_compat(a, mode, **kw), kernels.build_sources(a))
@@ -927,7 +921,7 @@ def _gram_cases():
     holes[:, 650:] = 0.0
     # a chunk of sampled columns: a sorted random subset of a DAG's columns
     # against all of its rows, and the same product transposed; the chunk's
-    # panels span nearly every feature, its sub-panels far fewer
+    # panels span nearly every feature
     chunk_dag = datasets.synth_directed_graph("random_dag", 1200,
                                               seed=4).adjacency
     picked = np.random.default_rng(47).choice(1200, 300, replace=False)
@@ -1065,7 +1059,7 @@ class TestExactGram:
             new_z = (rng.random((n_new, 600)) < 0.3).astype(float)
         elif case == "dag_chunk":
             # sorted random rows and columns of another DAG: their chunk
-            # spans nearly every feature, its sub-panels far fewer
+            # spans nearly every feature
             a = datasets.synth_directed_graph("random_dag", 600,
                                               seed=5).adjacency
             other = datasets.synth_directed_graph("random_dag", 600,
@@ -1156,27 +1150,26 @@ class TestExactGram:
             (slice(1536, 3072), 0, 0)]
 
     @pytest.mark.parametrize("flip", [False, True])
-    def test_cut_sub_panels_contract_only_their_span_intersection(self, flip):
-        # the 200-row side is the shorter one, x or z, and its panel is cut
-        # into sub-panels of 64 rows; spans set by hand, claiming fewer
-        # columns than the data hold, show what each tile contracts
+    def test_a_short_side_panel_contracts_its_span_whole(self, flip):
+        # the 200-row side is the shorter one, x or z: one panel, never cut,
+        # whose span, 0:35, holds its narrower rows' spans; spans set by
+        # hand, claiming fewer columns than the data hold, show what each
+        # tile contracts
         rng = np.random.default_rng(48)
         long = rng.integers(1, 4, (1100, 40)).astype(float)
         short = rng.integers(1, 4, (200, 40)).astype(float)
         long_spans = np.empty((1100, 2), dtype=int)
         long_spans[:512], long_spans[512:1024], long_spans[1024:] = \
-            (0, 40), (25, 40), (5, 15)
-        # rows 0:64 and 64:128 meet every long panel alike and are one
-        # sub-panel; the whole panel would span 0:40
+            (0, 40), (25, 40), (36, 40)
         short_spans = np.empty((200, 2), dtype=int)
-        short_spans[:128], short_spans[128:192], short_spans[192:] = \
-            (0, 10), (30, 40), (20, 35)
-        want = np.zeros((1100, 200))  # long rows 512:1024 miss short 0:128
-        want[:512, :128] = long[:512, 0:10] @ short[:128, 0:10].T
-        want[1024:, :128] = long[1024:, 5:10] @ short[:128, 5:10].T
-        want[:1024, 128:192] = long[:1024, 30:40] @ short[128:192, 30:40].T
-        want[:512, 192:] = long[:512, 20:35] @ short[192:, 20:35].T
-        want[512:1024, 192:] = long[512:1024, 25:35] @ short[192:, 25:35].T
+        short_spans[:128], short_spans[128:] = (0, 10), (20, 35)
+        assert list(kernels._layout(short_spans, long_spans)) == [
+            (slice(0, 200), [(slice(0, 512), 0, 35),
+                             (slice(512, 1024), 25, 35),
+                             (slice(1024, 1100), 0, 0)])]
+        want = np.zeros((1100, 200))  # long rows 1024: miss the panel
+        want[:512] = long[:512, 0:35] @ short[:, 0:35].T
+        want[512:1024] = long[512:1024, 25:35] @ short[:, 25:35].T
         sides = [(long, long_spans), (short, short_spans)]
         if flip:
             sides, want = sides[::-1], want.T
@@ -1187,49 +1180,44 @@ class TestExactGram:
                             z_side._replace(spans=z_spans))
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("narrow, cut", [(50, True), (51, False)])
-    def test_a_panel_is_cut_where_its_sub_panels_keep_three_quarters(
-            self, narrow, cut):
-        # against one long panel over 0:100, two sub-panels over 0:narrow
-        # and two over 0:100 keep (narrow + 100) / 200 of the whole panel's
-        # contraction, 3/4 at 50; neighbours with the same tiles join
-        short = np.array([(0, narrow)] * 128 + [(0, 100)] * 128)
-        long = np.array([(0, 100)] * 512)
-        whole = [(slice(0, 256), [(slice(0, 512), 0, 100)])]
-        parts = [(slice(0, 128), [(slice(0, 512), 0, narrow)]),
-                 (slice(128, 256), [(slice(0, 512), 0, 100)])]
-        assert list(kernels._layout(short, long)) == (parts if cut else whole)
-        # sides with as many rows as each other are never cut
-        assert list(kernels._layout(short, short)) == [
-            (slice(0, 256), [(slice(0, 256), 0, 100)])]
-
-    @pytest.mark.parametrize("name", ["column_chunk",
-                                      "column_chunk_transposed"])
-    def test_a_sampled_chunk_keeps_at_most_three_quarters(self, name,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("name", list(_gram_cases()))
+    def test_tiles_cover_every_entry_over_their_panels_span_meeting(
+            self, name, monkeypatch):
+        # every float32 product is laid out over panels of 512 rows of the
+        # shorter side, x on a tie; each tile contracts the meeting of its
+        # two panels' spans, (0, 0) when they do not meet, and the tiles
+        # cover every entry of the product once
         x, z = _gram_cases()[name]
         (x32, x_side), (z32, z_side) = (kernels.prepare_side(x),
                                         kernels.prepare_side(z))
-        sides = [x_side, z_side]
         laid = []
         layout = kernels._layout
         monkeypatch.setattr(kernels, "_layout",
                             lambda *a: laid.extend(layout(*a)) or laid)
-        got = kernels._gram(x32, z32, *sides)
-        np.testing.assert_array_equal(got, x @ z.T)
-        short, long = sorted((side.spans for side in sides), key=len)
-        # the tiles cover every entry of the product once
+        got = kernels._gram(x32, z32, x_side, z_side)
+        np.testing.assert_array_equal(got, _reference_numerators(
+            kernels.KernelSpec("linear"), x, z))
+        if x.shape[1] * x_side.scale * z_side.scale > 2 ** 24:
+            assert not laid  # the float64 product
+            return
+        short, long = sorted((x_side.spans, z_side.spans), key=len)
+
+        def span(spans, rows):
+            return spans[rows, 0].min(), spans[rows, 1].max()
+
         covered = np.zeros((len(short), len(long)), dtype=int)
         for rows, tiles in laid:
-            for cols, _, _ in tiles:
+            assert rows == slice(rows.start, min(rows.start + 512,
+                                                 len(short)))
+            lo, hi = span(short, rows)
+            for cols, t_lo, t_hi in tiles:
                 covered[rows, cols] += 1
+                for begin in range(cols.start, cols.stop, 512):
+                    p_lo, p_hi = span(long, slice(begin, begin + 512))
+                    meet = (max(lo, p_lo), min(hi, p_hi))
+                    assert (t_lo, t_hi) == (meet if meet[0] < meet[1]
+                                            else (0, 0))
         assert (covered == 1).all()
-        # the 300-row panel whole, against the panels of the other side
-        long_panels = list(kernels._panels(long, 0, len(long), 512))
-        uncut = [(rows, kernels._tiles(long_panels, lo, hi))
-                 for rows, lo, hi in kernels._panels(short, 0, 300, 512)]
-        assert len(uncut) == 1 and len(laid) > 1
-        assert 4 * multiply_adds(laid) <= 3 * multiply_adds(uncut)
 
     def test_dense_data_take_one_product_per_x_panel(self, monkeypatch):
         # two_block panels all reach both ends: one tile per x panel
@@ -1249,8 +1237,8 @@ class TestExactGram:
                                                           monkeypatch):
         # the shapes of an out-of-sample projection: 512 new two_block
         # points against 2000 training points, as rows (x) and as columns
-        # (z); the chunk's sub-panels reach both ends like the chunk, so it
-        # stays whole, and the training side joins into one tile
+        # (z); the chunk reaches both ends, so the training side joins into
+        # one tile
         graph = datasets.synth_directed_graph("two_block", 2000,
                                               seed=0).adjacency
         new = datasets.synth_directed_graph("two_block", 2000,

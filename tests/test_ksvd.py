@@ -21,6 +21,7 @@ from aksvd.errors import (
     ParseError,
     RankTooLargeError,
     ShapeMismatchError,
+    SubproblemRankDeficientWarning,
     ToleranceUnreachableError,
 )
 from aksvd.kernels import CenteringStats, DataSources, KernelSpec
@@ -96,6 +97,22 @@ class TestFit:
             model = ksvd.fit(a, KernelSpec(family="linear"), r=5,
                              compat="a0", center=False)
         assert model.rank == 2
+
+    @pytest.mark.parametrize("solver, category", [
+        ("exact", DegenerateKernelWarning),
+        ("nystrom", SubproblemRankDeficientWarning)])
+    def test_rank_warning_names_the_callers_line(self, solver, category):
+        # the exact fit warns inside its dead-row wrapper, the sampled one
+        # two calls down in the lift; both name this file
+        rng = np.random.default_rng(25)
+        a = np.outer(rng.standard_normal(9), rng.standard_normal(9))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            ksvd.fit(a, KernelSpec(family="linear"), r=3, compat="a0",
+                     center=False, solver=solver)
+        rank = [w for w in seen if issubclass(w.category, category)]
+        assert len(rank) == 1
+        assert rank[0].filename == __file__
 
     def test_iterative_solvers_match_exact(self):
         a = make_matrix(12, 12, seed=26)

@@ -284,6 +284,16 @@ class TestSolveToTolerance:
         assert rep.status == "ok"
         assert rep.m_used == 32  # start budget capped at M
 
+    def test_rank_warning_names_the_callers_line(self):
+        # the lift warns three calls down, under the dead-row wrapper
+        rng = np.random.default_rng(9)
+        g = np.outer(rng.standard_normal(20), rng.standard_normal(15))
+        with pytest.warns(SubproblemRankDeficientWarning) as seen:
+            rep = nystrom.solve_to_tolerance(g, "asym_nystrom", 1.0,
+                                             svd_exact(g), exact_cfg(3, m=6))
+        assert rep.status == "ok"
+        assert [w.filename for w in seen] == [__file__]
+
     def test_tsvd_machine_precision(self):
         rep = nystrom.solve_to_tolerance(self.g, "tsvd", 1e-8, self.ref,
                                          exact_cfg(3))
