@@ -45,7 +45,7 @@ from .errors import (
 )
 from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
 from .linalg import as_matrix, svd_exact, svd_randomized, svd_truncated
-from .nystrom import NystromConfig, lift_blocks, sample_indices
+from .nystrom import NystromConfig, Sampler, lift_blocks, resolve_sample_sizes
 
 # the solver_opts keys each solver reads; ``fit`` rejects any other key
 SOLVER_OPTS = {
@@ -188,12 +188,13 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
                           "but center=False uses none")
     cfg = NystromConfig(r=r, **opts)  # the other keys are its fields
     lazy = LazyKernelSource(spec, sources)
-    rows, cols = sample_indices(lazy.shape, cfg)
+    # the growth loop's first attempt at this m and seed
+    rows, cols, _ = Sampler(lazy.shape, cfg.seed).draw(
+        *resolve_sample_sizes(lazy.shape, cfg))
     g_nm, g_big_m, g_n_big = lazy.sample_blocks(rows, cols)
-    big_n, big_m = lazy.shape
 
     if not center:
-        stats = _zero_stats(big_n, big_m)
+        stats = _zero_stats(*lazy.shape)
     elif center_stats == "full":
         stats = lazy.streaming_stats()
     else:

@@ -102,13 +102,60 @@ def resolve_sample_sizes(shape, cfg: NystromConfig) -> tuple[int, int]:
     return n, m
 
 
-def sample_indices(shape, cfg: NystromConfig):
-    """Sorted row/column index sets, uniform without replacement, seeded."""
-    n, m = resolve_sample_sizes(shape, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    rows = np.sort(rng.choice(shape[0], size=n, replace=False))
-    cols = np.sort(rng.choice(shape[1], size=m, replace=False))
-    return rows, cols
+# ``Sampler``'s leverage mixture. A draw with factors gives each index i of a
+# side of length L inclusion probability pi_i = min(1, ceil(b L p_i) / L) at
+# budget b, with p = LEVERAGE_MIX * (leverage of the previous draw's factor
+# on that side) + (1 - LEVERAGE_MIX) / L; 0 samples uniformly.
+LEVERAGE_MIX = 0.8
+
+
+def _limits(budget: int, size: int, factor) -> np.ndarray:
+    """L pi_i = ceil(b L p_i), capped at L, for every index of one side of
+    length L at budget b: the number of keys below pi_i, an integer, so
+    inclusion is exact. Without a factor (a first draw) every index gets b,
+    which samples a prefix; at a budget of L, every index gets L."""
+    if factor is None or budget >= size:
+        return np.full(size, budget)
+    q = np.linalg.qr(factor)[0]
+    lev = np.einsum("ij,ij->i", q, q)
+    scaled = LEVERAGE_MIX * size * (lev / lev.sum()) + (1.0 - LEVERAGE_MIX)
+    return np.minimum(np.ceil(budget * scaled).astype(int), size)
+
+
+class Sampler:
+    """Nested seeded samples of the rows and columns of an N x M matrix.
+
+    The constructor gives each index a fixed key, its position in one
+    seeded permutation of its side (rows first, then columns, from
+    ``default_rng(seed)``). Index i of a side of length L is sampled while
+    its key lies below L pi_i, with pi_i its inclusion probability (see
+    ``_limits``). ``draw(n, m)`` at budgets n and m gives every index the
+    same probability, b/L, which samples a prefix of each permutation:
+    uniform and without replacement. ``draw(n, m, factors)`` with the
+    previous draw's (U~, V~) raises each pi_i toward the mixture of their
+    leverage scores. pi never falls, so every draw contains the previous
+    one, and one seed gives one sequence of draws.
+    """
+
+    def __init__(self, shape, seed: int):
+        rng = np.random.default_rng(seed)
+        self.keys = [np.argsort(rng.permutation(size)) for size in shape]
+        self.limits = [np.zeros(size, dtype=int) for size in shape]
+
+    def draw(self, n: int, m: int, factors=None):
+        """Sorted rows, sorted columns, and their Horvitz-Thompson weights
+        1/pi (rows, columns), or None while every pi is equal."""
+        for limit, budget, factor in zip(self.limits, (n, m),
+                                         factors or (None, None)):
+            np.maximum(limit, _limits(budget, limit.size, factor), out=limit)
+        rows, cols = (np.flatnonzero(key < limit)
+                      for key, limit in zip(self.keys, self.limits))
+        # equal probabilities make a uniform sample, lifted unweighted
+        weights = None
+        if any(np.ptp(limit) for limit in self.limits):
+            weights = tuple(limit.size / limit[idx] for limit, idx
+                            in zip(self.limits, (rows, cols)))
+        return rows, cols, weights
 
 
 def _small_svd(g_nm: np.ndarray, cfg: NystromConfig) -> SvdResult:
@@ -187,15 +234,18 @@ def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
                  weights=None) -> NystromResult:
     """Approximate the top-r singular triplets from sampled blocks.
 
-    ``indices`` is the (rows, columns) pair to sample; by default it is
-    drawn by ``sample_indices`` from the config. ``weights`` is None for a
+    ``indices`` is the (rows, columns) pair to sample; by default it is the
+    first draw of a ``Sampler`` seeded with ``cfg.seed``, at the sizes
+    ``resolve_sample_sizes`` gives. ``weights`` is None for a
     uniform sample, or the Horvitz-Thompson weights 1/pi of those rows and
     columns (see ``lift_blocks``); the column weights also make the sne
     row normalizers.
     """
     source = as_kernel_source(g_source)
-    rows, cols = (sample_indices(source.shape, cfg) if indices is None
-                  else indices)
+    if indices is None:
+        indices = Sampler(source.shape, cfg.seed).draw(
+            *resolve_sample_sizes(source.shape, cfg))[:2]
+    rows, cols = indices
     g_nm, g_big_m, g_n_big = source.sample_blocks(
         rows, cols, None if weights is None else weights[1])
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg, weights)
@@ -206,7 +256,8 @@ def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
 def sym_nystrom(k_source, cfg: NystromConfig):
     """Classical Nystrom eigen-approximation of a symmetric matrix.
 
-    Samples n of the N landmarks, solves the small n x n eigenproblem with
+    Samples n of the N landmarks, the rows of a ``Sampler``'s first draw
+    (seeded with ``cfg.seed``), solves the small n x n eigenproblem with
     LAPACK (``np.linalg.eigh``), keeps the top r pairs, and lifts: the
     eigenvalue estimate scales by N/n and the lifted vectors are
     unit-normalized so they can be compared directly with singular vectors
@@ -216,9 +267,9 @@ def sym_nystrom(k_source, cfg: NystromConfig):
     big_n, big_m = source.shape
     if big_n != big_m:
         raise SampleTooLargeError("sym_nystrom needs a square symmetric source")
-    sq_cfg = replace(cfg, n=cfg.n if cfg.n is not None else cfg.m,
-                     m=cfg.m if cfg.m is not None else cfg.n)
-    rows, _ = sample_indices((big_n, big_n), sq_cfg)
+    sq_cfg = replace(cfg, n=cfg.n or cfg.m, m=cfg.m or cfg.n)  # both >= 1
+    rows = Sampler(source.shape, cfg.seed).draw(
+        *resolve_sample_sizes(source.shape, sq_cfg))[0]
     k_nn, k_big_n, _ = source.sample_blocks(rows, rows)
     k_nn = 0.5 * (k_nn + k_nn.T)  # symmetrize against sampling round-off
     n = rows.size
@@ -299,26 +350,6 @@ class SolveReport:
 
 SOLVERS = ("tsvd", "rsvd", "sym_nystrom", "asym_nystrom")
 
-# The growth loop's sampler. After the first attempt each index i of a side
-# of length L has inclusion probability pi_i = min(1, ceil(b L p_i) / L) at
-# budget b, with p = LEVERAGE_MIX * (leverage of the previous attempt's
-# factor on that side) + (1 - LEVERAGE_MIX) / L; 0 samples uniformly.
-LEVERAGE_MIX = 0.8
-
-
-def _limits(budget: int, size: int, factor) -> np.ndarray:
-    """L pi_i = ceil(b L p_i), capped at L, for every index of one side of
-    length L at budget b: the number of keys below pi_i, an integer, so
-    inclusion is exact. Without a factor (the first attempt) every index
-    gets b, which samples a prefix; at a budget of L, every index gets L."""
-    if factor is None or budget >= size:
-        return np.full(size, budget)
-    q = np.linalg.qr(factor)[0]
-    lev = np.einsum("ij,ij->i", q, q)
-    scaled = LEVERAGE_MIX * size * (lev / lev.sum()) + (1.0 - LEVERAGE_MIX)
-    return np.minimum(np.ceil(budget * scaled).astype(int), size)
-
-
 @warns_dead_rows
 def solve_to_tolerance(g_source, solver: str, epsilon: float,
                        reference: SvdResult, cfg: NystromConfig) -> SolveReport:
@@ -339,22 +370,19 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     nor the dense matrices the baselines start from (G, and for sym_nystrom
     its two Gram matrices).
 
-    The asymmetric solver draws one seeded permutation of the rows and one
-    of the columns per solve; index i's key is its position in its
-    permutation over the side's length L, and i is sampled while its key
-    lies below its inclusion probability pi_i. The first attempt gives every
-    index pi = b/L at budget b (b = n for rows, m for columns), which
-    samples a prefix of each permutation. Every later attempt raises pi_i to
-    min(1, ceil(b L p_i) / L) where that is larger, with p the mixture of
-    ``LEVERAGE_MIX`` times the leverage scores of the previous attempt's
-    U~ (rows) or V~ (columns) and the rest uniform; at a budget of L the
-    whole side is sampled. pi only grows, so each attempt's sample contains
-    the previous one and a block source evaluates only the new columns and
-    rows. A sample with unequal pi is lifted with the Horvitz-Thompson
-    weights 1/pi (see ``lift_blocks``), which also estimate the sne row
-    normalizers; ``LEVERAGE_MIX`` = 0 keeps every pi equal and samples
-    prefixes throughout. The sample sizes vary around the budget: ``m_used``
-    and every ``Attempt`` report the counts sampled.
+    The asymmetric solver takes every attempt from one ``Sampler`` seeded
+    with ``cfg.seed``. The first attempt is its first draw, a uniform prefix
+    of each side's permutation at budgets n and m (the sample a single-shot
+    ``ksvd.fit(solver="nystrom")`` takes at the same m and seed); every
+    later attempt draws with the previous attempt's U~ and V~, whose
+    leverage scores raise the inclusion probabilities pi, and at a budget
+    of L the whole side is sampled. Samples are nested, so a block source
+    evaluates only the new columns and rows. A sample with unequal pi is
+    lifted with the Horvitz-Thompson weights 1/pi (see ``lift_blocks``),
+    which also estimate the sne row normalizers; ``LEVERAGE_MIX`` = 0 keeps
+    every pi equal and samples prefixes throughout. The sample sizes vary
+    around the budget: ``m_used`` and every ``Attempt`` report the counts
+    sampled.
 
     ``epsilon`` must be >= 0; a negative or NaN one is a ConfigError. The
     report's ``history`` records every attempt. If the budget cap is
@@ -377,29 +405,14 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     cap = big_m
     k = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
     if solver == "asym_nystrom":
-        rng = np.random.default_rng(cfg.seed)
-        # inclusion keys: position in one seeded permutation per side
-        keys = [np.argsort(rng.permutation(big_n)),
-                np.argsort(rng.permutation(big_m))]
-        limits = [np.zeros(big_n, dtype=int), np.zeros(big_m, dtype=int)]
+        sampler = Sampler((big_n, big_m), cfg.seed)
         factors = [None, None]  # the previous attempt's U~ and V~
 
         def attempt(m, i):
             step_cfg = replace(cfg, m=m, seed=cfg.seed + i)
             n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
-            for side, budget in enumerate((n, m)):
-                np.maximum(limits[side],
-                           _limits(budget, limits[side].size, factors[side]),
-                           out=limits[side])
-            picked = [np.flatnonzero(key < limit)
-                      for key, limit in zip(keys, limits)]
-            # equal probabilities make a uniform sample, lifted unweighted
-            weights = None
-            if any(np.ptp(limit) for limit in limits):
-                weights = tuple(limit.size / limit[idx]
-                                for limit, idx in zip(limits, picked))
-            res = asym_nystrom(source, step_cfg, indices=picked,
-                               weights=weights)
+            rows, cols, weights = sampler.draw(n, m, factors)
+            res = asym_nystrom(source, step_cfg, (rows, cols), weights)
             factors[:] = res.u_tilde, res.v_tilde
             return res
     else:

@@ -74,6 +74,11 @@ _OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
              "power_iters": "solver.power_iters"}
 # every key behind fit's solver and solver_opts, which only ksvd reads
 _FIT_KEYS = ("solver", *_OPT_KEYS.values(), "nystrom.seed", "solver.seed")
+# the keys no baseline reads: fit's, the compat transform's and the centering
+# switch; svd and pca read no kernel key either, and kpca, whose family is
+# always rbf, only kernel.gamma and kernel.gamma_k
+_BASELINE_UNREAD = (*_FIT_KEYS, "compat.mode", "compat.seed", "center")
+_KERNEL_KEYS = ("kernel.family", "kernel.gamma", "kernel.gamma_k")
 
 
 def _solver_opts(cfg: RunConfig) -> dict:
@@ -121,16 +126,24 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
     ksvd is the package model; svd takes the exact factors of the raw
     matrix; kpca runs an RBF kernel over (symmetrized, for square inputs)
     row data; pca projects centered rows on their top principal directions.
-    svd, kpca and pca fit no solver: a solver key (``_FIT_KEYS``) other
-    than its default is a ConfigError.
+    svd, kpca and pca fit no solver and take no compat transform or
+    centering switch, and svd and pca no kernel: any of those keys other
+    than its default is a ConfigError, and so is a kpca ``kernel.family``
+    other than rbf (or the default, which cannot be told from unset).
     """
     method = cfg["method"]
     r = cfg["rank"]
-    unread = [key for key in _FIT_KEYS
-              if method != "ksvd" and cfg[key] != KNOWN[key].default]
+    keys = () if method == "ksvd" else _BASELINE_UNREAD + (
+        () if method == "kpca" else _KERNEL_KEYS)
+    unread = [key for key in keys if cfg[key] != KNOWN[key].default]
+    if method == "kpca" and cfg["kernel.family"] not in (
+            KNOWN["kernel.family"].default, "rbf"):
+        unread.append("kernel.family")
     if unread:
         raise ConfigError(f"method {method!r} does not read "
-                          f"{', '.join(unread)}; only ksvd fits a solver")
+                          f"{', '.join(unread)}: only ksvd fits a solver, "
+                          "a compat transform and centering, svd and pca "
+                          "use no kernel, and kpca's is always rbf")
     if method == "ksvd":
         model = fit_from_config(cfg, a)
         r = min(r, model.rank)
@@ -323,11 +336,24 @@ def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
     return ksvd._transformed_sources(kernels.build_sources(a), compat)[0]
 
 
+# fit-only keys the growth loop never reads, on the uncentered kernel
+_GROWTH_UNREAD = ("solver", "solver.tol", "solver.seed",
+                  "nystrom.center_stats", "center")
+
+
 def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:
-    """The growth loop's config; rejects nystrom.n before any dense work."""
+    """The growth loop's config; rejects nystrom.n, and a fit-only key
+    other than its default, before any dense work."""
     if cfg["nystrom.n"] is not None:
         raise ConfigError(f"nystrom.n={cfg['nystrom.n']} is set, but the "
                           "growth loop derives n from nystrom.m")
+    unread = [key for key in _GROWTH_UNREAD
+              if cfg[key] != KNOWN[key].default]
+    if unread:
+        raise ConfigError("the growth loop does not read "
+                          f"{', '.join(unread)}: they set up a fit, and "
+                          "bench and nystrom-sweep solve the uncentered "
+                          "kernel with their own solvers")
     return NystromConfig(
         r=cfg["rank"], m=cfg["nystrom.m"], seed=seed,
         m_growth=cfg["nystrom.growth"], subproblem=cfg["nystrom.subproblem"],

@@ -266,6 +266,26 @@ class TestExitCodes:
         assert "nystrom.n=12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "nystrom-sweep"])
+    def test_fit_only_keys_rejected(self, tmp_path, capsys, command):
+        # the growth loop solves the uncentered kernel with the bench's
+        # solvers: the keys that set up a fit are read by neither command
+        base = (command, "--format", "synth", "--rank", "2",
+                "--set", "dataset.synth_n=24", "--set", "bench.repeats=1",
+                "--set", "bench.solvers=tsvd", "--set", "sweep.seeds=1",
+                "--set", "sweep.gamma_scales=1.0")
+        for key, value in (("solver", "truncated"), ("solver.tol", "1e-3"),
+                           ("solver.seed", "3"),
+                           ("nystrom.center_stats", "full"),
+                           ("center", "false")):
+            out = tmp_path / key
+            assert run(*base, "--set", f"{key}={value}",
+                       "--out", str(out)) == 2, key
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+        assert run(*base, "--set", "solver=exact", "--set", "center=true",
+                   "--out", str(tmp_path / "defaults")) == 0
+
     def test_full_center_stats_without_centering_rejected(self, tmp_path,
                                                           capsys):
         code = run("extract", "--format", "synth", "--rank", "2",
@@ -380,6 +400,38 @@ class TestClassify:
         assert run(*base, "--set", "solver=exact", "--set", "solver.tol=1e-10",
                    "--set", "nystrom.m=none",
                    "--out", str(tmp_path / "defaults")) == 0
+
+    @pytest.mark.parametrize("method, unread, read", [
+        # svd and pca use no kernel, compat transform or centering switch
+        ("svd", {"kernel.family": "rbf", "kernel.gamma": "0.3",
+                 "kernel.gamma_k": "2", "compat.mode": "a0",
+                 "compat.seed": "3", "center": "false"}, {}),
+        ("pca", {"kernel.family": "linear", "kernel.gamma": "0.3",
+                 "kernel.gamma_k": "2", "compat.mode": "identity",
+                 "compat.seed": "3", "center": "false"}, {}),
+        # kpca runs an rbf kernel with its own gamma: the default family,
+        # sne, cannot be told from an unset key, so it passes
+        ("kpca", {"kernel.family": "linear", "compat.mode": "a1",
+                  "compat.seed": "3", "center": "false"},
+         {"kernel.family": "rbf", "kernel.gamma": "0.3",
+          "kernel.gamma_k": "2"}),
+    ], ids=["svd", "pca", "kpca"])
+    def test_baseline_methods_reject_kernel_compat_and_center(
+            self, tmp_path, capsys, method, unread, read):
+        base = ("classify", "--format", "synth", "--rank", "3",
+                "--set", "dataset.synth_n=40", "--method", method)
+        for key, value in unread.items():
+            out = tmp_path / key
+            assert run(*base, "--set", f"{key}={value}",
+                       "--out", str(out)) == 2, key
+            err = capsys.readouterr().err
+            assert key in err and repr(method) in err
+            assert not out.exists()
+        sets = [arg for key, value in read.items()
+                for arg in ("--set", f"{key}={value}")]
+        assert run(*base, *sets, "--set", "center=true",
+                   "--set", "compat.mode=auto",
+                   "--out", str(tmp_path / "read")) == 0
 
     @pytest.mark.parametrize("family", ["sne", "linear"])
     def test_ksvd_rows_name_the_configured_kernel(self, tmp_path, family):

@@ -25,7 +25,7 @@ from aksvd.errors import (
     ToleranceUnreachableError,
 )
 from aksvd.kernels import CenteringStats, DataSources, KernelSpec
-from aksvd.nystrom import NystromConfig, sample_indices
+from aksvd.nystrom import NystromConfig, Sampler, resolve_sample_sizes
 
 from conftest import assert_close_to_largest, dense_lift, make_matrix
 
@@ -535,7 +535,8 @@ def _dense_nystrom_fit(a, spec, r, center, center_stats, m, seed):
     centering statistics)."""
     lazy = kernels.LazyKernelSource(spec, kernels.build_sources(a))
     cfg = NystromConfig(r=r, m=m, seed=seed)
-    rows, cols = sample_indices(lazy.shape, cfg)
+    rows, cols, _ = Sampler(lazy.shape, seed).draw(
+        *resolve_sample_sizes(lazy.shape, cfg))
     g_nm, g_big_m, g_n_big = (np.asarray(b)
                               for b in lazy.sample_blocks(rows, cols))
     if not center:
