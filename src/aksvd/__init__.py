@@ -19,7 +19,6 @@ from .ksvd import (
     KsvdModel,
     fit,
     load_model,
-    objective,
     save_model,
     transform,
     transform_oos,
@@ -68,7 +67,6 @@ __all__ = [
     "linalg",
     "load_model",
     "make_compat",
-    "objective",
     "save_model",
     "solve_to_tolerance",
     "svd_exact",

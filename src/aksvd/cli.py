@@ -3,7 +3,8 @@
 Subcommands: extract | classify | regress | reconstruct | bench |
 nystrom-sweep. Options override config-file values which override
 built-in defaults; AKSVD_* environment variables sit between the file
-and the flags. Exit codes: 0 on success, 2 for user or config errors,
+and the flags, and any key the command does not read must hold its
+default. Exit codes: 0 on success, 2 for user or config errors,
 3 for numeric failures.
 """
 from __future__ import annotations
@@ -84,6 +85,7 @@ def main(argv=None) -> int:
         cfg = build_config(config_path=args.config,
                            overrides=_overrides_from_args(args))
         from . import pipeline
+        pipeline.check_reads(cfg, args.command)
         out = getattr(pipeline, _COMMANDS[args.command][0])(cfg)
     except UserInputError as err:
         print(f"aksvd: error: {err}", file=sys.stderr)

@@ -239,17 +239,6 @@ def verify_kkt(model: KsvdModel, g_c) -> tuple[float, float, float]:
     return residual_psi, residual_phi, ortho_gap
 
 
-def objective(model: KsvdModel, g_c) -> float:
-    """Value of the coupled variance objective at the model's coefficients."""
-    g_c = as_matrix(g_c, "G_c")
-    if g_c.shape != (model.b_phi.shape[0], model.b_psi.shape[0]):
-        raise ShapeMismatchError(
-            f"G_c is {g_c.shape}, model expects "
-            f"{(model.b_phi.shape[0], model.b_psi.shape[0])}")
-    return float(0.5 * np.linalg.norm(g_c.T @ model.b_phi) ** 2
-                 + 0.5 * np.linalg.norm(g_c @ model.b_psi) ** 2)
-
-
 def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
     """Training embeddings: the first r left or right singular vectors."""
     if side not in ("left", "right"):

@@ -65,39 +65,70 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
     return KernelSpec(family=family, gamma=gamma)
 
 
-# the config key behind each of fit's solver_opts but seed, which is
-# nystrom.seed for the nystrom solver and solver.seed for the others
 _OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
              "subproblem": "nystrom.subproblem",
              "center_stats": "nystrom.center_stats", "tol": "solver.tol",
              "oversample": "solver.oversample",
              "power_iters": "solver.power_iters"}
-# every key behind fit's solver and solver_opts, which only ksvd reads
-_FIT_KEYS = ("solver", *_OPT_KEYS.values(), "nystrom.seed", "solver.seed")
-# the keys no baseline reads: fit's, the compat transform's and the centering
-# switch; svd and pca read no kernel key either, and kpca, whose family is
-# always rbf, only kernel.gamma and kernel.gamma_k
-_BASELINE_UNREAD = (*_FIT_KEYS, "compat.mode", "compat.seed", "center")
-_KERNEL_KEYS = ("kernel.family", "kernel.gamma", "kernel.gamma_k")
 
 
-def _solver_opts(cfg: RunConfig) -> dict:
-    """The config's values for the solver_opts keys the solver reads. A
-    config key behind solver_opts that the solver does not read is rejected
-    unless it holds its default; nystrom.growth and nystrom.epsilon are no
-    such keys, since bench and nystrom-sweep read them."""
-    solver = cfg["solver"]
+def _solver_keys(solver: str) -> dict:
+    """The config key behind each of fit's solver_opts the solver reads:
+    seed is nystrom.seed for the nystrom solver, solver.seed otherwise."""
     keys = dict(_OPT_KEYS, seed="nystrom.seed" if solver == "nystrom"
                 else "solver.seed")
-    read = {keys[opt] for opt in ksvd.SOLVER_OPTS[solver]}
-    unread = [key for key in sorted(set(_FIT_KEYS) - read - {"solver"})
-              if cfg[key] != KNOWN[key].default]
+    return {opt: keys[opt] for opt in ksvd.SOLVER_OPTS[solver]}
+
+
+# a fit's keys, its solver's keys aside
+_FIT = ("kernel.family", "kernel.gamma", "kernel.gamma_k", "compat.mode",
+        "compat.seed", "center", "solver")
+_EVAL = ("method", "split.seed", "split.test_fraction", "eval.gamma_reg")
+# the growth loop's keys, on the uncentered kernel of its own solvers
+_GROWTH = ("kernel.family", "kernel.gamma_k", "compat.mode", "compat.seed",
+           "nystrom.m", "nystrom.growth", "nystrom.subproblem",
+           "solver.oversample", "solver.power_iters")
+# the keys but dataset.* each command reads, then each method's, then a
+# command's with a method: only classify and regress pick ksvd's feature side
+READS = {
+    "extract": ("rank", "seed", "out", *_FIT),
+    "classify": ("rank", "seed", "out", *_EVAL),
+    "regress": ("rank", "seed", "out", *_EVAL),
+    "reconstruct": ("rank", "seed", "out", "method"),
+    "bench": ("rank", "seed", "out", *_GROWTH, "kernel.gamma",
+              "nystrom.seed", "bench.solvers", "bench.epsilons",
+              "bench.repeats"),
+    "nystrom-sweep": ("rank", "seed", "out", *_GROWTH, "nystrom.epsilon",
+                      "sweep.gammas", "sweep.gamma_scales", "sweep.seeds"),
+    "ksvd": _FIT,
+    "kpca": ("kernel.family", "kernel.gamma", "kernel.gamma_k"),
+    "svd": (),
+    "pca": (),
+    ("classify", "ksvd"): ("features.sides",),
+    ("regress", "ksvd"): ("features.sides",),
+}
+
+
+def check_reads(cfg: RunConfig, command: str) -> None:
+    """Reject each key but dataset.* that ``command`` (with its method and
+    solver) does not read and that holds a value other than its default,
+    wherever the value came from; kpca's kernel is always rbf."""
+    reads, readers = list(READS[command]), [command]
+    method = cfg["method"] if "method" in reads else None
+    if method is not None:
+        reads += READS[method] + READS.get((command, method), ())
+        readers.append(f"method {method!r}")
+    if "solver" in reads:
+        reads += _solver_keys(cfg["solver"]).values()
+        readers.append(f"solver {cfg['solver']!r}")
+    unread = [key for key in KNOWN if not key.startswith("dataset.")
+              and key not in reads and cfg[key] != KNOWN[key].default]
+    if method == "kpca" and cfg["kernel.family"] not in (
+            KNOWN["kernel.family"].default, "rbf"):
+        unread.append("kernel.family")
     if unread:
-        raise ConfigError(f"solver {solver!r} does not read "
-                          f"{', '.join(unread)}; it reads "
-                          f"{', '.join(sorted(read)) or 'none of them'}")
-    return {opt: cfg.get(keys[opt], "seed" if opt == "seed" else None)
-            for opt in ksvd.SOLVER_OPTS[solver]}
+        raise ConfigError(f"not read by {', '.join(readers)}: "
+                          f"{', '.join(f'{k}={cfg[k]}' for k in unread)}")
 
 
 def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
@@ -107,7 +138,8 @@ def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
         compat=None if mode == "auto" else mode,
         solver=cfg["solver"], center=cfg["center"],
         compat_seed=cfg.get("compat.seed", "seed"),
-        solver_opts=_solver_opts(cfg))
+        solver_opts={opt: cfg.get(key, "seed" if opt == "seed" else None)
+                     for opt, key in _solver_keys(cfg["solver"]).items()})
 
 
 def resolve_sides(cfg: RunConfig, a: np.ndarray) -> str:
@@ -126,24 +158,9 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
     ksvd is the package model; svd takes the exact factors of the raw
     matrix; kpca runs an RBF kernel over (symmetrized, for square inputs)
     row data; pca projects centered rows on their top principal directions.
-    svd, kpca and pca fit no solver and take no compat transform or
-    centering switch, and svd and pca no kernel: any of those keys other
-    than its default is a ConfigError, and so is a kpca ``kernel.family``
-    other than rbf (or the default, which cannot be told from unset).
     """
     method = cfg["method"]
     r = cfg["rank"]
-    keys = () if method == "ksvd" else _BASELINE_UNREAD + (
-        () if method == "kpca" else _KERNEL_KEYS)
-    unread = [key for key in keys if cfg[key] != KNOWN[key].default]
-    if method == "kpca" and cfg["kernel.family"] not in (
-            KNOWN["kernel.family"].default, "rbf"):
-        unread.append("kernel.family")
-    if unread:
-        raise ConfigError(f"method {method!r} does not read "
-                          f"{', '.join(unread)}: only ksvd fits a solver, "
-                          "a compat transform and centering, svd and pca "
-                          "use no kernel, and kpca's is always rbf")
     if method == "ksvd":
         model = fit_from_config(cfg, a)
         r = min(r, model.rank)
@@ -336,24 +353,14 @@ def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
     return ksvd._transformed_sources(kernels.build_sources(a), compat)[0]
 
 
-# fit-only keys the growth loop never reads, on the uncentered kernel
-_GROWTH_UNREAD = ("solver", "solver.tol", "solver.seed",
-                  "nystrom.center_stats", "center")
+def _check_epsilons(cfg: RunConfig, key: str, epsilons) -> None:
+    """eta is never negative: a negative or NaN epsilon is never met."""
+    if not all(epsilon >= 0 for epsilon in epsilons):
+        raise ConfigError(f"epsilon must be >= 0, got {key}={cfg[key]}")
 
 
 def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:
-    """The growth loop's config; rejects nystrom.n, and a fit-only key
-    other than its default, before any dense work."""
-    if cfg["nystrom.n"] is not None:
-        raise ConfigError(f"nystrom.n={cfg['nystrom.n']} is set, but the "
-                          "growth loop derives n from nystrom.m")
-    unread = [key for key in _GROWTH_UNREAD
-              if cfg[key] != KNOWN[key].default]
-    if unread:
-        raise ConfigError("the growth loop does not read "
-                          f"{', '.join(unread)}: they set up a fit, and "
-                          "bench and nystrom-sweep solve the uncentered "
-                          "kernel with their own solvers")
+    """The growth loop's config; each attempt derives n from its m."""
     return NystromConfig(
         r=cfg["rank"], m=cfg["nystrom.m"], seed=seed,
         m_growth=cfg["nystrom.growth"], subproblem=cfg["nystrom.subproblem"],
@@ -369,10 +376,11 @@ def run_bench(cfg: RunConfig) -> Path:
     solver only ever sees the lazy block source.
     """
     ncfg = _growth_config(cfg, cfg.get("nystrom.seed", "seed"))
-    a, _, _ = load_dataset(cfg)
     solvers = parse_names(cfg["bench.solvers"], "bench.solvers",
                           nystrom.SOLVERS)
     epsilons = parse_floats(cfg["bench.epsilons"], "bench.epsilons")
+    _check_epsilons(cfg, "bench.epsilons", epsilons)
+    a, _, _ = load_dataset(cfg)
     spec, sources = make_kernel_spec(cfg, a), _kernel_sources(cfg, a)
     g = kernels.kernel_matrix(spec, sources)
     reference = _bench_reference(g, cfg["rank"])
@@ -410,6 +418,8 @@ def run_sweep(cfg: RunConfig) -> Path:
     """Bandwidth sweep: sampled-solver budget and speedup per gamma value."""
     ncfgs = [_growth_config(cfg, cfg["seed"] + i)
              for i in range(cfg["sweep.seeds"])]
+    epsilon = cfg["nystrom.epsilon"]
+    _check_epsilons(cfg, "nystrom.epsilon", [epsilon])
     a, _, _ = load_dataset(cfg)
     if cfg["sweep.gammas"] is not None:
         gammas = parse_floats(cfg["sweep.gammas"], "sweep.gammas")
@@ -417,7 +427,6 @@ def run_sweep(cfg: RunConfig) -> Path:
         base = kernels.default_gamma(a, k=cfg["kernel.gamma_k"])
         scales = parse_floats(cfg["sweep.gamma_scales"], "sweep.gamma_scales")
         gammas = tuple(base * s for s in scales)
-    epsilon = cfg["nystrom.epsilon"]
     # only the bandwidth changes from one gamma to the next
     sources = _kernel_sources(cfg, a)
 

@@ -178,9 +178,11 @@ class TestFlags:
                  "compat": "identity", "method": "svd", "rank": "3",
                  "solver": "truncated", "seed": "7", "out": str(out)}[flag]
         key = cli._FLAG_KEYS[flag][0]
+        # extract reads no method: the feature commands do
+        command = "classify" if flag == "method" else "extract"
         manifests = []
         for args in ((f"--{flag}", value), ("--set", f"{key}={value}")):
-            assert run("extract", "--set", "dataset.synth_n=12",
+            assert run(command, "--set", "dataset.synth_n=12",
                        "--out", str(out), *args) == 0
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
@@ -260,20 +262,21 @@ class TestExitCodes:
         out = tmp_path / "x"
         code = run(command, "--format", "synth", "--rank", "2",
                    "--set", "dataset.synth_n=24", "--set", "nystrom.n=12",
-                   "--set", "bench.repeats=1", "--set", "sweep.seeds=1",
                    "--out", str(out))
         assert code == 2
         assert "nystrom.n=12" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["bench", "nystrom-sweep"])
-    def test_fit_only_keys_rejected(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, own", [
+        ("bench", ("bench.repeats=1", "bench.solvers=tsvd")),
+        ("nystrom-sweep", ("sweep.seeds=1", "sweep.gamma_scales=1.0")),
+    ], ids=["bench", "nystrom-sweep"])
+    def test_fit_only_keys_rejected(self, tmp_path, capsys, command, own):
         # the growth loop solves the uncentered kernel with the bench's
         # solvers: the keys that set up a fit are read by neither command
         base = (command, "--format", "synth", "--rank", "2",
-                "--set", "dataset.synth_n=24", "--set", "bench.repeats=1",
-                "--set", "bench.solvers=tsvd", "--set", "sweep.seeds=1",
-                "--set", "sweep.gamma_scales=1.0")
+                "--set", "dataset.synth_n=24",
+                *(arg for setting in own for arg in ("--set", setting)))
         for key, value in (("solver", "truncated"), ("solver.tol", "1e-3"),
                            ("solver.seed", "3"),
                            ("nystrom.center_stats", "full"),
@@ -285,6 +288,30 @@ class TestExitCodes:
             assert not out.exists()
         assert run(*base, "--set", "solver=exact", "--set", "center=true",
                    "--out", str(tmp_path / "defaults")) == 0
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("bench", "bench.epsilons=-1", "epsilon must be >= 0"),
+        ("bench", "bench.epsilons=0.1,nan", "epsilon must be >= 0"),
+        ("bench", "bench.solvers=tsvd,bogus", "bench.solvers entries"),
+        ("nystrom-sweep", "nystrom.epsilon=-1", "epsilon must be >= 0"),
+        ("nystrom-sweep", "nystrom.epsilon=nan", "epsilon must be >= 0"),
+    ])
+    def test_bad_values_rejected_before_the_dataset_loads(
+            self, tmp_path, capsys, monkeypatch, command, setting, message):
+        # eta is never negative: a solve to such an epsilon would only grow
+        # to its cap, after the dense kernel and the reference SVD
+        from aksvd import pipeline
+
+        def load_dataset(cfg):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(pipeline, "load_dataset", load_dataset)
+        out = tmp_path / "x"
+        assert run(command, "--format", "synth", "--set", setting,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and setting.split("=")[0] in err
+        assert not out.exists()
 
     def test_full_center_stats_without_centering_rejected(self, tmp_path,
                                                           capsys):
@@ -680,3 +707,94 @@ class TestSweep:
         with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
             gammas = [float(row["gamma"]) for row in csv.DictReader(fh)]
         assert gammas == [0.1, 0.3]
+
+
+class TestReads:
+    # command -> (its own settings for a small, fast run, a key it does not
+    # read, a key it reads); regress reads a csv dataset written by the test
+    CASES = {
+        "extract": ((), "bench.repeats=7", "kernel.gamma_k=2"),
+        "classify": ((), "nystrom.growth=3", "split.test_fraction=0.5"),
+        "regress": ((), "sweep.seeds=2", "eval.gamma_reg=0.5"),
+        "reconstruct": ((), "features.sides=left", "kernel.gamma_k=2"),
+        "bench": (("bench.repeats=1", "bench.solvers=tsvd"),
+                  "nystrom.epsilon=0.5", "bench.epsilons=0.5"),
+        "nystrom-sweep": (("sweep.seeds=1", "sweep.gamma_scales=1.0"),
+                          "kernel.gamma=0.3", "nystrom.epsilon=0.5"),
+    }
+
+    @staticmethod
+    def named(setting):
+        # the message names each key with its parsed value
+        key, _, raw = setting.partition("=")
+        return f"{key}={KNOWN[key].parse(raw)}"
+
+    def test_every_command_and_method_has_an_entry(self):
+        from aksvd import pipeline
+        assert set(self.CASES) == set(cli._COMMANDS)
+        assert set(cli._COMMANDS) | set(KNOWN["method"].choices) <= set(
+            pipeline.READS)
+        for keys in pipeline.READS.values():
+            for key in keys:
+                assert key in KNOWN and not key.startswith("dataset."), key
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_unread_key_rejected_and_read_key_taken(self, tmp_path, capsys,
+                                                    command):
+        own, unread, read = self.CASES[command]
+        if command == "regress":
+            data = tmp_path / "d.csv"
+            rng = np.random.default_rng(4)
+            write_square_csv(data, rng.standard_normal((12, 12)))
+            base = ("--format", "csv", "--dataset", str(data),
+                    "--set", "dataset.target=t",
+                    "--set", "dataset.task=regression")
+        else:
+            base = ("--format", "synth", "--set", "dataset.synth_n=24")
+        base = (command, *base, "--rank", "2",
+                *(arg for setting in own for arg in ("--set", setting)))
+        out = tmp_path / "unread"
+        assert run(*base, "--set", unread, "--out", str(out)) == 2
+        assert self.named(unread) in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*base, "--set", read,
+                   "--out", str(tmp_path / "read")) == 0
+
+    @pytest.mark.parametrize("args, unread", [
+        (("extract", "--set", "bench.repeats=7", "--set", "nystrom.growth=3"),
+         ("bench.repeats=7", "nystrom.growth=3")),
+        (("extract", "--method", "svd"), ("method=svd",)),
+        (("extract", "--set", "split.test_fraction=0.5"),
+         ("split.test_fraction=0.5",)),
+        (("nystrom-sweep", "--set", "nystrom.seed=5",
+          "--set", "kernel.gamma=0.3"),
+         ("nystrom.seed=5", "kernel.gamma=0.3")),
+        (("reconstruct", "--set", "features.sides=left"),
+         ("features.sides=left",)),
+        (("classify", "--method", "svd", "--set", "features.sides=left"),
+         ("features.sides=left",)),
+    ], ids=["extract-bench-keys", "extract-method", "extract-split",
+            "sweep-seed-gamma", "reconstruct-sides", "classify-svd-sides"])
+    def test_each_unread_key_is_named(self, tmp_path, capsys, args, unread):
+        out = tmp_path / "x"
+        assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        for setting in unread:
+            assert self.named(setting) in err
+        assert not out.exists()
+
+    def test_file_and_environment_values_are_checked(self, tmp_path, capsys,
+                                                     monkeypatch):
+        config = tmp_path / "run.cfg"
+        config.write_text("dataset.synth_n = 24\nbench.repeats = 7\n",
+                          encoding="utf-8")
+        assert run("extract", "--config", str(config),
+                   "--out", str(tmp_path / "file")) == 2
+        assert "bench.repeats=7" in capsys.readouterr().err
+        monkeypatch.setenv("AKSVD_NYSTROM_GROWTH", "3")
+        assert run("extract", "--set", "dataset.synth_n=24",
+                   "--out", str(tmp_path / "env")) == 2
+        assert "nystrom.growth=3.0" in capsys.readouterr().err
+        assert not (tmp_path / "file").exists()
+        assert not (tmp_path / "env").exists()

@@ -20,3 +20,30 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(block, f"README.md python block {i + 1}", "exec"),
              namespace)
     assert (tmp_path / "run1" / "model" / "model.npz").is_file()
+
+
+def test_key_table_matches_the_reads_table():
+    # each row of README's "keys read" table against pipeline.READS, or,
+    # for a solver, the config keys behind the solver_opts it reads
+    from aksvd import ksvd, pipeline
+    text = README.read_text()
+    table = text[text.index("| command, method or solver | keys read |"):]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        reader, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        words = reader.replace("`", "").split()
+        if words[0] == "--solver":
+            name = ("solver", words[1])
+        elif words[0] == "--method":
+            name = words[1]
+        else:
+            name = words[0] if len(words) == 1 else (words[0], words[2])
+        assert name not in rows, reader
+        rows[name] = set(re.findall(r"`([^`]+)`", keys))
+    expected = {name: set(keys) for name, keys in pipeline.READS.items()}
+    expected.update({("solver", solver): set(pipeline._solver_keys(solver)
+                                              .values())
+                     for solver in ksvd.SOLVER_OPTS})
+    assert rows == expected
