@@ -158,7 +158,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         gc, stats = g, _zero_stats(big_n, big_m)
 
     if solver == "exact":
-        res = svd_exact(gc)
+        res = svd_exact(gc, r)
     elif solver == "truncated":
         res = svd_truncated(gc, r, **opts)
     else:

@@ -2,10 +2,15 @@
 
 Three solvers share the ``SvdResult`` contract:
 
-* ``svd_exact``: the full compact SVD from LAPACK (``np.linalg.svd``);
+* ``svd_exact``: the compact SVD from LAPACK (``np.linalg.svd``); given a
+  rank r, the top r triplets from Golub-Kahan-Lanczos instead, kept when
+  ``is_complete`` proves that no larger value is missing from them, and
+  LAPACK's otherwise;
 * ``svd_randomized``: Gaussian sketch with block-Krylov power iterations;
 * ``svd_truncated``: Golub-Kahan-Lanczos bidiagonalization with full
-  reorthogonalization, extended until the leading triplets converge.
+  reorthogonalization, extended until the leading triplets converge and
+  restarted at every breakdown before they do. Without a breakdown it meets
+  a repeated value once, so it can miss the value's other copies.
 
 All solvers emit singular values in descending order and canonicalize
 signs so the largest-magnitude entry of each left vector is positive.
@@ -29,6 +34,14 @@ from .errors import (
 # relative cutoff below which svd_exact and svd_randomized drop a singular
 # value: sigma_k <= RANK_TOL * sigma_1 counts as zero
 RANK_TOL = 1e-10
+
+# svd_exact(a, r) grows a Krylov basis of at most this share of min(N, M)
+# before it takes LAPACK's full SVD instead, which is cheaper past it
+KRYLOV_SHARE = 0.35
+
+# is_complete accepts a missing singular value s with s^2 up to
+# s_r^2 (1 + COMPLETE_MARGIN): a missing copy of s_r itself is no error
+COMPLETE_MARGIN = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -72,16 +85,55 @@ def canonicalize_signs(u: np.ndarray, v: np.ndarray | None = None):
     return u, np.negative(v, out=v.copy(), where=flip)
 
 
-def svd_exact(a) -> SvdResult:
+def svd_exact(a, r: int | None = None) -> SvdResult:
     """Compact SVD by LAPACK (``np.linalg.svd``); values <= RANK_TOL * s1
-    are dropped."""
+    are dropped.
+
+    With ``r``, only the leading min(r, rank) triplets are returned, and
+    LAPACK computes the rest only when it must: Golub-Kahan-Lanczos runs to
+    its 1e-15 * s1 residual floor, ``is_complete`` checks that no
+    singular value it missed lies above the r-th, and the full LAPACK SVD
+    is taken instead when the check fails, fewer than r values clear
+    RANK_TOL, or the Krylov basis would outgrow ``KRYLOV_SHARE`` of
+    min(N, M).
+    """
     a = as_matrix(a, "A")
     if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_exact requires a non-zero matrix")
+    kmax = int(KRYLOV_SHARE * min(a.shape))
+    if r is not None and r <= kmax:
+        res = _lanczos(a, r, 0.0, 0, kmax)
+        if res is not None and res.s[-1] > RANK_TOL * res.s[0] \
+                and is_complete(a, res):
+            return res
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > RANK_TOL * s[0]
+    if r is not None:
+        keep[r:] = False
     u, v = canonicalize_signs(u[:, keep], vt[keep].T)
     return SvdResult(u=u, s=s[keep], v=v)
+
+
+def is_complete(a: np.ndarray, res: SvdResult) -> bool:
+    """Whether the singular triplets ``res`` of ``a`` hold every singular
+    value above their smallest, s_r, up to ``COMPLETE_MARGIN`` on s_r^2.
+
+    The values missing from ``res`` are those of the Gram matrix deflated
+    by it, A A^T - U S^2 U^T (A^T A - V S^2 V^T when A is tall), so a
+    Cholesky factorization of s_r^2 (1 + COMPLETE_MARGIN) I minus it exists
+    exactly when none of them exceeds s_r by more than the margin.
+    """
+    wide = a.shape[0] <= a.shape[1]
+    gram = a @ a.T if wide else a.T @ a
+    side = (res.u if wide else res.v) * res.s
+    gram -= side @ side.T
+    np.negative(gram, out=gram)
+    gram.flat[::gram.shape[0] + 1] += (1.0 + COMPLETE_MARGIN) * res.s[-1] ** 2
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
@@ -122,94 +174,119 @@ def svd_randomized(a, r: int, oversample: int = 10, power_iters: int = 2,
 def svd_truncated(a, r: int, tol: float = 1e-10, seed: int = 0) -> SvdResult:
     """Top-r SVD by Golub-Kahan-Lanczos bidiagonalization.
 
-    The Krylov basis is extended in blocks with full reorthogonalization
-    until every requested triplet has residual below ``tol * sigma_1`` (or
-    the basis exhausts min(N, M), at which point the factorization is
-    complete and exact). ``tol`` = 0 asks for no early stop: the basis
-    grows until every residual is at most 1e-15 * sigma_1, the check's
-    floor, or exhausts, and every nonzero value is kept. Deterministic: the
-    start vector comes from a seeded generator.
+    The Krylov basis grows with full reorthogonalization until every
+    requested triplet has residual below ``tol * sigma_1``, or until it
+    spans min(N, M) dimensions. A breakdown (a new basis vector of zero
+    norm) ends an invariant pair of subspaces; when it comes before the r
+    triplets have converged, the recurrence restarts from a fresh seeded
+    vector orthogonal to the basis, so repeated values are found one copy
+    per breakdown. Without a breakdown, a single start vector meets each
+    repeated value once, and the result can miss its other copies.
+    ``tol`` = 0 asks for no early stop: the basis grows until every
+    residual is at most 1e-15 * sigma_1, the check's floor, and every
+    nonzero value is kept. Deterministic: the start and restart vectors
+    come from a seeded generator.
     """
     a = as_matrix(a, "A")
-    n, m = a.shape
-    kdim = min(n, m)
+    kdim = min(a.shape)
     if r > kdim:
         raise RankTooLargeError(f"r={r} exceeds min(rows, cols)={kdim}")
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
+    if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_truncated requires a non-zero matrix")
-    rng = np.random.default_rng(seed)
+    res = _lanczos(a, r, tol, seed, kdim)
+    keep = res.s > tol * res.s[0]
+    return SvdResult(u=res.u[:, keep], s=res.s[keep], v=res.v[:, keep])
 
+
+def _lanczos(a: np.ndarray, r: int, tol: float, seed: int,
+             kmax: int) -> SvdResult | None:
+    """The top r Ritz triplets of a Golub-Kahan-Lanczos basis of at most
+    ``kmax`` vectors a side, signs canonical; None when the basis reaches
+    ``kmax`` before every residual is at most max(tol, 1e-15) * sigma_1.
+
+    Convergence is checked at r basis vectors, then every time the basis
+    has grown by a quarter, and at every breakdown.
+    """
+    # run on the tall orientation: its right basis exhausts first, and a
+    # basis spanning all of R^M leaves no residual
+    flip = a.shape[0] < a.shape[1]
+    if flip:
+        a = a.T
+    n, m = a.shape
+    rng = np.random.default_rng(seed)
+    floor = 1e-13 * np.linalg.norm(a)
     # the Krylov bases are kept as rows, so every product with the first k
-    # of them reads contiguous memory
-    big_u = np.zeros((kdim, n))
-    big_v = np.zeros((kdim, m))
-    alphas = np.zeros(kdim)
-    betas = np.zeros(kdim)
+    # of them reads contiguous memory; V holds one vector more than U
+    big_u = np.zeros((kmax, n))
+    big_v = np.zeros((min(kmax + 1, m), m))
+    alphas = np.zeros(kmax)
+    betas = np.zeros(kmax)
 
     vec = rng.standard_normal(m)
-    vec /= np.linalg.norm(vec)
-    big_v[0] = vec
-    k = 0
-    left_break = False  # A v_k fell inside span(U_k): invariant pair found
-    while k < kdim:
-        u_new = a @ big_v[k]
+    big_v[0] = vec / np.linalg.norm(vec)
+    k, check_at = 0, r
+    while True:
+        w = a @ big_v[k]
         if k > 0:
-            u_new -= betas[k - 1] * big_u[k - 1]
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            u_new -= big_u[:k].T @ (big_u[:k] @ u_new)
-        alpha = np.linalg.norm(u_new)
-        if alpha <= 1e-13 * scale:
-            if k == 0:
-                # start vector landed in the null space; redraw
-                vec = rng.standard_normal(m)
-                big_v[0] = vec / np.linalg.norm(vec)
-                continue
-            left_break = True
-            break
-        u_new /= alpha
-        big_u[k] = u_new
-        alphas[k] = alpha
-
-        v_new = a.T @ u_new - alpha * big_v[k]
-        for _ in range(2):
-            v_new -= big_v[: k + 1].T @ (big_v[: k + 1] @ v_new)
-        beta = np.linalg.norm(v_new)
+            w -= betas[k - 1] * big_u[k - 1]
+        alphas[k] = _extend(big_u, k, w, floor, rng)
+        w = a.T @ big_u[k]
+        w -= alphas[k] * big_v[k]
         k += 1
-        if beta <= 1e-13 * scale:
-            betas[k - 1] = 0.0
-            break
-        betas[k - 1] = beta
-        if k < kdim:
-            big_v[k] = v_new / beta
-
-        if k >= r:
-            bid = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1)
-            p, sig, qt = np.linalg.svd(bid)
-            # A^T u~_i - s_i v~_i = beta_{k-1} p[k-1, i] v_k
-            resid = betas[k - 1] * np.abs(p[-1, : min(r, k)])
-            if np.all(resid <= max(tol, 1e-15) * sig[0]):
-                break
-    if left_break:
-        # exact relation A V_{k+1} = U_k B with B rectangular k x (k+1)
-        bid = np.zeros((k, k + 1))
-        bid[np.arange(k), np.arange(k)] = alphas[:k]
-        bid[np.arange(k), np.arange(1, k + 1)] = betas[:k]
-        p, sig, qt = np.linalg.svd(bid, full_matrices=False)
-        nv = k + 1
-    else:
+        betas[k - 1] = _extend(big_v, k, w, floor, rng)
+        # a fresh vector whose first product breaks down as well proves
+        # that what the basis leaves out is null: every nonzero value is in
+        complete = k == m or alphas[k - 1] == betas[k - 1] == 0.0
+        if not complete and (k < r or (k < check_at and k < kmax
+                                       and betas[k - 1] > 0.0)):
+            continue
         bid = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1)
         p, sig, qt = np.linalg.svd(bid)
-        nv = k
-    take = min(r, k)
-    s = sig[:take]
-    keep = s > tol * sig[0]
-    s = s[keep]
-    u = big_u[:k].T @ p[:, :take][:, keep]
-    v = big_v[:nv].T @ qt[:take].T[:, keep]
+        # A^T u~_i - s_i v~_i = beta_{k-1} p[k-1, i] v_k; a top-r Ritz value
+        # at the breakdown floor is a null direction the basis met, not a
+        # converged triplet, so the basis grows on (after a breakdown, from
+        # its fresh vector) until r values converge or the rest is null
+        resid = betas[k - 1] * np.abs(p[-1, :r])
+        if complete or (np.all(resid <= max(tol, 1e-15) * sig[0])
+                        and sig[r - 1] > floor):
+            break
+        if k == kmax:
+            return None
+        check_at = k + max(1, k // 4)
+    u = big_u[:k].T @ p[:, :r]
+    v = big_v[:k].T @ qt[:r].T
+    if flip:
+        u, v = v, u
     u, v = canonicalize_signs(u, v)
-    return SvdResult(u=u, s=s, v=v)
+    return SvdResult(u=u, s=sig[:r], v=v)
+
+
+def _extend(basis: np.ndarray, k: int, w: np.ndarray, floor: float,
+            rng: np.random.Generator) -> float:
+    """Store ``w``, orthonormalized against the first k rows of ``basis``,
+    as row k and return its norm before scaling.
+
+    A norm at or below ``floor`` is a breakdown: row k becomes a fresh
+    seeded unit vector orthogonal to the rows before it, and 0 is
+    returned. A basis with no row k spans its space, and 0 is returned.
+    """
+    if k == basis.shape[0]:
+        return 0.0
+    norm = np.linalg.norm(_orthogonalize(w, basis[:k]))
+    if norm <= floor:
+        w = _orthogonalize(rng.standard_normal(basis.shape[1]), basis[:k])
+        basis[k] = w / np.linalg.norm(w)
+        return 0.0
+    basis[k] = w / norm
+    return norm
+
+
+def _orthogonalize(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Remove from ``w``, in place, its components along the orthonormal
+    ``rows``: two passes of classical Gram-Schmidt, for safety."""
+    for _ in range(2):
+        w -= rows.T @ (rows @ w)
+    return w
 
 
 # --- CSV output ---------------------------------------------------------------

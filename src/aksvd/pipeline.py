@@ -26,10 +26,6 @@ from .kernels import DataSources, KernelSpec, LazyKernelSource
 from .linalg import svd_exact, svd_truncated, write_matrix_csv
 from .nystrom import NystromConfig
 
-# bench/sweep accuracy references: the full SVD up to this min dimension,
-# top-r Golub-Kahan-Lanczos above it
-EXACT_REFERENCE_MAX = 600
-
 
 def load_dataset(cfg: RunConfig):
     """Materialize the configured dataset: (matrix, labels-or-targets, task)."""
@@ -109,10 +105,22 @@ READS = {
 }
 
 
+# the keys that a value of one key leaves unread, wherever that key is read
+# ("set": any value but the unset default): given sweep bandwidths replace
+# the scaled default one, the linear kernel has no bandwidth, and a given
+# bandwidth replaces the default one
+UNREAD_WHEN = {
+    ("sweep.gammas", "set"): ("sweep.gamma_scales", "kernel.gamma_k"),
+    ("kernel.family", "linear"): ("kernel.gamma", "kernel.gamma_k"),
+    ("kernel.gamma", "set"): ("kernel.gamma_k",),
+}
+
+
 def check_reads(cfg: RunConfig, command: str) -> None:
     """Reject each key but dataset.* that ``command`` (with its method and
-    solver) does not read and that holds a value other than its default,
-    wherever the value came from; kpca's kernel is always rbf."""
+    solver, and the values of the keys in ``UNREAD_WHEN``) does not read
+    and that holds a value other than its default, wherever the value came
+    from; kpca's kernel is always rbf."""
     reads, readers = list(READS[command]), [command]
     method = cfg["method"] if "method" in reads else None
     if method is not None:
@@ -121,11 +129,16 @@ def check_reads(cfg: RunConfig, command: str) -> None:
     if "solver" in reads:
         reads += _solver_keys(cfg["solver"]).values()
         readers.append(f"solver {cfg['solver']!r}")
+    if method == "kpca" and cfg["kernel.family"] != "rbf":
+        reads.remove("kernel.family")  # kpca's kernel is always rbf
+    for (key, value), dropped in UNREAD_WHEN.items():
+        if key in reads and (cfg[key] is not None if value == "set"
+                             else cfg[key] == value):
+            reads = [k for k in reads if k not in dropped]
+            if any(cfg[k] != KNOWN[k].default for k in dropped):
+                readers.append(f"with {key}={cfg[key]}")
     unread = [key for key in KNOWN if not key.startswith("dataset.")
               and key not in reads and cfg[key] != KNOWN[key].default]
-    if method == "kpca" and cfg["kernel.family"] not in (
-            KNOWN["kernel.family"].default, "rbf"):
-        unread.append("kernel.family")
     if unread:
         raise ConfigError(f"not read by {', '.join(readers)}: "
                           f"{', '.join(f'{k}={cfg[k]}' for k in unread)}")
@@ -170,9 +183,8 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
         return (evaluation.side_features(model, resolve_sides(cfg, a), r),
                 None, model.kernel)
     if method == "svd":
-        res = svd_exact(a)
-        take = min(r, res.rank)
-        return res.u[:, :take], (res.v[:, :take] if with_right else None), None
+        res = svd_exact(a, r)
+        return res.u, (res.v if with_right else None), None
     if method == "kpca":
         rows = 0.5 * (a + a.T) if a.shape[0] == a.shape[1] else a
         gamma = cfg["kernel.gamma"]
@@ -181,14 +193,11 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
         spec = KernelSpec(family="rbf", gamma=gamma)
         k = kernels.kernel_matrix(spec, DataSources(x=rows, z=rows))
         kc = kernels.center(k)[0]
-        res = svd_exact(kc)
-        feats = res.u[:, :min(r, res.rank)]
+        feats = svd_exact(kc, r).u
         return feats, (feats if with_right else None), spec
     # pca: scores on the top principal directions of the centered rows
     centered = a - a.mean(axis=0, keepdims=True)
-    res = svd_exact(centered)
-    take = min(r, res.rank)
-    feats = centered @ res.v[:, :take]
+    feats = centered @ svd_exact(centered, r).v
     return feats, (feats if with_right else None), None
 
 
@@ -319,12 +328,6 @@ def run_reconstruct(cfg: RunConfig) -> Path:
 
 # --- benchmarking ----------------------------------------------------------------
 
-def _bench_reference(g: np.ndarray, r: int):
-    if min(g.shape) <= EXACT_REFERENCE_MAX:
-        return svd_exact(g)
-    return svd_truncated(g, r, tol=1e-14)
-
-
 def _timed_solve(make_source, solver: str, epsilon: float, reference,
                  ncfg: NystromConfig, repeats: int):
     """One warmup then ``repeats`` timed runs; medians the wall time.
@@ -383,7 +386,7 @@ def run_bench(cfg: RunConfig) -> Path:
     a, _, _ = load_dataset(cfg)
     spec, sources = make_kernel_spec(cfg, a), _kernel_sources(cfg, a)
     g = kernels.kernel_matrix(spec, sources)
-    reference = _bench_reference(g, cfg["rank"])
+    reference = svd_exact(g, cfg["rank"])
     repeats = cfg["bench.repeats"]
 
     rows = []
@@ -434,7 +437,7 @@ def run_sweep(cfg: RunConfig) -> Path:
     for gamma in sorted(gammas):
         spec = KernelSpec(family=cfg["kernel.family"], gamma=float(gamma))
         g = kernels.kernel_matrix(spec, sources)
-        reference = _bench_reference(g, cfg["rank"])
+        reference = svd_exact(g, cfg["rank"])
         t0 = time.perf_counter()
         svd_truncated(g, cfg["rank"], tol=1e-10)
         t_dense = time.perf_counter() - t0

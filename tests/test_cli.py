@@ -437,11 +437,11 @@ class TestClassify:
                  "kernel.gamma_k": "2", "compat.mode": "identity",
                  "compat.seed": "3", "center": "false"}, {}),
         # kpca runs an rbf kernel with its own gamma: the default family,
-        # sne, cannot be told from an unset key, so it passes
+        # sne, cannot be told from an unset key, so it passes; a given
+        # gamma leaves kernel.gamma_k unread (TestReads)
         ("kpca", {"kernel.family": "linear", "compat.mode": "a1",
                   "compat.seed": "3", "center": "false"},
-         {"kernel.family": "rbf", "kernel.gamma": "0.3",
-          "kernel.gamma_k": "2"}),
+         {"kernel.family": "rbf", "kernel.gamma_k": "2"}),
     ], ids=["svd", "pca", "kpca"])
     def test_baseline_methods_reject_kernel_compat_and_center(
             self, tmp_path, capsys, method, unread, read):
@@ -783,6 +783,50 @@ class TestReads:
         for setting in unread:
             assert self.named(setting) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, unread", [
+        (("nystrom-sweep", "--set", "sweep.seeds=1",
+          "--set", "sweep.gammas=0.5", "--set", "sweep.gamma_scales=2.0",
+          "--set", "kernel.gamma_k=3"),
+         ("sweep.gamma_scales=2.0", "kernel.gamma_k=3")),
+        (("extract", "--kernel", "linear", "--set", "kernel.gamma=0.3",
+          "--set", "kernel.gamma_k=2"),
+         ("kernel.gamma=0.3", "kernel.gamma_k=2")),
+        (("extract", "--set", "kernel.gamma=0.3", "--set", "kernel.gamma_k=2"),
+         ("kernel.gamma_k=2",)),
+        (("classify", "--method", "kpca", "--set", "kernel.gamma=0.3",
+          "--set", "kernel.gamma_k=2"),
+         ("kernel.gamma_k=2",)),
+        (("bench", "--kernel", "linear", "--set", "bench.repeats=1",
+          "--set", "kernel.gamma_k=2"),
+         ("kernel.gamma_k=2",)),
+    ], ids=["sweep-gammas", "extract-linear", "extract-gamma", "kpca-gamma",
+            "bench-linear"])
+    def test_a_value_that_leaves_keys_unread_names_them(
+            self, tmp_path, capsys, args, unread):
+        # each key in UNREAD_WHEN, at the value that leaves the others
+        # unread, rejects them; at its other values they stay read (below)
+        out = tmp_path / "x"
+        assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        for setting in unread:
+            assert self.named(setting) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("nystrom-sweep", "--set", "sweep.seeds=1",
+         "--set", "sweep.gamma_scales=2.0", "--set", "kernel.gamma_k=3"),
+        ("nystrom-sweep", "--set", "sweep.seeds=1",
+         "--set", "sweep.gammas=0.5"),
+        ("extract", "--kernel", "linear"),
+        ("extract", "--kernel", "rbf", "--set", "kernel.gamma=0.3"),
+        ("classify", "--method", "kpca", "--set", "kernel.gamma=0.3"),
+    ], ids=["sweep-scales", "sweep-gammas", "extract-linear",
+            "extract-gamma", "kpca-gamma"])
+    def test_keys_stay_read_under_other_values(self, tmp_path, args):
+        assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",
+                   "--rank", "2", "--out", str(tmp_path / "x")) == 0
 
     def test_file_and_environment_values_are_checked(self, tmp_path, capsys,
                                                      monkeypatch):

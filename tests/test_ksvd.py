@@ -121,6 +121,32 @@ class TestFit:
         assert len(rank) == 1
         assert rank[0].filename == __file__
 
+    @pytest.mark.parametrize("solver", ["exact", "truncated"])
+    def test_cycle_kernel_gives_r_equal_values(self, solver):
+        # the centered sne kernel of a 60-node cycle has one nonzero value,
+        # repeated 59 times; Lanczos meets it once per start vector
+        a = datasets.synth_directed_graph("cycle", 60, seed=0).adjacency
+        spec = KernelSpec("sne", kernels.default_gamma(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateKernelWarning)
+            model = ksvd.fit(a, spec, r=4, solver=solver)
+        assert model.rank == 4
+        np.testing.assert_allclose(model.lam, model.lam[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("n, seed, r", [(300, 0, 8), (80, 3, 4)],
+                             ids=["extract-dense", "criterion-8"])
+    def test_exact_fit_agrees_with_lapack(self, n, seed, r):
+        # extract-dense's graph and one of criterion 8's, at the default
+        # bandwidth: the top r triplets of LAPACK's full SVD
+        a = datasets.synth_directed_graph("two_block", n, seed=seed).adjacency
+        model = ksvd.fit(a, KernelSpec("sne", kernels.default_gamma(a)), r=r)
+        u, s, vt = np.linalg.svd(centered_g(model))
+        assert np.max(np.abs(model.lam - s[:r])) <= 1e-12 * s[0]
+        root = np.sqrt(model.lam)
+        eta = nystrom.eta_accuracy(model.b_phi * root, model.b_psi * root,
+                                   linalg.SvdResult(u=u, s=s, v=vt.T), r)
+        assert eta <= 1e-12
+
     def test_iterative_solvers_match_exact(self):
         a = make_matrix(12, 12, seed=26)
         spec = rbf_spec(a)

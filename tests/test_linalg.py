@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aksvd import linalg
+from aksvd import datasets, kernels, linalg
 from aksvd.errors import (
     NonFiniteError,
     RankTooLargeError,
@@ -127,6 +127,134 @@ class TestSvdExact:
             assert np.linalg.norm(lhs2) <= 1e-7 * sq
 
 
+def circulant(n):
+    # singular values 4.3, then pairs: 4.299317 twice, 4.297267 twice, ...
+    row = np.zeros(n)
+    row[[0, 1, 2, -1]] = [2.0, 1.0, 0.3, 1.0]
+    return np.array([np.roll(row, i) for i in range(n)])
+
+
+def cycle_kernel(n=60):
+    # the centered sne kernel of a directed cycle: one nonzero singular
+    # value, repeated n - 1 times
+    a = datasets.synth_directed_graph("cycle", n, seed=0).adjacency
+    spec = kernels.KernelSpec("sne", kernels.default_gamma(a))
+    g = kernels.kernel_matrix(spec, kernels.build_sources(a))
+    return kernels.center(g)[0]
+
+
+def rotated(s, n, m, seed):
+    """An n x m matrix with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    q_u = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    q_v = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    return (q_u * s) @ q_v.T
+
+
+class TestSvdExactTopR:
+    @pytest.mark.parametrize("shape", [(7, 9), (9, 7)])
+    def test_check_rejects_a_missing_copy(self, shape):
+        # sigma = 3, 3, 2, 1.5, 1, 0.5: a set holding one 3 leaves out a
+        # value above its smallest; wide and tall shapes use either Gram
+        a = rotated([3.0, 3.0, 2.0, 1.5, 1.0, 0.5], *shape, seed=1)
+        full = linalg.svd_exact(a)
+
+        def triplets(*idx):
+            idx = list(idx)
+            return linalg.SvdResult(u=full.u[:, idx], s=full.s[idx],
+                                    v=full.v[:, idx])
+
+        assert not linalg.is_complete(a, triplets(0, 2))
+        assert not linalg.is_complete(a, triplets(0, 1, 3))
+        assert linalg.is_complete(a, triplets(0, 1, 2))
+        # a missing copy of the smallest value itself is within the margin
+        assert linalg.is_complete(a, triplets(0))
+
+    @pytest.mark.parametrize("a, r", [
+        (circulant(300), 3),
+        (circulant(300), 2),
+        (np.diag(np.r_[5.0, 5.0, 5.0, np.linspace(4.0, 0.1, 57)]), 4),
+        (rotated(np.r_[3.0, 3.0, 3.0, np.linspace(1.0, 0.1, 117)],
+                 120, 130, seed=2), 3),
+        (cycle_kernel(), 4),
+        (rotated([4.0, 2.0, 1.0], 40, 50, seed=3), 6),
+    ], ids=["circulant-r3", "circulant-r2", "diagonal-555",
+            "rotated-333", "cycle60", "rank-deficient"])
+    def test_top_r_matches_the_full_svd(self, a, r):
+        # repeated values leave the vectors free within their subspace, so
+        # the triplets are checked as singular triplets of a
+        full = linalg.svd_exact(a)
+        res = linalg.svd_exact(a, r)
+        assert res.rank == min(r, full.rank)
+        tol = 1e-12 * full.s[0]
+        np.testing.assert_allclose(res.s, full.s[:res.rank], rtol=0, atol=tol)
+        assert np.max(np.abs(a @ res.v - res.u * res.s)) <= tol
+        assert np.max(np.abs(a.T @ res.u - res.v * res.s)) <= tol
+        for side in (res.u, res.v):
+            np.testing.assert_allclose(side.T @ side, np.eye(res.rank),
+                                       rtol=0, atol=1e-12)
+        peaks = res.u[np.argmax(np.abs(res.u), axis=0), np.arange(res.rank)]
+        assert np.all(peaks > 0)
+
+    @staticmethod
+    def spy_on_the_check(monkeypatch):
+        checked = []
+        check = linalg.is_complete
+
+        def spy(*args):
+            checked.append(check(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(linalg, "is_complete", spy)
+        return checked
+
+    def test_lanczos_result_passes_the_check(self, monkeypatch):
+        # a graph kernel with a clear top r takes no full SVD
+        a = datasets.synth_directed_graph("two_block", 200, seed=0).adjacency
+        spec = kernels.KernelSpec("sne", kernels.default_gamma(a))
+        g = kernels.center(kernels.kernel_matrix(
+            spec, kernels.build_sources(a)))[0]
+        checked = self.spy_on_the_check(monkeypatch)
+        res = linalg.svd_exact(g, 8)
+        assert checked == [True]
+        full = np.linalg.svd(g, compute_uv=False)
+        np.testing.assert_allclose(res.s, full[:8], rtol=0,
+                                   atol=1e-12 * full[0])
+
+    def test_check_catches_the_circulant_missing_copies(self, monkeypatch):
+        # Lanczos converges on 4.3, 4.299317, 4.297267 with one copy of
+        # each pair; the check sends the fit to LAPACK, which has both
+        a = circulant(300)
+        checked = self.spy_on_the_check(monkeypatch)
+        res = linalg.svd_exact(a, 3)
+        assert checked == [False]
+        np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False)
+                                   [:3], rtol=1e-14)
+        assert res.s[1] - res.s[2] <= 1e-14 * res.s[0]
+
+    @pytest.mark.parametrize("a, r", [
+        (rotated(np.r_[8.0, 4.0, 2.0, 0.5 * 0.8 ** np.arange(42)], 60, 45,
+                 seed=4), 3),
+        (rotated(np.r_[8.0, 4.0, 2.0, 0.5 * 0.8 ** np.arange(42)], 45, 60,
+                 seed=4), 3),
+        (cycle_kernel(), 4),
+    ], ids=["tall", "wide", "cycle60"])
+    def test_failed_check_falls_back_to_the_full_svd(self, monkeypatch, a, r):
+        # each Lanczos result here passes the real check
+        full = linalg.svd_exact(a)
+        monkeypatch.setattr(linalg, "is_complete", lambda *args: False)
+        res = linalg.svd_exact(a, r)
+        for got, want in ((res.u, full.u[:, :r]), (res.s, full.s[:r]),
+                          (res.v, full.v[:, :r])):
+            assert np.array_equal(got, want)
+
+    def test_r_above_min_dimension_keeps_every_triplet(self):
+        a = make_matrix(6, 4, seed=2)
+        full = linalg.svd_exact(a)
+        res = linalg.svd_exact(a, 9)
+        assert np.array_equal(res.s, full.s) and np.array_equal(res.u, full.u)
+
+
 class TestSvdRandomized:
     def test_full_oversampling_exact(self):
         res = linalg.svd_randomized(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]),
@@ -203,6 +331,23 @@ class TestSvdTruncated:
     def test_rank_too_large(self):
         with pytest.raises(RankTooLargeError):
             linalg.svd_truncated(np.eye(3), r=4)
+
+    def test_breakdown_restarts_until_r_values(self):
+        # every start vector meets the cycle kernel's one nonzero value in
+        # a single step, then breaks down: each restart finds another copy
+        g = cycle_kernel()
+        res = linalg.svd_truncated(g, 4)
+        full = linalg.svd_exact(g)
+        np.testing.assert_allclose(res.s, full.s[:4], rtol=1e-14)
+        assert np.max(np.abs(g @ res.v - res.u * res.s)) <= 1e-14 * full.s[0]
+        np.testing.assert_allclose(res.v.T @ res.v, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+    def test_rank_below_r_stops_once_the_rest_is_null(self, shape):
+        # a fresh vector that breaks down at once shows the rest is null
+        a = rotated([4.0, 2.0, 1.0], *shape, seed=5)
+        res = linalg.svd_truncated(a, 6)
+        np.testing.assert_allclose(res.s, [4.0, 2.0, 1.0], rtol=1e-13)
 
 
 class TestPlumbing:

@@ -22,17 +22,23 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert (tmp_path / "run1" / "model" / "model.npz").is_file()
 
 
-def test_key_table_matches_the_reads_table():
-    # each row of README's "keys read" table against pipeline.READS, or,
-    # for a solver, the config keys behind the solver_opts it reads
-    from aksvd import ksvd, pipeline
+def _table(header: str):
+    """The (first cell, second cell) rows of the README table under
+    ``header``."""
     text = README.read_text()
-    table = text[text.index("| command, method or solver | keys read |"):]
-    rows = {}
-    for line in table.splitlines()[2:]:
+    for line in text[text.index(header):].splitlines()[2:]:
         if not line.startswith("|"):
             break
-        reader, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        yield tuple(cell.strip() for cell in line.strip("|").split("|"))
+
+
+def test_key_table_matches_the_reads_table():
+    # each row of README's "keys read" table against pipeline.READS, or,
+    # for a solver, the config keys behind the solver_opts it reads; each
+    # row of its "keys left unread" table against pipeline.UNREAD_WHEN
+    from aksvd import ksvd, pipeline
+    rows = {}
+    for reader, keys in _table("| command, method or solver | keys read |"):
         words = reader.replace("`", "").split()
         if words[0] == "--solver":
             name = ("solver", words[1])
@@ -47,3 +53,9 @@ def test_key_table_matches_the_reads_table():
                                               .values())
                      for solver in ksvd.SOLVER_OPTS})
     assert rows == expected
+    unread = {}
+    for setting, keys in _table("| key and value | keys left unread |"):
+        key, *value = re.findall(r"`([^`]+)`", setting)
+        unread[key, value[0] if value else setting.split()[-1]] = tuple(
+            re.findall(r"`([^`]+)`", keys))
+    assert unread == pipeline.UNREAD_WHEN
