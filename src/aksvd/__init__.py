@@ -22,7 +22,6 @@ from .ksvd import (
     save_model,
     transform,
     transform_oos,
-    verify_kkt,
 )
 from .linalg import (
     SvdResult,
@@ -75,5 +74,4 @@ __all__ = [
     "sym_nystrom",
     "transform",
     "transform_oos",
-    "verify_kkt",
 ]

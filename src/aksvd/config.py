@@ -74,7 +74,6 @@ KNOWN: dict[str, Key] = {
     "nystrom.growth": Key(2.0, float),
     "nystrom.seed": Key(None, _parse_opt(int)),
     "nystrom.subproblem": Key("rsvd", str, ("rsvd", "exact")),
-    "nystrom.center_stats": Key("sampled", str, ("sampled", "full")),
     "features.sides": Key("auto", str, ("auto", "both", "left", "right")),
     "method": Key("ksvd", str, ("ksvd", "kpca", "svd", "pca")),
     "split.seed": Key(None, _parse_opt(int)),

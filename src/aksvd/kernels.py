@@ -12,12 +12,12 @@ sources given here must already agree. Three families are supported:
 * ``linear``   plain inner product
 
 ``LazyKernelSource`` is the one place kernel blocks are evaluated: it
-materializes G, evaluates sampled blocks of G for the Nystrom solver, and
-streams its centering statistics. A sampled sne block cannot see each
-row's full normalizer, a sum over all M columns, so it uses the unbiased
-estimate from the m sampled columns, (sampled sum) * M/m. Sampled blocks
-thus estimate the same matrix as the full one, at the same scale, and
-agree with it exactly when every column is sampled.
+materializes G and evaluates sampled blocks of G for the Nystrom solver,
+whose centering statistics are those blocks' own means. A sampled sne
+block cannot see each row's full normalizer, a sum over all M columns, so
+it uses the unbiased estimate from the m sampled columns, (sampled sum) *
+M/m. Sampled blocks thus estimate the same matrix as the full one, at the
+same scale, and agree with it exactly when every column is sampled.
 
 The two large sampled blocks, G_Nm and G_nM, are ``ChunkedBlock``s: the
 raw column and row chunks exactly as they were evaluated, grown chunk by
@@ -126,8 +126,8 @@ from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
-# row-block size for streaming assembly and for the rows of a float32 Gram
-# product; results do not depend on it
+# row-block size for blockwise copies and means and for the rows of a
+# float32 Gram product; results do not depend on it
 _BLOCK = 512
 # entries in a panel of rows that ``prepare_side`` reads at a time, so that
 # a float64 panel and its temporaries stay in a core's cache
@@ -951,34 +951,6 @@ class LazyKernelSource:
             self.row_denoms = g.sum(1)
             _sne_normalize(g, self.row_denoms, self._z.shape[0])
         return g
-
-    @warns_dead_rows
-    def streaming_stats(self) -> CenteringStats:
-        """Exact centering stats of the full matrix in O(N + M) memory.
-
-        One pass over panels of ``_BLOCK`` rows: a panel holds its rows
-        whole, so sne rows are divided by their own exact sums there.
-        Nothing larger than a panel is ever held.
-        """
-        n_rows, n_cols = self.shape
-        row_sums = np.empty(n_rows)
-        col_sums = np.zeros(n_cols)
-        dead = 0
-        for start in range(0, n_rows, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            block = self._block(x_rows=rows)
-            if self._spec.family == "sne":
-                denom = block.sum(1)
-                dead += int((denom == 0.0).sum())
-                _divide_rows(block, denom, n_cols)
-            row_sums[rows] = block.sum(1)
-            col_sums += block.sum(0)
-        # every panel's dead rows are different rows: one report of them all
-        note_dead(dead)
-        grand = float(row_sums.sum() / (n_rows * n_cols))
-        return CenteringStats(row_means=row_sums / n_cols,
-                              col_means=col_sums / n_rows,
-                              grand_mean=grand)
 
 
 def as_kernel_source(obj):

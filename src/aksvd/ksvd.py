@@ -40,11 +40,10 @@ from .errors import (
     NumericError,
     ParseError,
     RankTooLargeError,
-    ShapeMismatchError,
     warn_outside,
 )
 from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
-from .linalg import as_matrix, svd_exact, svd_randomized, svd_truncated
+from .linalg import svd_exact, svd_randomized, svd_truncated
 from .nystrom import NystromConfig, Sampler, lift_blocks, resolve_sample_sizes
 
 # the solver_opts keys each solver reads; ``fit`` rejects any other key
@@ -52,8 +51,7 @@ SOLVER_OPTS = {
     "exact": (),
     "truncated": ("tol", "seed"),
     "randomized": ("oversample", "power_iters", "seed"),
-    "nystrom": ("n", "m", "seed", "subproblem", "oversample", "power_iters",
-                "center_stats"),
+    "nystrom": ("n", "m", "seed", "subproblem", "oversample", "power_iters"),
 }
 
 
@@ -122,8 +120,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     CompatMatrix; None picks identity for square data and a0 otherwise.
     ``solver`` selects how the SVD is obtained; "nystrom" works from
     sampled kernel blocks and never materializes the full matrix.
-    ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver;
-    its ``center_stats="full"`` is rejected with ``center=False``.
+    ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver.
     """
     sources = kernels.build_sources(a)  # validates A
     big_n, big_m = sources.x.shape
@@ -179,13 +176,6 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
 
 
 def _fit_nystrom(spec, r, compat, side, sources, center, opts):
-    center_stats = opts.pop("center_stats", "sampled")
-    if center_stats not in ("sampled", "full"):
-        raise ConfigError("center_stats must be 'sampled' or 'full', got "
-                          f"{center_stats!r}")
-    if center_stats == "full" and not center:
-        raise ConfigError("center_stats='full' computes centering statistics, "
-                          "but center=False uses none")
     cfg = NystromConfig(r=r, **opts)  # the other keys are its fields
     lazy = LazyKernelSource(spec, sources)
     # the growth loop's first attempt at this m and seed
@@ -193,16 +183,11 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
         *resolve_sample_sizes(lazy.shape, cfg))
     g_nm, g_big_m, g_n_big = lazy.sample_blocks(rows, cols)
 
-    if not center:
-        stats = _zero_stats(*lazy.shape)
-    elif center_stats == "full":
-        stats = lazy.streaming_stats()
-    else:
+    if center:
         # unbiased estimates from the sampled blocks; exact at full sampling
         stats = CenteringStats(row_means=g_big_m.mean(axis=1),
                                col_means=g_n_big.mean(axis=0),
                                grand_mean=float(g_nm.mean()))
-    if center:
         # the large blocks carry the centering to their thin products
         g_nm = g_nm - stats.row_means[rows, None] - stats.col_means[None, cols] \
             + stats.grand_mean
@@ -210,6 +195,8 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
                                    stats.grand_mean)
         g_n_big = g_n_big.centered(stats.row_means[rows], stats.col_means,
                                    stats.grand_mean)
+    else:
+        stats = _zero_stats(*lazy.shape)
 
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, r, cfg)
     return KsvdModel(
@@ -217,26 +204,6 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
         lam=lam, kernel=spec, compat=compat, compat_side=side,
         centering=stats, train=sources, centered=center,
         sne_row_denoms=lazy.row_denoms)
-
-
-def verify_kkt(model: KsvdModel, g_c) -> tuple[float, float, float]:
-    """Residuals of the coupled stationarity system plus the constraint gap."""
-    g_c = as_matrix(g_c, "G_c")
-    if g_c.shape != (model.b_phi.shape[0], model.b_psi.shape[0]):
-        raise ShapeMismatchError(
-            f"G_c is {g_c.shape}, model expects "
-            f"{(model.b_phi.shape[0], model.b_psi.shape[0])}")
-    lhs_psi = g_c.T @ (g_c @ model.b_psi)
-    rhs_psi = g_c.T @ (model.b_phi * model.lam[None, :])
-    residual_psi = float(np.linalg.norm(lhs_psi - rhs_psi)
-                         / max(1.0, np.linalg.norm(lhs_psi)))
-    lhs_phi = g_c @ (g_c.T @ model.b_phi)
-    rhs_phi = g_c @ (model.b_psi * model.lam[None, :])
-    residual_phi = float(np.linalg.norm(lhs_phi - rhs_phi)
-                         / max(1.0, np.linalg.norm(lhs_phi)))
-    gap = model.b_phi.T @ g_c @ model.b_psi - np.eye(model.rank)
-    ortho_gap = float(np.abs(gap).max())
-    return residual_psi, residual_phi, ortho_gap
 
 
 def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:

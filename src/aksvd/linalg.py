@@ -3,9 +3,9 @@
 Three solvers share the ``SvdResult`` contract:
 
 * ``svd_exact``: the compact SVD from LAPACK (``np.linalg.svd``); given a
-  rank r, the top r triplets from Golub-Kahan-Lanczos instead, kept when
-  ``is_complete`` proves that no larger value is missing from them, and
-  LAPACK's otherwise;
+  rank r and min(N, M) of at least ``LANCZOS_MIN``, the top r triplets
+  from Golub-Kahan-Lanczos instead, kept when ``is_complete`` proves that
+  no larger value is missing from them, and LAPACK's otherwise;
 * ``svd_randomized``: Gaussian sketch with block-Krylov power iterations;
 * ``svd_truncated``: Golub-Kahan-Lanczos bidiagonalization with full
   reorthogonalization, extended until the leading triplets converge and
@@ -38,6 +38,12 @@ RANK_TOL = 1e-10
 # svd_exact(a, r) grows a Krylov basis of at most this share of min(N, M)
 # before it takes LAPACK's full SVD instead, which is cheaper past it
 KRYLOV_SHARE = 0.35
+
+# svd_exact(a, r) takes LAPACK's full SVD at once below this min(N, M): on
+# centered sne kernels of two_block graphs at r 4 and 8, Lanczos and its
+# check won from 160 nodes up, and below 150 often ran out of basis and
+# fell back to LAPACK after all
+LANCZOS_MIN = 160
 
 # is_complete accepts a missing singular value s with s^2 up to
 # s_r^2 (1 + COMPLETE_MARGIN): a missing copy of s_r itself is no error
@@ -93,15 +99,15 @@ def svd_exact(a, r: int | None = None) -> SvdResult:
     LAPACK computes the rest only when it must: Golub-Kahan-Lanczos runs to
     its 1e-15 * s1 residual floor, ``is_complete`` checks that no
     singular value it missed lies above the r-th, and the full LAPACK SVD
-    is taken instead when the check fails, fewer than r values clear
-    RANK_TOL, or the Krylov basis would outgrow ``KRYLOV_SHARE`` of
-    min(N, M).
+    is taken instead when min(N, M) is below ``LANCZOS_MIN``, the check
+    fails, fewer than r values clear RANK_TOL, or the Krylov basis would
+    outgrow ``KRYLOV_SHARE`` of min(N, M).
     """
     a = as_matrix(a, "A")
     if np.linalg.norm(a) == 0.0:
         raise ZeroMatrixError("svd_exact requires a non-zero matrix")
     kmax = int(KRYLOV_SHARE * min(a.shape))
-    if r is not None and r <= kmax:
+    if r is not None and r <= kmax and min(a.shape) >= LANCZOS_MIN:
         res = _lanczos(a, r, 0.0, 0, kmax)
         if res is not None and res.s[-1] > RANK_TOL * res.s[0] \
                 and is_complete(a, res):

@@ -196,7 +196,9 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
 
     Returns unit-normalized (U_tilde, V_tilde) with canonical signs and the
     singular value estimates. A uniform sample multiplies s by
-    sqrt(N*M / (n*m)), which reproduces the exact values at full sampling.
+    sqrt(N*M / (n*m)). Full sampling reproduces the exact triplets only
+    with ``subproblem="exact"``: the default randomized subproblem is
+    approximate even then.
     A weighted sample takes the Horvitz-Thompson Rayleigh quotient, the sum
     over sampled columns j of (u_k^T G[:, j]) v_jk / pi_j, at the cost of
     one more thin product G_Nm^T U_tilde.
@@ -364,7 +366,8 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
       max(4r, 32)) up to all M columns. Every attempt derives its row
       budget from its m, so a config that sets ``n`` is rejected.
       asym_nystrom's later attempts sample counts around their budgets
-      (see below); the last, at budget M, samples every row and column.
+      (see below); the last, at budget M, samples every row and column,
+      which gives the exact triplets only with ``subproblem="exact"``.
 
     Wall time counts the solver work only, not reference or eta evaluation,
     nor the dense matrices the baselines start from (G, and for sym_nystrom

@@ -11,10 +11,10 @@ cores this process may run on, blas the first positive integer in
 thread variable set BLAS takes every core and units run one after another
 in the caller's thread; with ``OPENBLAS_NUM_THREADS=1`` each core takes a
 unit. A unit computes exactly what it would alone, so results are the same
-bits at any pool size. Every kernel block that ``fit``, the Nystrom solver
-and ``streaming_stats`` evaluate splits its float32 product's tiles over
-the pool; a float64 product stays one unit, and a chunk of new points,
-already a unit, runs its tiles inline.
+bits at any pool size. Every kernel block that ``fit`` and the Nystrom
+solver evaluate splits its float32 product's tiles over the pool; a
+float64 product stays one unit, and a chunk of new points, already a unit,
+runs its tiles inline.
 
 The pool lives in a module of its own so that the package's largest
 module, ``kernels``, compiles no larger for it: where bytecode is not

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import platform
-import sys
 import time
 from pathlib import Path
 
@@ -62,8 +61,7 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
 
 
 _OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
-             "subproblem": "nystrom.subproblem",
-             "center_stats": "nystrom.center_stats", "tol": "solver.tol",
+             "subproblem": "nystrom.subproblem", "tol": "solver.tol",
              "oversample": "solver.oversample",
              "power_iters": "solver.power_iters"}
 

@@ -16,6 +16,26 @@ def make_matrix(n, m, seed, cond=None):
     return q1 @ np.diag(s) @ q2.T
 
 
+def verify_kkt(model, g_c):
+    """Residuals of a model's coupled stationarity system on its centered
+    kernel ``g_c``, plus the constraint gap, max |B_phi^T G_c B_psi - I|."""
+    from aksvd.errors import ShapeMismatchError
+    if g_c.shape != (model.b_phi.shape[0], model.b_psi.shape[0]):
+        raise ShapeMismatchError(
+            f"G_c is {g_c.shape}, model expects "
+            f"{(model.b_phi.shape[0], model.b_psi.shape[0])}")
+    lhs_psi = g_c.T @ (g_c @ model.b_psi)
+    rhs_psi = g_c.T @ (model.b_phi * model.lam[None, :])
+    residual_psi = float(np.linalg.norm(lhs_psi - rhs_psi)
+                         / max(1.0, np.linalg.norm(lhs_psi)))
+    lhs_phi = g_c @ (g_c.T @ model.b_phi)
+    rhs_phi = g_c @ (model.b_psi * model.lam[None, :])
+    residual_phi = float(np.linalg.norm(lhs_phi - rhs_phi)
+                         / max(1.0, np.linalg.norm(lhs_phi)))
+    gap = model.b_phi.T @ g_c @ model.b_psi - np.eye(model.rank)
+    return residual_psi, residual_phi, float(np.abs(gap).max())
+
+
 def eta_oracle(u_ref, s_ref, v_ref, u_apx, v_apx, r):
     """Independent transcription of the weighted misalignment metric."""
     total = 0.0

@@ -115,16 +115,15 @@ class TestExtract:
         # the solver; the keys it reads pass, as do unread keys at their
         # defaults
         values = {"nystrom.n": "12", "nystrom.m": "12", "nystrom.seed": "3",
-                  "nystrom.subproblem": "exact",
-                  "nystrom.center_stats": "full", "solver.tol": "1e-9",
+                  "nystrom.subproblem": "exact", "solver.tol": "1e-9",
                   "solver.oversample": "4", "solver.power_iters": "1",
                   "solver.seed": "3"}
         reads = {"exact": (), "truncated": ("solver.tol", "solver.seed"),
                  "randomized": ("solver.oversample", "solver.power_iters",
                                 "solver.seed"),
                  "nystrom": ("nystrom.n", "nystrom.m", "nystrom.seed",
-                             "nystrom.subproblem", "nystrom.center_stats",
-                             "solver.oversample", "solver.power_iters")}
+                             "nystrom.subproblem", "solver.oversample",
+                             "solver.power_iters")}
         base = ("extract", "--format", "synth", "--rank", "2", "--solver",
                 solver, "--set", "dataset.synth_n=24")
         unread = [key for key in values if key not in reads[solver]]
@@ -138,7 +137,7 @@ class TestExtract:
         # the keys it reads, the others at their defaults
         defaults = {"nystrom.n": "none", "nystrom.m": "none",
                     "nystrom.seed": "none", "nystrom.subproblem": "rsvd",
-                    "nystrom.center_stats": "sampled", "solver.tol": "1e-10",
+                    "solver.tol": "1e-10",
                     "solver.oversample": "10", "solver.power_iters": "2",
                     "solver.seed": "none"}
         chosen = {key: values[key] if key in reads[solver] else defaults[key]
@@ -278,9 +277,7 @@ class TestExitCodes:
                 "--set", "dataset.synth_n=24",
                 *(arg for setting in own for arg in ("--set", setting)))
         for key, value in (("solver", "truncated"), ("solver.tol", "1e-3"),
-                           ("solver.seed", "3"),
-                           ("nystrom.center_stats", "full"),
-                           ("center", "false")):
+                           ("solver.seed", "3"), ("center", "false")):
             out = tmp_path / key
             assert run(*base, "--set", f"{key}={value}",
                        "--out", str(out)) == 2, key
@@ -313,19 +310,17 @@ class TestExitCodes:
         assert message in err and setting.split("=")[0] in err
         assert not out.exists()
 
-    def test_full_center_stats_without_centering_rejected(self, tmp_path,
-                                                          capsys):
-        code = run("extract", "--format", "synth", "--rank", "2",
+    def test_removed_center_stats_key_rejected(self, tmp_path, capsys):
+        # sampled fits center with their sampled blocks' own means only
+        out = tmp_path / "x"
+        assert run("extract", "--format", "synth", "--rank", "2",
                    "--set", "dataset.synth_n=24", "--solver", "nystrom",
-                   "--set", "center=false",
                    "--set", "nystrom.center_stats=full",
-                   "--out", str(tmp_path / "x"))
-        assert code == 2
-        assert "center=False" in capsys.readouterr().err
+                   "--out", str(out)) == 2
+        assert "nystrom.center_stats" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_uncentered_nystrom_keeps_the_default_center_stats(self,
-                                                              tmp_path):
-        # the pipeline always forwards nystrom.center_stats, "sampled" unset
+    def test_uncentered_nystrom_fit(self, tmp_path):
         assert run("extract", "--format", "synth", "--rank", "2",
                    "--solver", "nystrom", "--set", "dataset.synth_n=24",
                    "--set", "nystrom.m=12", "--set", "center=false",
@@ -413,8 +408,7 @@ class TestClassify:
         values = {"solver": "truncated", "solver.tol": "1e-3",
                   "solver.oversample": "4", "solver.power_iters": "1",
                   "solver.seed": "3", "nystrom.n": "12", "nystrom.m": "5",
-                  "nystrom.seed": "3", "nystrom.subproblem": "exact",
-                  "nystrom.center_stats": "full"}
+                  "nystrom.seed": "3", "nystrom.subproblem": "exact"}
         base = ("classify", "--format", "synth", "--rank", "3",
                 "--set", "dataset.synth_n=40", "--method", method)
         for key, value in values.items():

@@ -420,18 +420,6 @@ class TestLazySource:
         np.testing.assert_array_equal(np.asarray(g_big_m)[0], [0.25, 0.25])
         np.testing.assert_array_equal(np.asarray(g_n_big)[0], np.full(4, 0.25))
 
-    def test_streaming_stats_match_center(self):
-        for family in ("sne", "rbf", "linear"):
-            spec = kernels.KernelSpec(family=family, gamma=3.0)
-            src = kernels.LazyKernelSource(spec, compat_sources(self.a, "a1"))
-            _, want = kernels.center(src.full())
-            got = src.streaming_stats()
-            np.testing.assert_allclose(got.row_means, want.row_means,
-                                       atol=1e-14)
-            np.testing.assert_allclose(got.col_means, want.col_means,
-                                       atol=1e-14)
-            assert got.grand_mean == pytest.approx(want.grand_mean, abs=1e-14)
-
     def test_entry_accounting(self):
         spec = kernels.KernelSpec(family="rbf", gamma=2.0)
         src = kernels.LazyKernelSource(spec,
@@ -493,59 +481,6 @@ class TestLazySource:
         np.testing.assert_array_equal(g_big_m, g[:, [0, 2, 5]])
         np.testing.assert_array_equal(g_n_big, g[[1, 4], :])
         assert kernels.as_kernel_source(src) is src
-
-
-class TestStreamingStats:
-    """Exact centering statistics in one pass over panels of rows."""
-
-    BLOCK = 64  # several panels of rows and blocks of columns at N = 300
-
-    @classmethod
-    def two_pass(cls, src):
-        """The statistics from column blocks: a first pass sums each sne row
-        over every block, the second sums the normalized blocks."""
-        n_rows, n_cols = src.shape
-        blocks = [slice(j, j + cls.BLOCK)
-                  for j in range(0, n_cols, cls.BLOCK)]
-        denom = None
-        if src._spec.family == "sne":
-            denom = sum(src._block(z_rows=cols).sum(1) for cols in blocks)
-        row_sums, col_sums = np.zeros(n_rows), np.zeros(n_cols)
-        for cols in blocks:
-            block = src._block(z_rows=cols)
-            if denom is not None:
-                kernels._divide_rows(block, denom, n_cols)
-            row_sums += block.sum(1)
-            col_sums[cols] = block.sum(0)
-        return kernels.CenteringStats(row_sums / n_cols, col_sums / n_rows,
-                                      float(row_sums.sum() / (n_rows * n_cols)))
-
-    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
-    def test_one_pass_matches_two(self, monkeypatch, family):
-        monkeypatch.setattr(kernels, "_BLOCK", self.BLOCK)
-        a = datasets.synth_directed_graph("two_block", 300, seed=12).adjacency
-        spec = kernels.KernelSpec(family, kernels.default_gamma(a))
-        src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
-        got = src.streaming_stats()
-        assert src.entries_evaluated == 300 * 300
-        want = self.two_pass(src)
-        for field in ("row_means", "col_means", "grand_mean"):
-            np.testing.assert_allclose(getattr(got, field),
-                                       getattr(want, field), rtol=1e-14)
-
-    def test_dead_rows_of_every_panel_warn_once(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK", self.BLOCK)
-        rng = np.random.default_rng(13)
-        x, z = rng.standard_normal((300, 3)), rng.standard_normal((200, 3))
-        x[[3, 200]] = 1e3  # in panels 0 and 3
-        src = kernels.LazyKernelSource(kernels.KernelSpec("sne", 1.0),
-                                       kernels.DataSources(x=x, z=z))
-        with pytest.warns(EmptyDenominatorWarning) as seen:
-            stats = src.streaming_stats()
-        assert [str(w.message) for w in seen] == [
-            "2 sne row(s) underflowed to zero; substituting uniform rows"]
-        # a dead row reads 1/M in every column
-        assert stats.row_means[[3, 200]] == pytest.approx(1.0 / 200, rel=1e-14)
 
 
 class TestChunkedBlock:
@@ -855,7 +790,6 @@ class TestPreparedSides:
             lazy = kernels.LazyKernelSource(spec, src)
             lazy.sample_blocks([1, 5, 9], [2, 4])
             lazy.full()
-            lazy.streaming_stats()
         assert len(seen) == 2
         # a compat transform measures the side it projects, and only it
         rect = make_matrix(12, 9, seed=7)
@@ -1313,9 +1247,9 @@ class TestExactGram:
 
 
 def _pool_outputs(spec, x, z):
-    """Every block the kernel sources of x and z evaluate: the full matrix,
-    the blocks of three nested ``sample_blocks`` calls, the last over every
-    row and column, with the entry count, and the streaming statistics."""
+    """Every block the kernel sources of x and z evaluate: the full matrix
+    and the blocks of three nested ``sample_blocks`` calls, the last over
+    every row and column, with the entry count."""
     sources = kernels.DataSources(x=x, z=z)
     got = [kernels.kernel_matrix(spec, sources)]
     src = kernels.LazyKernelSource(spec, sources)
@@ -1329,8 +1263,7 @@ def _pool_outputs(spec, x, z):
         got += [np.asarray(block) for block in blocks]
     # every call after the first evaluated only its new entries
     assert src.entries_evaluated == 2 * big_n * big_m
-    stats = kernels.LazyKernelSource(spec, sources).streaming_stats()
-    return got + [stats.row_means, stats.col_means, stats.grand_mean]
+    return got
 
 
 class TestGramPool:

@@ -27,7 +27,12 @@ from aksvd.errors import (
 from aksvd.kernels import CenteringStats, DataSources, KernelSpec
 from aksvd.nystrom import NystromConfig, Sampler, resolve_sample_sizes
 
-from conftest import assert_close_to_largest, dense_lift, make_matrix
+from conftest import (
+    assert_close_to_largest,
+    dense_lift,
+    make_matrix,
+    verify_kkt,
+)
 
 
 def centered_g(model):
@@ -85,7 +90,7 @@ class TestFit:
         a = make_matrix(12, 9, seed=23)
         spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
         model = ksvd.fit(a, spec, r=4, compat="a1")
-        res_psi, res_phi, gap = ksvd.verify_kkt(model, centered_g(model))
+        res_psi, res_phi, gap = verify_kkt(model, centered_g(model))
         assert res_psi <= 1e-8
         assert res_phi <= 1e-8
         assert gap <= 1e-8
@@ -172,7 +177,7 @@ class TestVerifyKkt:
     def test_exact_model_satisfies_system(self):
         a = make_matrix(10, 10, seed=27)
         model = ksvd.fit(a, rbf_spec(a), r=4)
-        res_psi, res_phi, gap = ksvd.verify_kkt(model, centered_g(model))
+        res_psi, res_phi, gap = verify_kkt(model, centered_g(model))
         assert max(res_psi, res_phi, gap) <= 1e-8
 
     def test_perturbation_opens_constraint_gap(self):
@@ -182,7 +187,7 @@ class TestVerifyKkt:
         bad = dataclasses.replace(
             model, b_phi=model.b_phi + 1e-3 * rng.standard_normal(
                 model.b_phi.shape))
-        _, _, gap = ksvd.verify_kkt(bad, centered_g(model))
+        _, _, gap = verify_kkt(bad, centered_g(model))
         assert gap >= 1e-4
 
     def test_rank_one_closed_form(self):
@@ -190,7 +195,7 @@ class TestVerifyKkt:
         a = np.outer(rng.standard_normal(7), rng.standard_normal(5))
         model = ksvd.fit(a, KernelSpec(family="linear"), r=1, compat="a0",
                          center=False)
-        res_psi, res_phi, _ = ksvd.verify_kkt(model, centered_g(model))
+        res_psi, res_phi, _ = verify_kkt(model, centered_g(model))
         assert res_psi <= 1e-12
         assert res_phi <= 1e-12
 
@@ -198,7 +203,7 @@ class TestVerifyKkt:
         a = make_matrix(8, 8, seed=2)
         model = ksvd.fit(a, rbf_spec(a), r=2)
         with pytest.raises(ShapeMismatchError):
-            ksvd.verify_kkt(model, np.eye(5))
+            verify_kkt(model, np.eye(5))
 
 
 class TestObjective:
@@ -227,7 +232,7 @@ class TestObjective:
         rot = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
         mixed = dataclasses.replace(model, b_phi=model.b_phi @ rot,
                                     b_psi=model.b_psi @ rot)
-        _, _, gap = ksvd.verify_kkt(mixed, g_c)
+        _, _, gap = verify_kkt(mixed, g_c)
         assert gap <= 1e-8
         assert objective(mixed, g_c) == pytest.approx(
             objective(model, g_c), abs=1e-8)
@@ -242,7 +247,7 @@ class TestObjective:
         c = 1.7
         scaled = dataclasses.replace(model, b_phi=c * model.b_phi,
                                      b_psi=model.b_psi / c)
-        _, _, gap = ksvd.verify_kkt(scaled, g_c)
+        _, _, gap = verify_kkt(scaled, g_c)
         assert gap <= 1e-8
         base = objective(model, g_c)
         lifted = objective(scaled, g_c)
@@ -376,40 +381,21 @@ class TestNystromSolver:
         assert scores.shape == (3,)
         assert np.all(np.isfinite(scores))
 
-    def test_full_centering_stats_option(self):
-        a = make_matrix(30, 24, seed=40)
-        spec = rbf_spec(a)
-        model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
-                         solver_opts={"m": 10, "center_stats": "full",
-                                      "subproblem": "exact"})
-        sources, _ = ksvd._transformed_sources(kernels.build_sources(a),
-                                               model.compat)
-        _, stats = kernels.center(kernels.kernel_matrix(spec, sources))
-        np.testing.assert_allclose(model.centering.row_means,
-                                   stats.row_means, atol=1e-12)
-        np.testing.assert_allclose(model.centering.col_means,
-                                   stats.col_means, atol=1e-12)
-        assert model.centering.grand_mean == pytest.approx(stats.grand_mean,
-                                                           abs=1e-12)
-
     def test_sampled_sne_matches_dense_scale(self):
         # sampled sne rows are normalized at full-matrix scale, so the
-        # sampled fit estimates the dense spectrum, not an M/m-fold one,
-        # under either source of centering statistics. The sampled-stats
-        # top vector sits at cosine 0.9898 with m=64 columns of 1000
+        # sampled fit estimates the dense spectrum, not an M/m-fold one.
+        # The top vector sits at cosine 0.9898 with m=64 columns of 1000
         a = datasets.synth_directed_graph("two_block", 1000, seed=0).adjacency
         spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
         dense = ksvd.fit(a, spec, r=8, solver="truncated")
         top = ksvd.transform(dense, "left", 1).features[:, 0]
-        for center_stats in ("sampled", "full"):
-            model = ksvd.fit(a, spec, r=8, solver="nystrom",
-                             solver_opts={"m": 64,
-                                          "center_stats": center_stats})
-            fold = model.lam[0] / dense.lam[0]
-            assert abs(fold - 1.0) <= 0.1, (center_stats, fold)
-            ours = ksvd.transform(model, "left", 1).features[:, 0]
-            cosine = abs(ours @ top) / np.linalg.norm(ours)
-            assert cosine >= 0.98, (center_stats, cosine)
+        model = ksvd.fit(a, spec, r=8, solver="nystrom",
+                         solver_opts={"m": 64})
+        fold = model.lam[0] / dense.lam[0]
+        assert abs(fold - 1.0) <= 0.1, fold
+        ours = ksvd.transform(model, "left", 1).features[:, 0]
+        cosine = abs(ours @ top) / np.linalg.norm(ours)
+        assert cosine >= 0.98, cosine
 
     def test_full_sampling_sne_replay_matches_transform(self):
         a = make_matrix(30, 24, seed=42)
@@ -562,7 +548,7 @@ class TestPersistence:
                                    atol=1e-12)
 
 
-def _dense_nystrom_fit(a, spec, r, center, center_stats, m, seed):
+def _dense_nystrom_fit(a, spec, r, center, m, seed):
     """fit(solver="nystrom") as a dense formula: statistics, centering and
     lift on np.asarray of the sampled blocks. Returns (U~, V~, lambda,
     centering statistics)."""
@@ -575,12 +561,9 @@ def _dense_nystrom_fit(a, spec, r, center, center_stats, m, seed):
     if not center:
         stats = CenteringStats(np.zeros(a.shape[0]), np.zeros(a.shape[1]),
                                0.0)
-    elif center_stats == "full":
-        stats = lazy.streaming_stats()
     else:
         stats = CenteringStats(g_big_m.mean(axis=1), g_n_big.mean(axis=0),
                                float(g_nm.mean()))
-    if center:
         rm, cm, gm = stats.row_means, stats.col_means, stats.grand_mean
         g_nm = g_nm - rm[rows, None] - cm[None, cols] + gm
         g_big_m = g_big_m - rm[:, None] - cm[None, cols] + gm
@@ -599,25 +582,19 @@ class TestSolverOpts:
         ("randomized", {"tol": 1e-8}),
         ("nystrom", {"mm": 5}),
         ("nystrom", {"tol": 1e-8}),
+        # sampled fits center with their sampled blocks' own means only
+        ("nystrom", {"center_stats": "full"}),
     ])
     def test_unread_key_rejected(self, solver, opts):
         a = make_matrix(12, 12, seed=80)
         with pytest.raises(ConfigError, match=next(iter(opts))):
             ksvd.fit(a, rbf_spec(a), r=3, solver=solver, solver_opts=opts)
 
-    @pytest.mark.parametrize("center", [True, False])
-    def test_unknown_center_stats_rejected(self, center):
-        a = make_matrix(12, 12, seed=81)
-        with pytest.raises(ConfigError, match="fulll"):
-            ksvd.fit(a, rbf_spec(a), r=3, solver="nystrom", center=center,
-                     solver_opts={"center_stats": "fulll"})
-
     @pytest.mark.parametrize("solver", list(ksvd.SOLVER_OPTS))
     def test_every_listed_key_is_accepted(self, solver):
         a = make_matrix(12, 12, seed=82)
         values = {"tol": 1e-10, "seed": 1, "oversample": 4, "power_iters": 1,
-                  "n": 8, "m": 8, "subproblem": "exact",
-                  "center_stats": "full"}
+                  "n": 8, "m": 8, "subproblem": "exact"}
         opts = {key: values[key] for key in ksvd.SOLVER_OPTS[solver]}
         assert ksvd.fit(a, rbf_spec(a), r=3, solver=solver,
                         solver_opts=opts).rank == 3
@@ -650,25 +627,16 @@ class TestSolverOpts:
 class TestChunkedNystromFit:
     """The centering rides on the chunked blocks as rank-one corrections."""
 
-    @pytest.mark.parametrize("center_stats", ["sampled", "full"])
     @pytest.mark.parametrize("center", [True, False])
     @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
     @pytest.mark.parametrize("data", ["graph", "normal"])
-    def test_matches_dense_formula(self, data, family, center, center_stats):
+    def test_matches_dense_formula(self, data, family, center):
         a = (datasets.synth_directed_graph("two_block", 200, seed=9).adjacency
              if data == "graph" else make_matrix(200, 200, seed=70))
         spec = KernelSpec(family, kernels.default_gamma(a))
-        opts = {"m": 48, "seed": 3, "center_stats": center_stats}
-        if center_stats == "full" and not center:
-            # an uncentered fit uses no statistics to compute in full
-            with pytest.raises(ConfigError, match="center=False"):
-                ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
-                         solver_opts=opts)
-            return
         model = ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
-                         solver_opts=opts)
-        u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center,
-                                              center_stats, 48, 3)
+                         solver_opts={"m": 48, "seed": 3})
+        u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center, 48, 3)
         np.testing.assert_array_equal(model.lam, lam)
         for got, want in ((ksvd.transform(model, "left").features, u),
                           (ksvd.transform(model, "right").features, v),
@@ -1030,8 +998,7 @@ class TestDeadRowWarning:
 
     @staticmethod
     def far_row_data():
-        """x row 5 far from every z; 1100 z rows span three column blocks
-        of the streaming statistics."""
+        """x row 5 far from every z, among 1100 z rows."""
         rng = np.random.default_rng(98)
         x = rng.standard_normal((60, 4))
         x[5] = 1e3
@@ -1039,8 +1006,8 @@ class TestDeadRowWarning:
 
     @pytest.mark.parametrize("solver, opts", [
         ("exact", {}),
-        # sampled blocks and the streaming statistics both see the row
-        ("nystrom", {"m": 8, "center_stats": "full"}),
+        # the row's sampled normalizer is zero too
+        ("nystrom", {"m": 8}),
     ])
     def test_fit(self, solver, opts):
         # row 4 of x is 1e3 throughout; every column z carries 1e3 in its
@@ -1079,7 +1046,6 @@ class TestDeadRowWarning:
         src = kernels.LazyKernelSource(KernelSpec("sne", 2.0),
                                        DataSources(x=x, z=z))
         one_warning(src.full)
-        one_warning(src.streaming_stats)
         one_warning(lambda: src.sample_blocks(np.arange(60), np.arange(50)))
         one_warning(lambda: kernels.kernel_matrix(
             src._spec, DataSources(x=x, z=z)))
@@ -1096,7 +1062,7 @@ def test_exact_solver_invariants(n, m, seed):
         model = ksvd.fit(a, rbf_spec(a),
                          r=r, compat=None)
     g_c = centered_g(model)
-    res_psi, res_phi, gap = ksvd.verify_kkt(model, g_c)
+    res_psi, res_phi, gap = verify_kkt(model, g_c)
     assert max(res_psi, res_phi, gap) <= 1e-8
     assert np.all(model.lam > 0)
     assert np.all(np.diff(model.lam) <= 1e-12)

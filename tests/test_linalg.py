@@ -180,9 +180,11 @@ class TestSvdExactTopR:
         (rotated([4.0, 2.0, 1.0], 40, 50, seed=3), 6),
     ], ids=["circulant-r3", "circulant-r2", "diagonal-555",
             "rotated-333", "cycle60", "rank-deficient"])
-    def test_top_r_matches_the_full_svd(self, a, r):
+    def test_top_r_matches_the_full_svd(self, monkeypatch, a, r):
         # repeated values leave the vectors free within their subspace, so
-        # the triplets are checked as singular triplets of a
+        # the triplets are checked as singular triplets of a; the small
+        # cases are taken through Lanczos too
+        monkeypatch.setattr(linalg, "LANCZOS_MIN", 0)
         full = linalg.svd_exact(a)
         res = linalg.svd_exact(a, r)
         assert res.rank == min(r, full.rank)
@@ -242,11 +244,37 @@ class TestSvdExactTopR:
     def test_failed_check_falls_back_to_the_full_svd(self, monkeypatch, a, r):
         # each Lanczos result here passes the real check
         full = linalg.svd_exact(a)
+        monkeypatch.setattr(linalg, "LANCZOS_MIN", 0)
         monkeypatch.setattr(linalg, "is_complete", lambda *args: False)
         res = linalg.svd_exact(a, r)
         for got, want in ((res.u, full.u[:, :r]), (res.s, full.s[:r]),
                           (res.v, full.v[:, :r])):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, lanczos", [(60, False), (300, True)])
+    def test_small_graphs_go_straight_to_lapack(self, monkeypatch, n,
+                                                lanczos):
+        # below LANCZOS_MIN nodes Lanczos costs more than LAPACK and, at 100
+        # or fewer, falls back to it; the benchmark's 300-node graph keeps it
+        a = datasets.synth_directed_graph("two_block", n, seed=0).adjacency
+        spec = kernels.KernelSpec("sne", kernels.default_gamma(a))
+        g = kernels.center(kernels.kernel_matrix(
+            spec, kernels.build_sources(a)))[0]
+        calls = []
+        run = linalg._lanczos
+
+        def spy(*args):
+            calls.append(args[1])
+            return run(*args)
+
+        monkeypatch.setattr(linalg, "_lanczos", spy)
+        res = linalg.svd_exact(g, 8)
+        assert calls == ([8] if lanczos else [])
+        if not lanczos:
+            full = linalg.svd_exact(g)
+            for got, want in ((res.u, full.u[:, :8]), (res.s, full.s[:8]),
+                              (res.v, full.v[:, :8])):
+                assert np.array_equal(got, want)
 
     def test_r_above_min_dimension_keeps_every_triplet(self):
         a = make_matrix(6, 4, seed=2)
