@@ -381,6 +381,25 @@ class TestNystromSolver:
         assert scores.shape == (3,)
         assert np.all(np.isfinite(scores))
 
+    @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+    def test_full_sampling_centers_with_the_exact_means(self, family):
+        # the sampled blocks' own means are the exact means when the sample
+        # holds every row and column
+        a = make_matrix(30, 24, seed=40)
+        spec = KernelSpec(family, kernels.default_gamma(a))
+        model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
+                         solver_opts={"n": 30, "m": 24,
+                                      "subproblem": "exact"})
+        sources, _ = ksvd._transformed_sources(kernels.build_sources(a),
+                                               model.compat)
+        _, stats = kernels.center(kernels.kernel_matrix(spec, sources))
+        np.testing.assert_allclose(model.centering.row_means,
+                                   stats.row_means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.centering.col_means,
+                                   stats.col_means, rtol=0, atol=1e-12)
+        assert model.centering.grand_mean == pytest.approx(stats.grand_mean,
+                                                           abs=1e-12)
+
     def test_sampled_sne_matches_dense_scale(self):
         # sampled sne rows are normalized at full-matrix scale, so the
         # sampled fit estimates the dense spectrum, not an M/m-fold one.
@@ -548,13 +567,13 @@ class TestPersistence:
                                    atol=1e-12)
 
 
-def _dense_nystrom_fit(a, spec, r, center, m, seed):
+def _dense_nystrom_fit(a, spec, r, center, opts):
     """fit(solver="nystrom") as a dense formula: statistics, centering and
     lift on np.asarray of the sampled blocks. Returns (U~, V~, lambda,
     centering statistics)."""
     lazy = kernels.LazyKernelSource(spec, kernels.build_sources(a))
-    cfg = NystromConfig(r=r, m=m, seed=seed)
-    rows, cols, _ = Sampler(lazy.shape, seed).draw(
+    cfg = NystromConfig(r=r, **opts)
+    rows, cols, _ = Sampler(lazy.shape, cfg.seed).draw(
         *resolve_sample_sizes(lazy.shape, cfg))
     g_nm, g_big_m, g_n_big = (np.asarray(b)
                               for b in lazy.sample_blocks(rows, cols))
@@ -589,6 +608,16 @@ class TestSolverOpts:
         a = make_matrix(12, 12, seed=80)
         with pytest.raises(ConfigError, match=next(iter(opts))):
             ksvd.fit(a, rbf_spec(a), r=3, solver=solver, solver_opts=opts)
+
+    @pytest.mark.parametrize("value", ["full", "sampled"])
+    @pytest.mark.parametrize("center", [True, False])
+    def test_removed_center_stats_rejected(self, center, value):
+        # the key is gone under either value it took, the old default too,
+        # whether or not the fit centers
+        a = make_matrix(12, 12, seed=81)
+        with pytest.raises(ConfigError, match="center_stats"):
+            ksvd.fit(a, rbf_spec(a), r=3, solver="nystrom", center=center,
+                     solver_opts={"center_stats": value})
 
     @pytest.mark.parametrize("solver", list(ksvd.SOLVER_OPTS))
     def test_every_listed_key_is_accepted(self, solver):
@@ -627,16 +656,21 @@ class TestSolverOpts:
 class TestChunkedNystromFit:
     """The centering rides on the chunked blocks as rank-one corrections."""
 
+    # n = m, and fewer rows than columns sampled: G_nm is then not square
+    # and its row and column means come from different index sets
+    @pytest.mark.parametrize("opts", [{"m": 48, "seed": 3},
+                                      {"n": 30, "m": 48, "seed": 3}],
+                             ids=["m48", "n30-m48"])
     @pytest.mark.parametrize("center", [True, False])
     @pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
     @pytest.mark.parametrize("data", ["graph", "normal"])
-    def test_matches_dense_formula(self, data, family, center):
+    def test_matches_dense_formula(self, data, family, center, opts):
         a = (datasets.synth_directed_graph("two_block", 200, seed=9).adjacency
              if data == "graph" else make_matrix(200, 200, seed=70))
         spec = KernelSpec(family, kernels.default_gamma(a))
         model = ksvd.fit(a, spec, r=5, solver="nystrom", center=center,
-                         solver_opts={"m": 48, "seed": 3})
-        u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center, 48, 3)
+                         solver_opts=opts)
+        u, v, lam, stats = _dense_nystrom_fit(a, spec, 5, center, opts)
         np.testing.assert_array_equal(model.lam, lam)
         for got, want in ((ksvd.transform(model, "left").features, u),
                           (ksvd.transform(model, "right").features, v),
