@@ -73,7 +73,6 @@ KNOWN: dict[str, Key] = {
     "nystrom.epsilon": Key(0.1, float),
     "nystrom.growth": Key(2.0, float),
     "nystrom.seed": Key(None, _parse_opt(int)),
-    "nystrom.subproblem": Key("rsvd", str, ("rsvd", "exact")),
     "features.sides": Key("auto", str, ("auto", "both", "left", "right")),
     "method": Key("ksvd", str, ("ksvd", "kpca", "svd", "pca")),
     "split.seed": Key(None, _parse_opt(int)),

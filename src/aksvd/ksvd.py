@@ -51,7 +51,7 @@ SOLVER_OPTS = {
     "exact": (),
     "truncated": ("tol", "seed"),
     "randomized": ("oversample", "power_iters", "seed"),
-    "nystrom": ("n", "m", "seed", "subproblem", "oversample", "power_iters"),
+    "nystrom": ("n", "m", "seed"),
 }
 
 
@@ -198,7 +198,7 @@ def _fit_nystrom(spec, r, compat, side, sources, center, opts):
     else:
         stats = _zero_stats(*lazy.shape)
 
-    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, r, cfg)
+    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, r)
     return KsvdModel(
         b_phi=u_t / np.sqrt(lam)[None, :], b_psi=v_t / np.sqrt(lam)[None, :],
         lam=lam, kernel=spec, compat=compat, compat_side=side,

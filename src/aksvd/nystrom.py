@@ -41,10 +41,13 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Sampling and subproblem knobs for the Nystrom solvers.
+    """Sampling knobs for the Nystrom solvers.
 
     ``m_growth`` is the factor by which ``solve_to_tolerance`` raises the
     column budget per attempt; the budget stops at M, every column.
+    ``oversample`` and ``power_iters`` are read only by the rsvd baseline
+    of ``solve_to_tolerance``; the Nystrom solvers take the exact top-r
+    triplets of their sampled block.
     """
 
     r: int
@@ -52,7 +55,6 @@ class NystromConfig:
     m: int | None = None        # column samples; None -> max(4r, 32), capped
     seed: int = 0
     m_growth: float = 2.0
-    subproblem: str = "rsvd"    # asym subproblem: "rsvd" (default) or "exact"
     oversample: int = 10
     power_iters: int = 2
 
@@ -67,8 +69,6 @@ class NystromConfig:
         if not 1.0 < self.m_growth <= 4.0:
             raise ConfigError(
                 f"m_growth must lie in (1, 4], got {self.m_growth}")
-        if self.subproblem not in ("rsvd", "exact"):
-            raise ConfigError(f"unknown subproblem solver {self.subproblem!r}")
 
 
 @dataclass(frozen=True)
@@ -158,15 +158,6 @@ class Sampler:
         return rows, cols, weights
 
 
-def _small_svd(g_nm: np.ndarray, cfg: NystromConfig) -> SvdResult:
-    if cfg.subproblem == "exact":
-        res = svd_exact(g_nm)
-        take = min(cfg.r, res.rank)
-        return SvdResult(u=res.u[:, :take], s=res.s[:take], v=res.v[:, :take])
-    return svd_randomized(g_nm, cfg.r, oversample=cfg.oversample,
-                          power_iters=cfg.power_iters, seed=cfg.seed)
-
-
 def _unit_columns(a: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(a, axis=0)
     if not np.isfinite(norms).all():
@@ -176,15 +167,15 @@ def _unit_columns(a: np.ndarray, what: str) -> np.ndarray:
     return a / norms[None, :]
 
 
-def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
-                weights=None):
+def lift_blocks(g_nm, g_big_m, g_n_big, r: int, weights=None):
     """Core reconstruction from sampled blocks.
 
     ``weights`` is None for a uniform sample, or the pair of Horvitz-Thompson
     weights 1/pi of the sampled rows and columns (in block order) for a
     sample drawn with unequal inclusion probabilities pi. With D_r and D_c
     the diagonals of their square roots, the rank-r SVD (u_s, s, v_s) of the
-    small block D_r G_nm D_c gives the lift U_tilde = G_Nm W and
+    small block D_r G_nm D_c (``svd_exact``'s top-r triplets; r above
+    min(n, m) is a RankTooLargeError) gives the lift U_tilde = G_Nm W and
     V_tilde = G_nM^T W' with W = D_c v_s diag(1/s) and
     W' = D_r u_s diag(1/s); a uniform sample has D_r and D_c equal to the
     identity. G_Nm and G_nM are ``kernels.ChunkedBlock``s as
@@ -196,9 +187,7 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
 
     Returns unit-normalized (U_tilde, V_tilde) with canonical signs and the
     singular value estimates. A uniform sample multiplies s by
-    sqrt(N*M / (n*m)). Full sampling reproduces the exact triplets only
-    with ``subproblem="exact"``: the default randomized subproblem is
-    approximate even then.
+    sqrt(N*M / (n*m)), so full sampling reproduces the exact triplets.
     A weighted sample takes the Horvitz-Thompson Rayleigh quotient, the sum
     over sampled columns j of (u_k^T G[:, j]) v_jk / pi_j, at the cost of
     one more thin product G_Nm^T U_tilde.
@@ -207,12 +196,15 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, cfg: NystromConfig,
     g_big_m = as_block(g_big_m, "G_Nm")
     g_n_big = as_block(g_n_big, "G_nM")
     n, m = g_nm.shape
+    if r > min(n, m):
+        raise RankTooLargeError(
+            f"r={r} exceeds the sampled block's min(n={n}, m={m})")
     big_n = g_big_m.shape[0]
     big_m = g_n_big.shape[1]
     # unit weights scale nothing, bit for bit
     d_r, d_c = ((np.ones(n), np.ones(m)) if weights is None
                 else (np.sqrt(w) for w in weights))
-    small = _small_svd(d_r[:, None] * g_nm * d_c[None, :], cfg)
+    small = svd_exact(d_r[:, None] * g_nm * d_c[None, :], r)
     if small.rank < r:
         warn_outside(
             f"sampled block has numerical rank {small.rank} < requested {r}; "
@@ -250,7 +242,7 @@ def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
     rows, cols = indices
     g_nm, g_big_m, g_n_big = source.sample_blocks(
         rows, cols, None if weights is None else weights[1])
-    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, cfg, weights)
+    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, weights)
     return NystromResult(u_tilde=u_t, v_tilde=v_t, lambda_tilde=lam,
                          row_indices=rows, col_indices=cols)
 
@@ -263,7 +255,7 @@ def sym_nystrom(k_source, cfg: NystromConfig):
     LAPACK (``np.linalg.eigh``), keeps the top r pairs, and lifts: the
     eigenvalue estimate scales by N/n and the lifted vectors are
     unit-normalized so they can be compared directly with singular vectors
-    from the asymmetric path. ``cfg.subproblem`` does not apply here.
+    from the asymmetric path.
     """
     source = as_kernel_source(k_source)
     big_n, big_m = source.shape
@@ -326,8 +318,9 @@ class Attempt:
     """One attempt of ``solve_to_tolerance``.
 
     ``m`` and ``n`` are the column and row counts sampled, which for
-    asym_nystrom vary around the budget (for rsvd, ``m`` is the
-    oversampling; tsvd and rsvd sample no rows, and tsvd no columns).
+    asym_nystrom vary around the budget and are N and M at the budget cap,
+    where the lift is exact (for rsvd, ``m`` is the oversampling; tsvd and
+    rsvd sample no rows, and tsvd no columns).
     ``wall_time`` is this attempt's solver time and ``entries`` the kernel
     entries the source has evaluated so far.
     """
@@ -366,8 +359,8 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
       max(4r, 32)) up to all M columns. Every attempt derives its row
       budget from its m, so a config that sets ``n`` is rejected.
       asym_nystrom's later attempts sample counts around their budgets
-      (see below); the last, at budget M, samples every row and column,
-      which gives the exact triplets only with ``subproblem="exact"``.
+      (see below); the last, at budget M, samples every row and column
+      and gives the exact triplets.
 
     Wall time counts the solver work only, not reference or eta evaluation,
     nor the dense matrices the baselines start from (G, and for sym_nystrom
@@ -412,10 +405,9 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
         factors = [None, None]  # the previous attempt's U~ and V~
 
         def attempt(m, i):
-            step_cfg = replace(cfg, m=m, seed=cfg.seed + i)
-            n, _ = resolve_sample_sizes((big_n, big_m), step_cfg)
+            n, _ = resolve_sample_sizes((big_n, big_m), replace(cfg, m=m))
             rows, cols, weights = sampler.draw(n, m, factors)
-            res = asym_nystrom(source, step_cfg, (rows, cols), weights)
+            res = asym_nystrom(source, cfg, (rows, cols), weights)
             factors[:] = res.u_tilde, res.v_tilde
             return res
     else:

@@ -60,8 +60,7 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
     return KernelSpec(family=family, gamma=gamma)
 
 
-_OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m",
-             "subproblem": "nystrom.subproblem", "tol": "solver.tol",
+_OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m", "tol": "solver.tol",
              "oversample": "solver.oversample",
              "power_iters": "solver.power_iters"}
 
@@ -80,8 +79,7 @@ _FIT = ("kernel.family", "kernel.gamma", "kernel.gamma_k", "compat.mode",
 _EVAL = ("method", "split.seed", "split.test_fraction", "eval.gamma_reg")
 # the growth loop's keys, on the uncentered kernel of its own solvers
 _GROWTH = ("kernel.family", "kernel.gamma_k", "compat.mode", "compat.seed",
-           "nystrom.m", "nystrom.growth", "nystrom.subproblem",
-           "solver.oversample", "solver.power_iters")
+           "nystrom.m", "nystrom.growth")
 # the keys but dataset.* each command reads, then each method's, then a
 # command's with a method: only classify and regress pick ksvd's feature side
 READS = {
@@ -90,8 +88,8 @@ READS = {
     "regress": ("rank", "seed", "out", *_EVAL),
     "reconstruct": ("rank", "seed", "out", "method"),
     "bench": ("rank", "seed", "out", *_GROWTH, "kernel.gamma",
-              "nystrom.seed", "bench.solvers", "bench.epsilons",
-              "bench.repeats"),
+              "nystrom.seed", "solver.oversample", "solver.power_iters",
+              "bench.solvers", "bench.epsilons", "bench.repeats"),
     "nystrom-sweep": ("rank", "seed", "out", *_GROWTH, "nystrom.epsilon",
                       "sweep.gammas", "sweep.gamma_scales", "sweep.seeds"),
     "ksvd": _FIT,
@@ -360,13 +358,11 @@ def _check_epsilons(cfg: RunConfig, key: str, epsilons) -> None:
         raise ConfigError(f"epsilon must be >= 0, got {key}={cfg[key]}")
 
 
-def _growth_config(cfg: RunConfig, seed: int) -> NystromConfig:
-    """The growth loop's config; each attempt derives n from its m."""
-    return NystromConfig(
-        r=cfg["rank"], m=cfg["nystrom.m"], seed=seed,
-        m_growth=cfg["nystrom.growth"], subproblem=cfg["nystrom.subproblem"],
-        oversample=cfg["solver.oversample"],
-        power_iters=cfg["solver.power_iters"])
+def _growth_config(cfg: RunConfig, seed: int, **rsvd) -> NystromConfig:
+    """The growth loop's config; each attempt derives n from its m.
+    ``rsvd`` takes the rsvd baseline's oversample and power_iters."""
+    return NystromConfig(r=cfg["rank"], m=cfg["nystrom.m"], seed=seed,
+                         m_growth=cfg["nystrom.growth"], **rsvd)
 
 
 def run_bench(cfg: RunConfig) -> Path:
@@ -376,7 +372,9 @@ def run_bench(cfg: RunConfig) -> Path:
     the accuracy reference materialize it once; the sampled asymmetric
     solver only ever sees the lazy block source.
     """
-    ncfg = _growth_config(cfg, cfg.get("nystrom.seed", "seed"))
+    ncfg = _growth_config(cfg, cfg.get("nystrom.seed", "seed"),
+                          oversample=cfg["solver.oversample"],
+                          power_iters=cfg["solver.power_iters"])
     solvers = parse_names(cfg["bench.solvers"], "bench.solvers",
                           nystrom.SOLVERS)
     epsilons = parse_floats(cfg["bench.epsilons"], "bench.epsilons")

@@ -57,14 +57,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def dense_lift(g_nm, g_big_m, g_n_big, cfg):
+def dense_lift(g_nm, g_big_m, g_n_big, r):
     """The Nystrom lift as a dense formula on ``np.asarray`` of the blocks:
-    U~ = G_Nm v_s diag(1/s) and V~ = G_nM^T u_s diag(1/s), unit columns,
-    canonical signs, and s scaled by sqrt(N M / (n m))."""
-    from aksvd import linalg, nystrom
+    with (u_s, s, v_s) the top-r SVD of G_nm, U~ = G_Nm v_s diag(1/s) and
+    V~ = G_nM^T u_s diag(1/s), unit columns, canonical signs, and s scaled
+    by sqrt(N M / (n m))."""
+    from aksvd import linalg
     g_nm = np.asarray(g_nm)
     g_big_m, g_n_big = np.asarray(g_big_m), np.asarray(g_n_big)
-    small = nystrom._small_svd(g_nm, cfg)
+    small = linalg.svd_exact(g_nm, r)
     u = g_big_m @ (small.v / small.s[None, :])
     v = g_n_big.T @ (small.u / small.s[None, :])
     u, v = linalg.canonicalize_signs(u / np.linalg.norm(u, axis=0),

@@ -86,8 +86,7 @@ def test_criterion_3_full_sampling_nystrom_is_exact():
     for seed, (n_rows, n_cols) in enumerate(shapes):
         a = make_matrix(n_rows, n_cols, seed=seed)
         reference = svd_exact(a)
-        cfg = NystromConfig(r=5, n=n_rows, m=n_cols, seed=seed,
-                            subproblem="exact")
+        cfg = NystromConfig(r=5, n=n_rows, m=n_cols, seed=seed)
         res = nystrom.asym_nystrom(a, cfg)
         worst = max(worst, nystrom.eta_accuracy(res.u_tilde, res.v_tilde,
                                                 reference, 5))
@@ -105,11 +104,11 @@ def test_criterion_4_symmetric_psd_reduces_to_classic_nystrom():
         basis = np.linalg.qr(rng.standard_normal((30, 6)))[0]
         scales = np.array([6.0, 4.0, 2.5, 1.5, 1.0, 0.5])
         g = basis * scales**2 @ basis.T + 1e-6 * np.eye(30)
-        cfg = NystromConfig(r=3, n=16, m=16, seed=seed, subproblem="exact")
+        cfg = NystromConfig(r=3, n=16, m=16, seed=seed)
         sym = nystrom.sym_nystrom(g, cfg)
         rows = sym.row_indices
         blocks = MatrixSource(g).sample_blocks(rows, rows)
-        u_t, v_t, _ = nystrom.lift_blocks(*blocks, 3, cfg)
+        u_t, v_t, _ = nystrom.lift_blocks(*blocks, 3)
         for s in range(3):
             for ours, theirs in ((u_t, sym.u_tilde), (v_t, sym.v_tilde)):
                 gap = min(np.linalg.norm(ours[:, s] - theirs[:, s]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aksvd import cli, datasets, kernels
-from aksvd.config import KNOWN
+from aksvd.config import KNOWN, env_name
 
 
 @pytest.fixture(autouse=True)
@@ -115,15 +115,12 @@ class TestExtract:
         # the solver; the keys it reads pass, as do unread keys at their
         # defaults
         values = {"nystrom.n": "12", "nystrom.m": "12", "nystrom.seed": "3",
-                  "nystrom.subproblem": "exact", "solver.tol": "1e-9",
-                  "solver.oversample": "4", "solver.power_iters": "1",
-                  "solver.seed": "3"}
+                  "solver.tol": "1e-9", "solver.oversample": "4",
+                  "solver.power_iters": "1", "solver.seed": "3"}
         reads = {"exact": (), "truncated": ("solver.tol", "solver.seed"),
                  "randomized": ("solver.oversample", "solver.power_iters",
                                 "solver.seed"),
-                 "nystrom": ("nystrom.n", "nystrom.m", "nystrom.seed",
-                             "nystrom.subproblem", "solver.oversample",
-                             "solver.power_iters")}
+                 "nystrom": ("nystrom.n", "nystrom.m", "nystrom.seed")}
         base = ("extract", "--format", "synth", "--rank", "2", "--solver",
                 solver, "--set", "dataset.synth_n=24")
         unread = [key for key in values if key not in reads[solver]]
@@ -136,8 +133,7 @@ class TestExtract:
             assert not (tmp_path / key).exists()
         # the keys it reads, the others at their defaults
         defaults = {"nystrom.n": "none", "nystrom.m": "none",
-                    "nystrom.seed": "none", "nystrom.subproblem": "rsvd",
-                    "solver.tol": "1e-10",
+                    "nystrom.seed": "none", "solver.tol": "1e-10",
                     "solver.oversample": "10", "solver.power_iters": "2",
                     "solver.seed": "none"}
         chosen = {key: values[key] if key in reads[solver] else defaults[key]
@@ -310,14 +306,27 @@ class TestExitCodes:
         assert message in err and setting.split("=")[0] in err
         assert not out.exists()
 
-    def test_removed_center_stats_key_rejected(self, tmp_path, capsys):
-        # sampled fits center with their sampled blocks' own means only
+    @pytest.mark.parametrize("route", ["set", "file", "env"])
+    @pytest.mark.parametrize("key, value", [("nystrom.center_stats", "full"),
+                                            ("nystrom.subproblem", "exact")])
+    def test_removed_nystrom_keys_rejected(self, tmp_path, capsys,
+                                           monkeypatch, route, key, value):
+        # sampled fits center with their sampled blocks' own means only and
+        # take their sampled block's exact top-r SVD: neither key is known,
+        # whether set by flag, config file or environment variable
+        name, args = key, ("--set", f"{key}={value}")
+        if route == "file":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            args = ("--config", str(config))
+        elif route == "env":
+            name, args = env_name(key), ()
+            monkeypatch.setenv(name, value)
         out = tmp_path / "x"
         assert run("extract", "--format", "synth", "--rank", "2",
                    "--set", "dataset.synth_n=24", "--solver", "nystrom",
-                   "--set", "nystrom.center_stats=full",
-                   "--out", str(out)) == 2
-        assert "nystrom.center_stats" in capsys.readouterr().err
+                   *args, "--out", str(out)) == 2
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
     def test_uncentered_nystrom_fit(self, tmp_path):
@@ -408,7 +417,7 @@ class TestClassify:
         values = {"solver": "truncated", "solver.tol": "1e-3",
                   "solver.oversample": "4", "solver.power_iters": "1",
                   "solver.seed": "3", "nystrom.n": "12", "nystrom.m": "5",
-                  "nystrom.seed": "3", "nystrom.subproblem": "exact"}
+                  "nystrom.seed": "3"}
         base = ("classify", "--format", "synth", "--rank", "3",
                 "--set", "dataset.synth_n=40", "--method", method)
         for key, value in values.items():
@@ -711,8 +720,8 @@ class TestReads:
         "classify": ((), "nystrom.growth=3", "split.test_fraction=0.5"),
         "regress": ((), "sweep.seeds=2", "eval.gamma_reg=0.5"),
         "reconstruct": ((), "features.sides=left", "kernel.gamma_k=2"),
-        "bench": (("bench.repeats=1", "bench.solvers=tsvd"),
-                  "nystrom.epsilon=0.5", "bench.epsilons=0.5"),
+        "bench": (("bench.repeats=1", "bench.solvers=rsvd"),
+                  "nystrom.epsilon=0.5", "solver.power_iters=1"),
         "nystrom-sweep": (("sweep.seeds=1", "sweep.gamma_scales=1.0"),
                           "kernel.gamma=0.3", "nystrom.epsilon=0.5"),
     }
@@ -763,12 +772,17 @@ class TestReads:
         (("nystrom-sweep", "--set", "nystrom.seed=5",
           "--set", "kernel.gamma=0.3"),
          ("nystrom.seed=5", "kernel.gamma=0.3")),
+        # the sweep runs asym_nystrom only; bench's rsvd baseline reads these
+        (("nystrom-sweep", "--set", "solver.oversample=4",
+          "--set", "solver.power_iters=1"),
+         ("solver.oversample=4", "solver.power_iters=1")),
         (("reconstruct", "--set", "features.sides=left"),
          ("features.sides=left",)),
         (("classify", "--method", "svd", "--set", "features.sides=left"),
          ("features.sides=left",)),
     ], ids=["extract-bench-keys", "extract-method", "extract-split",
-            "sweep-seed-gamma", "reconstruct-sides", "classify-svd-sides"])
+            "sweep-seed-gamma", "sweep-rsvd-knobs", "reconstruct-sides",
+            "classify-svd-sides"])
     def test_each_unread_key_is_named(self, tmp_path, capsys, args, unread):
         out = tmp_path / "x"
         assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",

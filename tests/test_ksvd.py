@@ -363,8 +363,7 @@ class TestNystromSolver:
         spec = rbf_spec(a)
         exact = ksvd.fit(a, spec, r=3, compat="a0")
         sampled = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
-                           solver_opts={"n": 14, "m": 10,
-                                        "subproblem": "exact"})
+                           solver_opts={"n": 14, "m": 10})
         np.testing.assert_allclose(sampled.lam, exact.lam, rtol=1e-8)
         assert column_sign_distance(sampled.b_phi, exact.b_phi) <= 1e-6
         assert column_sign_distance(sampled.b_psi, exact.b_psi) <= 1e-6
@@ -372,7 +371,7 @@ class TestNystromSolver:
     def test_partial_sampling_yields_working_model(self):
         a = make_matrix(40, 30, seed=39)
         model = ksvd.fit(a, rbf_spec(a), r=3, compat="a0", solver="nystrom",
-                         solver_opts={"m": 12, "subproblem": "exact"})
+                         solver_opts={"m": 12})
         assert model.b_phi.shape == (40, 3)
         assert model.b_psi.shape == (30, 3)
         assert np.all(model.lam > 0)
@@ -388,8 +387,7 @@ class TestNystromSolver:
         a = make_matrix(30, 24, seed=40)
         spec = KernelSpec(family, kernels.default_gamma(a))
         model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
-                         solver_opts={"n": 30, "m": 24,
-                                      "subproblem": "exact"})
+                         solver_opts={"n": 30, "m": 24})
         sources, _ = ksvd._transformed_sources(kernels.build_sources(a),
                                                model.compat)
         _, stats = kernels.center(kernels.kernel_matrix(spec, sources))
@@ -420,8 +418,7 @@ class TestNystromSolver:
         a = make_matrix(30, 24, seed=42)
         spec = KernelSpec(family="sne", gamma=kernels.default_gamma(a))
         model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
-                         solver_opts={"n": 30, "m": 24,
-                                      "subproblem": "exact"})
+                         solver_opts={"n": 30, "m": 24})
         np.testing.assert_allclose(
             ksvd.transform_oos(model, new_x=a),
             ksvd.transform(model, "left").features, atol=1e-10)
@@ -587,7 +584,7 @@ def _dense_nystrom_fit(a, spec, r, center, opts):
         g_nm = g_nm - rm[rows, None] - cm[None, cols] + gm
         g_big_m = g_big_m - rm[:, None] - cm[None, cols] + gm
         g_n_big = g_n_big - rm[rows, None] - cm[None, :] + gm
-    return (*dense_lift(g_nm, g_big_m, g_n_big, cfg), stats)
+    return (*dense_lift(g_nm, g_big_m, g_n_big, r), stats)
 
 
 class TestSolverOpts:
@@ -601,6 +598,12 @@ class TestSolverOpts:
         ("randomized", {"tol": 1e-8}),
         ("nystrom", {"mm": 5}),
         ("nystrom", {"tol": 1e-8}),
+        # the nystrom solver takes its sampled block's exact top-r SVD: no
+        # subproblem key, under either value it took, and no rsvd knob
+        ("nystrom", {"subproblem": "exact"}),
+        ("nystrom", {"subproblem": "rsvd"}),
+        ("nystrom", {"oversample": 4}),
+        ("nystrom", {"power_iters": 1}),
         # sampled fits center with their sampled blocks' own means only
         ("nystrom", {"center_stats": "full"}),
     ])
@@ -623,7 +626,7 @@ class TestSolverOpts:
     def test_every_listed_key_is_accepted(self, solver):
         a = make_matrix(12, 12, seed=82)
         values = {"tol": 1e-10, "seed": 1, "oversample": 4, "power_iters": 1,
-                  "n": 8, "m": 8, "subproblem": "exact"}
+                  "n": 8, "m": 8}
         opts = {key: values[key] for key in ksvd.SOLVER_OPTS[solver]}
         assert ksvd.fit(a, rbf_spec(a), r=3, solver=solver,
                         solver_opts=opts).rank == 3

@@ -23,10 +23,6 @@ from aksvd.linalg import (
 from conftest import dense_lift, eta_oracle, make_matrix
 
 
-def exact_cfg(r, **kw):
-    return nystrom.NystromConfig(r=r, subproblem="exact", **kw)
-
-
 class TestSubsample:
     def test_full_sampling_is_identity(self):
         g = make_matrix(10, 8, seed=0)
@@ -57,9 +53,9 @@ class TestSubsample:
     def test_sample_too_large(self):
         g = make_matrix(5, 5, seed=3)
         with pytest.raises(SampleTooLargeError):
-            nystrom.asym_nystrom(g, exact_cfg(2, n=9, m=3))
+            nystrom.asym_nystrom(g, nystrom.NystromConfig(r=2, n=9, m=3))
         with pytest.raises(SampleTooLargeError):
-            nystrom.asym_nystrom(g, exact_cfg(4, n=3, m=3))
+            nystrom.asym_nystrom(g, nystrom.NystromConfig(r=4, n=3, m=3))
 
     def test_growth_factor_validated(self):
         with pytest.raises(ConfigError):
@@ -74,19 +70,20 @@ class TestSubsample:
             nystrom.NystromConfig(r=2, **{name: value})
 
     @pytest.mark.parametrize("name", ["oversample", "power_iters"])
-    def test_negative_subproblem_knobs_rejected(self, name):
+    def test_negative_rsvd_knobs_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
             nystrom.NystromConfig(r=2, **{name: -1})
 
     def test_positive_budget_below_rank_is_too_small(self):
         # a budget of 1 or more is a valid setting that cannot hold rank 4
-        cfg = exact_cfg(4, m=2)
+        cfg = nystrom.NystromConfig(r=4, m=2)
         with pytest.raises(SampleTooLargeError):
             nystrom.resolve_sample_sizes((20, 20), cfg)
 
     def test_rectangular_coupling(self):
         # row budget tracks the aspect ratio
-        n, m = nystrom.resolve_sample_sizes((200, 100), exact_cfg(4, m=30))
+        n, m = nystrom.resolve_sample_sizes((200, 100),
+                                            nystrom.NystromConfig(r=4, m=30))
         assert n == 60
 
 
@@ -141,14 +138,16 @@ class TestSampler:
 
     def test_sym_nystrom_rows_are_the_first_draws_rows(self):
         b = make_matrix(48, 12, seed=3)
-        res = nystrom.sym_nystrom(b @ b.T, exact_cfg(2, n=12, m=12, seed=6))
+        res = nystrom.sym_nystrom(
+            b @ b.T, nystrom.NystromConfig(r=2, n=12, m=12, seed=6))
         rows, _, _ = nystrom.Sampler((48, 48), 6).draw(12, 12)
         np.testing.assert_array_equal(res.row_indices, rows)
         np.testing.assert_array_equal(res.col_indices, rows)
 
     def test_default_asym_draw_is_the_first_draw(self):
         g = make_matrix(40, 30, seed=4)
-        res = nystrom.asym_nystrom(g, exact_cfg(3, n=10, m=8, seed=5))
+        res = nystrom.asym_nystrom(
+            g, nystrom.NystromConfig(r=3, n=10, m=8, seed=5))
         rows, cols, _ = nystrom.Sampler(g.shape, 5).draw(10, 8)
         np.testing.assert_array_equal(res.row_indices, rows)
         np.testing.assert_array_equal(res.col_indices, cols)
@@ -184,7 +183,7 @@ class TestAsym:
     def test_full_sampling_exact(self):
         g = make_matrix(25, 18, seed=4)
         ref = svd_exact(g)
-        res = nystrom.asym_nystrom(g, exact_cfg(4, n=25, m=18))
+        res = nystrom.asym_nystrom(g, nystrom.NystromConfig(r=4, n=25, m=18))
         assert nystrom.eta_accuracy(res.u_tilde, res.v_tilde, ref, 4) <= 1e-8
         np.testing.assert_allclose(res.lambda_tilde, ref.s[:4], rtol=1e-10)
 
@@ -193,12 +192,12 @@ class TestAsym:
         # coincides with the classical eigen-approximation
         b = make_matrix(20, 6, seed=5)
         g = b @ b.T + 1e-3 * np.eye(20)
-        cfg = exact_cfg(3, n=8, m=8, seed=11)
+        cfg = nystrom.NystromConfig(r=3, n=8, m=8, seed=11)
         sym = nystrom.sym_nystrom(g, cfg)
         rows = sym.row_indices
         src = kernels.MatrixSource(g)
         g_nm, g_big_m, g_n_big = src.sample_blocks(rows, rows)
-        u_t, v_t, lam = nystrom.lift_blocks(g_nm, g_big_m, g_n_big, 3, cfg)
+        u_t, v_t, lam = nystrom.lift_blocks(g_nm, g_big_m, g_n_big, 3)
         for s in range(3):
             d = min(np.linalg.norm(u_t[:, s] - sym.u_tilde[:, s]),
                     np.linalg.norm(u_t[:, s] + sym.u_tilde[:, s]))
@@ -207,7 +206,7 @@ class TestAsym:
     def test_exact_on_low_rank(self):
         # per-vector recovery from r+2 samples needs the sampled factor rows
         # to stay orthonormal, so pin the factor support onto the index draw
-        cfg = exact_cfg(3, n=5, m=5, seed=0)
+        cfg = nystrom.NystromConfig(r=3, n=5, m=5, seed=0)
         rows, cols, _ = nystrom.Sampler((40, 25), 0).draw(5, 5)
         u0 = np.zeros((40, 3))
         u0[rows[:3], [0, 1, 2]] = 1.0
@@ -225,14 +224,15 @@ class TestAsym:
         u0 = np.linalg.qr(rng.standard_normal((40, 3)))[0]
         v0 = np.linalg.qr(rng.standard_normal((25, 3)))[0]
         g = u0 @ np.diag([5.0, 3.0, 1.0]) @ v0.T
-        res = nystrom.asym_nystrom(g, exact_cfg(3, n=5, m=5, seed=0))
+        res = nystrom.asym_nystrom(
+            g, nystrom.NystromConfig(r=3, n=5, m=5, seed=0))
         from scipy.linalg import subspace_angles
         assert np.max(subspace_angles(res.u_tilde, u0)) <= 1e-8
         assert np.max(subspace_angles(res.v_tilde, v0)) <= 1e-8
 
     def test_scaling_law(self):
         g = make_matrix(20, 15, seed=7)
-        cfg = exact_cfg(3, n=10, m=8, seed=2)
+        cfg = nystrom.NystromConfig(r=3, n=10, m=8, seed=2)
         base = nystrom.asym_nystrom(g, cfg)
         scaled = nystrom.asym_nystrom(10.0 * g, cfg)
         np.testing.assert_allclose(scaled.lambda_tilde, 10.0 * base.lambda_tilde,
@@ -244,24 +244,32 @@ class TestAsym:
 
     def test_deterministic(self):
         g = make_matrix(30, 30, seed=8)
-        cfg = exact_cfg(3, m=12, seed=5)
+        cfg = nystrom.NystromConfig(r=3, m=12, seed=5)
         r1 = nystrom.asym_nystrom(g, cfg)
         r2 = nystrom.asym_nystrom(g, cfg)
         np.testing.assert_array_equal(r1.row_indices, r2.row_indices)
         np.testing.assert_array_equal(r1.u_tilde, r2.u_tilde)
 
+    def test_rank_above_the_sampled_block_is_rejected(self):
+        # a block of 3 rows holds at most rank 3, whatever its column count
+        g = make_matrix(20, 15, seed=9)
+        with pytest.raises(RankTooLargeError, match="min"):
+            nystrom.asym_nystrom(g, nystrom.NystromConfig(r=5), indices=(
+                np.arange(3), np.arange(10)))
+
     def test_rank_deficient_warns(self):
         rng = np.random.default_rng(9)
         g = np.outer(rng.standard_normal(20), rng.standard_normal(15))
         with pytest.warns(SubproblemRankDeficientWarning):
-            res = nystrom.asym_nystrom(g, exact_cfg(3, n=6, m=6))
+            res = nystrom.asym_nystrom(g, nystrom.NystromConfig(r=3, n=6, m=6))
         assert res.lambda_tilde.size == 1
 
     def test_lazy_source_never_materializes(self):
         a = make_matrix(60, 60, seed=10)
         spec = kernels.KernelSpec(family="rbf", gamma=kernels.default_gamma(a))
         src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
-        res = nystrom.asym_nystrom(src, exact_cfg(3, n=12, m=12, seed=1))
+        res = nystrom.asym_nystrom(
+            src, nystrom.NystromConfig(r=3, n=12, m=12, seed=1))
         assert res.u_tilde.shape == (60, 3)
         assert src.entries_evaluated <= 60 * 12 + 12 * 60 + 12 * 12
 
@@ -270,7 +278,7 @@ class TestSym:
     def test_full_sampling_exact(self):
         b = make_matrix(15, 15, seed=11)
         k = b @ b.T
-        res = nystrom.sym_nystrom(k, exact_cfg(4, n=15, m=15))
+        res = nystrom.sym_nystrom(k, nystrom.NystromConfig(r=4, n=15, m=15))
         vals, vecs = np.linalg.eigh(k)
         np.testing.assert_allclose(res.lambda_tilde, vals[::-1][:4], rtol=1e-8)
         for s in range(4):
@@ -295,15 +303,15 @@ class TestSym:
             top = np.linalg.eigh(k)[1][:, -1]
             for n, out in ((24, angles_half), (12, angles_quarter)):
                 res = nystrom.sym_nystrom(
-                    k, nystrom.NystromConfig(r=1, n=n, m=n, seed=seed,
-                                             subproblem="exact"))
+                    k, nystrom.NystromConfig(r=1, n=n, m=n, seed=seed))
                 cos = abs(float(top @ res.u_tilde[:, 0]))
                 out.append(np.arccos(min(cos, 1.0)))
         assert np.median(angles_half) < np.median(angles_quarter)
 
     def test_needs_square(self):
         with pytest.raises(SampleTooLargeError):
-            nystrom.sym_nystrom(make_matrix(4, 5, seed=0), exact_cfg(2, n=2, m=2))
+            nystrom.sym_nystrom(make_matrix(4, 5, seed=0),
+                                nystrom.NystromConfig(r=2, n=2, m=2))
 
 
 class TestEta:
@@ -367,7 +375,7 @@ class TestSolveToTolerance:
         self.ref = svd_exact(self.g)
 
     def test_loose_tolerance_first_try(self):
-        cfg = exact_cfg(3, seed=0)
+        cfg = nystrom.NystromConfig(r=3, seed=0)
         rep = nystrom.solve_to_tolerance(self.g, "asym_nystrom", 1.0,
                                          self.ref, cfg)
         assert rep.status == "ok"
@@ -378,14 +386,15 @@ class TestSolveToTolerance:
         rng = np.random.default_rng(9)
         g = np.outer(rng.standard_normal(20), rng.standard_normal(15))
         with pytest.warns(SubproblemRankDeficientWarning) as seen:
-            rep = nystrom.solve_to_tolerance(g, "asym_nystrom", 1.0,
-                                             svd_exact(g), exact_cfg(3, m=6))
+            rep = nystrom.solve_to_tolerance(
+                g, "asym_nystrom", 1.0, svd_exact(g),
+                nystrom.NystromConfig(r=3, m=6))
         assert rep.status == "ok"
         assert [w.filename for w in seen] == [__file__]
 
     def test_tsvd_machine_precision(self):
         rep = nystrom.solve_to_tolerance(self.g, "tsvd", 1e-8, self.ref,
-                                         exact_cfg(3))
+                                         nystrom.NystromConfig(r=3))
         assert rep.status == "ok" and rep.eta <= 1e-10
 
     def test_rsvd_growth(self):
@@ -420,7 +429,7 @@ class TestSolveToTolerance:
         s = np.concatenate([[12.0, 8.0], 0.8 * rng.random(46) + 0.2])
         g = u @ np.diag(s) @ v.T
         rep = nystrom.solve_to_tolerance(g, "sym_nystrom", 1.0, svd_exact(g),
-                                         exact_cfg(2, seed=1))
+                                         nystrom.NystromConfig(r=2, seed=1))
         assert rep.status == "ok"
         assert rep.eta <= 1.0
 
@@ -428,7 +437,7 @@ class TestSolveToTolerance:
         g = make_matrix(30, 24, seed=15)
         ref = svd_exact(g)
         rep = nystrom.solve_to_tolerance(
-            g, "asym_nystrom", 1e-8, ref, exact_cfg(3, m=24))
+            g, "asym_nystrom", 1e-8, ref, nystrom.NystromConfig(r=3, m=24))
         assert rep.eta <= 1e-8
 
     def test_wide_source_grows_past_the_row_count(self):
@@ -449,7 +458,7 @@ class TestSolveToTolerance:
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_unreachable_carries_report(self):
-        cfg = exact_cfg(3, seed=0)
+        cfg = nystrom.NystromConfig(r=3, seed=0)
         with pytest.raises(ToleranceUnreachableError) as exc:
             nystrom.solve_to_tolerance(self.g, "asym_nystrom", 1e-15,
                                        self.ref, cfg)
@@ -470,7 +479,7 @@ class TestSolveToTolerance:
         lazy = make()
         with pytest.raises(ToleranceUnreachableError) as exc:
             nystrom.solve_to_tolerance(lazy, "asym_nystrom", 0.0, ref,
-                                       exact_cfg(3, seed=0, m=8))
+                                       nystrom.NystromConfig(r=3, seed=0, m=8))
         rep = exc.value.report
         big_n, big_m = lazy.shape
         n, m = rep.result.row_indices.size, rep.result.col_indices.size
@@ -508,21 +517,21 @@ class TestSolveToTolerance:
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
             nystrom.solve_to_tolerance(self.g, "magic", 1.0, self.ref,
-                                       exact_cfg(2))
+                                       nystrom.NystromConfig(r=2))
 
     @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan")])
     @pytest.mark.parametrize("solver", nystrom.SOLVERS)
     def test_epsilon_below_zero_or_nan_is_rejected(self, solver, epsilon):
         with pytest.raises(ConfigError, match="epsilon must be >= 0"):
             nystrom.solve_to_tolerance(self.g, solver, epsilon, self.ref,
-                                       exact_cfg(3))
+                                       nystrom.NystromConfig(r=3))
 
     @pytest.mark.parametrize("solver", nystrom.SOLVERS)
     def test_row_count_is_rejected(self, solver):
         # every attempt derives n from m, so a set n would be ignored
         with pytest.raises(ConfigError, match="n=10"):
             nystrom.solve_to_tolerance(self.g, solver, 1.0, self.ref,
-                                       exact_cfg(3, n=10, m=10))
+                                       nystrom.NystromConfig(r=3, n=10, m=10))
 
     def test_sharper_spectrum_needs_fewer_samples(self):
         # wide bandwidths flatten the row-normalized kernel toward rank one,
@@ -542,7 +551,7 @@ class TestSolveToTolerance:
                 try:
                     rep = nystrom.solve_to_tolerance(
                         g, "asym_nystrom", 1e-1, ref,
-                        exact_cfg(3, seed=seed, m=8))
+                        nystrom.NystromConfig(r=3, seed=seed, m=8))
                 except ToleranceUnreachableError as err:
                     rep = err.report
                 budgets.append(rep.m_used)
@@ -583,22 +592,20 @@ class TestChunkedLift:
             rows, cols = row_perm[:n], col_perm[:m]
             if sort:
                 rows, cols = np.sort(rows), np.sort(cols)
-            cfg = nystrom.NystromConfig(r=5, seed=n)
             blocks = src.sample_blocks(rows, cols)
-            assert_same_lift(nystrom.lift_blocks(*blocks, 5, cfg),
-                             dense_lift(*blocks, cfg))
+            assert_same_lift(nystrom.lift_blocks(*blocks, 5),
+                             dense_lift(*blocks, 5))
         # one chunk per call that brought new columns, evaluated once each
         assert src.entries_evaluated == 240 * 128 + 200 * 240
 
     def test_matrix_source_and_plain_arrays(self):
         g = make_matrix(70, 50, seed=62)
-        cfg = exact_cfg(4, n=20, m=15, seed=2)
         rows, cols, _ = nystrom.Sampler(g.shape, 2).draw(20, 15)
         blocks = kernels.MatrixSource(g).sample_blocks(rows, cols)
-        got = nystrom.lift_blocks(*blocks, 4, cfg)
-        assert_same_lift(got, dense_lift(*blocks, cfg))
+        got = nystrom.lift_blocks(*blocks, 4)
+        assert_same_lift(got, dense_lift(*blocks, 4))
         # plain arrays are wrapped as one-chunk blocks: the same lift
-        plain = nystrom.lift_blocks(*(np.asarray(b) for b in blocks), 4, cfg)
+        plain = nystrom.lift_blocks(*(np.asarray(b) for b in blocks), 4)
         assert_same_lift(plain, got)
 
     @pytest.mark.parametrize("sampled", [True, False])
@@ -619,9 +626,8 @@ class TestChunkedLift:
         assert src.row_denoms[5] == 0.0
         np.testing.assert_array_equal(np.asarray(blocks[1])[5],
                                       np.full(7, 1 / 30))
-        cfg = nystrom.NystromConfig(r=3, seed=4)
-        got = nystrom.lift_blocks(*blocks, 3, cfg)
-        want = dense_lift(*blocks, cfg)
+        got = nystrom.lift_blocks(*blocks, 3)
+        want = dense_lift(*blocks, 3)
         assert_same_lift(got, want)
         np.testing.assert_allclose(got[0][5], want[0][5], rtol=0, atol=1e-15)
 
@@ -681,9 +687,9 @@ def prefix_loop(source, epsilon, reference, cfg):
     row_perm, col_perm = rng.permutation(big_n), rng.permutation(big_m)
     m, history = cfg.m, []
     while True:
-        step = replace(cfg, m=m, seed=cfg.seed + len(history))
-        n, _ = nystrom.resolve_sample_sizes((big_n, big_m), step)
-        res = nystrom.asym_nystrom(source, step, indices=(
+        n, _ = nystrom.resolve_sample_sizes((big_n, big_m),
+                                            replace(cfg, m=m))
+        res = nystrom.asym_nystrom(source, cfg, indices=(
             np.sort(row_perm[:n]), np.sort(col_perm[:m])))
         eta = nystrom.eta_accuracy(res.u_tilde, res.v_tilde, reference,
                                    min(cfg.r, res.lambda_tilde.size))
@@ -781,9 +787,9 @@ class TestLeverageSampling:
         calls = []
         lift = nystrom.lift_blocks
 
-        def traced(g_nm, g_big_m, g_n_big, r, cfg, weights=None):
+        def traced(g_nm, g_big_m, g_n_big, r, weights=None):
             calls.append((g_nm.shape, weights))
-            return lift(g_nm, g_big_m, g_n_big, r, cfg, weights)
+            return lift(g_nm, g_big_m, g_n_big, r, weights)
 
         monkeypatch.setattr(nystrom, "lift_blocks", traced)
         lazy = make()
@@ -805,16 +811,21 @@ class TestLeverageSampling:
             assert b.m >= a.m and b.n >= a.n
         assert lazy.entries_evaluated == 300 * 300 + 300 * 300
 
-    def test_cap_attempt_is_the_exact_svd(self):
-        make, _ = dag_problem(120, 4)
+    @pytest.mark.parametrize("problem", ["dag", "sne"])
+    def test_cap_attempt_is_the_exact_svd(self, problem):
+        # the default config's last attempt samples every row and all M
+        # columns, and its block's exact top-r triplets lift to G's own
+        make = dag_problem(120, 4)[0] if problem == "dag" else \
+            TestSolveToTolerance().sne_source()
         g = make().full()
         exact = svd_exact(g)
-        rep = solve(make(), 0.0, exact,
-                    nystrom.NystromConfig(r=4, seed=3, subproblem="exact"))
+        rep = solve(make(), 0.0, exact, nystrom.NystromConfig(r=4, seed=3))
         res = rep.result
-        assert (res.row_indices.size, res.col_indices.size) == (120, 120)
-        np.testing.assert_allclose(res.lambda_tilde, exact.s[:4], rtol=1e-10,
-                                   atol=0)
+        assert (res.row_indices.size, res.col_indices.size) == g.shape
+        assert rep.history[-1].m == g.shape[1]
+        assert rep.eta <= 1e-12
+        assert np.abs(res.lambda_tilde - exact.s[:4]).max() \
+            <= 1e-12 * exact.s[0]
         np.testing.assert_allclose(res.u_tilde, exact.u[:, :4], rtol=0,
                                    atol=1e-10)
         np.testing.assert_allclose(res.v_tilde, exact.v[:, :4], rtol=0,
@@ -843,8 +854,7 @@ class TestLeverageSampling:
         np.testing.assert_allclose(np.asarray(blocks[2]),
                                    raw[rows] / denom[rows, None], rtol=1e-12)
 
-        cfg = exact_cfg(5, seed=0)
-        u, v, lam = nystrom.lift_blocks(*blocks, 5, cfg, (w_r, w_c))
+        u, v, lam = nystrom.lift_blocks(*blocks, 5, (w_r, w_c))
         g_nm, g_big_m, g_n_big = (np.asarray(b) for b in blocks)
         d_r, d_c = np.sqrt(w_r), np.sqrt(w_c)
         small = svd_exact(d_r[:, None] * g_nm * d_c[None, :])
