@@ -21,14 +21,15 @@ same scale, and agree with it exactly when every column is sampled.
 
 The two large sampled blocks, G_Nm and G_nM, are ``ChunkedBlock``s: the
 raw column and row chunks exactly as they were evaluated, grown chunk by
-chunk as the sample grows and never copied, reordered or normalized. The
-sorted order, the sne row normalizers and any double centering are applied
-to the thin factors that multiply a block and to the r-column products, as
-a gather, a diagonal and rank-one corrections; ``np.asarray`` of a block
-gives the dense block bit for bit. ``ChunkedBlock`` also serves the
-out-of-sample projection (``ksvd.transform_oos``): the raw kernel rows or
-columns of a chunk of new points form one block, centered with their own
-means, which the same thin product yields through one more column.
+chunk as the sample grows, in its nested order (``nystrom.Sampler``), and
+never copied, reordered or normalized. The sne row normalizers and any
+double centering are applied to the thin factors that multiply a block and
+to the r-column products, as a diagonal and rank-one corrections;
+``np.asarray`` of a block gives the dense block bit for bit.
+``ChunkedBlock`` also serves the out-of-sample projection
+(``ksvd.transform_oos``): the raw kernel rows or columns of a chunk of new
+points form one block, centered with their own means, which the same thin
+product yields through one more column.
 
 An sne row whose normalizer underflows to zero reads uniformly 1/M. The
 public calls that can meet one (``fit``, ``transform_oos``,
@@ -599,17 +600,16 @@ class ChunkedBlock:
     """A kernel block kept as the raw chunks it was evaluated in.
 
     ``chunks`` are joined along ``axis``: column chunks (axis 1) for G_Nm,
-    row chunks (axis 0) for G_nM, in evaluation order. Position j of the
-    block along that axis is position ``order[j]`` of the join, or position
-    j itself when ``order`` is None. Rows are divided by ``denom`` when
+    row chunks (axis 0) for G_nM, in evaluation order, which is the
+    block's order along that axis. Rows are divided by ``denom`` when
     given (sne; a row whose normalizer is zero reads 1/``width``
     throughout), and ``centered`` subtracts row and column means and adds
     back the grand mean. The chunks themselves are never copied, reordered
-    or normalized: a product with a thin matrix applies the order to the
-    thin side, the normalizers as a diagonal scaling and the centering as
-    rank-one corrections, so its cost is that of the thin products with the
-    chunks. ``np.asarray(block)`` gives the dense block, bit for bit the
-    array that the gather, division and centering make of the joined chunks.
+    or normalized: a product with a thin matrix applies the normalizers as
+    a diagonal scaling and the centering as rank-one corrections, so its
+    cost is that of the thin products with the chunks. ``np.asarray(block)``
+    gives the dense block, bit for bit the array that the division and
+    centering make of the joined chunks.
 
     The Nystrom lift multiplies sampled blocks of G this way; an
     out-of-sample projection multiplies the kernel rows or columns of a
@@ -623,10 +623,9 @@ class ChunkedBlock:
 
     __array_ufunc__ = None
 
-    def __init__(self, chunks, axis: int, order=None, denom=None, width=None):
+    def __init__(self, chunks, axis: int, denom=None, width=None):
         self._chunks = tuple(chunks)
         self._axis = axis
-        self._order = None if order is None else np.asarray(order, dtype=int)
         self._denom = denom
         self._width = width
         self._shift = None  # (row means, column means, grand mean)
@@ -641,8 +640,7 @@ class ChunkedBlock:
     @property
     def shape(self) -> tuple[int, int]:
         lines = self._chunks[0].shape[1 - self._axis]
-        joined = self._join if self._order is None else self._order.size
-        shape = (lines, joined) if self._axis == 1 else (joined, lines)
+        shape = (lines, self._join) if self._axis == 1 else (self._join, lines)
         return shape[::-1] if self._t else shape
 
     @property
@@ -678,8 +676,6 @@ class ChunkedBlock:
         else:
             rows, cols = slice(None), part
             out = np.concatenate([c[:, part] for c in self._chunks])
-        if self._order is not None:
-            out = np.take(out, self._order, self._axis)
         if self._denom is not None:
             _divide_rows(out, self._denom[rows], self._width)
         if self._shift is not None:
@@ -712,25 +708,20 @@ class ChunkedBlock:
 
     def _across(self, w: np.ndarray) -> np.ndarray:
         """Raw product contracting the join axis: the chunks' thin products
-        with ``w`` scattered to evaluation order, summed."""
-        spread = w
-        if self._order is not None:
-            spread = np.zeros((self._join, w.shape[1]))
-            np.add.at(spread, self._order, w)
+        with their slices of ``w``, summed."""
         out = np.zeros((self._chunks[0].shape[1 - self._axis], w.shape[1]))
         start = 0
         for c in self._chunks:
             stop = start + c.shape[self._axis]
-            out += (c if self._axis == 1 else c.T) @ spread[start:stop]
+            out += (c if self._axis == 1 else c.T) @ w[start:stop]
             start = stop
         return out
 
     def _along(self, w: np.ndarray) -> np.ndarray:
         """Raw product contracting the other axis: the chunks' thin products
-        with ``w`` joined, then gathered into block order."""
-        out = np.concatenate([(c.T if self._axis == 1 else c) @ w
-                              for c in self._chunks])
-        return out if self._order is None else out[self._order]
+        with ``w``, joined."""
+        return np.concatenate([(c.T if self._axis == 1 else c) @ w
+                               for c in self._chunks])
 
     def __matmul__(self, w):
         w = np.asarray(w, dtype=float)
@@ -816,12 +807,6 @@ class MatrixSource:
         return self._g
 
 
-def _positions(have: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Index in ``have`` of every entry of ``want``; each must be there."""
-    order = np.argsort(have, kind="stable")
-    return order[np.searchsorted(have, want, sorter=order)]
-
-
 def _finite(chunk: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(chunk).all():
         raise NonFiniteError(f"{name} contains NaN or Inf")
@@ -892,11 +877,12 @@ class LazyKernelSource:
         """Return (G_nm, G_Nm, G_nM) for the given sampled index sets.
 
         The raw chunks of the latest call are kept. When both index sets
-        contain the previous call's, only the new columns of G_Nm and the
-        new rows of G_nM are evaluated, each as one more raw chunk (checked
-        once for NaN and Inf); otherwise every entry is. G_Nm and G_nM are
-        ``ChunkedBlock``s over the raw chunks, in requested order and with
-        sne rows divided by the current estimates; G_nm is a small dense
+        begin with the previous call's, as nested draws do, only the
+        indices that follow, new columns of G_Nm and new rows of G_nM, are
+        evaluated, each as one more raw chunk (checked once for NaN and
+        Inf); otherwise every entry is. G_Nm and G_nM are ``ChunkedBlock``s
+        over the raw chunks, in requested order and with sne rows divided
+        by the current estimates; G_nm is a small dense
         array, the requested rows of G_Nm, so the three blocks are mutually
         consistent by construction.
 
@@ -909,36 +895,33 @@ class LazyKernelSource:
         col_idx = np.array(col_idx, dtype=int)
         big_n, big_m = self.shape
         prev = self._sample
-        if prev is None or not (np.isin(prev.rows, row_idx).all()
-                                and np.isin(prev.cols, col_idx).all()):
+        if prev is None or not (
+                np.array_equal(row_idx[:prev.rows.size], prev.rows)
+                and np.array_equal(col_idx[:prev.cols.size], prev.cols)):
             empty = np.empty(0, dtype=int)
             prev = _Sample(empty, empty, (np.empty((big_n, 0)),),
                            (np.empty((0, big_m)),))
-        new_rows = row_idx[~np.isin(row_idx, prev.rows)]
-        new_cols = col_idx[~np.isin(col_idx, prev.cols)]
+        new_rows = row_idx[prev.rows.size:]
+        new_cols = col_idx[prev.cols.size:]
         col_chunks, row_chunks = prev.col_chunks, prev.row_chunks
         if new_cols.size:
             col_chunks += (_finite(self._block(z_rows=new_cols), "G_Nm"),)
         if new_rows.size:
             row_chunks += (_finite(self._block(x_rows=new_rows), "G_nM"),)
-        sample = _Sample(rows=np.concatenate([prev.rows, new_rows]),
-                         cols=np.concatenate([prev.cols, new_cols]),
-                         col_chunks=col_chunks, row_chunks=row_chunks)
-        self._sample = sample
+        self._sample = _Sample(row_idx, col_idx, col_chunks, row_chunks)
 
-        col_order = _positions(sample.cols, col_idx)
         denom = None
         if self._spec.family == "sne":
             if col_weights is None:
                 denom = sum(c.sum(1) for c in col_chunks) \
                     * (big_m / col_idx.size)
             else:
-                denom = (ChunkedBlock(col_chunks, 1, col_order)
+                denom = (ChunkedBlock(col_chunks, 1)
                          @ np.reshape(col_weights, (-1, 1)))[:, 0]
             self.row_denoms = denom
             note_dead(int((denom == 0.0).sum()))
-        g_big_m = ChunkedBlock(col_chunks, 1, col_order, denom, big_m)
-        g_n_big = ChunkedBlock(row_chunks, 0, _positions(sample.rows, row_idx),
+        g_big_m = ChunkedBlock(col_chunks, 1, denom, big_m)
+        g_n_big = ChunkedBlock(row_chunks, 0,
                                None if denom is None else denom[row_idx],
                                big_m)
         return g_big_m._dense(row_idx), g_big_m, g_n_big

@@ -381,7 +381,8 @@ def load_model(path) -> KsvdModel:
     """
     file = Path(path) / MODEL_FILE
     try:
-        with np.load(file, allow_pickle=False) as npz:
+        # np.load leaves a file it opened open when the file is bad
+        with open(file, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             f = dict(npz)
         snap = json.loads(str(f["snapshot"]))
         if snap["format"] != MODEL_FORMAT:

@@ -134,22 +134,27 @@ class Sampler:
     uniform and without replacement. ``draw(n, m, factors)`` with the
     previous draw's (U~, V~) raises each pi_i toward the mixture of their
     leverage scores. pi never falls, so every draw contains the previous
-    one, and one seed gives one sequence of draws.
+    one, and one seed gives one sequence of draws. Each side of a draw is
+    in nested order: the previous draw's indices in their order, followed
+    by the new indices, sorted; a first draw is sorted.
     """
 
     def __init__(self, shape, seed: int):
         rng = np.random.default_rng(seed)
         self.keys = [np.argsort(rng.permutation(size)) for size in shape]
         self.limits = [np.zeros(size, dtype=int) for size in shape]
+        self.drawn = [np.empty(0, dtype=int) for _ in shape]
 
     def draw(self, n: int, m: int, factors=None):
-        """Sorted rows, sorted columns, and their Horvitz-Thompson weights
-        1/pi (rows, columns), or None while every pi is equal."""
+        """Rows and columns in nested order, and their Horvitz-Thompson
+        weights 1/pi (rows, columns), or None while every pi is equal."""
         for limit, budget, factor in zip(self.limits, (n, m),
                                          factors or (None, None)):
             np.maximum(limit, _limits(budget, limit.size, factor), out=limit)
-        rows, cols = (np.flatnonzero(key < limit)
-                      for key, limit in zip(self.keys, self.limits))
+        self.drawn = [np.concatenate([drawn, np.setdiff1d(
+            np.flatnonzero(key < limit), drawn, assume_unique=True)])
+            for key, limit, drawn in zip(self.keys, self.limits, self.drawn)]
+        rows, cols = self.drawn
         # equal probabilities make a uniform sample, lifted unweighted
         weights = None
         if any(np.ptp(limit) for limit in self.limits):
@@ -181,7 +186,7 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, weights=None):
     identity. G_Nm and G_nM are ``kernels.ChunkedBlock``s as
     ``sample_blocks`` returns them (plain arrays are checked and wrapped as
     one-chunk blocks), so both products are sums of thin products over the
-    raw kernel chunks: the sampled order, the weights, the sne row
+    raw kernel chunks, joined in sampled order: the weights, the sne row
     normalizers and any centering the blocks carry are applied to W, W' and
     the r-column results, never to the chunks.
 
@@ -372,13 +377,13 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     ``ksvd.fit(solver="nystrom")`` takes at the same m and seed); every
     later attempt draws with the previous attempt's U~ and V~, whose
     leverage scores raise the inclusion probabilities pi, and at a budget
-    of L the whole side is sampled. Samples are nested, so a block source
-    evaluates only the new columns and rows. A sample with unequal pi is
-    lifted with the Horvitz-Thompson weights 1/pi (see ``lift_blocks``),
-    which also estimate the sne row normalizers; ``LEVERAGE_MIX`` = 0 keeps
-    every pi equal and samples prefixes throughout. The sample sizes vary
-    around the budget: ``m_used`` and every ``Attempt`` report the counts
-    sampled.
+    of L the whole side is sampled. Each sample is the last one followed by
+    its new indices, so a block source evaluates only the new columns and
+    rows. A sample with unequal pi is lifted with the Horvitz-Thompson
+    weights 1/pi (see ``lift_blocks``), which also estimate the sne row
+    normalizers; ``LEVERAGE_MIX`` = 0 keeps every pi equal and samples
+    prefixes throughout. The sample sizes vary around the budget:
+    ``m_used`` and every ``Attempt`` report the counts sampled.
 
     ``epsilon`` must be >= 0; a negative or NaN one is a ConfigError. The
     report's ``history`` records every attempt. If the budget cap is

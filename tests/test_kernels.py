@@ -429,12 +429,12 @@ class TestLazySource:
         assert src.entries_evaluated == 12 * n_cols + n_rows * 9
 
     def test_superset_call_evaluates_only_new_entries(self):
-        # the second call's sets contain the first's, interleaved and out
-        # of order; its blocks equal a fresh source's
+        # the second call's sets begin with the first's, its new indices
+        # out of order; its blocks equal a fresh source's
         a = make_matrix(30, 25, seed=21)
         first_rows, first_cols = np.array([2, 9, 17]), np.array([1, 4, 11, 20])
-        rows = np.array([0, 17, 2, 23, 9, 29])
-        cols = np.array([20, 1, 3, 4, 11, 15, 24])
+        rows = np.array([2, 9, 17, 23, 0, 29])
+        cols = np.array([1, 4, 11, 20, 15, 3, 24])
         for family in ("sne", "rbf", "linear"):
             spec = kernels.KernelSpec(family=family, gamma=4.0)
             src = kernels.LazyKernelSource(spec, compat_sources(a, "a1"))
@@ -451,6 +451,36 @@ class TestLazySource:
             if family == "sne":
                 np.testing.assert_allclose(src.row_denoms, fresh.row_denoms,
                                            rtol=1e-14, atol=0)
+
+    def test_superset_out_of_prefix_order_starts_over(self):
+        # the second call's sets contain the first's, but interleaved: it
+        # is evaluated afresh, and its blocks equal the dense slices
+        a = make_matrix(30, 25, seed=21)
+        rows = np.array([0, 17, 2, 23, 9, 29])
+        cols = np.array([20, 1, 3, 4, 11, 15, 24])
+        for family in ("sne", "rbf", "linear"):
+            spec = kernels.KernelSpec(family=family, gamma=4.0)
+            src = kernels.LazyKernelSource(spec, compat_sources(a, "a1"))
+            big_n, big_m = src.shape
+            src.sample_blocks(np.array([2, 9, 17]), np.array([1, 4, 11, 20]))
+            before = src.entries_evaluated
+            g_nm, g_big_m, g_n_big = src.sample_blocks(rows, cols)
+            assert src.entries_evaluated - before == \
+                big_n * cols.size + rows.size * big_m
+            if family == "sne":
+                # the dense slices of the kernel that the sampled
+                # normalizers make
+                full = kernels.LazyKernelSource(
+                    kernels.KernelSpec("rbf", 4.0),
+                    compat_sources(a, "a1")).full()
+                full /= full[:, cols].sum(1, keepdims=True) \
+                    * (big_m / cols.size)
+            else:
+                full = kernels.LazyKernelSource(
+                    spec, compat_sources(a, "a1")).full()
+            np.testing.assert_allclose(g_big_m, full[:, cols], rtol=1e-13)
+            np.testing.assert_allclose(g_n_big, full[rows], rtol=1e-13)
+            np.testing.assert_array_equal(g_nm, np.asarray(g_big_m)[rows])
 
     def test_call_without_previous_sets_starts_over(self):
         spec = kernels.KernelSpec(family="sne", gamma=3.0)
@@ -960,12 +990,11 @@ class TestExactGram:
         sums, cols = np.zeros(big_n), np.empty(0, dtype=int)
         half = (max(1, big_n // 2), max(1, big_m // 2))
         for n, m in ((3, 2), (9, 7), half, (big_n, big_m)):
-            # nested sets: each call adds rows and columns to the last (or
-            # keeps a one-row side's one row), and the sne sums add the new
-            # columns' block, summed row by row
-            prev_cols = cols
-            rows, cols = np.sort(row_order[:n]), np.sort(col_order[:m])
-            new_cols = cols[~np.isin(cols, prev_cols)]
+            # nested sets: each call's rows and columns begin with the
+            # last's (or keep a one-row side's one row), and the sne sums
+            # add the new columns' block, summed row by row
+            new_cols = col_order[cols.size:m]
+            rows, cols = row_order[:n], col_order[:m]
             sums = sums + np.ascontiguousarray(numer[:, new_cols]).sum(1)
             want_big_m, want_n_big = numer[:, cols], numer[rows]
             if family == "sne":
@@ -1258,8 +1287,7 @@ def _pool_outputs(spec, x, z):
     col_order = np.random.default_rng(4).permutation(big_m)
     for n, m in ((3, 2), (max(1, big_n // 2), max(1, big_m // 2)),
                  (big_n, big_m)):
-        blocks = src.sample_blocks(np.sort(row_order[:n]),
-                                   np.sort(col_order[:m]))
+        blocks = src.sample_blocks(row_order[:n], col_order[:m])
         got += [np.asarray(block) for block in blocks]
     # every call after the first evaluated only its new entries
     assert src.entries_evaluated == 2 * big_n * big_m

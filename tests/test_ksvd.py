@@ -1,5 +1,6 @@
 """Model fitting, stationarity checks, embeddings, out-of-sample, persistence."""
 import dataclasses
+import gc
 import json
 import sys
 import threading
@@ -503,6 +504,17 @@ class TestPersistence:
             lacking = {k: v for k, v in arrays.items() if k != key}
             with pytest.raises(ParseError, match=key):
                 ksvd.load_model(rewrite(lacking))
+
+    def test_truncated_model_file_is_closed(self, tmp_path):
+        ksvd.save_model(self.make_model(), tmp_path)
+        blob = (tmp_path / "model.npz").read_bytes()
+        (tmp_path / "model.npz").write_bytes(blob[: len(blob) // 2])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="model.npz"):
+                ksvd.load_model(tmp_path)
+            gc.collect()
+        assert not [w for w in seen if w.category is ResourceWarning]
 
     @staticmethod
     def graph_models():

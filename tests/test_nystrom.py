@@ -116,7 +116,8 @@ class TestSampler:
     def test_later_draws_contain_earlier_ones(self):
         draws = self.draws(seed=2)
         for (r0, c0, _), (r1, c1, _) in zip(draws, draws[1:]):
-            assert np.isin(r0, r1).all() and np.isin(c0, c1).all()
+            np.testing.assert_array_equal(r1[:r0.size], r0)
+            np.testing.assert_array_equal(c1[:c0.size], c0)
         # leverage draws are weighted by 1/pi >= 1; a full draw is not
         for rows, cols, weights in draws[1:-1]:
             assert weights is not None
@@ -124,8 +125,14 @@ class TestSampler:
             assert all((w >= 1.0).all() for w in weights)
         rows, cols, weights = draws[-1]
         assert weights is None
-        np.testing.assert_array_equal(rows, np.arange(60))
-        np.testing.assert_array_equal(cols, np.arange(40))
+        np.testing.assert_array_equal(np.sort(rows), np.arange(60))
+        np.testing.assert_array_equal(np.sort(cols), np.arange(40))
+
+    def test_new_indices_follow_the_old_sorted(self):
+        draws = self.draws(seed=2)
+        for (r0, c0, _), (r1, c1, _) in zip(draws, draws[1:]):
+            np.testing.assert_array_equal(r1[r0.size:], np.setdiff1d(r1, r0))
+            np.testing.assert_array_equal(c1[c0.size:], np.setdiff1d(c1, c0))
 
     def test_one_seed_gives_one_sequence_of_draws(self):
         first = self.draws(seed=9)
@@ -561,7 +568,7 @@ class TestSolveToTolerance:
 
 # --- the lift from raw kernel chunks -------------------------------------------
 # lift_blocks multiplies the chunked blocks by thin factors and applies the
-# order, the sne normalizers and the centering in r-space; the reference
+# sne normalizers and the centering in r-space; the reference
 # applies the dense formula to np.asarray of the same blocks. The small SVD
 # is the same, so lambda must agree bit for bit and U~, V~ to rounding.
 
@@ -586,12 +593,17 @@ class TestChunkedLift:
         src = kernels.LazyKernelSource(spec, kernels.build_sources(a))
         rng = np.random.default_rng(61)
         row_perm, col_perm = rng.permutation(240), rng.permutation(240)
+        rows = cols = np.empty(0, dtype=int)
         for n, m, sort in ((16, 16, True), (40, 32, False), (90, 64, True),
                            (200, 128, True)):
-            # nested prefixes, one call with unsorted index sets
-            rows, cols = row_perm[:n], col_perm[:m]
+            # nested order, as a Sampler draws: each call's sets begin with
+            # the last's, followed by its new indices, sorted (unsorted in
+            # one call)
+            new_rows, new_cols = row_perm[rows.size:n], col_perm[cols.size:m]
             if sort:
-                rows, cols = np.sort(rows), np.sort(cols)
+                new_rows, new_cols = np.sort(new_rows), np.sort(new_cols)
+            rows = np.concatenate([rows, new_rows])
+            cols = np.concatenate([cols, new_cols])
             blocks = src.sample_blocks(rows, cols)
             assert_same_lift(nystrom.lift_blocks(*blocks, 5),
                              dense_lift(*blocks, 5))
@@ -680,17 +692,20 @@ class TestChunkedLift:
 
 def prefix_loop(source, epsilon, reference, cfg):
     """The growth loop as it sampled before leverage weights: every attempt
-    takes sorted prefixes of one seeded row and one column permutation,
-    uniform, at column budgets m, ceil(m * m_growth), ... up to M."""
+    takes prefixes of one seeded row and one column permutation, uniform,
+    at column budgets m, ceil(m * m_growth), ... up to M, in nested order:
+    the last attempt's indices, then the new ones sorted."""
     big_n, big_m = source.shape
     rng = np.random.default_rng(cfg.seed)
     row_perm, col_perm = rng.permutation(big_n), rng.permutation(big_m)
     m, history = cfg.m, []
+    rows = cols = np.empty(0, dtype=int)
     while True:
         n, _ = nystrom.resolve_sample_sizes((big_n, big_m),
                                             replace(cfg, m=m))
-        res = nystrom.asym_nystrom(source, cfg, indices=(
-            np.sort(row_perm[:n]), np.sort(col_perm[:m])))
+        rows = np.concatenate([rows, np.sort(row_perm[rows.size:n])])
+        cols = np.concatenate([cols, np.sort(col_perm[cols.size:m])])
+        res = nystrom.asym_nystrom(source, cfg, indices=(rows, cols))
         eta = nystrom.eta_accuracy(res.u_tilde, res.v_tilde, reference,
                                    min(cfg.r, res.lambda_tilde.size))
         history.append((m, n))
