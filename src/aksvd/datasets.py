@@ -35,8 +35,9 @@ class GraphDataset:
         adj = np.asarray(self.adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ConfigError(f"adjacency must be square, got {adj.shape}")
-        if not all(np.isin(adj[start:start + _PANEL_ROWS], (0.0, 1.0)).all()
-                   for start in range(0, len(adj), _PANEL_ROWS)):
+        panels = (adj[start:start + _PANEL_ROWS]
+                  for start in range(0, len(adj), _PANEL_ROWS))
+        if not all(((p == 0.0) | (p == 1.0)).all() for p in panels):
             raise ConfigError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", adj)
         if self.labels is not None:

@@ -135,6 +135,19 @@ class TestGraphDatasetValidation:
         with pytest.raises(ConfigError):
             ds.GraphDataset(0.5 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("row", [0, ds._PANEL_ROWS + 5])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5, 2.0])
+    def test_non_binary_entry_rejected_in_any_panel(self, value, row):
+        adj = np.eye(ds._PANEL_ROWS + 10)
+        adj[row, 3] = value
+        with pytest.raises(ConfigError, match="0 or 1"):
+            ds.GraphDataset(adj)
+
+    def test_negative_zero_accepted(self):
+        adj = np.eye(ds._PANEL_ROWS + 10)
+        adj[ds._PANEL_ROWS + 5, 3] = -0.0
+        assert ds.GraphDataset(adj).adjacency[ds._PANEL_ROWS + 5, 3] == 0.0
+
     def test_label_length(self):
         with pytest.raises(ConfigError):
             ds.GraphDataset(np.zeros((3, 3)), labels=np.zeros(2))
