@@ -72,7 +72,6 @@ KNOWN: dict[str, Key] = {
     "nystrom.m": Key(None, _parse_opt(int)),
     "nystrom.epsilon": Key(0.1, float),
     "nystrom.growth": Key(2.0, float),
-    "nystrom.seed": Key(None, _parse_opt(int)),
     "features.sides": Key("auto", str, ("auto", "both", "left", "right")),
     "method": Key("ksvd", str, ("ksvd", "kpca", "svd", "pca")),
     "split.seed": Key(None, _parse_opt(int)),
@@ -81,7 +80,6 @@ KNOWN: dict[str, Key] = {
     "bench.solvers": Key("tsvd,rsvd,asym_nystrom", str),
     "bench.epsilons": Key("0.1", str),
     "bench.repeats": Key(3, int),
-    "sweep.gammas": Key(None, _parse_opt(str)),
     "sweep.gamma_scales": Key("0.25,0.5,1.0,2.0,4.0", str),
     "sweep.seeds": Key(5, int),
     "seed": Key(0, int),

@@ -65,10 +65,6 @@ class SampleTooLargeError(NumericError):
     """Requested subsample exceeds the available rows or columns."""
 
 
-class ToleranceUnreachableError(NumericError):
-    """Growth loop hit its cap before reaching the target accuracy."""
-
-
 class ZeroColumnError(NumericError):
     """A vector that must be non-zero has zero norm."""
 

@@ -24,7 +24,6 @@ from .errors import (
     RankTooLargeError,
     SampleTooLargeError,
     SubproblemRankDeficientWarning,
-    ToleranceUnreachableError,
     ZeroColumnError,
     warn_outside,
 )
@@ -80,12 +79,15 @@ class NystromResult:
     col_indices: np.ndarray
 
 
+def _column_budget(cfg: NystromConfig, big_m: int) -> int:
+    """``cfg.m``, or by default max(4r, 32) capped at M."""
+    return cfg.m if cfg.m is not None else min(max(4 * cfg.r, 32), big_m)
+
+
 def resolve_sample_sizes(shape, cfg: NystromConfig) -> tuple[int, int]:
     """Concrete (n, m) for a matrix shape: coupled so n/m tracks N/M."""
     big_n, big_m = shape
-    m = cfg.m
-    if m is None:
-        m = min(max(4 * cfg.r, 32), big_m)
+    m = _column_budget(cfg, big_m)
     n = cfg.n
     if n is None:
         if big_n == big_m:
@@ -385,10 +387,13 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     prefixes throughout. The sample sizes vary around the budget:
     ``m_used`` and every ``Attempt`` report the counts sampled.
 
-    ``epsilon`` must be >= 0; a negative or NaN one is a ConfigError. The
-    report's ``history`` records every attempt. If the budget cap is
-    reached with eta still above epsilon a ToleranceUnreachableError is
-    raised, carrying the last report in its ``report`` attribute.
+    eta compares the top min(r, rank) pairs, at most the reference's rank:
+    a solver may keep a value below the reference's cutoff. ``epsilon``
+    must be >= 0; a negative or NaN one is a ConfigError. The
+    report's ``history`` records every attempt. The report's ``status`` is
+    "ok" once eta meets epsilon, or "tolerance_unreachable" when the budget
+    cap is reached with eta still above it; either way the report is
+    returned.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
@@ -404,7 +409,7 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
     # each solver: its budget k, its cap, and attempt(k, i), what attempt i
     # computes at budget k
     cap = big_m
-    k = cfg.m if cfg.m is not None else min(max(4 * r, 32), cap)
+    k = _column_budget(cfg, cap)
     if solver == "asym_nystrom":
         sampler = Sampler((big_n, big_m), cfg.seed)
         factors = [None, None]  # the previous attempt's U~ and V~
@@ -454,18 +459,12 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
         else:
             u, v, rank = res.u_tilde, res.v_tilde, res.lambda_tilde.size
             m, n = res.col_indices.size, res.row_indices.size
-        eta = eta_accuracy(u, v, reference, min(r, rank))
+        eta = eta_accuracy(u, v, reference, min(r, rank, reference.rank))
         history.append(Attempt(m, n, eta, seconds, source.entries_evaluated))
-        rep = SolveReport(solver, res, m, eta, wall,
-                          "ok" if eta <= epsilon else "tolerance_unreachable",
-                          tuple(history))
-        if eta <= epsilon:
-            return rep
-        if k >= cap:
-            err = ToleranceUnreachableError(
-                f"{solver} reached its budget cap with eta={eta:.3e} "
-                f"> epsilon={epsilon:.3e}")
-            err.report = rep
-            raise err
+        if eta <= epsilon or k >= cap:
+            return SolveReport(
+                solver, res, m, eta, wall,
+                "ok" if eta <= epsilon else "tolerance_unreachable",
+                tuple(history))
         # ceil(k * m_growth) > k for k >= 1; a start of 0 steps to 1
         k = min(int(np.ceil(k * cfg.m_growth)) or 1, cap)

@@ -9,20 +9,15 @@ from __future__ import annotations
 import csv
 import json
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets, evaluation, kernels, ksvd, nystrom
 from .config import KNOWN, RunConfig, parse_floats, parse_names
-from .errors import (
-    ConfigError,
-    SingleClassError,
-    ToleranceUnreachableError,
-)
+from .errors import ConfigError, SingleClassError
 from .kernels import DataSources, KernelSpec, LazyKernelSource
-from .linalg import svd_exact, svd_truncated, write_matrix_csv
+from .linalg import svd_exact, write_matrix_csv
 from .nystrom import NystromConfig
 
 
@@ -62,15 +57,12 @@ def make_kernel_spec(cfg: RunConfig, a: np.ndarray) -> KernelSpec:
 
 _OPT_KEYS = {"n": "nystrom.n", "m": "nystrom.m", "tol": "solver.tol",
              "oversample": "solver.oversample",
-             "power_iters": "solver.power_iters"}
+             "power_iters": "solver.power_iters", "seed": "solver.seed"}
 
 
 def _solver_keys(solver: str) -> dict:
-    """The config key behind each of fit's solver_opts the solver reads:
-    seed is nystrom.seed for the nystrom solver, solver.seed otherwise."""
-    keys = dict(_OPT_KEYS, seed="nystrom.seed" if solver == "nystrom"
-                else "solver.seed")
-    return {opt: keys[opt] for opt in ksvd.SOLVER_OPTS[solver]}
+    """The config key behind each of fit's solver_opts the solver reads."""
+    return {opt: _OPT_KEYS[opt] for opt in ksvd.SOLVER_OPTS[solver]}
 
 
 # a fit's keys, its solver's keys aside
@@ -78,8 +70,8 @@ _FIT = ("kernel.family", "kernel.gamma", "kernel.gamma_k", "compat.mode",
         "compat.seed", "center", "solver")
 _EVAL = ("method", "split.seed", "split.test_fraction", "eval.gamma_reg")
 # the growth loop's keys, on the uncentered kernel of its own solvers
-_GROWTH = ("kernel.family", "kernel.gamma_k", "compat.mode", "compat.seed",
-           "nystrom.m", "nystrom.growth")
+_GROWTH = ("kernel.family", "kernel.gamma", "kernel.gamma_k", "compat.mode",
+           "compat.seed", "nystrom.m", "nystrom.growth")
 # the keys but dataset.* each command reads, then each method's, then a
 # command's with a method: only classify and regress pick ksvd's feature side
 READS = {
@@ -87,11 +79,11 @@ READS = {
     "classify": ("rank", "seed", "out", *_EVAL),
     "regress": ("rank", "seed", "out", *_EVAL),
     "reconstruct": ("rank", "seed", "out", "method"),
-    "bench": ("rank", "seed", "out", *_GROWTH, "kernel.gamma",
-              "nystrom.seed", "solver.oversample", "solver.power_iters",
-              "bench.solvers", "bench.epsilons", "bench.repeats"),
+    "bench": ("rank", "seed", "out", *_GROWTH, "solver.seed",
+              "solver.oversample", "solver.power_iters", "bench.solvers",
+              "bench.epsilons", "bench.repeats"),
     "nystrom-sweep": ("rank", "seed", "out", *_GROWTH, "nystrom.epsilon",
-                      "sweep.gammas", "sweep.gamma_scales", "sweep.seeds"),
+                      "sweep.gamma_scales", "sweep.seeds"),
     "ksvd": _FIT,
     "kpca": ("kernel.family", "kernel.gamma", "kernel.gamma_k"),
     "svd": (),
@@ -102,11 +94,9 @@ READS = {
 
 
 # the keys that a value of one key leaves unread, wherever that key is read
-# ("set": any value but the unset default): given sweep bandwidths replace
-# the scaled default one, the linear kernel has no bandwidth, and a given
-# bandwidth replaces the default one
+# ("set": any value but the unset default): the linear kernel has no
+# bandwidth, and a given bandwidth replaces the default one
 UNREAD_WHEN = {
-    ("sweep.gammas", "set"): ("sweep.gamma_scales", "kernel.gamma_k"),
     ("kernel.family", "linear"): ("kernel.gamma", "kernel.gamma_k"),
     ("kernel.gamma", "set"): ("kernel.gamma_k",),
 }
@@ -152,9 +142,15 @@ def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
 
 
 def resolve_sides(cfg: RunConfig, a: np.ndarray) -> str:
-    sides = cfg["features.sides"]
+    """The feature side(s) of the samples, the rows of ``a``: the right
+    side describes its columns, the same points only when it is square."""
+    sides, square = cfg["features.sides"], a.shape[0] == a.shape[1]
     if sides == "auto":
-        return "both" if a.shape[0] == a.shape[1] else "left"
+        return "both" if square else "left"
+    if sides != "left" and not square:
+        raise ConfigError(
+            f"features.sides={sides} needs square data: right-side features "
+            f"describe the {a.shape[1]} columns, not the {a.shape[0]} samples")
     return sides
 
 
@@ -171,13 +167,15 @@ def method_features(cfg: RunConfig, a: np.ndarray, with_right: bool = False):
     method = cfg["method"]
     r = cfg["rank"]
     if method == "ksvd":
+        # the sides are checked before the fit
+        sides = None if with_right else resolve_sides(cfg, a)
         model = fit_from_config(cfg, a)
         r = min(r, model.rank)
         if with_right:
             return (ksvd.transform(model, "left", r).features,
                     ksvd.transform(model, "right", r).features, model.kernel)
-        return (evaluation.side_features(model, resolve_sides(cfg, a), r),
-                None, model.kernel)
+        return (evaluation.side_features(model, sides, r), None,
+                model.kernel)
     if method == "svd":
         res = svd_exact(a, r)
         return res.u, (res.v if with_right else None), None
@@ -265,6 +263,19 @@ def run_extract(cfg: RunConfig) -> Path:
     return out
 
 
+def _split(cfg: RunConfig, y, stratify: bool):
+    """The seeded train/test split of the samples ``y``, made before any
+    fit; a split.test_fraction that leaves either side empty is bad input."""
+    fraction = cfg["split.test_fraction"]
+    train, test = evaluation.split_train_test(
+        y, fraction, seed=cfg.get("split.seed", "seed"), stratify=stratify)
+    for side, idx in (("train", train), ("test", test)):
+        if idx.size == 0:
+            raise ConfigError(f"split.test_fraction={fraction} leaves the "
+                              f"{side} side of {len(y)} samples empty")
+    return train, test
+
+
 def run_classify(cfg: RunConfig) -> Path:
     a, labels, task = load_dataset(cfg)
     if labels is None:
@@ -275,12 +286,12 @@ def run_classify(cfg: RunConfig) -> Path:
     labels = np.asarray(labels)
     keep = labels >= 0 if labels.dtype.kind in "iu" else np.ones(
         labels.shape[0], dtype=bool)
-    if np.unique(labels[keep]).size < 2:
+    labels = labels[keep]
+    if np.unique(labels).size < 2:
         raise SingleClassError("need at least two classes to classify")
+    train, test = _split(cfg, labels, stratify=True)
     feats, _, spec = method_features(cfg, a)
-    feats, labels = feats[keep], labels[keep]
-    train, test = evaluation.split_train_test(
-        labels, cfg["split.test_fraction"], seed=cfg.get("split.seed", "seed"))
+    feats = feats[keep]
     clf = evaluation.lssvm_fit(
         evaluation.LabeledFeatures(feats[train], labels[train]),
         gamma_reg=cfg["eval.gamma_reg"])
@@ -299,10 +310,8 @@ def run_regress(cfg: RunConfig) -> Path:
     a, targets, task = load_dataset(cfg)
     if task != "regression":
         raise ConfigError("regress needs dataset.task = regression")
+    train, test = _split(cfg, targets, stratify=False)
     feats, _, spec = method_features(cfg, a)
-    train, test = evaluation.split_train_test(
-        targets, cfg["split.test_fraction"], seed=cfg.get("split.seed", "seed"),
-        stratify=False)
     fit = evaluation.ridge_fit(feats[train], np.asarray(targets)[train],
                                gamma_reg=cfg["eval.gamma_reg"])
     pred = evaluation.ridge_predict(fit, feats[test])
@@ -326,22 +335,31 @@ def run_reconstruct(cfg: RunConfig) -> Path:
 
 def _timed_solve(make_source, solver: str, epsilon: float, reference,
                  ncfg: NystromConfig, repeats: int):
-    """One warmup then ``repeats`` timed runs; medians the wall time.
+    """One warmup then ``repeats`` timed runs: the last report and the
+    median wall time.
 
     Every run gets a fresh source from ``make_source``, so none reuses the
     norms or blocks an earlier run left in a lazy source.
     """
-    results, times = [], []
-    for _ in range(repeats + 1):
-        try:
-            rep = nystrom.solve_to_tolerance(make_source(), solver, epsilon,
-                                             reference, ncfg)
-        except ToleranceUnreachableError as err:
-            rep = err.report
-        results.append(rep)
-        times.append(rep.wall_time)
-    rep = results[-1]
-    return rep, float(np.median(times[1:]))
+    reports = [nystrom.solve_to_tolerance(make_source(), solver, epsilon,
+                                          reference, ncfg)
+               for _ in range(repeats + 1)]
+    return reports[-1], float(np.median([rep.wall_time
+                                         for rep in reports[1:]]))
+
+
+def _solve_columns(rep, wall_time: float, **own) -> dict:
+    """The columns bench.csv and sweep.csv share, in their order, with the
+    CSV's ``own`` columns ahead of status."""
+    return {"m_used": rep.m_used, "entries": rep.history[-1].entries,
+            "attempts": len(rep.history), "eta": f"{rep.eta:.17g}",
+            "wall_time_s": f"{wall_time:.6g}", **own, "status": rep.status}
+
+
+def _speedup(base: float | None, own: float) -> str:
+    """base / own from the unrounded times, not the 6-digit strings; blank
+    without a base time or an own time above 0."""
+    return f"{base / own:.6g}" if base and own > 0 else ""
 
 
 def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
@@ -372,7 +390,7 @@ def run_bench(cfg: RunConfig) -> Path:
     the accuracy reference materialize it once; the sampled asymmetric
     solver only ever sees the lazy block source.
     """
-    ncfg = _growth_config(cfg, cfg.get("nystrom.seed", "seed"),
+    ncfg = _growth_config(cfg, cfg.get("solver.seed", "seed"),
                           oversample=cfg["solver.oversample"],
                           power_iters=cfg["solver.power_iters"])
     solvers = parse_names(cfg["bench.solvers"], "bench.solvers",
@@ -398,60 +416,45 @@ def run_bench(cfg: RunConfig) -> Path:
             eps_rows.append({
                 "solver": solver, "N": g.shape[0], "M": g.shape[1],
                 "r": cfg["rank"], "epsilon": f"{epsilon:.17g}",
-                "m_used": rep.m_used, "entries": rep.history[-1].entries,
-                "attempts": len(rep.history), "eta": f"{rep.eta:.17g}",
-                "wall_time_s": f"{median_time:.6g}", "seed": ncfg.seed,
-                "status": rep.status,
-            })
-        # speedups from the unrounded times, not the 6-digit strings
-        t_rsvd = timings.get("rsvd")
+                **_solve_columns(rep, median_time, seed=ncfg.seed)})
         for row in eps_rows:
-            own = timings[row["solver"]]
-            row["speedup"] = f"{t_rsvd / own:.6g}" if t_rsvd and own > 0 \
-                else ""
+            row["speedup"] = _speedup(timings.get("rsvd"),
+                                      timings[row["solver"]])
         rows += eps_rows
     return _write_rows(cfg, "bench", "bench.csv", rows)
 
 
 def run_sweep(cfg: RunConfig) -> Path:
-    """Bandwidth sweep: sampled-solver budget and speedup per gamma value."""
+    """Bandwidth sweep: the sampled solver's budget and its speedup over
+    bench's tsvd solve, per bandwidth: ``make_kernel_spec``'s gamma times
+    each of sweep.gamma_scales."""
+    if cfg["kernel.family"] == "linear":
+        raise ConfigError("nystrom-sweep varies the kernel bandwidth, which "
+                          "kernel.family=linear does not have")
+    scales = parse_floats(cfg["sweep.gamma_scales"], "sweep.gamma_scales")
     ncfgs = [_growth_config(cfg, cfg["seed"] + i)
              for i in range(cfg["sweep.seeds"])]
     epsilon = cfg["nystrom.epsilon"]
     _check_epsilons(cfg, "nystrom.epsilon", [epsilon])
     a, _, _ = load_dataset(cfg)
-    if cfg["sweep.gammas"] is not None:
-        gammas = parse_floats(cfg["sweep.gammas"], "sweep.gammas")
-    else:
-        base = kernels.default_gamma(a, k=cfg["kernel.gamma_k"])
-        scales = parse_floats(cfg["sweep.gamma_scales"], "sweep.gamma_scales")
-        gammas = tuple(base * s for s in scales)
+    base = make_kernel_spec(cfg, a)
     # only the bandwidth changes from one gamma to the next
     sources = _kernel_sources(cfg, a)
 
     rows = []
-    for gamma in sorted(gammas):
-        spec = KernelSpec(family=cfg["kernel.family"], gamma=float(gamma))
+    for gamma in sorted(base.gamma * scale for scale in scales):
+        spec = KernelSpec(family=base.family, gamma=gamma)
         g = kernels.kernel_matrix(spec, sources)
         reference = svd_exact(g, cfg["rank"])
-        t0 = time.perf_counter()
-        svd_truncated(g, cfg["rank"], tol=1e-10)
-        t_dense = time.perf_counter() - t0
+        t_dense = nystrom.solve_to_tolerance(g, "tsvd", epsilon, reference,
+                                             ncfgs[0]).wall_time
         for ncfg in ncfgs:
-            source = LazyKernelSource(spec, sources)
-            try:
-                rep = nystrom.solve_to_tolerance(source, "asym_nystrom",
-                                                 epsilon, reference, ncfg)
-            except ToleranceUnreachableError as err:
-                rep = err.report
-            speedup = t_dense / rep.wall_time if rep.wall_time > 0 else ""
+            rep = nystrom.solve_to_tolerance(LazyKernelSource(spec, sources),
+                                             "asym_nystrom", epsilon,
+                                             reference, ncfg)
             rows.append({
                 "gamma": f"{gamma:.17g}", "epsilon": f"{epsilon:.17g}",
-                "seed": ncfg.seed, "m_used": rep.m_used,
-                "entries": rep.history[-1].entries,
-                "attempts": len(rep.history), "eta": f"{rep.eta:.17g}",
-                "wall_time_s": f"{rep.wall_time:.6g}",
-                "speedup_vs_tsvd": f"{speedup:.6g}" if speedup else "",
-                "status": rep.status,
-            })
+                "seed": ncfg.seed, **_solve_columns(
+                    rep, rep.wall_time,
+                    speedup_vs_tsvd=_speedup(t_dense, rep.wall_time))})
     return _write_rows(cfg, "nystrom-sweep", "sweep.csv", rows)

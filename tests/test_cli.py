@@ -54,6 +54,22 @@ class TestExtract:
         assert manifest["config"]["rank"] == 3
         assert manifest["config"]["dataset.synth_n"] == 24
 
+    def test_nystrom_seed_is_solver_seed_else_seed(self, tmp_path):
+        # the graph has its own seed, and a square one takes no compat
+        # transform, so only the sampling reads seed
+        def left(name, *settings):
+            out = tmp_path / name
+            assert run("extract", "--format", "synth", "--rank", "2",
+                       "--set", "dataset.synth_n=40",
+                       "--set", "dataset.synth_seed=0", "--solver", "nystrom",
+                       "--set", "nystrom.m=12", *settings,
+                       "--out", str(out)) == 0
+            return (out / "left.csv").read_bytes()
+
+        given = left("given", "--set", "solver.seed=5")
+        assert given == left("fallback", "--seed", "5")
+        assert given != left("other", "--set", "solver.seed=6")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
         args = ("extract", "--format", "synth", "--rank", "3",
@@ -114,13 +130,13 @@ class TestExtract:
         # the solver does not read is rejected (exit 2), naming the key and
         # the solver; the keys it reads pass, as do unread keys at their
         # defaults
-        values = {"nystrom.n": "12", "nystrom.m": "12", "nystrom.seed": "3",
+        values = {"nystrom.n": "12", "nystrom.m": "12",
                   "solver.tol": "1e-9", "solver.oversample": "4",
                   "solver.power_iters": "1", "solver.seed": "3"}
         reads = {"exact": (), "truncated": ("solver.tol", "solver.seed"),
                  "randomized": ("solver.oversample", "solver.power_iters",
                                 "solver.seed"),
-                 "nystrom": ("nystrom.n", "nystrom.m", "nystrom.seed")}
+                 "nystrom": ("nystrom.n", "nystrom.m", "solver.seed")}
         base = ("extract", "--format", "synth", "--rank", "2", "--solver",
                 solver, "--set", "dataset.synth_n=24")
         unread = [key for key in values if key not in reads[solver]]
@@ -133,7 +149,7 @@ class TestExtract:
             assert not (tmp_path / key).exists()
         # the keys it reads, the others at their defaults
         defaults = {"nystrom.n": "none", "nystrom.m": "none",
-                    "nystrom.seed": "none", "solver.tol": "1e-10",
+                    "solver.tol": "1e-10",
                     "solver.oversample": "10", "solver.power_iters": "2",
                     "solver.seed": "none"}
         chosen = {key: values[key] if key in reads[solver] else defaults[key]
@@ -262,18 +278,22 @@ class TestExitCodes:
         assert "nystrom.n=12" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, own", [
-        ("bench", ("bench.repeats=1", "bench.solvers=tsvd")),
-        ("nystrom-sweep", ("sweep.seeds=1", "sweep.gamma_scales=1.0")),
+    @pytest.mark.parametrize("command, own, seed", [
+        ("bench", ("bench.repeats=1", "bench.solvers=tsvd"), ()),
+        ("nystrom-sweep", ("sweep.seeds=1", "sweep.gamma_scales=1.0"),
+         (("solver.seed", "3"),)),
     ], ids=["bench", "nystrom-sweep"])
-    def test_fit_only_keys_rejected(self, tmp_path, capsys, command, own):
+    def test_fit_only_keys_rejected(self, tmp_path, capsys, command, own,
+                                    seed):
         # the growth loop solves the uncentered kernel with the bench's
-        # solvers: the keys that set up a fit are read by neither command
+        # solvers: the keys that set up a fit are read by neither command,
+        # and solver.seed, bench's solvers' seed, by the sweep, which seeds
+        # its solves from seed
         base = (command, "--format", "synth", "--rank", "2",
                 "--set", "dataset.synth_n=24",
                 *(arg for setting in own for arg in ("--set", setting)))
         for key, value in (("solver", "truncated"), ("solver.tol", "1e-3"),
-                           ("solver.seed", "3"), ("center", "false")):
+                           *seed, ("center", "false")):
             out = tmp_path / key
             assert run(*base, "--set", f"{key}={value}",
                        "--out", str(out)) == 2, key
@@ -307,13 +327,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["set", "file", "env"])
-    @pytest.mark.parametrize("key, value", [("nystrom.center_stats", "full"),
-                                            ("nystrom.subproblem", "exact")])
-    def test_removed_nystrom_keys_rejected(self, tmp_path, capsys,
-                                           monkeypatch, route, key, value):
+    @pytest.mark.parametrize("command, key, value", [
+        (("extract", "--solver", "nystrom"), "nystrom.center_stats", "full"),
+        (("extract", "--solver", "nystrom"), "nystrom.subproblem", "exact"),
+        (("extract", "--solver", "nystrom"), "nystrom.seed", "5"),
+        (("bench", "--set", "bench.repeats=1"), "nystrom.seed", "5"),
+        (("nystrom-sweep", "--set", "sweep.seeds=1"), "sweep.gammas", "0.5"),
+    ], ids=["center_stats", "subproblem", "extract-seed", "bench-seed",
+            "sweep-gammas"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, monkeypatch,
+                                   route, command, key, value):
         # sampled fits center with their sampled blocks' own means only and
-        # take their sampled block's exact top-r SVD: neither key is known,
-        # whether set by flag, config file or environment variable
+        # take their sampled block's exact top-r SVD; every solver seed is
+        # solver.seed; the sweep scales the kernel bandwidth by
+        # sweep.gamma_scales: no key here is known, whether set by flag,
+        # config file or environment variable
         name, args = key, ("--set", f"{key}={value}")
         if route == "file":
             config = tmp_path / "run.cfg"
@@ -323,9 +351,9 @@ class TestExitCodes:
             name, args = env_name(key), ()
             monkeypatch.setenv(name, value)
         out = tmp_path / "x"
-        assert run("extract", "--format", "synth", "--rank", "2",
-                   "--set", "dataset.synth_n=24", "--solver", "nystrom",
-                   *args, "--out", str(out)) == 2
+        assert run(*command, "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=24", *args,
+                   "--out", str(out)) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
 
@@ -416,8 +444,7 @@ class TestClassify:
         # writes nothing; the same keys at their defaults pass
         values = {"solver": "truncated", "solver.tol": "1e-3",
                   "solver.oversample": "4", "solver.power_iters": "1",
-                  "solver.seed": "3", "nystrom.n": "12", "nystrom.m": "5",
-                  "nystrom.seed": "3"}
+                  "solver.seed": "3", "nystrom.n": "12", "nystrom.m": "5"}
         base = ("classify", "--format", "synth", "--rank", "3",
                 "--set", "dataset.synth_n=40", "--method", method)
         for key, value in values.items():
@@ -545,6 +572,64 @@ class TestRegress:
         assert code == 2
 
 
+class TestSamples:
+    """The samples are the rows of the data: the features each command
+    learns from and the train/test split both describe them."""
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        from aksvd import pipeline
+
+        def fit_from_config(cfg, a):
+            raise AssertionError("the model was fit")
+
+        monkeypatch.setattr(pipeline, "fit_from_config", fit_from_config)
+
+    @pytest.mark.parametrize("sides", ["right", "both"])
+    @pytest.mark.parametrize("command, shape", [("classify", (60, 4)),
+                                                ("regress", (80, 5))])
+    def test_right_side_of_non_square_data_rejected(
+            self, tmp_path, capsys, no_fit, command, shape, sides):
+        # right-side features describe the columns, not the samples
+        data = tmp_path / "d.csv"
+        write_square_csv(data, np.random.default_rng(5).standard_normal(shape))
+        task = "classification" if command == "classify" else "regression"
+        out = tmp_path / "x"
+        assert run(command, "--format", "csv", "--dataset", str(data),
+                   "--set", "dataset.target=t", "--set", f"dataset.task={task}",
+                   "--rank", "2", "--set", f"features.sides={sides}",
+                   "--out", str(out)) == 2
+        assert f"features.sides={sides}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sides", ["auto", "both", "left", "right"])
+    def test_square_graphs_take_every_side(self, tmp_path, sides):
+        out = tmp_path / "run"
+        assert run("classify", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=40",
+                   "--set", f"features.sides={sides}", "--out", str(out)) == 0
+        assert "accuracy" in read_metrics(out)
+
+    @pytest.mark.parametrize("command, fraction", [("regress", "0.999"),
+                                                   ("classify", "0.99")])
+    def test_empty_train_side_rejected(self, tmp_path, capsys, no_fit,
+                                       command, fraction):
+        # 80 rows: the test side takes them all, stratified or not
+        data = tmp_path / "d.csv"
+        write_square_csv(data, np.random.default_rng(6).standard_normal(
+            (80, 5)))
+        task = "classification" if command == "classify" else "regression"
+        out = tmp_path / "x"
+        assert run(command, "--format", "csv", "--dataset", str(data),
+                   "--set", "dataset.target=t", "--set", f"dataset.task={task}",
+                   "--rank", "2", "--set", f"split.test_fraction={fraction}",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"split.test_fraction={fraction}" in err
+        assert "train side of 80 samples empty" in err
+        assert not out.exists()
+
+
 class TestBench:
     def read_rows(self, out):
         with open(out / "bench.csv", newline="", encoding="utf-8") as fh:
@@ -614,6 +699,19 @@ class TestBench:
         assert "epsilon must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run" / "bench.csv").exists()
 
+    @pytest.mark.parametrize("settings, seed", [
+        ((), "0"), (("--seed", "4"), "4"),
+        (("--seed", "4", "--set", "solver.seed=7"), "7")])
+    def test_solver_seed_else_seed(self, tmp_path, settings, seed):
+        # the solvers' seed is solver.seed, falling back to seed, as in a
+        # --solver nystrom fit
+        out = tmp_path / "run"
+        assert run("bench", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=16", "--set", "bench.repeats=1",
+                   "--set", "bench.solvers=rsvd,asym_nystrom", *settings,
+                   "--out", str(out)) == 0
+        assert {row["seed"] for row in self.read_rows(out)} == {seed}
+
     def test_two_epsilons_make_two_row_groups(self, tmp_path):
         out = tmp_path / "run"
         code = run("bench", "--format", "synth", "--rank", "2",
@@ -647,7 +745,8 @@ class TestSweep:
         out = tmp_path / "run"
         code = run("nystrom-sweep", "--format", "synth", "--rank", "2",
                    "--set", "dataset.synth_n=24",
-                   "--set", "sweep.gammas=0.5", "--set", "sweep.seeds=2",
+                   "--set", "kernel.gamma=0.5", "--set", "sweep.seeds=2",
+                   "--set", "sweep.gamma_scales=1.0",
                    "--set", "nystrom.epsilon=10.0", "--set", "nystrom.m=8",
                    "--out", str(out))
         assert code == 0
@@ -685,7 +784,8 @@ class TestSweep:
             out = tmp_path / name
             assert run("nystrom-sweep", "--format", "csv", "--dataset",
                        str(tmp_path / "data.csv"), "--set", "dataset.target=t",
-                       "--rank", "2", "--set", f"sweep.gammas={gammas}",
+                       "--rank", "2", "--set", "kernel.gamma=1",
+                       "--set", f"sweep.gamma_scales={gammas}",
                        "--set", "sweep.seeds=2", "--set", "nystrom.m=6",
                        "--out", str(out)) == 0
             with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
@@ -700,16 +800,66 @@ class TestSweep:
         assert len(calls) == 4
         assert together == apart
 
-    def test_explicit_gamma_grid(self, tmp_path):
+    @pytest.mark.parametrize("settings, base", [
+        (("--set", "kernel.gamma=2.0"), lambda a: 2.0),
+        (("--set", "kernel.gamma_k=3"),
+         lambda a: kernels.default_gamma(a, k=3.0)),
+        ((), kernels.default_gamma),
+    ], ids=["given", "scaled-default", "default"])
+    def test_bandwidths_scale_the_kernel_gamma(self, tmp_path, settings,
+                                               base):
+        # the extract's bandwidth (kernel.gamma, else the default one at
+        # kernel.gamma_k) times each of sweep.gamma_scales, in order
+        a = datasets.synth_directed_graph("two_block", 16, seed=0).adjacency
         out = tmp_path / "run"
         code = run("nystrom-sweep", "--format", "synth", "--rank", "2",
-                   "--set", "dataset.synth_n=16",
-                   "--set", "sweep.gammas=0.3,0.1",
+                   "--set", "dataset.synth_n=16", *settings,
+                   "--set", "sweep.gamma_scales=0.3,0.1",
                    "--set", "sweep.seeds=1", "--out", str(out))
         assert code == 0
         with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
-            gammas = [float(row["gamma"]) for row in csv.DictReader(fh)]
-        assert gammas == [0.1, 0.3]
+            gammas = [row["gamma"] for row in csv.DictReader(fh)]
+        assert gammas == [f"{base(a) * scale:.17g}" for scale in (0.1, 0.3)]
+
+    def test_linear_kernel_rejected(self, tmp_path, capsys, monkeypatch):
+        # the linear kernel has no bandwidth to sweep
+        from aksvd import pipeline
+
+        def load_dataset(cfg):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(pipeline, "load_dataset", load_dataset)
+        out = tmp_path / "x"
+        assert run("nystrom-sweep", "--format", "synth", "--kernel", "linear",
+                   "--set", "sweep.seeds=1", "--out", str(out)) == 2
+        assert "kernel.family=linear" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_time_is_the_bench_tsvd_solve(self, tmp_path, monkeypatch):
+        # one tsvd solve_to_tolerance per bandwidth, as bench runs it, then
+        # one asym_nystrom solve per seed; speedup_vs_tsvd is the ratio of
+        # their reported wall times
+        from dataclasses import replace
+
+        from aksvd import nystrom
+        solve, calls = nystrom.solve_to_tolerance, []
+
+        def timed(source, solver, *args):
+            calls.append(solver)
+            return replace(solve(source, solver, *args),
+                           wall_time=0.5 if solver == "tsvd" else 0.125)
+
+        monkeypatch.setattr(nystrom, "solve_to_tolerance", timed)
+        out = tmp_path / "run"
+        assert run("nystrom-sweep", "--format", "synth", "--rank", "2",
+                   "--set", "dataset.synth_n=16",
+                   "--set", "sweep.gamma_scales=0.5,2.0",
+                   "--set", "sweep.seeds=2", "--out", str(out)) == 0
+        assert calls == ["tsvd", "asym_nystrom", "asym_nystrom"] * 2
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["wall_time_s"], row["speedup_vs_tsvd"])
+                for row in rows] == [("0.125", "4")] * 4
 
 
 class TestReads:
@@ -723,7 +873,7 @@ class TestReads:
         "bench": (("bench.repeats=1", "bench.solvers=rsvd"),
                   "nystrom.epsilon=0.5", "solver.power_iters=1"),
         "nystrom-sweep": (("sweep.seeds=1", "sweep.gamma_scales=1.0"),
-                          "kernel.gamma=0.3", "nystrom.epsilon=0.5"),
+                          "solver.seed=3", "kernel.gamma=0.3"),
     }
 
     @staticmethod
@@ -769,9 +919,8 @@ class TestReads:
         (("extract", "--method", "svd"), ("method=svd",)),
         (("extract", "--set", "split.test_fraction=0.5"),
          ("split.test_fraction=0.5",)),
-        (("nystrom-sweep", "--set", "nystrom.seed=5",
-          "--set", "kernel.gamma=0.3"),
-         ("nystrom.seed=5", "kernel.gamma=0.3")),
+        # the sweep's seeds are seed + i
+        (("nystrom-sweep", "--set", "solver.seed=5"), ("solver.seed=5",)),
         # the sweep runs asym_nystrom only; bench's rsvd baseline reads these
         (("nystrom-sweep", "--set", "solver.oversample=4",
           "--set", "solver.power_iters=1"),
@@ -781,7 +930,7 @@ class TestReads:
         (("classify", "--method", "svd", "--set", "features.sides=left"),
          ("features.sides=left",)),
     ], ids=["extract-bench-keys", "extract-method", "extract-split",
-            "sweep-seed-gamma", "sweep-rsvd-knobs", "reconstruct-sides",
+            "sweep-solver-seed", "sweep-rsvd-knobs", "reconstruct-sides",
             "classify-svd-sides"])
     def test_each_unread_key_is_named(self, tmp_path, capsys, args, unread):
         out = tmp_path / "x"
@@ -794,9 +943,8 @@ class TestReads:
 
     @pytest.mark.parametrize("args, unread", [
         (("nystrom-sweep", "--set", "sweep.seeds=1",
-          "--set", "sweep.gammas=0.5", "--set", "sweep.gamma_scales=2.0",
-          "--set", "kernel.gamma_k=3"),
-         ("sweep.gamma_scales=2.0", "kernel.gamma_k=3")),
+          "--set", "kernel.gamma=0.5", "--set", "kernel.gamma_k=3"),
+         ("kernel.gamma_k=3",)),
         (("extract", "--kernel", "linear", "--set", "kernel.gamma=0.3",
           "--set", "kernel.gamma_k=2"),
          ("kernel.gamma=0.3", "kernel.gamma_k=2")),
@@ -808,7 +956,7 @@ class TestReads:
         (("bench", "--kernel", "linear", "--set", "bench.repeats=1",
           "--set", "kernel.gamma_k=2"),
          ("kernel.gamma_k=2",)),
-    ], ids=["sweep-gammas", "extract-linear", "extract-gamma", "kpca-gamma",
+    ], ids=["sweep-gamma", "extract-linear", "extract-gamma", "kpca-gamma",
             "bench-linear"])
     def test_a_value_that_leaves_keys_unread_names_them(
             self, tmp_path, capsys, args, unread):
@@ -826,11 +974,11 @@ class TestReads:
         ("nystrom-sweep", "--set", "sweep.seeds=1",
          "--set", "sweep.gamma_scales=2.0", "--set", "kernel.gamma_k=3"),
         ("nystrom-sweep", "--set", "sweep.seeds=1",
-         "--set", "sweep.gammas=0.5"),
+         "--set", "kernel.gamma=0.5", "--set", "sweep.gamma_scales=2.0"),
         ("extract", "--kernel", "linear"),
         ("extract", "--kernel", "rbf", "--set", "kernel.gamma=0.3"),
         ("classify", "--method", "kpca", "--set", "kernel.gamma=0.3"),
-    ], ids=["sweep-scales", "sweep-gammas", "extract-linear",
+    ], ids=["sweep-scales", "sweep-gamma", "extract-linear",
             "extract-gamma", "kpca-gamma"])
     def test_keys_stay_read_under_other_values(self, tmp_path, args):
         assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",

@@ -11,7 +11,6 @@ from aksvd.errors import (
     RankTooLargeError,
     SampleTooLargeError,
     SubproblemRankDeficientWarning,
-    ToleranceUnreachableError,
     ZeroColumnError,
 )
 from aksvd.linalg import (
@@ -404,6 +403,22 @@ class TestSolveToTolerance:
                                          nystrom.NystromConfig(r=3))
         assert rep.status == "ok" and rep.eta <= 1e-10
 
+    def test_values_below_the_reference_cutoff_are_not_compared(self):
+        # svd_truncated at tol 1e-14 keeps the fourth value, 3e-11 * sigma_1,
+        # which svd_exact's RANK_TOL = 1e-10 drops: eta compares the three
+        # pairs the reference has
+        rng = np.random.default_rng(20)
+        u = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+        v = np.linalg.qr(rng.standard_normal((32, 6)))[0]
+        g = u @ np.diag([1.0, 0.5, 0.2, 3e-11, 0.0, 0.0]) @ v.T
+        reference = svd_exact(g, 4)
+        rep = nystrom.solve_to_tolerance(g, "tsvd", 1e-8, reference,
+                                         nystrom.NystromConfig(r=4))
+        assert (reference.rank, rep.result.rank) == (3, 4)
+        assert rep.status == "ok"
+        assert rep.eta == nystrom.eta_accuracy(rep.result.u, rep.result.v,
+                                               reference, 3) <= 1e-8
+
     def test_rsvd_growth(self):
         rep = nystrom.solve_to_tolerance(self.g, "rsvd", 1e-6, self.ref,
                                          nystrom.NystromConfig(r=3, seed=0))
@@ -415,17 +430,20 @@ class TestSolveToTolerance:
             nystrom.NystromConfig(r=3, seed=0, oversample=4))
         assert [a.m for a in rep.history] == [4]
 
-    @pytest.mark.parametrize("oversample", [0, 1])
-    def test_rsvd_small_oversampling_terminates(self, oversample):
+    @pytest.mark.parametrize("oversample, steps", [
+        (0, [0, 1, 2, 4, 8, 16, 29]), (1, [1, 2, 4, 8, 16, 29])])
+    def test_rsvd_small_oversampling_terminates(self, oversample, steps):
         # each step grows the oversampling by at least one, up to the cap
+        # min(N, M) - r = 29, where the report comes back unmet
         cfg = nystrom.NystromConfig(r=3, seed=0, oversample=oversample,
                                     power_iters=0)
-        with pytest.raises(ToleranceUnreachableError) as exc:
-            nystrom.solve_to_tolerance(self.g, "rsvd", 1e-300, self.ref, cfg)
-        steps = [a.m for a in exc.value.report.history]
-        assert steps[0] == oversample
-        assert all(b > a for a, b in zip(steps, steps[1:]))
-        assert steps[-1] == 32 - 3  # the cap, min(N, M) - r
+        rep = nystrom.solve_to_tolerance(self.g, "rsvd", 1e-300, self.ref,
+                                         cfg)
+        assert rep.status == "tolerance_unreachable"
+        assert [(a.m, a.n) for a in rep.history] == [(k, 0) for k in steps]
+        assert all(a.eta > 1e-300 for a in rep.history)
+        assert {a.entries for a in rep.history} == {40 * 32}
+        assert (rep.m_used, rep.eta) == (29, rep.history[-1].eta)
 
     def test_sym_path(self):
         # needs a clear gap after the first two singular values: the one-shot
@@ -464,15 +482,18 @@ class TestSolveToTolerance:
         assert sizes[0] == 8
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
-    def test_unreachable_carries_report(self):
+    def test_unreachable_returns_its_report(self):
+        # the starting budget, 32 columns, is already the cap M: one
+        # attempt, over every row and column, that misses epsilon
         cfg = nystrom.NystromConfig(r=3, seed=0)
-        with pytest.raises(ToleranceUnreachableError) as exc:
-            nystrom.solve_to_tolerance(self.g, "asym_nystrom", 1e-15,
-                                       self.ref, cfg)
-        rep = exc.value.report
+        rep = nystrom.solve_to_tolerance(self.g, "asym_nystrom", 1e-15,
+                                         self.ref, cfg)
         assert rep.status == "tolerance_unreachable"
         assert rep.m_used == 32
         assert rep.eta > 1e-15
+        assert [(a.m, a.n, a.eta, a.entries) for a in rep.history] == [
+            (32, 40, rep.eta, 2 * 40 * 32)]
+        assert rep.history[0].wall_time == rep.wall_time
 
     def sne_source(self):
         src = kernels.DataSources(x=make_matrix(90, 6, seed=18),
@@ -484,10 +505,10 @@ class TestSolveToTolerance:
         make = self.sne_source()
         ref = svd_exact(make().full())
         lazy = make()
-        with pytest.raises(ToleranceUnreachableError) as exc:
-            nystrom.solve_to_tolerance(lazy, "asym_nystrom", 0.0, ref,
-                                       nystrom.NystromConfig(r=3, seed=0, m=8))
-        rep = exc.value.report
+        rep = nystrom.solve_to_tolerance(lazy, "asym_nystrom", 0.0, ref,
+                                         nystrom.NystromConfig(r=3, seed=0,
+                                                               m=8))
+        assert rep.status == "tolerance_unreachable"
         big_n, big_m = lazy.shape
         n, m = rep.result.row_indices.size, rep.result.col_indices.size
         # five attempts, at column budgets 8, 16, 32, 64 and M = 70; each
@@ -555,13 +576,9 @@ class TestSolveToTolerance:
             ref = svd_exact(g)
             budgets = []
             for seed in range(5):
-                try:
-                    rep = nystrom.solve_to_tolerance(
-                        g, "asym_nystrom", 1e-1, ref,
-                        nystrom.NystromConfig(r=3, seed=seed, m=8))
-                except ToleranceUnreachableError as err:
-                    rep = err.report
-                budgets.append(rep.m_used)
+                budgets.append(nystrom.solve_to_tolerance(
+                    g, "asym_nystrom", 1e-1, ref,
+                    nystrom.NystromConfig(r=3, seed=seed, m=8)).m_used)
             used[label] = np.median(budgets)
         assert used["wide"] < used["narrow"]
 
@@ -672,10 +689,10 @@ class TestChunkedLift:
 
         monkeypatch.setattr(kernels.LazyKernelSource, "sample_blocks", traced)
         src = kernels.LazyKernelSource(spec, sources)
-        with pytest.raises(ToleranceUnreachableError) as err:
-            nystrom.solve_to_tolerance(src, "asym_nystrom", 0.0, reference,
-                                       nystrom.NystromConfig(r=4))
-        history = err.value.report.history
+        rep = nystrom.solve_to_tolerance(src, "asym_nystrom", 0.0, reference,
+                                         nystrom.NystromConfig(r=4))
+        assert rep.status == "tolerance_unreachable"
+        history = rep.history
         # column budgets 32, 64, 128, 256 and M = 300: the leverage mixture
         # samples counts around each budget, short of it where it gives its
         # favoured columns pi = 1, and the last attempt samples every row
@@ -730,11 +747,8 @@ def grow_problem():
 
 
 def solve(source, epsilon, reference, cfg):
-    try:
-        return nystrom.solve_to_tolerance(source, "asym_nystrom", epsilon,
-                                          reference, cfg)
-    except ToleranceUnreachableError as err:
-        return err.report
+    return nystrom.solve_to_tolerance(source, "asym_nystrom", epsilon,
+                                      reference, cfg)
 
 
 class TestLeverageSampling:
