@@ -596,6 +596,13 @@ def center_oos(values, stats: CenteringStats, side: str) -> np.ndarray:
 
 # --- block sources for subsampled evaluation ---------------------------------
 
+# a row whose sne normalizer is positive but below this takes its products
+# with thin factors dense: its raw entries are no larger, so their thin
+# products lose bits to underflow, and the reciprocal that scales its
+# factor row, above 2**960, overflows on factor entries above 2**64
+_TINY = 2.0 ** -960
+
+
 class ChunkedBlock:
     """A kernel block kept as the raw chunks it was evaluated in.
 
@@ -609,7 +616,10 @@ class ChunkedBlock:
     a diagonal scaling and the centering as rank-one corrections, so its
     cost is that of the thin products with the chunks. ``np.asarray(block)``
     gives the dense block, bit for bit the array that the division and
-    centering make of the joined chunks.
+    centering make of the joined chunks. A row whose normalizer is positive
+    but tiny (below ``_TINY``, subnormal ones among them) has raw entries
+    no larger, so its thin products would underflow or its scaled factor
+    row overflow: a product takes such rows dense, as ``np.asarray`` does.
 
     The Nystrom lift multiplies sampled blocks of G this way; an
     out-of-sample projection multiplies the kernel rows or columns of a
@@ -751,13 +761,27 @@ class ChunkedBlock:
         out += grand * total
         return out
 
+    def _rows(self, tiny: np.ndarray) -> np.ndarray:
+        """Rows ``tiny`` (a mask) of the untransposed block, divided by
+        their normalizers but not centered."""
+        sizes = [len(c) for c in self._chunks[:-1]]
+        parts = (np.split(tiny, np.cumsum(sizes)) if self._axis == 0
+                 else [tiny] * len(self._chunks))
+        out = np.concatenate([c[part] for c, part in zip(self._chunks, parts)],
+                             self._axis)
+        _divide_rows(out, self._denom[tiny], self._width)
+        return out
+
     def _times(self, w: np.ndarray) -> np.ndarray:
         """B @ w before centering: rows are divided after the product."""
         out = self._across(w) if self._axis == 1 else self._along(w)
         if self._denom is not None:
-            dead = self._denom == 0.0
-            out /= np.where(dead, 1.0, self._denom)[:, None]
+            small, dead = self._denom < _TINY, self._denom == 0.0
+            tiny = small & ~dead
+            out /= np.where(small, 1.0, self._denom)[:, None]
             out[dead] = w.sum(0) / self._width
+            if tiny.any():
+                out[tiny] = self._rows(tiny) @ w
         return out
 
     def _transposed_times(self, w: np.ndarray) -> np.ndarray:
@@ -765,12 +789,16 @@ class ChunkedBlock:
         as rows of w."""
         scaled = w
         if self._denom is not None:
-            dead = self._denom == 0.0
-            scaled = w / np.where(dead, 1.0, self._denom)[:, None]
-            scaled[dead] = 0.0
+            small, dead = self._denom < _TINY, self._denom == 0.0
+            tiny = small & ~dead
+            scaled = w / np.where(small, 1.0, self._denom)[:, None]
+            scaled[small] = 0.0
         out = self._along(scaled) if self._axis == 1 else self._across(scaled)
-        if self._denom is not None and dead.any():
-            out += w[dead].sum(0) / self._width
+        if self._denom is not None:
+            if dead.any():
+                out += w[dead].sum(0) / self._width
+            if tiny.any():
+                out += self._rows(tiny).T @ w[tiny]
         return out
 
 
@@ -794,13 +822,14 @@ class MatrixSource:
         return self._g.shape
 
     def sample_blocks(self, row_idx, col_idx, col_weights=None):
-        """(G_nm, G_Nm, G_nM), the large two as one-chunk blocks; G holds
-        no normalizers to estimate, so ``col_weights`` changes nothing."""
+        """(G_nm, G_Nm, G_nM), the large two as blocks of one column and
+        one row chunk, as ``LazyKernelSource`` joins them; G holds no
+        normalizers to estimate, so ``col_weights`` changes nothing."""
         g_big_m = self._g[:, col_idx]
         g_n_big = self._g[row_idx, :]
         self.entries_evaluated += g_big_m.size + g_n_big.size
         return (g_big_m[row_idx], ChunkedBlock.dense(g_big_m),
-                ChunkedBlock.dense(g_n_big))
+                ChunkedBlock((g_n_big,), 0))
 
     def full(self) -> np.ndarray:
         self.entries_evaluated += self._g.size

@@ -2,7 +2,10 @@
 
 ``fit`` builds the kernel matrix G from a data matrix (rows against
 columns, through an optional compatibility transform), double-centers it,
-and takes its top singular triplets (U, D, V). The model stores the
+and takes its top singular triplets (U, D, V). The sampled solver
+("nystrom") takes them instead from ``nystrom.asym_nystrom``, the
+asymmetric Nystrom method's one sampled solve, centered with its sampled
+blocks' own means; both ways end in the same model. It stores the
 scaled coefficient matrices
 
     B_phi = U D^{-1/2},   B_psi = V D^{-1/2},   Lambda = D,
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .kernels import CenteringStats, DataSources, KernelSpec, LazyKernelSource
 from .linalg import svd_exact, svd_randomized, svd_truncated
-from .nystrom import NystromConfig, Sampler, lift_blocks, resolve_sample_sizes
+from .nystrom import NystromConfig, asym_nystrom
 
 # the solver_opts keys each solver reads; ``fit`` rejects any other key
 SOLVER_OPTS = {
@@ -89,11 +92,6 @@ class Embedding:
     features: np.ndarray
 
 
-def _zero_stats(n: int, m: int) -> CenteringStats:
-    return CenteringStats(row_means=np.zeros(n), col_means=np.zeros(m),
-                          grand_mean=0.0)
-
-
 def _transformed_sources(sources: DataSources, compat: CompatMatrix):
     """The sources of A through ``compat``, and the side it projects."""
     side = None if compat.mode == "identity" else (
@@ -118,8 +116,12 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
 
     ``compat`` may be a mode string (identity/a0/a1/a2) or a prebuilt
     CompatMatrix; None picks identity for square data and a0 otherwise.
-    ``solver`` selects how the SVD is obtained; "nystrom" works from
-    sampled kernel blocks and never materializes the full matrix.
+    ``solver`` selects how the SVD is obtained. "exact", "truncated" and
+    "randomized" solve the full kernel matrix, centered in place.
+    "nystrom" never materializes it: it is ``nystrom.asym_nystrom`` on the
+    kernel source, the growth loop's first attempt at the same m and seed,
+    centered with the sampled blocks' own means when ``center`` is set.
+    An uncentered model stores zero centering statistics.
     ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver.
     """
     sources = kernels.build_sources(a)  # validates A
@@ -142,68 +144,31 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
     compat = _resolve_compat(a, compat, compat_seed)
     sources, side = _transformed_sources(sources, compat)
 
-    if solver == "nystrom":
-        return _fit_nystrom(kernel, r, compat, side, sources, center, opts)
-
     source = LazyKernelSource(kernel, sources)
-    g = source.full()
-
-    if center:
+    if solver == "nystrom":
+        # the other keys are NystromConfig's fields
+        res = asym_nystrom(source, NystromConfig(r=r, **opts), center=center)
+        u, v, lam = res.u_tilde, res.v_tilde, res.lambda_tilde
+        stats = res.centering
+    else:
+        g = source.full()
         # g is this call's own array: centered in place
-        gc, stats = kernels.center(g, out=g)
-    else:
-        gc, stats = g, _zero_stats(big_n, big_m)
-
-    if solver == "exact":
-        res = svd_exact(gc, r)
-    elif solver == "truncated":
-        res = svd_truncated(gc, r, **opts)
-    else:
-        res = svd_randomized(gc, r, **opts)
-    take = min(r, res.rank)
-    if take < r:
-        warn_outside(
-            f"centered kernel matrix has numerical rank {res.rank} < "
-            f"requested {r}; model truncated", DegenerateKernelWarning)
-    u = res.u[:, :take]
-    v = res.v[:, :take]
-    lam = res.s[:take]
+        stats = kernels.center(g, out=g)[1] if center else None
+        solve = {"exact": svd_exact, "truncated": svd_truncated,
+                 "randomized": svd_randomized}[solver]
+        res = solve(g, r, **opts)
+        take = min(r, res.rank)
+        if take < r:
+            warn_outside(
+                f"centered kernel matrix has numerical rank {res.rank} < "
+                f"requested {r}; model truncated", DegenerateKernelWarning)
+        u, v, lam = res.u[:, :take], res.v[:, :take], res.s[:take]
     return KsvdModel(
         b_phi=u / np.sqrt(lam)[None, :], b_psi=v / np.sqrt(lam)[None, :],
         lam=lam, kernel=kernel, compat=compat, compat_side=side,
-        centering=stats, train=sources, centered=center,
-        sne_row_denoms=source.row_denoms)
-
-
-def _fit_nystrom(spec, r, compat, side, sources, center, opts):
-    cfg = NystromConfig(r=r, **opts)  # the other keys are its fields
-    lazy = LazyKernelSource(spec, sources)
-    # the growth loop's first attempt at this m and seed
-    rows, cols, _ = Sampler(lazy.shape, cfg.seed).draw(
-        *resolve_sample_sizes(lazy.shape, cfg))
-    g_nm, g_big_m, g_n_big = lazy.sample_blocks(rows, cols)
-
-    if center:
-        # unbiased estimates from the sampled blocks; exact at full sampling
-        stats = CenteringStats(row_means=g_big_m.mean(axis=1),
-                               col_means=g_n_big.mean(axis=0),
-                               grand_mean=float(g_nm.mean()))
-        # the large blocks carry the centering to their thin products
-        g_nm = g_nm - stats.row_means[rows, None] - stats.col_means[None, cols] \
-            + stats.grand_mean
-        g_big_m = g_big_m.centered(stats.row_means, stats.col_means[cols],
-                                   stats.grand_mean)
-        g_n_big = g_n_big.centered(stats.row_means[rows], stats.col_means,
-                                   stats.grand_mean)
-    else:
-        stats = _zero_stats(*lazy.shape)
-
-    u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, r)
-    return KsvdModel(
-        b_phi=u_t / np.sqrt(lam)[None, :], b_psi=v_t / np.sqrt(lam)[None, :],
-        lam=lam, kernel=spec, compat=compat, compat_side=side,
-        centering=stats, train=sources, centered=center,
-        sne_row_denoms=lazy.row_denoms)
+        centering=stats or CenteringStats(np.zeros(big_n), np.zeros(big_m),
+                                          0.0),
+        train=sources, centered=center, sne_row_denoms=source.row_denoms)
 
 
 def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:

@@ -27,7 +27,12 @@ from .errors import (
     ZeroColumnError,
     warn_outside,
 )
-from .kernels import as_block, as_kernel_source, warns_dead_rows
+from .kernels import (
+    CenteringStats,
+    as_block,
+    as_kernel_source,
+    warns_dead_rows,
+)
 from .linalg import (
     SvdResult,
     as_matrix,
@@ -77,6 +82,7 @@ class NystromResult:
     lambda_tilde: np.ndarray
     row_indices: np.ndarray
     col_indices: np.ndarray
+    centering: CenteringStats | None = None  # a centered solve's estimates
 
 
 def _column_budget(cfg: NystromConfig, big_m: int) -> int:
@@ -90,11 +96,7 @@ def resolve_sample_sizes(shape, cfg: NystromConfig) -> tuple[int, int]:
     m = _column_budget(cfg, big_m)
     n = cfg.n
     if n is None:
-        if big_n == big_m:
-            n = m
-        else:
-            n = int(round(m * big_n / big_m))
-        n = min(max(n, cfg.r), big_n)
+        n = min(max(int(round(m * big_n / big_m)), cfg.r), big_n)
     if n > big_n or m > big_m:
         raise SampleTooLargeError(
             f"requested n={n}, m={m} from a {big_n} x {big_m} matrix")
@@ -232,7 +234,7 @@ def lift_blocks(g_nm, g_big_m, g_n_big, r: int, weights=None):
 
 
 def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
-                 weights=None) -> NystromResult:
+                 weights=None, center: bool = False) -> NystromResult:
     """Approximate the top-r singular triplets from sampled blocks.
 
     ``indices`` is the (rows, columns) pair to sample; by default it is the
@@ -241,7 +243,17 @@ def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
     uniform sample, or the Horvitz-Thompson weights 1/pi of those rows and
     columns (see ``lift_blocks``); the column weights also make the sne
     row normalizers.
+
+    ``center`` double-centers the sampled blocks before the lift, with
+    statistics estimated from them: each row's mean over the sampled
+    columns, each column's over the sampled rows, and the sampled block's
+    mean, exact at full sampling. The result's ``centering`` holds them
+    (None uncentered). The large blocks carry the centering to their thin
+    products (``ChunkedBlock.centered``). A weighted sample is not
+    centered: its plain means would be biased.
     """
+    if center and weights is not None:
+        raise ConfigError("a weighted sample is lifted uncentered")
     source = as_kernel_source(g_source)
     if indices is None:
         indices = Sampler(source.shape, cfg.seed).draw(
@@ -249,9 +261,17 @@ def asym_nystrom(g_source, cfg: NystromConfig, indices=None,
     rows, cols = indices
     g_nm, g_big_m, g_n_big = source.sample_blocks(
         rows, cols, None if weights is None else weights[1])
+    stats = None
+    if center:
+        stats = CenteringStats(g_big_m.mean(axis=1), g_n_big.mean(axis=0),
+                               float(g_nm.mean()))
+        row, col, grand = stats.row_means, stats.col_means, stats.grand_mean
+        g_nm = g_nm - row[rows, None] - col[None, cols] + grand
+        g_big_m = g_big_m.centered(row, col[cols], grand)
+        g_n_big = g_n_big.centered(row[rows], col, grand)
     u_t, v_t, lam = lift_blocks(g_nm, g_big_m, g_n_big, cfg.r, weights)
     return NystromResult(u_tilde=u_t, v_tilde=v_t, lambda_tilde=lam,
-                         row_indices=rows, col_indices=cols)
+                         row_indices=rows, col_indices=cols, centering=stats)
 
 
 def sym_nystrom(k_source, cfg: NystromConfig):
@@ -375,8 +395,9 @@ def solve_to_tolerance(g_source, solver: str, epsilon: float,
 
     The asymmetric solver takes every attempt from one ``Sampler`` seeded
     with ``cfg.seed``. The first attempt is its first draw, a uniform prefix
-    of each side's permutation at budgets n and m (the sample a single-shot
-    ``ksvd.fit(solver="nystrom")`` takes at the same m and seed); every
+    of each side's permutation at budgets n and m: uncentered, a
+    single-shot ``ksvd.fit(solver="nystrom")`` at the same m and seed is
+    this attempt's ``asym_nystrom`` call, bit for bit; every
     later attempt draws with the previous attempt's U~ and V~, whose
     leverage scores raise the inclusion probabilities pi, and at a budget
     of L the whole side is sampled. Each sample is the last one followed by

@@ -95,10 +95,13 @@ READS = {
 
 # the keys that a value of one key leaves unread, wherever that key is read
 # ("set": any value but the unset default): the linear kernel has no
-# bandwidth, and a given bandwidth replaces the default one
+# bandwidth, a given bandwidth replaces the default one, and only the
+# seeded projection a2 reads a compat seed (auto is identity or a0)
 UNREAD_WHEN = {
     ("kernel.family", "linear"): ("kernel.gamma", "kernel.gamma_k"),
     ("kernel.gamma", "set"): ("kernel.gamma_k",),
+    **{("compat.mode", mode): ("compat.seed",)
+       for mode in ("auto", "identity", "a0", "a1")},
 }
 
 

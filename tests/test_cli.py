@@ -970,7 +970,27 @@ class TestReads:
             assert self.named(setting) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["auto", "identity", "a0", "a1"])
+    @pytest.mark.parametrize("command", [
+        ("extract",), ("bench",), ("nystrom-sweep",),
+        ("classify", "--method", "ksvd")],
+        ids=["extract", "bench", "sweep", "ksvd"])
+    def test_compat_seed_is_read_by_a2_only(self, tmp_path, capsys, command,
+                                            mode):
+        # auto is identity on square data and a0 otherwise: no seed
+        out = tmp_path / "x"
+        assert run(*command, "--format", "synth",
+                   "--set", "dataset.synth_n=24",
+                   "--set", f"compat.mode={mode}", "--set", "compat.seed=3",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "compat.seed=3" in err and f"with compat.mode={mode}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
+        ("extract", "--set", "compat.mode=a2", "--set", "compat.seed=3"),
+        ("classify", "--method", "ksvd", "--set", "compat.mode=a2",
+         "--set", "compat.seed=3"),
         ("nystrom-sweep", "--set", "sweep.seeds=1",
          "--set", "sweep.gamma_scales=2.0", "--set", "kernel.gamma_k=3"),
         ("nystrom-sweep", "--set", "sweep.seeds=1",
@@ -978,8 +998,8 @@ class TestReads:
         ("extract", "--kernel", "linear"),
         ("extract", "--kernel", "rbf", "--set", "kernel.gamma=0.3"),
         ("classify", "--method", "kpca", "--set", "kernel.gamma=0.3"),
-    ], ids=["sweep-scales", "sweep-gamma", "extract-linear",
-            "extract-gamma", "kpca-gamma"])
+    ], ids=["extract-a2", "ksvd-a2", "sweep-scales", "sweep-gamma",
+            "extract-linear", "extract-gamma", "kpca-gamma"])
     def test_keys_stay_read_under_other_values(self, tmp_path, args):
         assert run(*args, "--format", "synth", "--set", "dataset.synth_n=24",
                    "--rank", "2", "--out", str(tmp_path / "x")) == 0

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -610,6 +611,33 @@ class TestChunkedBlock:
                                       np.asarray(g_big_m).mean(axis=1))
         np.testing.assert_array_equal(g_n_big.mean(axis=0),
                                       np.asarray(g_n_big).mean(axis=0))
+
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_subnormal_normalizer_rows_match_dense(self, axis):
+        # rows 2 and 5 have the smallest subnormal normalizer, 5e-324, and
+        # raw entries as small: dividing their rows of w by it overflows,
+        # inf * 0 gives NaN, and their raw thin products underflow to 0;
+        # row 4 is dead. Row 5 lies in the second chunk of either axis.
+        rng = np.random.default_rng(54)
+        raw = rng.random((7, 8))
+        raw[[2, 4, 5]] = 0.0
+        raw[2, 1] = raw[5, 6] = 5e-324
+        denom = raw.sum(1)
+        assert denom[2] == denom[5] == 5e-324 and denom[4] == 0.0
+        chunks = (raw[:, :3], raw[:, 3:]) if axis == 1 else (raw[:4], raw[4:])
+        block = kernels.ChunkedBlock(chunks, axis, denom=denom, width=8)
+        dense = np.asarray(block)
+        assert dense[2, 1] == dense[5, 6] == 1.0
+        np.testing.assert_array_equal(dense[4], 1.0 / 8)
+        centered = block.centered(rng.standard_normal(7),
+                                  rng.standard_normal(8), 0.3)
+        for b in (block, block.T, centered, centered.T):
+            w = rng.standard_normal((b.shape[1], 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow, no NaN
+                got = b @ w
+            np.testing.assert_allclose(got, np.asarray(b) @ w, rtol=0,
+                                       atol=1e-14)
 
     def test_no_silent_densification(self):
         _, g_big_m, _ = self.blocks()

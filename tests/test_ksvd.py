@@ -696,6 +696,60 @@ class TestChunkedNystromFit:
                                           getattr(stats, field))
 
 
+class TestOneSampledSolve:
+    """fit(solver="nystrom") is ``asym_nystrom``, the growth loop's first
+    attempt: the same draw, blocks and lift, bit for bit."""
+
+    def problem(self, family, seed):
+        a = datasets.synth_directed_graph("two_block", 200, seed=9).adjacency
+        spec = KernelSpec(family, kernels.default_gamma(a))
+        return (a, spec, NystromConfig(r=5, m=48, seed=seed),
+                kernels.LazyKernelSource(spec, kernels.build_sources(a)))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("family", ["sne", "rbf"])
+    def test_uncentered_fit_is_the_first_attempt(self, family, seed):
+        a, spec, cfg, source = self.problem(family, seed)
+        model = ksvd.fit(a, spec, r=5, solver="nystrom", center=False,
+                         solver_opts={"m": 48, "seed": seed})
+        reference = linalg.svd_exact(kernels.LazyKernelSource(
+            spec, kernels.build_sources(a)).full(), 5)
+        report = nystrom.solve_to_tolerance(source, "asym_nystrom", np.inf,
+                                            reference, cfg)
+        assert len(report.history) == 1
+        first = report.result
+        lam = first.lambda_tilde
+        np.testing.assert_array_equal(model.lam, lam)
+        # b_phi, not transform: its rescaling by sqrt(lam) moves u_tilde
+        # by about 3e-17
+        np.testing.assert_array_equal(model.b_phi,
+                                      first.u_tilde / np.sqrt(lam))
+        np.testing.assert_array_equal(model.b_psi,
+                                      first.v_tilde / np.sqrt(lam))
+        assert first.centering is None and not model.centered
+        for means in (model.centering.row_means, model.centering.col_means,
+                      model.centering.grand_mean):
+            assert not np.any(means)
+        if family == "sne":
+            np.testing.assert_array_equal(model.sne_row_denoms,
+                                          source.row_denoms)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("family", ["sne", "rbf"])
+    def test_centered_fit_is_the_centered_solve(self, family, seed):
+        a, spec, cfg, source = self.problem(family, seed)
+        model = ksvd.fit(a, spec, r=5, solver="nystrom",
+                         solver_opts={"m": 48, "seed": seed})
+        res = nystrom.asym_nystrom(source, cfg, center=True)
+        lam = res.lambda_tilde
+        np.testing.assert_array_equal(model.lam, lam)
+        np.testing.assert_array_equal(model.b_phi, res.u_tilde / np.sqrt(lam))
+        np.testing.assert_array_equal(model.b_psi, res.v_tilde / np.sqrt(lam))
+        for field in ("row_means", "col_means", "grand_mean"):
+            np.testing.assert_array_equal(getattr(model.centering, field),
+                                          getattr(res.centering, field))
+
+
 class TestOosPreparedSides:
     """A model carries its training sides' norms and scales."""
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,33 @@ class TestAsym:
         with pytest.warns(SubproblemRankDeficientWarning):
             res = nystrom.asym_nystrom(g, nystrom.NystromConfig(r=3, n=6, m=6))
         assert res.lambda_tilde.size == 1
+
+    def test_centered_full_sampling_is_the_centered_exact_svd(self):
+        # the sampled means of every row and column are the exact ones, and
+        # a row block of G_nM takes its column means along its join
+        g = make_matrix(25, 18, seed=4)
+        gc, stats = kernels.center(g)
+        ref = svd_exact(gc)
+        res = nystrom.asym_nystrom(
+            g, nystrom.NystromConfig(r=4, n=25, m=18), center=True)
+        assert nystrom.eta_accuracy(res.u_tilde, res.v_tilde, ref, 4) <= 1e-8
+        np.testing.assert_allclose(res.lambda_tilde, ref.s[:4], rtol=1e-10)
+        for got, want in zip((res.centering.row_means,
+                              res.centering.col_means,
+                              res.centering.grand_mean),
+                             (stats.row_means, stats.col_means,
+                              stats.grand_mean)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert nystrom.asym_nystrom(
+            g, nystrom.NystromConfig(r=4, m=9)).centering is None
+
+    def test_centered_weighted_sample_is_rejected(self):
+        # plain sampled means are biased under unequal probabilities
+        g = make_matrix(20, 15, seed=9)
+        with pytest.raises(ConfigError, match="weighted"):
+            nystrom.asym_nystrom(
+                g, nystrom.NystromConfig(r=2), (np.arange(6), np.arange(5)),
+                (np.ones(6), np.ones(5)), center=True)
 
     def test_lazy_source_never_materializes(self):
         a = make_matrix(60, 60, seed=10)
@@ -752,6 +780,28 @@ def solve(source, epsilon, reference, cfg):
 
 
 class TestLeverageSampling:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_subnormal_sampled_normalizer_stays_finite(self, seed):
+        # a 300-node DAG at sne gamma 0.3: the first weighted attempt
+        # estimates one row's normalizer as a positive subnormal, whose
+        # reciprocal overflows; the lift takes that row dense and stays
+        # finite
+        a = datasets.synth_directed_graph("random_dag", 300,
+                                          seed=0).adjacency
+        spec = kernels.KernelSpec("sne", 0.3)
+        sources = kernels.build_sources(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyDenominatorWarning)
+            warnings.simplefilter("ignore", SubproblemRankDeficientWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            reference = svd_exact(
+                kernels.LazyKernelSource(spec, sources).full(), 4)
+            rep = solve(kernels.LazyKernelSource(spec, sources), 0.1,
+                        reference, nystrom.NystromConfig(r=4, seed=seed))
+        assert rep.status == "ok" and len(rep.history) == 2
+        assert np.isfinite(rep.result.u_tilde).all()
+        assert np.isfinite(rep.result.v_tilde).all()
+
     @pytest.mark.parametrize("epsilon", [0.05, 0.0])
     def test_no_leverage_reproduces_the_prefix_loop(self, monkeypatch,
                                                     epsilon):
