@@ -2,23 +2,25 @@
 
 When A is N x M with N != M, the row vectors x_i (length M) and column
 vectors z_j (length N) cannot be fed to a kernel directly. A compatibility
-matrix C projects the longer side down to the shorter one before the
-kernel is evaluated. Three constructions are available:
+matrix C projects one side to the other side's feature length before the
+kernel is evaluated. ``projected_side`` picks that side: x (the rows) when
+M >= N, z (the columns) otherwise, so the longer side is projected down
+and square A with a non-identity mode gets an x-side C. Three
+constructions are available:
 
 * a0  pseudo-inverse of A (with a linear kernel this reproduces G = A);
 * a1  leading principal directions of the mean-centered data;
 * a2  a seeded Gaussian projection, scaled so projected norms stay
       comparable to the originals.
 
-Each constructor builds C for the "project x" orientation: C has
-feature_len(x) rows and min(N, M) columns, the shorter side's feature
-length and the only one ``apply_compat`` can match. ``make_compat``
-handles the mirrored case N > M by running the same construction on A^T,
-producing a z-side C.
+Each constructor builds an x-side C for the matrix it is given: C has
+feature_len(x) rows and min(N, M) columns. ``make_compat`` resolves
+``auto`` (identity for square A, a0 otherwise) and runs the construction
+on A^T for a z-side C; ``apply_compat`` projects the side C names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,13 +37,23 @@ class CompatMatrix:
     c: np.ndarray | None  # None for identity
     mode: str
     seed: int | None = None
+    side: str | None = None  # "x" or "z", the side c projects
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown compat mode {self.mode!r}")
+        if self.side not in ((None,) if self.c is None else ("x", "z")):
+            raise ConfigError(f"compat side must be x or z with a matrix and "
+                              f"None without one, got {self.side!r}")
 
 
 IDENTITY = CompatMatrix(c=None, mode="identity")
+
+
+def projected_side(shape) -> str:
+    """The side of an N x M matrix that C projects: x when M >= N."""
+    n, m = shape
+    return "x" if m >= n else "z"
 
 
 def compat_pseudoinverse(a) -> CompatMatrix:
@@ -51,7 +63,7 @@ def compat_pseudoinverse(a) -> CompatMatrix:
         raise ZeroMatrixError("cannot take the pseudo-inverse of a zero matrix")
     res = svd_exact(a)
     c = res.v @ (res.u / res.s[None, :]).T
-    return CompatMatrix(c=c, mode="a0")
+    return CompatMatrix(c=c, mode="a0", side="x")
 
 
 def compat_pca(a) -> CompatMatrix:
@@ -76,7 +88,7 @@ def compat_pca(a) -> CompatMatrix:
         filler = np.random.default_rng(0).standard_normal(
             (m, min(n, m) - c.shape[1]))
         c = np.linalg.qr(np.hstack([c, filler]))[0]
-    return CompatMatrix(c=canonicalize_signs(c), mode="a1")
+    return CompatMatrix(c=canonicalize_signs(c), mode="a1", side="x")
 
 
 def compat_random(a, seed: int) -> CompatMatrix:
@@ -90,63 +102,54 @@ def compat_random(a, seed: int) -> CompatMatrix:
     n, m = a.shape
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((m, min(n, m))) / np.sqrt(m)
-    return CompatMatrix(c=c, mode="a2", seed=seed)
+    return CompatMatrix(c=c, mode="a2", seed=seed, side="x")
 
 
 def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
-    """Project whichever side is longer so both feature lengths agree; the
-    projected side is stored and measured by ``kernels.prepare_side``, and
-    the other side keeps its own form and statistics."""
-    dx = sources.x.shape[1]
-    dz = sources.z.shape[1]
-    if compat.mode == "identity" or compat.c is None:
+    """Project ``compat.side`` so both feature lengths agree; the projected
+    side is stored and measured by ``kernels.prepare_side``, and the other
+    side keeps its own form and statistics. C must map the projected
+    side's length to the other side's."""
+    dx, dz = sources.x.shape[1], sources.z.shape[1]
+    if compat.side is None:
         if dx != dz:
             raise ShapeMismatchError(
                 f"identity compat needs equal feature lengths, got {dx} and {dz}")
         return sources
-    c = compat.c
-    if dx >= dz:
-        if c.shape[0] != dx:
-            raise ShapeMismatchError(
-                f"compat matrix has {c.shape[0]} rows, row data needs {dx}")
-        new_x, x_stats = kernels.prepare_side(sources.x @ c)
-        if new_x.shape[1] != dz and dx != dz:
-            raise ShapeMismatchError(
-                f"compat maps to length {new_x.shape[1]}, column data has {dz}")
-        return DataSources(x=new_x, z=sources.z, x_stats=x_stats,
-                           z_stats=sources.z_stats)
-    if c.shape[0] != dz:
-        raise ShapeMismatchError(
-            f"compat matrix has {c.shape[0]} rows, column data needs {dz}")
-    new_z, z_stats = kernels.prepare_side(sources.z @ c)
-    if new_z.shape[1] != dx:
-        raise ShapeMismatchError(
-            f"compat maps to length {new_z.shape[1]}, row data has {dx}")
-    return DataSources(x=sources.x, z=new_z, x_stats=sources.x_stats,
-                       z_stats=z_stats)
+    side = compat.side
+    want = (dx, dz) if side == "x" else (dz, dx)
+    if compat.c.shape != want:
+        raise ShapeMismatchError(f"compat matrix is {compat.c.shape}, "
+                                 f"projecting the {side} side needs {want}")
+    data, stats = kernels.prepare_side(getattr(sources, side) @ compat.c)
+    return replace(sources, **{side: data, f"{side}_stats": stats})
 
 
-def make_compat(a, mode: str, seed: int | None = None) -> CompatMatrix:
-    """Build the compatibility matrix appropriate for A's orientation.
-
-    Square A with a non-identity mode still gets an x-side transform (with
-    a0 and a linear kernel that choice reproduces G = A). For N > M the
-    construction runs on A^T so the projection applies to the z side.
+def make_compat(a, mode: str = "auto", seed: int | None = None) -> CompatMatrix:
+    """Build the compatibility matrix for A in ``mode``: identity, a0, a1,
+    a2, or auto (identity for square A, a0 otherwise). The C of a0, a1 and
+    a2 projects ``projected_side(A.shape)``; for a z-side C the
+    construction runs on A^T.
     """
+    square = np.ndim(a) == 2 and len(a) == np.shape(a)[1]
+    if mode == "auto":
+        mode = "identity" if square else "a0"
     if mode == "identity":  # nothing is computed from A: it stays as it is
-        if np.ndim(a) != 2 or len(a) != np.shape(a)[1]:
+        if not square:
             raise ConfigError(
                 f"identity compat requires square A, got {np.shape(a)}")
         return IDENTITY
     a = as_matrix(a, "A")
-    n, m = a.shape
-    work = a if m >= n else a.T
+    side = projected_side(a.shape)
+    work = a if side == "x" else a.T
     if mode == "a0":
-        return compat_pseudoinverse(work)
-    if mode == "a1":
-        return compat_pca(work)
-    if mode == "a2":
+        built = compat_pseudoinverse(work)
+    elif mode == "a1":
+        built = compat_pca(work)
+    elif mode == "a2":
         if seed is None:
             raise ConfigError("compat mode a2 requires a seed")
-        return compat_random(work, seed=seed)
-    raise ConfigError(f"unknown compat mode {mode!r}")
+        built = compat_random(work, seed=seed)
+    else:
+        raise ConfigError(f"unknown compat mode {mode!r}")
+    return replace(built, side=side)

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, parallel
-from .compat import IDENTITY, CompatMatrix, apply_compat, make_compat
+from .compat import (IDENTITY, CompatMatrix, apply_compat, make_compat,
+                     projected_side)
 from .errors import (
     ConfigError,
     DegenerateKernelWarning,
@@ -60,12 +61,16 @@ SOLVER_OPTS = {
 
 @dataclass(frozen=True)
 class KsvdModel:
+    """A fitted model: the scaled coefficients and singular values, and
+    what projecting new points needs. ``compat.side`` names the side of
+    the training data that the compat transform projected (None for
+    identity); ``transform_oos`` projects new points of that side too."""
+
     b_phi: np.ndarray
     b_psi: np.ndarray
     lam: np.ndarray
     kernel: KernelSpec
     compat: CompatMatrix
-    compat_side: str | None  # "x", "z", or None for identity
     centering: CenteringStats
     # the data fed to the kernel (after the compat transform), stored and
     # measured by ``kernels.prepare_side`` for every projection to reuse
@@ -92,30 +97,15 @@ class Embedding:
     features: np.ndarray
 
 
-def _transformed_sources(sources: DataSources, compat: CompatMatrix):
-    """The sources of A through ``compat``, and the side it projects."""
-    side = None if compat.mode == "identity" else (
-        "x" if sources.x.shape[1] >= sources.z.shape[1] else "z")
-    return apply_compat(compat, sources), side
-
-
-def _resolve_compat(a, compat, compat_seed):
-    if isinstance(compat, CompatMatrix):
-        return compat
-    if compat is None:
-        n, m = np.shape(a)
-        compat = "identity" if n == m else "a0"
-    return make_compat(a, compat, seed=compat_seed)
-
-
 @kernels.warns_dead_rows
-def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
+def fit(a, kernel: KernelSpec, r: int, compat="auto", solver: str = "exact",
         center: bool = True, compat_seed: int | None = None,
         solver_opts: dict | None = None) -> KsvdModel:
     """Fit the model: kernel, centering, rank-r SVD, coefficient scaling.
 
-    ``compat`` may be a mode string (identity/a0/a1/a2) or a prebuilt
-    CompatMatrix; None picks identity for square data and a0 otherwise.
+    ``compat`` is a mode of ``compat.make_compat``: auto (identity for
+    square data, a0 otherwise), identity, a0, a1 or a2 (seeded by
+    ``compat_seed``).
     ``solver`` selects how the SVD is obtained. "exact", "truncated" and
     "randomized" solve the full kernel matrix, centered in place.
     "nystrom" never materializes it: it is ``nystrom.asym_nystrom`` on the
@@ -141,8 +131,8 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         # NaN fails the comparison too
         if name in opts and not opts[name] >= 0:
             raise ConfigError(f"{name} must be >= 0, got {opts[name]}")
-    compat = _resolve_compat(a, compat, compat_seed)
-    sources, side = _transformed_sources(sources, compat)
+    compat = make_compat(a, compat, seed=compat_seed)
+    sources = apply_compat(compat, sources)
 
     source = LazyKernelSource(kernel, sources)
     if solver == "nystrom":
@@ -165,7 +155,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="identity", solver: str = "exact",
         u, v, lam = res.u[:, :take], res.v[:, :take], res.s[:take]
     return KsvdModel(
         b_phi=u / np.sqrt(lam)[None, :], b_psi=v / np.sqrt(lam)[None, :],
-        lam=lam, kernel=kernel, compat=compat, compat_side=side,
+        lam=lam, kernel=kernel, compat=compat,
         centering=stats or CenteringStats(np.zeros(big_n), np.zeros(big_m),
                                           0.0),
         train=sources, centered=center, sne_row_denoms=source.row_denoms)
@@ -265,7 +255,7 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     side, raw, train = (("x", new_x, model.train_x) if new_z is None
                         else ("z", new_z, model.train_z))
     points = kernels.as_side(raw, "points")
-    c = model.compat.c if model.compat_side == side else None
+    c = model.compat.c if model.compat.side == side else None
     expect = train.shape[1] if c is None else c.shape[0]
     if points.shape[1] != expect:
         raise DimensionMismatchError(
@@ -317,7 +307,7 @@ def save_model(model: KsvdModel, path) -> None:
     # A itself is the side the compat transform left untouched; its scale is
     # max(1, max|A|) while every entry is an integer
     data, stats = ((model.train_z.T, model.train.z_stats)
-                   if model.compat_side == "x"
+                   if model.compat.side == "x"
                    else (model.train_x, model.train.x_stats))
     if stats.scale <= 255 and data.min() >= 0:
         data = data.astype(np.uint8)
@@ -363,15 +353,15 @@ def load_model(path) -> KsvdModel:
                              f"at rank {r}")
         mode = snap["compat.mode"]
         compat = IDENTITY if mode == "identity" else CompatMatrix(
-            c=f["compat"], mode=mode, seed=snap["compat.seed"])
-        sources, side = _transformed_sources(
-            kernels.build_sources(f["data"]), compat)
+            c=f["compat"], mode=mode, seed=snap["compat.seed"],
+            side=projected_side((n, m)))
+        sources = apply_compat(compat, kernels.build_sources(f["data"]))
         stats = CenteringStats(f["row_means"], f["col_means"],
                                float(f["grand_mean"]))
         return KsvdModel(
             b_phi=f["b_phi"], b_psi=f["b_psi"], lam=f["lam"],
             kernel=KernelSpec(snap["kernel.family"], snap["kernel.gamma"]),
-            compat=compat, compat_side=side, centering=stats,
+            compat=compat, centering=stats,
             train=sources, centered=snap["centered"],
             sne_row_denoms=f["sne_row_denoms"]
             if snap["kernel.family"] == "sne" else None)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, evaluation, kernels, ksvd, nystrom
+from .compat import apply_compat, make_compat
 from .config import KNOWN, RunConfig, parse_floats, parse_names
 from .errors import ConfigError, SingleClassError
 from .kernels import DataSources, KernelSpec, LazyKernelSource
@@ -134,10 +135,8 @@ def check_reads(cfg: RunConfig, command: str) -> None:
 
 
 def fit_from_config(cfg: RunConfig, a: np.ndarray) -> ksvd.KsvdModel:
-    mode = cfg["compat.mode"]
     return ksvd.fit(
-        a, make_kernel_spec(cfg, a), r=cfg["rank"],
-        compat=None if mode == "auto" else mode,
+        a, make_kernel_spec(cfg, a), r=cfg["rank"], compat=cfg["compat.mode"],
         solver=cfg["solver"], center=cfg["center"],
         compat_seed=cfg.get("compat.seed", "seed"),
         solver_opts={opt: cfg.get(key, "seed" if opt == "seed" else None)
@@ -367,10 +366,9 @@ def _speedup(base: float | None, own: float) -> str:
 
 def _kernel_sources(cfg: RunConfig, a: np.ndarray) -> DataSources:
     """The data sides for lazy kernel evaluation, compat already applied."""
-    mode = cfg["compat.mode"]
-    compat = ksvd._resolve_compat(a, None if mode == "auto" else mode,
-                                  cfg.get("compat.seed", "seed"))
-    return ksvd._transformed_sources(kernels.build_sources(a), compat)[0]
+    compat = make_compat(a, cfg["compat.mode"],
+                         seed=cfg.get("compat.seed", "seed"))
+    return apply_compat(compat, kernels.build_sources(a))
 
 
 def _check_epsilons(cfg: RunConfig, key: str, epsilons) -> None:

@@ -712,6 +712,25 @@ class TestBench:
                    "--out", str(out)) == 0
         assert {row["seed"] for row in self.read_rows(out)} == {seed}
 
+    @pytest.mark.parametrize("settings", [
+        (), ("--compat", "a2", "--set", "compat.seed=3")])
+    def test_rectangular_csv(self, tmp_path, settings):
+        # the sources pass through the compat transform: every row solves
+        # the kernel matrix of the 30 x 22 data, as the CSV has it
+        a = np.random.default_rng(10).standard_normal((30, 22))
+        write_square_csv(tmp_path / "data.csv", a)
+        out = tmp_path / "run"
+        assert run("bench", "--format", "csv", "--dataset",
+                   str(tmp_path / "data.csv"), "--set", "dataset.target=t",
+                   "--rank", "2", "--set", "bench.epsilons=10.0",
+                   "--set", "bench.repeats=1", "--set", "nystrom.m=8",
+                   *settings, "--out", str(out)) == 0
+        rows = self.read_rows(out)
+        assert [row["solver"] for row in rows] == ["tsvd", "rsvd",
+                                                   "asym_nystrom"]
+        assert {(row["N"], row["M"], row["status"]) for row in rows} == {
+            ("30", "22", "ok")}
+
     def test_two_epsilons_make_two_row_groups(self, tmp_path):
         out = tmp_path / "run"
         code = run("bench", "--format", "synth", "--rank", "2",
@@ -768,17 +787,17 @@ class TestSweep:
     def test_sources_are_built_once_per_sweep(self, tmp_path, monkeypatch):
         # a rectangular csv, so the sources include a compat transform;
         # every column but the timings equals that of one-gamma sweeps
-        from aksvd import ksvd
+        from aksvd import pipeline
         a = np.random.default_rng(9).standard_normal((30, 22))
         write_square_csv(tmp_path / "data.csv", a)
         calls = []
-        transformed = ksvd._transformed_sources
+        applied = pipeline.apply_compat
 
         def counted(*args):
             calls.append(args)
-            return transformed(*args)
+            return applied(*args)
 
-        monkeypatch.setattr(ksvd, "_transformed_sources", counted)
+        monkeypatch.setattr(pipeline, "apply_compat", counted)
 
         def sweep(gammas, name):
             out = tmp_path / name

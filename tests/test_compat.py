@@ -131,9 +131,19 @@ class TestApply:
         assert g.shape == (4, 7)
         assert np.all(g > 0) and np.all(g <= 1)
 
+    def test_side_must_fit_the_matrix(self):
+        # a matrix needs the side it projects, identity has none
+        with pytest.raises(ConfigError):
+            compat.CompatMatrix(c=np.ones((3, 3)), mode="a0")
+        with pytest.raises(ConfigError):
+            compat.CompatMatrix(c=None, mode="identity", side="x")
+        with pytest.raises(ConfigError):
+            compat.CompatMatrix(c=np.ones((3, 3)), mode="a0", side="y")
+
     def test_shape_mismatch(self):
         a = make_matrix(3, 5, seed=16)
-        wrong = compat.CompatMatrix(c=np.ones((4, 3)), mode="a2", seed=0)
+        wrong = compat.CompatMatrix(c=np.ones((4, 3)), mode="a2", seed=0,
+                                    side="x")
         with pytest.raises(ShapeMismatchError):
             compat.apply_compat(wrong, kernels.build_sources(a))
 
@@ -153,6 +163,20 @@ class TestMakeCompat:
                                       kernels.build_sources(a))
         g = kernels.kernel_matrix(kernels.KernelSpec(family="linear"), sources)
         assert np.linalg.norm(g - a) <= 1e-10 * np.linalg.norm(a)
+
+    def test_auto_is_identity_when_square_and_a0_otherwise(self):
+        assert compat.make_compat(make_matrix(4, 4, seed=22)) is \
+            compat.IDENTITY
+        for n, m, side in ((3, 5, "x"), (5, 3, "z")):
+            a = make_matrix(n, m, seed=23)
+            auto, a0 = compat.make_compat(a), compat.make_compat(a, "a0")
+            assert (auto.mode, auto.side) == ("a0", side) == (a0.mode, a0.side)
+            assert np.array_equal(auto.c, a0.c)
+
+    def test_projected_side(self):
+        # the longer side is projected; square A projects x
+        assert [compat.projected_side(s) for s in ((3, 5), (5, 3), (4, 4))] \
+            == ["x", "z", "x"]
 
     def test_identity_requires_square(self):
         with pytest.raises(ConfigError):

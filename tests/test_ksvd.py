@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from aksvd import datasets, kernels, ksvd, linalg, nystrom, parallel
+from aksvd.compat import apply_compat
 from aksvd.errors import (
     ConfigError,
     DegenerateKernelWarning,
@@ -388,8 +389,7 @@ class TestNystromSolver:
         spec = KernelSpec(family, kernels.default_gamma(a))
         model = ksvd.fit(a, spec, r=3, compat="a0", solver="nystrom",
                          solver_opts={"n": 30, "m": 24})
-        sources, _ = ksvd._transformed_sources(kernels.build_sources(a),
-                                               model.compat)
+        sources = apply_compat(model.compat, kernels.build_sources(a))
         _, stats = kernels.center(kernels.kernel_matrix(spec, sources))
         np.testing.assert_allclose(model.centering.row_means,
                                    stats.row_means, rtol=0, atol=1e-12)
@@ -464,8 +464,20 @@ class TestPersistence:
                 assert np.array_equal(back.compat.c, model.compat.c)
             assert back.compat.mode == model.compat.mode
             assert back.kernel == model.kernel
-            assert back.compat_side == model.compat_side
+            assert back.compat.side == model.compat.side
             assert back.centered == model.centered
+
+    def test_square_model_with_a_cut_compat_fails_to_load(self, tmp_path):
+        # a square a0 model projects x with a 25 x 25 C; one cut to 20
+        # columns names the file, not a missing transform at projection
+        ksvd.save_model(self.make_model(25, 25, "a0"), tmp_path / "good")
+        with np.load(tmp_path / "good" / "model.npz") as npz:
+            arrays = dict(npz)
+        arrays["compat"] = arrays["compat"][:, :20]
+        (tmp_path / "cut").mkdir()
+        np.savez(tmp_path / "cut" / "model.npz", **arrays)
+        with pytest.raises(ParseError, match="model.npz"):
+            ksvd.load_model(tmp_path / "cut")
 
     def test_bad_model_file_raises_parse_error(self, tmp_path):
         good = tmp_path / "good"
@@ -1158,6 +1170,40 @@ class TestDeadRowWarning:
             src._spec, DataSources(x=x, z=z)))
 
 
+@pytest.mark.parametrize("solver", ["exact", "nystrom"])
+@pytest.mark.parametrize("family", ["sne", "rbf", "linear"])
+@pytest.mark.parametrize("shape, mode", [
+    pytest.param((n, m), mode, id=f"{n}x{m}-{mode}")
+    for n, m in ((30, 22), (22, 30), (25, 25))
+    for mode in ("a0", "a1", "a2") + ("identity",) * (n == m)])
+def test_compat_side_follows_the_shape(shape, mode, family, solver, tmp_path):
+    """C projects x when M >= N and z otherwise, through save and load;
+    fit's default compat is identity on square A and a0 on rectangular."""
+    a = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+    a[a < 0.4] = 0.0
+    spec = KernelSpec(family, None if family == "linear"
+                      else kernels.default_gamma(a))
+    kw = {"r": 3, "solver": solver,
+          "solver_opts": {"m": 12, "seed": 3} if solver == "nystrom" else None}
+    model = ksvd.fit(a, spec, compat=mode,
+                     compat_seed=5 if mode == "a2" else None, **kw)
+    want = (None if mode == "identity" else
+            "z" if shape[0] > shape[1] else "x")
+    assert model.compat.side == want
+    ksvd.save_model(model, tmp_path)
+    assert ksvd.load_model(tmp_path).compat.side == want
+    if mode == ("identity" if shape[0] == shape[1] else "a0"):
+        default = ksvd.fit(a, spec, **kw)
+        assert default.compat.mode == model.compat.mode
+        assert np.array_equal(default.compat.c, model.compat.c)
+        for field in ("b_phi", "b_psi", "lam"):
+            assert np.array_equal(getattr(default, field),
+                                  getattr(model, field)), field
+    for compat in (None, model.compat):
+        with pytest.raises(ConfigError, match="unknown compat mode"):
+            ksvd.fit(a, spec, compat=compat, **kw)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 14), st.integers(3, 12), st.integers(0, 500))
 def test_exact_solver_invariants(n, m, seed):
@@ -1166,8 +1212,7 @@ def test_exact_solver_invariants(n, m, seed):
     r = min(3, n, m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateKernelWarning)
-        model = ksvd.fit(a, rbf_spec(a),
-                         r=r, compat=None)
+        model = ksvd.fit(a, rbf_spec(a), r=r, compat="auto")
     g_c = centered_g(model)
     res_psi, res_phi, gap = verify_kkt(model, g_c)
     assert max(res_psi, res_phi, gap) <= 1e-8
