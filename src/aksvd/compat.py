@@ -121,7 +121,8 @@ def apply_compat(compat: CompatMatrix, sources: DataSources) -> DataSources:
     if compat.c.shape != want:
         raise ShapeMismatchError(f"compat matrix is {compat.c.shape}, "
                                  f"projecting the {side} side needs {want}")
-    data, stats = kernels.prepare_side(getattr(sources, side) @ compat.c)
+    data, stats = kernels.prepare_side(kernels.plain(
+        getattr(sources, side), getattr(sources, f"{side}_stats")) @ compat.c)
     return replace(sources, **{side: data, f"{side}_stats": stats})
 
 

@@ -42,14 +42,22 @@ Every side of the kernel data is stored and measured once, by
 ``compat.apply_compat``, ``LazyKernelSource`` (a side given without
 statistics), ``ksvd.transform_oos`` (new points) and, through
 ``build_sources``, ``ksvd.load_model``; new points are stored a chunk at a
-time, each chunk in its own unit of work (``parallel.parallel_map``). A
-side is stored in float32 when every entry is an integer of magnitude at
-most 2^24, in float64 otherwise, so graphs take half the memory; integer
-or boolean data, as a saved model's uint8 graph, go to float32 with no
-float64 copy. Each side's ``SideStats``, its squared row norms, float32
-scale and row spans (the columns from each row's first to its last
-nonzero), travel with it in ``DataSources``, and every kernel source and
-out-of-sample projection over it reuses them.
+time, each chunk in its own unit of work (``parallel.parallel_map``), and
+plain, since their chunk's one product reads them as its short side. A
+side whose every entry is an integer of magnitude at most 2047, as every
+0/1 graph, is stored as packed pairs of rows in float32, row 2i + 4096 *
+row 2i+1: two bytes an entry, a quarter of a float64 copy. Any other side
+is stored plain, in float32 when every entry is an integer of magnitude at
+most 2^24, in float64 otherwise. Integer or boolean data, as a saved
+model's uint8 graph, never pass through a float64 copy, and
+``build_sources`` packs both sides of a graph in one pass over panels of
+its rows, with no plain copy of either. ``plain`` is the one reader of
+packed rows: the Gram product's short side, the rows a sampled block
+gathers, the compat transform and ``ksvd``'s model file read them through
+it. Each side's ``SideStats``, its squared row norms, float32 scale, row
+spans (the columns from each row's first to its last nonzero) and whether
+it is packed, travel with it in ``DataSources``, and every kernel source
+and out-of-sample projection over it reuses them.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -60,20 +68,20 @@ Graphs always qualify up to d = 2^24. Past that bound the product is taken
 in float64, over every column. The float32 product runs in tiles, and each
 tile contracts only the columns where both of its panels have nonzeros, the
 intersection of their row spans; a tile whose intersection is empty is
-zero. The tiles are laid out over panels of 512 rows of the side with fewer
-rows, x on a tie, against panels of 512 rows of the other side, and the
-other side's neighbouring panels that a panel meets over the same columns
-are one product, so on dense data each 512-row panel takes one product
-against all of the other side. Every term left out is zero and every sum
-exact, so the result is still the float64 product bit for bit. The saving
-rests on one property of the data: the nonzeros of nearby rows lie in a
-narrow range of columns. A DAG numbered in topological order is strictly
-upper-triangular, so a panel of its rows starts late and a panel of its
-columns ends early. The share of the dense contraction that the tiles keep
-is 0.46 over the blocks the leverage-sampled Nystrom solve of a 4000-node
-``random_dag`` evaluates as its sample grows (3.49e9 multiply-adds for
-1,896,000 entries of 4000 features: a chunk of sampled columns or rows is a
-sorted random subset of all of them, so its panels span nearly every
+zero. The tiles are laid out over panels of 512 rows of the short side, the
+one with fewer rows (x on a tie), against panels of 512 rows of the long
+side, and the long side's neighbouring panels that a panel meets over the
+same columns are one product, so on dense data each 512-row panel takes one
+product against all of the long side. Every term left out is zero and every
+sum exact, so the result is still the float64 product bit for bit. The
+saving rests on one property of the data: the nonzeros of nearby rows lie
+in a narrow range of columns. A DAG numbered in topological order is
+strictly upper-triangular, so a panel of its rows starts late and a panel
+of its columns ends early. The share of the dense contraction that the
+tiles keep is 0.46 over the blocks the leverage-sampled Nystrom solve of a
+4000-node ``random_dag`` evaluates as its sample grows (3.49e9 multiply-adds
+for 1,896,000 entries of 4000 features: a chunk of sampled columns or rows
+is a sorted random subset of all of them, so its panels span nearly every
 feature), 0.23 for the full kernel of that graph, 0.19 for that of a
 2000-node ``cycle``, and 1.0 for ``two_block`` graphs, whose every panel
 reaches both ends. Each tile is one unit of work on the thread pool
@@ -81,26 +89,25 @@ reaches both ends. Each tile is one unit of work on the thread pool
 for rbf and sne, runs the kernel's arithmetic there, so the result is the
 same bits at any pool size.
 
-Each tile also takes two rows of the shorter side's panel in one float32
-lane, which halves its multiply-adds: rows i and i + 1 are packed as
-row i + B * row (i+1) and multiplied against the other side once, and each
-packed value v = p + B q, p and q the two rows' products, is read back as
-q = rint(v / B) and p = v - B q; an odd last row takes the plain product.
+A packed long side is multiplied as it is stored, which halves every
+tile's multiply-adds: each float32 lane holds two long rows, and its
+product with a short row is v = p + 4096 q, p and q the two long rows'
+products, read back as q = floor((v + 2048) / 4096) and p = v - 4096 q
+straight into two rows (columns when z is the long side) of the result.
 This is exact under one more bound. Let c = isqrt(max(1, max |x|^2) *
 max(1, max |z|^2)), from the two sides' squared row norms. By
 Cauchy-Schwarz, c bounds |x . z| over any subset of the columns, so it
 bounds every partial sum of p and of q that a BLAS forms, in any order.
-B is the least power of two >= 2c + 2, and rows are packed only when
-c (B + 1) <= 2^24. Every packed entry (at most e (B + 1), e the packed
-side's largest entry, and e <= c, since each norm counts at least 1), every
-product and every partial sum is then an integer of magnitude at most
-c (B + 1) that float32 holds; dividing by B is exact, and since
-|p| <= c < B/2, rint recovers q for signed data too. On 0/1 data c is the
-geometric mean of the two sides' largest row degrees, rounded down, so a
-graph packs while that is at most 2047: c is 864 for the 2000-node
-training side of the benchmark's projection and 1283 for its 4000-node
-``random_dag``, while a 5000-node ``two_block`` graph (c = 2121) takes the
-plain product.
+When c <= 2047, every product and partial sum is an integer of magnitude
+at most 4097 c <= 2^24 that float32 holds, and |p| <= c < 2048 reads back
+exactly, for signed data too; past that, the long side is read plain once
+for the product and multiplied as plain rows. On 0/1 data c is the
+geometric mean of the two sides' largest row degrees, rounded down: it is
+144 for the benchmark's 300-node ``two_block`` extract, 864 for the
+2000-node training side of its projection and 1283 for its 4000-node
+``random_dag``, whose sampled chunks are short sides only 32-118 rows long
+against the whole packed graph, while a 5000-node ``two_block`` graph
+(c = 2121) reads its long panels plain.
 """
 from __future__ import annotations
 
@@ -139,6 +146,12 @@ _PROBE = 64
 
 # float32 holds every integer of magnitude up to 2^24 exactly
 _F32_EXACT = 2 ** 24
+# a side of scale at most _PACK_SCALE is stored as packed pairs of rows,
+# row 2i + _PACK_BASE * row 2i+1: every packed entry, at most
+# _PACK_SCALE * (_PACK_BASE + 1) in magnitude, is an integer float32 holds,
+# and the low row, at most _PACK_BASE / 2 - 1, reads back exactly
+_PACK_BASE = 4096
+_PACK_SCALE = _PACK_BASE // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -153,9 +166,12 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel family {self.family!r}; "
                               f"expected one of {FAMILIES}")
         if self.family in ("rbf", "sne"):
-            if self.gamma is None or not self.gamma > 0:
-                raise ConfigError(f"{self.family} kernel needs gamma > 0, "
-                                  f"got {self.gamma!r}")
+            # rbf divides by gamma^2, which must be a positive finite float
+            if self.gamma is None or not self.gamma > 0 or not (
+                    0.0 < float(self.gamma) * float(self.gamma) < math.inf):
+                raise ConfigError(
+                    f"{self.family} kernel needs gamma > 0 whose square is a "
+                    f"positive finite float, got {self.gamma!r}")
 
 
 class SideStats(NamedTuple):
@@ -167,15 +183,18 @@ class SideStats(NamedTuple):
     range: row i's nonzeros all lie in ``spans[i, 0]:spans[i, 1]``, the
     first and one past the last nonzero column, (d, 0) for a row of zeros.
     Only the float32 Gram product reads spans, so a side whose scale
-    exceeds 2^24, which never takes it, has None.
+    exceeds 2^24, which never takes it, has None. ``packed`` is True when
+    the side is stored as packed pairs of rows (``prepare_side``).
     """
 
     sq_norms: np.ndarray
     scale: float
     spans: np.ndarray | None
+    packed: bool = False
 
     def take(self, rows) -> SideStats:
-        """The statistics of rows ``rows`` of the side."""
+        """The statistics of rows ``rows`` of the side, as ``plain`` reads
+        them: unpacked."""
         spans = None if self.spans is None else self.spans[rows]
         return SideStats(self.sq_norms[rows], self.scale, spans)
 
@@ -195,6 +214,13 @@ class DataSources:
     x_stats: SideStats | None = None
     z_stats: SideStats | None = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(N, M): the rows of x and of z, packed or not."""
+        return tuple(len(side) if stats is None else len(stats.sq_norms)
+                     for side, stats in ((self.x, self.x_stats),
+                                         (self.z, self.z_stats)))
+
 
 @dataclass(frozen=True)
 class CenteringStats:
@@ -204,18 +230,24 @@ class CenteringStats:
 
 
 def build_sources(a) -> DataSources:
-    """Rows and columns of A, both stored and measured by ``prepare_side``:
-    x is A stored and z its transposed copy. The sources never alias A."""
-    x, x_stats = prepare_side(a, "A")
+    """Rows and columns of A, both stored and measured as ``prepare_side``
+    stores a side: x is A stored and z its transpose stored. Packed sides
+    are packed and measured together, from one pass over float32 panels of
+    A's rows, with no plain copy of A or A^T. The sources never alias A."""
+    arr = as_side(a, "A")
+    scale = _scale(arr, "A")
+    if scale <= _PACK_SCALE:
+        (x, x_stats), (z, z_stats) = _pack(arr, scale, columns=True)
+        return DataSources(x=x, z=z, x_stats=x_stats, z_stats=z_stats)
+    x, x_stats = prepare_side(arr, scale=scale)
     if np.may_share_memory(x, a):
         x = x.copy()
     # z by row panels (twice as fast as one strided copy), from A if narrower
-    arr = np.asarray(a)
-    src = arr if arr.shape == x.shape and arr.itemsize < x.itemsize else x
+    src = arr if arr.itemsize < x.itemsize else x
     z = np.empty(x.shape[::-1], dtype=x.dtype)
     for start in range(0, x.shape[0], _BLOCK):
         z[:, start:start + _BLOCK] = src[start:start + _BLOCK].T
-    z, z_stats = prepare_side(z, scale=x_stats.scale)
+    z, z_stats = prepare_side(z, scale=scale)
     return DataSources(x=x, z=z, x_stats=x_stats, z_stats=z_stats)
 
 
@@ -285,47 +317,160 @@ def as_side(a, name: str = "data") -> np.ndarray:
     return arr
 
 
-def prepare_side(a, name: str = "data",
-                 scale: float | None = None) -> tuple[np.ndarray, SideStats]:
+def prepare_side(a, name: str = "data", scale: float | None = None,
+                 pack: bool = True) -> tuple[np.ndarray, SideStats]:
     """``a`` in stored form with its ``SideStats``: the one routine that
     stores and measures a side of kernel data.
 
     ``a`` is a 2-D array of booleans, integers or floats (a vector is one
     row), non-empty and finite. Its scale comes from its extremes for an
     integer type, and from float64 row panels for floats; ``scale`` gives
-    it for a side already checked. The side is stored in float32 when the
-    scale is at most 2^24, in float64 otherwise (``a`` itself when already
-    so), never through a float64 copy of integer input. Its norms are sums
-    of float64 squares, or float32 sums where the Gram product's rule makes
-    them exact; its spans are taken only where that product reads them."""
+    it for a side already checked. A side of scale at most 2047, every 0/1
+    graph among them, is stored in float32 as packed pairs of rows, row
+    2i + 4096 * row 2i+1 (an odd last row alone), half the rows of the
+    plain side: packed from float32 panels of ``a``'s rows, and measured on
+    them, with no plain copy of the whole side; ``plain`` reads its rows
+    back. ``pack`` False stores it plain, for a side that is read once, as
+    the short side of one product. Any other side is stored plain, in
+    float32 when the scale is at most 2^24, in float64 otherwise (``a``
+    itself when already so), never through a float64 copy of integer
+    input. Its norms are sums of float64 squares, or float32 sums where the
+    Gram product's rule makes them exact; its spans are taken only where
+    that product reads them."""
     arr = as_side(a, name)
+    if scale is None:
+        scale = _scale(arr, name)
+    if pack and scale <= _PACK_SCALE:
+        return _pack(arr, scale)[0]
     step = max(1, _PANEL // arr.shape[1])
-    if scale is None and arr.dtype.kind in "biu":
-        scale = float(max(1, int(arr.max()), -int(arr.min())))
-    elif scale is None:
-        # in one call: checked on panels, the small temporaries left glibc
-        # mapping later kernel blocks afresh (2155 page faults a solve, not 8)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{name} contains NaN or Inf")
-        scale = 1.0
-        for start in range(0, arr.shape[0], step):
-            b = np.asarray(arr[start:start + step], dtype=np.float64)
-            if not np.array_equal(np.rint(b), b):
-                scale = np.inf
-                break
-            scale = max(scale, float(b.max()), float(-b.min()))
     exact = scale <= _F32_EXACT
     out = np.ascontiguousarray(arr, dtype=np.float32 if exact else np.float64)
-    if out.shape[1] * scale * scale <= _F32_EXACT:
+    sq_norms = np.concatenate([_sq_norms(out[start:start + step], scale)
+                               for start in range(0, out.shape[0], step)])
+    return out, SideStats(sq_norms, scale, _spans(out) if exact else None)
+
+
+def _scale(arr: np.ndarray, name: str) -> float:
+    """The float32 scale of a side (``SideStats.scale``), from its extremes
+    for an integer type and from float64 row panels for floats, which must
+    be finite."""
+    if arr.dtype.kind in "biu":
+        return float(max(1, int(arr.max()), -int(arr.min())))
+    # in one call: checked on panels, the small temporaries left glibc
+    # mapping later kernel blocks afresh (2155 page faults a solve, not 8)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains NaN or Inf")
+    scale = 1.0
+    step = max(1, _PANEL // arr.shape[1])
+    for start in range(0, arr.shape[0], step):
+        b = np.asarray(arr[start:start + step], dtype=np.float64)
+        if not np.array_equal(np.rint(b), b):
+            return np.inf
+        scale = max(scale, float(b.max()), float(-b.min()))
+    return scale
+
+
+def _sq_norms(b: np.ndarray, scale: float) -> np.ndarray:
+    """Squared norms of the rows of ``b``, a stored panel of a side of
+    scale ``scale``."""
+    if b.shape[1] * scale * scale <= _F32_EXACT:
         # the Gram product's own rule: every square and partial sum is an
         # integer that float32 holds, so the norms are exact in any order
-        sq_norms = np.einsum("ij,ij->i", out, out).astype(np.float64)
-    else:
-        sq_norms = np.empty(out.shape[0])
-        for start in range(0, out.shape[0], step):
-            rows = slice(start, start + step)
-            sq_norms[rows] = np.square(out[rows], dtype=np.float64).sum(1)
-    return out, SideStats(sq_norms, scale, _spans(out) if exact else None)
+        return np.einsum("ij,ij->i", b, b).astype(np.float64)
+    return np.square(b, dtype=np.float64).sum(1)
+
+
+def _pack(arr: np.ndarray, scale: float, columns: bool = False) -> list:
+    """[(packed side, SideStats)] of the rows of ``arr``, whose scale is at
+    most ``_PACK_SCALE``, and with ``columns`` of its columns too, all from
+    float32 panels of an even number of its rows. A column's squared norm
+    is summed over the panels, exactly, since every partial sum is an
+    integer below 2^53, and its span is kept up to date panel by panel."""
+    n, d = arr.shape
+    step = max(64, _PANEL // d) // 2 * 2
+    x = np.empty(((n + 1) // 2, d), dtype=np.float32)
+    x_sq, x_spans = np.empty(n), np.empty((n, 2), dtype=int)
+    if columns:
+        z = np.empty(((d + 1) // 2, n), dtype=np.float32)
+        z_sq, z_spans = np.zeros(d), np.tile([n, 0], (d, 1))
+        # 1, 2, ..., step down a panel's rows
+        rank = np.arange(1, step + 1, dtype=np.min_scalar_type(step))[:, None]
+    for start in range(0, n, step):
+        b = np.asarray(arr[start:start + step], dtype=np.float32)
+        rows = slice(start, start + len(b))
+        x_sq[rows], x_spans[rows] = _sq_norms(b, scale), _spans(b)
+        _pair(b, x[start // 2:])
+        if not columns:
+            continue
+        # paired in b's own layout, then one transposed copy
+        pairs = np.empty((len(b), (d + 1) // 2), dtype=np.float32)
+        _pair(b.T, pairs.T)
+        z[:, rows] = pairs.T
+        z_sq += _sq_norms(b.T, scale)
+        # in each column, one past the last nonzero row of the panel and
+        # the panel's length less the first, 0 where it has none
+        nonzero = (b != 0).view(np.uint8)
+        up = rank[:len(b)]
+        after = np.multiply(nonzero, up).max(0).astype(int)
+        before = np.multiply(nonzero, up[::-1]).max(0).astype(int)
+        hit = after > 0
+        z_spans[hit, 1] = start + after[hit]
+        hit &= z_spans[:, 0] == n
+        z_spans[hit, 0] = rows.stop - before[hit]
+    sides = [(x, SideStats(x_sq, scale, x_spans, packed=True))]
+    if columns:
+        sides.append((z, SideStats(z_sq, scale, z_spans, packed=True)))
+    return sides
+
+
+def _pair(b: np.ndarray, out: np.ndarray) -> None:
+    """Pack the rows of ``b`` in pairs into the leading rows of ``out``:
+    row 2i + 4096 * row 2i+1, an odd last row alone."""
+    pairs = len(b) // 2
+    high = out[:pairs]
+    np.multiply(b[1::2], np.float32(_PACK_BASE), out=high)
+    high += b[:2 * pairs:2]
+    if len(b) % 2:
+        out[pairs] = b[-1]
+
+
+def _split(v: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Read packed values ``v`` = low + 4096 high back into ``high`` and
+    ``low``, exactly: |low| <= 2047, so high = floor((v + 2048) / 4096),
+    and a zero reads back as +0.0. The arithmetic runs in one float32
+    temporary, whose every value is an integer float32 holds, and each
+    part is copied out once."""
+    w = v + np.float32(_PACK_BASE // 2)
+    w *= np.float32(1 / _PACK_BASE)
+    np.floor(w, out=w)
+    high[...] = w
+    w *= np.float32(-_PACK_BASE)
+    w += v
+    low[...] = w
+
+
+def plain(side: np.ndarray, stats: SideStats | None,
+          rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` (a slice of step 1, or an index array) of a stored
+    side in plain form: the one reader of packed pairs. A side that is not
+    packed, or has no statistics yet, is read as it is."""
+    if stats is None or not stats.packed:
+        return side[rows]
+    if isinstance(rows, slice):
+        start, stop, _ = rows.indices(len(stats.sq_norms))
+        pairs = side[start // 2:(stop + 1) // 2]
+        out = np.empty((2 * len(pairs), side.shape[1]), dtype=np.float32)
+        # a panel at a time, so that each pass over it stays in cache
+        step = max(1, _PANEL // side.shape[1])
+        for begin in range(0, len(pairs), step):
+            part = out[2 * begin:2 * (begin + step)]
+            _split(pairs[begin:begin + step], part[1::2], part[::2])
+        return out[start % 2:start % 2 + max(0, stop - start)]
+    rows = np.asarray(rows)
+    v = side[rows // 2]
+    high, low = np.empty_like(v), np.empty_like(v)
+    _split(v, high, low)
+    return np.where((rows % 2 == 1)[:, None], high, low)
 
 
 def _panels(spans: np.ndarray):
@@ -346,41 +491,44 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats,
     When d times the two sides' scales is at most 2^24, both sides are
     stored in float32, and their float32 product, exact, is written into
     the float64 result a tile at a time, so no operand is cast and no
-    float32 temporary is larger than a panel of ``_BLOCK`` rows of one side
-    against all of the other. The tiles are laid out over the panels of the
-    side with fewer rows, x on a tie (``_layout``); each contracts only the
-    columns where both sides have nonzeros, the intersection of their
-    spans, and is zero when that is empty; the terms left out are all zero,
-    so the integer result is the same. Each tile is one unit of work
-    (``parallel.parallel_map``) that writes and finishes its own region:
-    every entry takes the same operations on any thread, so the result is
-    the same bits at any pool size. Past the bound the product is taken in
-    float64, float32 sides upcast, over every column, as one product and
-    one region, since OpenBLAS rounds slices of it differently.
+    float32 temporary is larger than a panel of ``_BLOCK`` rows of the
+    short side against the long side. The long side is the one with more
+    rows, z on a tie; the tiles are laid out over ``_BLOCK``-row panels of
+    the short side (``_layout``), each read plain (``plain``), and each
+    contracts only the columns where both sides have nonzeros, the
+    intersection of their spans, and is zero when that is empty; the terms
+    left out are all zero, so the integer result is the same. Each tile is
+    one unit of work (``parallel.parallel_map``) that writes and finishes
+    its own region: every entry takes the same operations on any thread,
+    so the result is the same bits at any pool size. Past the bound the
+    product is taken in float64, sides read plain and upcast, over every
+    column, as one product and one region, since OpenBLAS rounds slices of
+    it differently.
 
-    When c (B + 1) <= 2^24, c = isqrt(max(1, max |x|^2) * max(1, max |z|^2))
-    from the sides' norms and B the least power of two >= 2c + 2, each tile
-    packs pairs of rows of its shorter-side panel as row i + B * row (i+1)
-    and takes one float32 product of half the rows; each packed value v is
-    decoded into the two rows (columns when z is the shorter side) of the
-    float64 result as q = rint(v / B) and v - B q. An odd last row takes the
-    plain product. c bounds every dot product over any subset of columns,
-    so every packed entry, product and partial sum is an integer that
-    float32 holds, in any order, and the lower row's part, at most c < B/2
-    in magnitude, is what rint rounds away: the result is still the float64
-    product bit for bit.
+    A packed long side (``prepare_side``) is multiplied as it is stored:
+    each float32 lane holds two long rows, v = p + 4096 q, p and q the two
+    rows' products with a short row, and is read back into both rows
+    (columns when z is the long side) of the float64 result (``_split``),
+    so every tile takes half the multiply-adds. This is exact when
+    c = isqrt(max(1, max |x|^2) * max(1, max |z|^2)) <= 2047, from the
+    sides' norms: c bounds every dot product over any subset of columns, so
+    every product and partial sum is an integer of magnitude at most
+    4097 c <= 2^24 that float32 holds, in any order, and |p| <= c < 2048
+    reads back exactly: the result is still the float64 product bit for
+    bit. Past that, a packed long side is read plain once, into a float32
+    temporary the size of the plain side, and multiplied as plain rows.
     """
     d = x.shape[1]
     if d * x_side.scale * z_side.scale > _F32_EXACT:
-        out = np.asarray(x, dtype=np.float64) @ np.asarray(
-            z, dtype=np.float64).T
+        out = np.asarray(plain(x, x_side), dtype=np.float64) @ np.asarray(
+            plain(z, z_side), dtype=np.float64).T
         if finish is not None:
             finish(out, slice(None), slice(None))
         return out
-    out = np.empty((x.shape[0], z.shape[0]))
-    flip = z.shape[0] < x.shape[0]
-    (short, s32), (long, l32) = ((z_side, z), (x_side, x)) if flip else (
-        (x_side, x), (z_side, z))
+    out = np.empty((len(x_side.sq_norms), len(z_side.sq_norms)))
+    flip = out.shape[0] > out.shape[1]
+    (short, s_data), (long, l_data) = ((z_side, z), (x_side, x)) if flip \
+        else ((x_side, x), (z_side, z))
     # o[i, j] is short row i against long row j; each product is taken in
     # out's own orientation, x rows against z rows
     o = out.T if flip else out
@@ -388,35 +536,30 @@ def _gram(x, z, x_side: SideStats, z_side: SideStats,
     def product(a, b):
         return (b @ a.T).T if flip else a @ b.T
 
-    # c bounds |x . z| over any columns; base is the least power of two
-    # >= 2c + 2, and 0 where packing would not be exact
+    # c bounds |x . z| over any columns
     c = math.isqrt(max(1, int(x_side.sq_norms.max()))
                    * max(1, int(z_side.sq_norms.max())))
-    base = 1 << (2 * c + 1).bit_length()
-    if c * (base + 1) > _F32_EXACT:
-        base = 0
+    packed = long.packed and c <= _PACK_SCALE
+    if long.packed and not packed:
+        # past the packed product's bound: the long side is read plain once
+        l_data = plain(l_data, long)
 
     def fill(rows, cols, lo, hi):
         if lo >= hi:
             o[rows, cols] = 0.0
             return
-        panel, other = s32[rows, lo:hi], l32[cols, lo:hi]
-        # rows i and i + 1 share a float32 lane as row i + base * row i+1
-        pairs = len(panel) // 2 * 2 if base else 0
-        if pairs:
-            v = product(panel[1:pairs:2] * np.float32(base)
-                        + panel[:pairs:2], other)
-            stop = rows.start + pairs
-            high = o[rows.start + 1:stop:2, cols]
-            low = o[rows.start:stop:2, cols]
-            np.multiply(v, 1.0 / base, out=high)
-            np.rint(high, out=high)
-            np.multiply(high, -base, out=low)
-            low += v
-            del v
-        if pairs < len(panel):
-            o[rows.start + pairs:rows.stop, cols] = product(
-                panel[pairs:], other)
+        panel = plain(s_data[:, lo:hi], short, rows)
+        if not packed:
+            o[rows, cols] = product(panel, l_data[cols, lo:hi])
+            return
+        # cols starts at a panel of the long side, an even row
+        v = product(panel, l_data[cols.start // 2:(cols.stop + 1) // 2, lo:hi])
+        pairs = (cols.stop - cols.start) // 2
+        low = o[rows, cols.start:cols.stop:2]
+        _split(v[:, :pairs], o[rows, cols.start + 1:cols.stop:2],
+               low[:, :pairs])
+        if pairs < low.shape[1]:  # an odd last long row, alone
+            low[:, pairs] = v[:, pairs]
 
     def unit(tile):
         rows, cols = tile[:2]
@@ -891,13 +1034,18 @@ class LazyKernelSource:
 
     @property
     def shape(self):
-        return self._x.shape[0], self._z.shape[0]
+        return tuple(len(stats.sq_norms) for stats in self._sides)
 
-    def _block(self, x_rows=slice(None), z_rows=slice(None)) -> np.ndarray:
-        """Raw block of x[x_rows] against z[z_rows], counted."""
-        x_side, z_side = self._sides
-        block = _raw_block(self._spec, self._x[x_rows], self._z[z_rows],
-                           (x_side.take(x_rows), z_side.take(z_rows)))
+    def _block(self, x_rows=None, z_rows=None) -> np.ndarray:
+        """Raw block of x[x_rows] against z[z_rows], counted: a side whose
+        rows are None takes part whole, in stored form, and requested rows
+        are read plain (``plain``)."""
+        (x, x_side), (z, z_side) = [
+            (data, stats) if rows is None
+            else (plain(data, stats, rows), stats.take(rows))
+            for data, stats, rows in ((self._x, self._sides[0], x_rows),
+                                      (self._z, self._sides[1], z_rows))]
+        block = _raw_block(self._spec, x, z, (x_side, z_side))
         self.entries_evaluated += block.size
         return block
 
@@ -961,7 +1109,7 @@ class LazyKernelSource:
         g = self._block()
         if self._spec.family == "sne":
             self.row_denoms = g.sum(1)
-            _sne_normalize(g, self.row_denoms, self._z.shape[0])
+            _sne_normalize(g, self.row_denoms, g.shape[1])
         return g
 
 

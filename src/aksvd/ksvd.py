@@ -84,11 +84,13 @@ class KsvdModel:
 
     @property
     def train_x(self) -> np.ndarray:
-        return self.train.x
+        """The row side of the training data, read plain."""
+        return kernels.plain(self.train.x, self.train.x_stats)
 
     @property
     def train_z(self) -> np.ndarray:
-        return self.train.z
+        """The column side of the training data, read plain."""
+        return kernels.plain(self.train.z, self.train.z_stats)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def fit(a, kernel: KernelSpec, r: int, compat="auto", solver: str = "exact",
     ``solver_opts`` takes only the keys ``SOLVER_OPTS`` lists for the solver.
     """
     sources = kernels.build_sources(a)  # validates A
-    big_n, big_m = sources.x.shape
+    big_n, big_m = sources.shape
     if solver not in SOLVER_OPTS:
         raise ConfigError(f"unknown solver {solver!r}; expected one of "
                           f"{tuple(SOLVER_OPTS)}")
@@ -202,7 +204,7 @@ def _oos_scores(model: KsvdModel, side: str, count: int,
     """
     stats, sne = model.centering, model.kernel.family == "sne"
     w = (model.b_psi if side == "x" else model.b_phi) / np.sqrt(model.lam)
-    width = model.train_z.shape[0]
+    width = model.train.shape[1]
     out = np.empty((count, model.rank))
 
     def unit(start: int) -> int:
@@ -252,11 +254,11 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     """
     if (new_x is None) == (new_z is None):
         raise ConfigError("provide exactly one of new_x and new_z")
-    side, raw, train = (("x", new_x, model.train_x) if new_z is None
-                        else ("z", new_z, model.train_z))
+    side, raw = ("x", new_x) if new_z is None else ("z", new_z)
     points = kernels.as_side(raw, "points")
     c = model.compat.c if model.compat.side == side else None
-    expect = train.shape[1] if c is None else c.shape[0]
+    # a stored side has its plain feature length, packed or not
+    expect = getattr(model.train, side).shape[1] if c is None else c.shape[0]
     if points.shape[1] != expect:
         raise DimensionMismatchError(
             f"new_{side} has length {points.shape[1]}, expected {expect}")
@@ -270,9 +272,10 @@ def transform_oos(model: KsvdModel, new_x=None, new_z=None) -> np.ndarray:
     train = model.train
 
     def numerators(rows):
-        # in the chunk's unit: its points are stored and measured there;
+        # in the chunk's unit: its points are stored and measured there,
+        # plain, since the chunk's one product reads them as its short side;
         # the training side's statistics come with the model
-        pts, stats = kernels.prepare_side(points[rows], "points")
+        pts, stats = kernels.prepare_side(points[rows], "points", pack=False)
         sides = (DataSources(x=pts, z=train.z, x_stats=stats,
                              z_stats=train.z_stats) if side == "x" else
                  DataSources(x=train.x, z=pts, x_stats=train.x_stats,

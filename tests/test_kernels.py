@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aksvd import datasets, kernels, ksvd, parallel
+from aksvd import cli, datasets, kernels, ksvd, parallel
 from aksvd.compat import apply_compat, compat_pseudoinverse, make_compat
 from aksvd.errors import (
     CompatibilityMissingError,
@@ -31,6 +31,11 @@ def loop_spans(a):
     return np.array(spans, dtype=int).reshape(-1, 2)
 
 
+def plain_sides(s):
+    """The x and z sides of sources ``s``, read plain."""
+    return kernels.plain(s.x, s.x_stats), kernels.plain(s.z, s.z_stats)
+
+
 def compat_sources(a, mode, **kw):
     """The sources of A through the compat transform of the given mode."""
     return apply_compat(make_compat(a, mode, **kw), kernels.build_sources(a))
@@ -39,8 +44,12 @@ def compat_sources(a, mode, **kw):
 class TestSources:
     def test_build(self):
         s = kernels.build_sources([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(s.x, [[1, 2], [3, 4]])
-        np.testing.assert_array_equal(s.z, [[1, 3], [2, 4]])
+        x, z = plain_sides(s)
+        np.testing.assert_array_equal(x, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(z, [[1, 3], [2, 4]])
+        # each side is one packed pair of rows, row 0 + 4096 * row 1
+        np.testing.assert_array_equal(s.x, [[1 + 4096 * 3, 2 + 4096 * 4]])
+        np.testing.assert_array_equal(s.z, [[1 + 4096 * 2, 3 + 4096 * 4]])
 
     def test_symmetric_matrix_gives_equal_sides(self):
         a = make_matrix(5, 5, seed=1)
@@ -50,27 +59,42 @@ class TestSources:
 
     def test_shapes(self):
         s = kernels.build_sources(np.ones((3, 2)))
-        assert s.x.shape == (3, 2) and s.z.shape == (2, 3)
+        assert s.shape == (3, 2)
+        assert s.x.shape == (2, 2) and s.z.shape == (1, 3)  # packed pairs
+        x, z = plain_sides(s)
+        assert x.shape == (3, 2) and z.shape == (2, 3)
 
-    # the storage rule: float32 when every entry is an integer of magnitude
-    # at most 2^24, float64 otherwise; either way every entry is kept exactly
-    @pytest.mark.parametrize("value, dtype", [
-        pytest.param(1.0, np.float32, id="zero-one"),
-        pytest.param(2.0 ** 24, np.float32, id="two-to-24"),
-        pytest.param(-2.0 ** 24, np.float32, id="minus-two-to-24"),
-        pytest.param(2.0 ** 24 + 1, np.float64, id="two-to-24-plus-1"),
-        pytest.param(0.5, np.float64, id="non-integral"),
-        pytest.param(-0.0, np.float32, id="negative-zero"),
+    # the storage rule: packed float32 pairs of rows when every entry is an
+    # integer of magnitude at most 2047, plain float32 up to 2^24, float64
+    # otherwise; every entry reads back exactly, and a plain side keeps the
+    # sign of -0.0 (a packed one reads it as 0.0, which equals it)
+    @pytest.mark.parametrize("value, dtype, packed", [
+        pytest.param(1.0, np.float32, True, id="zero-one"),
+        pytest.param(2047.0, np.float32, True, id="2047"),
+        pytest.param(-2047.0, np.float32, True, id="minus-2047"),
+        pytest.param(2048.0, np.float32, False, id="2048"),
+        pytest.param(2.0 ** 24, np.float32, False, id="two-to-24"),
+        pytest.param(-2.0 ** 24, np.float32, False, id="minus-two-to-24"),
+        pytest.param(2.0 ** 24 + 1, np.float64, False, id="two-to-24-plus-1"),
+        pytest.param(0.5, np.float64, False, id="non-integral"),
+        pytest.param(-0.0, np.float32, True, id="negative-zero"),
     ])
-    def test_storage_rule(self, value, dtype):
+    def test_storage_rule(self, value, dtype, packed):
         a = np.array([[0.0, 1.0, value], [1.0, 0.0, 1.0]])
         s = kernels.build_sources(a)
         assert s.x.dtype == dtype and s.z.dtype == dtype
         assert s.x.flags.c_contiguous and s.z.flags.c_contiguous
-        np.testing.assert_array_equal(s.x, a)
-        np.testing.assert_array_equal(s.z, a.T)
-        np.testing.assert_array_equal(np.signbit(s.x), np.signbit(a))
-        assert kernels.prepare_side(a)[0].dtype == dtype
+        assert s.x_stats.packed is s.z_stats.packed is packed
+        assert s.x.shape == ((1, 3) if packed else (2, 3))
+        x, z = plain_sides(s)
+        assert x.dtype == z.dtype == dtype
+        np.testing.assert_array_equal(x, a)
+        np.testing.assert_array_equal(z, a.T)
+        if not packed:
+            np.testing.assert_array_equal(np.signbit(x), np.signbit(a))
+        side, stats = kernels.prepare_side(a)
+        assert side.dtype == dtype and stats.packed is packed
+        assert kernels.prepare_side(a, pack=False)[0].shape == (2, 3)
 
     @staticmethod
     def typed_inputs():
@@ -105,19 +129,24 @@ class TestSources:
             g, w = getattr(got, side), getattr(want, side)
             assert g.dtype == w.dtype == dtype
             np.testing.assert_array_equal(g, w)
-            (g_sq, g_scale, g_spans), (w_sq, w_scale, w_spans) = (
-                getattr(got, side + "_stats"), getattr(want, side + "_stats"))
+            g_stats, w_stats = (getattr(got, side + "_stats"),
+                                getattr(want, side + "_stats"))
+            g_sq, g_scale, g_spans = g_stats[:3]
+            w_sq, w_scale, w_spans = w_stats[:3]
+            assert g_stats.packed is w_stats.packed is (g_scale <= 2047)
             assert g_sq.dtype == w_sq.dtype == np.float64
             np.testing.assert_array_equal(g_sq, w_sq)
             assert g_scale == w_scale and type(g_scale) is type(w_scale)
             # spans only where the float32 product can read them
             if g_scale <= 2.0 ** 24:
                 np.testing.assert_array_equal(g_spans, w_spans)
-                np.testing.assert_array_equal(g_spans, loop_spans(g))
+                np.testing.assert_array_equal(
+                    g_spans, loop_spans(kernels.plain(g, g_stats)))
             else:
                 assert g_spans is None and w_spans is None
-        np.testing.assert_array_equal(got.x, a)
-        np.testing.assert_array_equal(got.z, a.T)
+        x, z = plain_sides(got)
+        np.testing.assert_array_equal(x, a)
+        np.testing.assert_array_equal(z, a.T)
 
     @pytest.mark.parametrize("case", ["uint8", "bool", "int16"])
     def test_small_integers_skip_the_float64_copy(self, case, monkeypatch):
@@ -182,6 +211,22 @@ class TestKernelValue:
             kernels.KernelSpec(family="rbf", gamma=0.0)
         with pytest.raises(ConfigError):
             kernels.KernelSpec(family="sne")
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e200, float("inf")])
+    @pytest.mark.parametrize("family", ["rbf", "sne"])
+    def test_gamma_whose_square_is_not_a_positive_finite_float(
+            self, family, gamma, tmp_path):
+        # gamma^2 underflows to 0 or overflows to inf: the kernel would
+        # divide by 0 (rbf: an all-zero G; sne: a rank-1 model) or by inf
+        with pytest.raises(ConfigError, match="square"):
+            kernels.KernelSpec(family, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["extract", "--format", "synth",
+                             "--set", "dataset.synth_n=40",
+                             "--kernel", family, "--gamma", repr(gamma),
+                             "--out", str(tmp_path / "out")])
+        assert code == 2
 
 
 class TestKernelMatrix:
@@ -723,9 +768,12 @@ def _old_build_sources(a):
 
 
 def _assert_same_side(got, want, got_stats, want_stats):
-    """Data and ``SideStats`` bit for bit: dtype, order, -0.0, and a scale
-    of the same Python type."""
+    """Data read plain and ``SideStats`` bit for bit: dtype, order, -0.0,
+    and a scale of the same Python type; the side is packed exactly when
+    its scale is at most 2047."""
     assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got_stats.packed is (want_stats.scale <= 2047)
+    got = kernels.plain(got, got_stats)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     assert got_stats.sq_norms.dtype == np.float64
@@ -802,6 +850,29 @@ class TestOneStorageRoutine:
         assert src.x.dtype == src.z.dtype == np.float32
         assert peak < 2 * n * n * 4 + n * n * 8 / 2
 
+    def test_graph_sources_take_two_bytes_an_entry(self):
+        # a float64 DAG: both sides packed from A's row panels, each in half
+        # the bytes of a plain float32 side, with no full-size temporary but
+        # the finiteness check's booleans, one byte an entry, freed before
+        # the sides are made
+        import tracemalloc
+        n = 2001
+        a = datasets.synth_directed_graph("random_dag", n, seed=9).adjacency
+        kernels.build_sources(a[:10, :10])
+        tracemalloc.start()
+        try:
+            src = kernels.build_sources(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sides = src.x.nbytes + src.z.nbytes
+        assert sides == 2 * (n + 1) // 2 * n * 4  # 2 bytes an entry a side
+        # a plain float32 copy of either side would add 4 bytes an entry
+        assert peak < sides + n * n * 1.5
+        x, z = plain_sides(src)
+        np.testing.assert_array_equal(x, a)
+        np.testing.assert_array_equal(z, a.T)
+
     @pytest.mark.parametrize("bad, error", [
         (np.zeros((0, 3)), "ShapeMismatchError"),
         (np.zeros((2, 2, 2)), "ShapeMismatchError"),
@@ -839,7 +910,8 @@ class TestPreparedSides:
         seen = self.count(monkeypatch)
         a = datasets.synth_directed_graph("two_block", 120, seed=6).adjacency
         src = kernels.build_sources(a)
-        assert len(seen) == 2 and seen[1] is src.z
+        # a graph's two sides are packed and measured in one pass over A
+        assert not seen and src.x_stats.packed and src.z_stats.packed
         np.testing.assert_array_equal(src.x_stats[0], (a * a).sum(1))
         np.testing.assert_array_equal(src.z_stats[0], (a * a).sum(0))
         assert src.x_stats[1] == src.z_stats[1] == 1.0
@@ -848,12 +920,13 @@ class TestPreparedSides:
             lazy = kernels.LazyKernelSource(spec, src)
             lazy.sample_blocks([1, 5, 9], [2, 4])
             lazy.full()
-        assert len(seen) == 2
+        assert not seen
         # a compat transform measures the side it projects, and only it
         rect = make_matrix(12, 9, seed=7)
         src = kernels.build_sources(rect)
+        assert len(seen) == 2 and seen[1] is src.z
         out = apply_compat(make_compat(rect, "a1"), src)  # projects z
-        assert len(seen) == 5 and seen[-1] is not src.z
+        assert len(seen) == 3 and seen[-1] is not src.z
         assert out.x_stats is src.x_stats
         np.testing.assert_array_equal(out.z_stats[0], (out.z * out.z).sum(1))
 
@@ -883,15 +956,21 @@ def _ints(rng, shape, bound, full_row):
     return a
 
 
-def _zero_one(rng, x_shape, z_shape, odd_row=None):
-    """0/1 data whose row 0 on each side is all ones; with ``odd_row`` set,
-    x's row 1 is all ones and its row 0 holds that many."""
+def _zero_one(rng, x_shape, z_shape):
+    """0/1 data whose row 0 on each side is all ones."""
     x, z = ((rng.random(shape) < 0.5) * 1.0 for shape in (x_shape, z_shape))
     x[0], z[0] = 1.0, 1.0
-    if odd_row is not None:
-        x[1], x[0] = 1.0, 0.0
-        x[0, :odd_row] = 1.0
     return x, z
+
+
+def _one_per_row(rng, shape, bound):
+    """Rows of one entry each, +-bound at a random column; every third row
+    is zero."""
+    a = np.zeros(shape)
+    a[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = \
+        rng.choice([-bound, bound], shape[0])
+    a[1::3] = 0.0
+    return a
 
 
 def _gram_cases():
@@ -925,7 +1004,7 @@ def _gram_cases():
     huge = rng.integers(0, 5, (50, 20)).astype(float)
     huge[::2, 3] = 1e39  # an integer, and inf in float32
     return {
-        "graph": (src.x, src.z),
+        "graph": plain_sides(src),
         "triangular": (dag, dag.T),
         "cycle": (cycle, cycle.T),
         "banded": (banded, banded.T),
@@ -947,16 +1026,36 @@ def _gram_cases():
         "non_integral": (rng.integers(-2 ** 20, 2 ** 20, (600, 30)) / fine,
                          rng.integers(-2 ** 20, 2 ** 20, (90, 30)) / fine),
         "huge_vs_zero": (huge, np.zeros((30, 20))),
-        # packed pairs of rows: c = sqrt(max |x|^2 * max |z|^2) bounds every
-        # dot product, and rows pack two to a float32 lane while c * (B + 1)
-        # <= 2^24, B the least power of two >= 2c + 2. At c = 2047, B = 4096
-        # and the full rows' product, 2047 = c, is read back only with that
-        # B; at c = 2048, B = 8192 fails the bound, and packing row 1 (all
-        # ones) over row 0 (1001 ones) would give 2^24 + 1001
-        "pack_inside": _zero_one(rng, (41, 2047), (90, 2047)),
-        "pack_outside": _zero_one(rng, (41, 2048), (90, 2048), odd_row=1001),
-        # negative low rows read back through rint; an odd short side, x or
-        # z, ends in a row of its own
+        # the long side's stored pairs of rows, row 2i + 4096 * row 2i+1:
+        # c = isqrt(max |x|^2 * max |z|^2) bounds every dot product, and a
+        # packed product's value p + 4096 q reads back exactly while
+        # |p| <= c <= 2047. At c = 2047 the full rows' product, 2047, reads
+        # back; at c = 2048 it would read as 4096 - 2048 with q one too
+        # high, so the long side, 1100 rows, is read plain 512 rows at a
+        # time. Both long sides have more than one panel, the first an odd
+        # number of rows
+        "pack_inside": _zero_one(rng, (41, 2047), (1101, 2047)),
+        "pack_outside": _zero_one(rng, (41, 2048), (1100, 2048)),
+        # an odd long side, x or z, ends in a pair whose high row is zero
+        "odd_long_x": ((rng.random((701, 60)) < 0.3) * 1.0,
+                       (rng.random((200, 60)) < 0.3) * 1.0),
+        "odd_long_z": ((rng.random((200, 60)) < 0.3) * 1.0,
+                       (rng.random((701, 60)) < 0.3) * 1.0),
+        # sides of +-2047, the largest scale that is stored packed: one
+        # entry a row against +-1 keeps c = 2047, and the packed product
+        # reads signed low rows back; three entries a row give c = 6141,
+        # read plain
+        "signed_2047_packed": (_one_per_row(rng, (700, 30), 2047),
+                               _one_per_row(rng, (300, 30), 1)),
+        "signed_2047_plain_long": (_ints(rng, (700, 3), 2047, 0),
+                                   _ints(rng, (200, 3), 1, 0)),
+        # scale 3000 is stored plain, as a long side against a packed short
+        # side, x or z
+        "scale_3000_long_x": (_ints(rng, (700, 4), 3000, 0),
+                              (rng.random((200, 4)) < 0.5) * 1.0),
+        "scale_3000_long_z": ((rng.random((200, 4)) < 0.5) * 1.0,
+                              _ints(rng, (700, 4), 3000, 0)),
+        # negative low rows read back; an odd short side, x or z
         "signed": (_ints(rng, (61, 30), 3, 0), _ints(rng, (150, 30), 3, 0)),
         "signed_flipped": (_ints(rng, (150, 30), 3, 0),
                            _ints(rng, (61, 30), 3, 0)),
@@ -1037,12 +1136,25 @@ class TestExactGram:
         assert src.entries_evaluated == big_n * m + n * big_m
 
     @pytest.mark.parametrize("case", ["graph", "graph_tall", "dag_chunk",
-                                      "at_bound", "past_bound",
+                                      "past_pack", "at_bound", "past_bound",
                                       "non_integral"])
     @pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
     def test_oos_rows_and_columns_equal_float64(self, case, family):
         rng = np.random.default_rng(41)
-        if case.startswith("graph"):
+        if case == "past_pack":
+            # new points of 0..40 push c past 2047 against the packed
+            # 600-node training side, which is then read plain, 512 rows at
+            # a time
+            a = datasets.synth_directed_graph("two_block", 600,
+                                              seed=5).adjacency
+            new_x, new_z = (rng.integers(0, 41, (40, 600)).astype(float)
+                            for _ in range(2))
+            train = kernels.build_sources(a)
+            assert train.x_stats.packed and train.z_stats.packed
+            c = np.sqrt(train.x_stats.sq_norms.max()
+                        * (new_x * new_x).sum(1).max())
+            assert c > 2048
+        elif case.startswith("graph"):
             a = datasets.synth_directed_graph("two_block", 600,
                                               seed=5).adjacency
             n_new = 700 if case == "graph_tall" else 40
@@ -1070,7 +1182,8 @@ class TestExactGram:
             a = rng.integers(-2 ** 20, 2 ** 20, (60, 60)) / fine
             new_x, new_z = (rng.integers(-2 ** 20, 2 ** 20, (20, 60)) / fine
                             for _ in range(2))
-        spec = kernels.KernelSpec(family, _wide_gamma(a, a))
+        spec = kernels.KernelSpec(family, _wide_gamma(
+            a, new_x if case == "past_pack" else a))
         model = ksvd.fit(a, spec, r=3)
         count = len(new_x)
         # the projection of the plain float64 numerators, chunk by chunk
@@ -1093,6 +1206,39 @@ class TestExactGram:
         cols = kernels.center_oos(cols, model.centering, "column").T
         assert_close_to_largest(got_x, rows @ model.b_psi / scale, 1e-12)
         assert_close_to_largest(got_z, cols @ model.b_phi / scale, 1e-12)
+
+    def test_nested_sample_blocks_on_both_axes_read_rows_from_pairs(self):
+        # a 701-node DAG, both sides packed, the last pair half empty; three
+        # nested draws on both axes, each adding odd and even rows and
+        # columns (the last and first among them), gather their rows from
+        # the stored pairs as the short side of their chunk's product
+        a = datasets.synth_directed_graph("random_dag", 701, seed=8).adjacency
+        src = kernels.build_sources(a)
+        assert src.x.shape == src.z.shape == (351, 701)
+        spec = kernels.KernelSpec("sne", _wide_gamma(a, a))
+        lazy = kernels.LazyKernelSource(spec, src)
+        numer = _reference_numerators(spec, a, a.T)
+        rows = np.random.default_rng(5).permutation(701)
+        cols = np.random.default_rng(6).permutation(701)
+        rows[[0, 1]], cols[[2, 3]] = (700, 0), (0, 700)
+        sums, done = np.zeros(701), 0
+        for n, m in ((2, 4), (35, 60), (300, 301)):
+            x_rows, z_rows = rows[:n], cols[:m]
+            # the sne sums add each new chunk's row sums, as the source does
+            sums = sums + np.ascontiguousarray(numer[:, cols[done:m]]).sum(1)
+            done = m
+            np.testing.assert_array_equal(
+                kernels.plain(src.x, src.x_stats, x_rows), a[x_rows])
+            np.testing.assert_array_equal(
+                kernels.plain(src.z, src.z_stats, z_rows), a.T[z_rows])
+            g_nm, g_big_m, g_n_big = lazy.sample_blocks(x_rows, z_rows)
+            denom = sums * (701 / m)
+            want = numer[:, z_rows] / denom[:, None]
+            np.testing.assert_array_equal(np.asarray(g_big_m), want)
+            np.testing.assert_array_equal(
+                np.asarray(g_n_big), numer[x_rows] / denom[x_rows, None])
+            np.testing.assert_array_equal(g_nm, want[x_rows])
+        assert lazy.entries_evaluated == 701 * 301 + 300 * 701
 
     @pytest.mark.parametrize("integral", [True, False])
     def test_tiles_contract_only_the_span_intersection(self, integral):
