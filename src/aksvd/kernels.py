@@ -48,16 +48,18 @@ side whose every entry is an integer of magnitude at most 2047, as every
 0/1 graph, is stored as packed pairs of rows in float32, row 2i + 4096 *
 row 2i+1: two bytes an entry, a quarter of a float64 copy. Any other side
 is stored plain, in float32 when every entry is an integer of magnitude at
-most 2^24, in float64 otherwise. Integer or boolean data, as a saved
-model's uint8 graph, never pass through a float64 copy, and
-``build_sources`` packs both sides of a graph in one pass over panels of
-its rows, with no plain copy of either. ``plain`` is the one reader of
-packed rows: the Gram product's short side, the rows a sampled block
-gathers, the compat transform and ``ksvd``'s model file read them through
-it. Each side's ``SideStats``, its squared row norms, float32 scale, row
-spans (the columns from each row's first to its last nonzero) and whether
-it is packed, travel with it in ``DataSources``, and every kernel source
-and out-of-sample projection over it reuses them.
+most 2^24, in float64 otherwise. ``prepare_side`` makes every form in one
+pass over panels of its input's rows, each cast once: integer or boolean
+data, as a saved model's uint8 graph, never pass through a float64 copy,
+and no side is held plain before it is packed. ``build_sources`` is
+``prepare_side`` of A and of the transposed view A^T, so z is read a panel
+of A's columns at a time. ``plain`` is the one reader of packed rows: the
+Gram product's short side, the rows a sampled block gathers, the compat
+transform and ``ksvd``'s model file read them through it. Each side's
+``SideStats``, its squared row norms, float32 scale, row spans (the
+columns from each row's first to its last nonzero) and whether it is
+packed, travel with it in ``DataSources``, and every kernel source and
+out-of-sample projection over it reuses them.
 
 Every block rests on one Gram product, ``x @ z.T``, taken from the stored
 operands. When d * max(|x|, 1) * max(|z|, 1) <= 2^24, d the feature length,
@@ -134,11 +136,13 @@ from .linalg import as_matrix
 
 FAMILIES = ("rbf", "sne", "linear")
 
-# row-block size for blockwise copies and means and for the rows of a
+# row-block size for blockwise means and copies and for the rows of a
 # float32 Gram product; results do not depend on it
 _BLOCK = 512
 # entries in a panel of rows that ``prepare_side`` reads at a time, so that
-# a float64 panel and its temporaries stay in a core's cache
+# a float64 panel and its temporaries stay in a core's cache; it reads at
+# least 64 rows, so that a panel of a transposed view, a panel of A's
+# columns, reads whole cache lines of A's rows
 _PANEL = 2 ** 16
 # leading columns searched for a row's first nonzero before the whole row
 # is: on dense data nearly every row has one there
@@ -175,7 +179,8 @@ class KernelSpec:
 
 
 class SideStats(NamedTuple):
-    """What ``prepare_side`` measures of a side as it stores it.
+    """What ``prepare_side`` measures of a side as it stores it, on each
+    panel of the side's stored rows read plain: for z, on A's columns.
 
     ``sq_norms`` holds every row's squared Euclidean norm, ``scale`` the
     side's float32 scale (max(1, max|a|) while every entry is an integer,
@@ -230,24 +235,18 @@ class CenteringStats:
 
 
 def build_sources(a) -> DataSources:
-    """Rows and columns of A, both stored and measured as ``prepare_side``
-    stores a side: x is A stored and z its transpose stored. Packed sides
-    are packed and measured together, from one pass over float32 panels of
-    A's rows, with no plain copy of A or A^T. The sources never alias A."""
+    """Rows and columns of A, both stored and measured by ``prepare_side``:
+    x is A stored and z is A^T stored, read through the transposed view a
+    panel of A's columns at a time, with no plain copy of A^T. A is checked
+    and its scale taken once, for both. The sources never alias A: a side
+    that ``prepare_side`` keeps as it is, A or its transpose already in
+    stored form, is copied."""
     arr = as_side(a, "A")
     scale = _scale(arr, "A")
-    if scale <= _PACK_SCALE:
-        (x, x_stats), (z, z_stats) = _pack(arr, scale, columns=True)
-        return DataSources(x=x, z=z, x_stats=x_stats, z_stats=z_stats)
-    x, x_stats = prepare_side(arr, scale=scale)
-    if np.may_share_memory(x, a):
-        x = x.copy()
-    # z by row panels (twice as fast as one strided copy), from A if narrower
-    src = arr if arr.itemsize < x.itemsize else x
-    z = np.empty(x.shape[::-1], dtype=x.dtype)
-    for start in range(0, x.shape[0], _BLOCK):
-        z[:, start:start + _BLOCK] = src[start:start + _BLOCK].T
-    z, z_stats = prepare_side(z, scale=scale)
+    (x, x_stats), (z, z_stats) = [
+        (side.copy() if np.may_share_memory(side, arr) else side, stats)
+        for side, stats in (prepare_side(arr, scale=scale),
+                            prepare_side(arr.T, scale=scale))]
     return DataSources(x=x, z=z, x_stats=x_stats, z_stats=z_stats)
 
 
@@ -323,31 +322,70 @@ def prepare_side(a, name: str = "data", scale: float | None = None,
     stores and measures a side of kernel data.
 
     ``a`` is a 2-D array of booleans, integers or floats (a vector is one
-    row), non-empty and finite. Its scale comes from its extremes for an
-    integer type, and from float64 row panels for floats; ``scale`` gives
-    it for a side already checked. A side of scale at most 2047, every 0/1
-    graph among them, is stored in float32 as packed pairs of rows, row
-    2i + 4096 * row 2i+1 (an odd last row alone), half the rows of the
-    plain side: packed from float32 panels of ``a``'s rows, and measured on
-    them, with no plain copy of the whole side; ``plain`` reads its rows
-    back. ``pack`` False stores it plain, for a side that is read once, as
-    the short side of one product. Any other side is stored plain, in
-    float32 when the scale is at most 2^24, in float64 otherwise (``a``
-    itself when already so), never through a float64 copy of integer
-    input. Its norms are sums of float64 squares, or float32 sums where the
-    Gram product's rule makes them exact; its spans are taken only where
-    that product reads them."""
+    row), non-empty and finite, in any memory order (a transposed view
+    among them). Its scale comes from its extremes for an integer type, and
+    from float64 row panels for floats; ``scale`` gives it for a side
+    already checked. A side of scale at most 2047, every 0/1 graph among
+    them, is stored in float32 as packed pairs of rows, row 2i + 4096 *
+    row 2i+1 (an odd last row alone), half the rows of the plain side;
+    ``plain`` reads its rows back. ``pack`` False stores it plain, for a
+    side that is read once, as the short side of one product. Any other
+    side is stored plain, in float32 when the scale is at most 2^24, in
+    float64 otherwise (``a`` itself when already so). Every form is made in
+    one pass over panels of an even number of ``a``'s rows: each panel is
+    cast once, never through a float64 copy of integer input, and paired
+    or copied into the side, and its squared norms and spans are measured
+    on its stored rows, plain and C-contiguous. The norms are sums of
+    float64 squares, or float32 sums where the Gram product's rule makes
+    them exact; the spans are taken only where that product reads them."""
     arr = as_side(a, name)
     if scale is None:
         scale = _scale(arr, name)
-    if pack and scale <= _PACK_SCALE:
-        return _pack(arr, scale)[0]
-    step = max(1, _PANEL // arr.shape[1])
+    n, d = arr.shape
+    packed = pack and scale <= _PACK_SCALE
     exact = scale <= _F32_EXACT
-    out = np.ascontiguousarray(arr, dtype=np.float32 if exact else np.float64)
-    sq_norms = np.concatenate([_sq_norms(out[start:start + step], scale)
-                               for start in range(0, out.shape[0], step)])
-    return out, SideStats(sq_norms, scale, _spans(out) if exact else None)
+    dtype = np.float32 if exact else np.float64
+    if packed:
+        out = np.empty(((n + 1) // 2, d), dtype=dtype)
+    elif arr.dtype == dtype and arr.flags.c_contiguous:
+        out = arr
+    else:
+        out = np.empty((n, d), dtype=dtype)
+    sq_norms = np.empty(n)
+    spans = np.empty((n, 2), dtype=int) if exact else None
+    step = max(64, _PANEL // d) // 2 * 2
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        if packed:
+            b = _in_rows(arr[rows], dtype)
+            _pair(b, out[start // 2:])
+        elif out is arr:
+            b = arr[rows]
+        else:
+            b = _in_rows(arr[rows], dtype, out[rows])
+        sq_norms[rows] = _sq_norms(b, scale)
+        if exact:
+            spans[rows] = _spans(b)
+    return out, SideStats(sq_norms, scale, spans, packed)
+
+
+def _in_rows(src: np.ndarray, dtype,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``src`` in ``dtype`` and C order: ``src`` itself when it is so and
+    no ``out`` is given, else cast into ``out`` (a new array if None)
+    ``_BLOCK`` columns at a time, so that the lines of a transposed
+    ``src`` stay in the L1 cache from one row of ``out`` to the next. A
+    transposed ``src`` of wider items is cast in its own memory order
+    first, which takes about a quarter less time for float64 to float32."""
+    if not src.flags.c_contiguous and src.itemsize > np.dtype(dtype).itemsize:
+        src = np.asarray(src, dtype=dtype, order="K")
+    if out is None:
+        if src.flags.c_contiguous and src.dtype == dtype:
+            return src
+        out = np.empty(src.shape, dtype=dtype)
+    for col in range(0, src.shape[1], _BLOCK):
+        out[:, col:col + _BLOCK] = src[:, col:col + _BLOCK]
+    return out
 
 
 def _scale(arr: np.ndarray, name: str) -> float:
@@ -378,49 +416,6 @@ def _sq_norms(b: np.ndarray, scale: float) -> np.ndarray:
         # integer that float32 holds, so the norms are exact in any order
         return np.einsum("ij,ij->i", b, b).astype(np.float64)
     return np.square(b, dtype=np.float64).sum(1)
-
-
-def _pack(arr: np.ndarray, scale: float, columns: bool = False) -> list:
-    """[(packed side, SideStats)] of the rows of ``arr``, whose scale is at
-    most ``_PACK_SCALE``, and with ``columns`` of its columns too, all from
-    float32 panels of an even number of its rows. A column's squared norm
-    is summed over the panels, exactly, since every partial sum is an
-    integer below 2^53, and its span is kept up to date panel by panel."""
-    n, d = arr.shape
-    step = max(64, _PANEL // d) // 2 * 2
-    x = np.empty(((n + 1) // 2, d), dtype=np.float32)
-    x_sq, x_spans = np.empty(n), np.empty((n, 2), dtype=int)
-    if columns:
-        z = np.empty(((d + 1) // 2, n), dtype=np.float32)
-        z_sq, z_spans = np.zeros(d), np.tile([n, 0], (d, 1))
-        # 1, 2, ..., step down a panel's rows
-        rank = np.arange(1, step + 1, dtype=np.min_scalar_type(step))[:, None]
-    for start in range(0, n, step):
-        b = np.asarray(arr[start:start + step], dtype=np.float32)
-        rows = slice(start, start + len(b))
-        x_sq[rows], x_spans[rows] = _sq_norms(b, scale), _spans(b)
-        _pair(b, x[start // 2:])
-        if not columns:
-            continue
-        # paired in b's own layout, then one transposed copy
-        pairs = np.empty((len(b), (d + 1) // 2), dtype=np.float32)
-        _pair(b.T, pairs.T)
-        z[:, rows] = pairs.T
-        z_sq += _sq_norms(b.T, scale)
-        # in each column, one past the last nonzero row of the panel and
-        # the panel's length less the first, 0 where it has none
-        nonzero = (b != 0).view(np.uint8)
-        up = rank[:len(b)]
-        after = np.multiply(nonzero, up).max(0).astype(int)
-        before = np.multiply(nonzero, up[::-1]).max(0).astype(int)
-        hit = after > 0
-        z_spans[hit, 1] = start + after[hit]
-        hit &= z_spans[:, 0] == n
-        z_spans[hit, 0] = rows.stop - before[hit]
-    sides = [(x, SideStats(x_sq, scale, x_spans, packed=True))]
-    if columns:
-        sides.append((z, SideStats(z_sq, scale, z_spans, packed=True)))
-    return sides
 
 
 def _pair(b: np.ndarray, out: np.ndarray) -> None:

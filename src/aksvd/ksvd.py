@@ -180,8 +180,8 @@ def transform(model: KsvdModel, side: str, r: int | None = None) -> Embedding:
 # work (``parallel.parallel_map``): a chunk's kernel block, chunk x training
 # points in float64, is the largest array a unit holds, and up to
 # ``parallel.POOL_SIZE`` units are live at once; each chunk takes its own
-# Gram product, so much smaller chunks spend more time repacking the
-# training side for it
+# Gram product, which streams the stored training side as it is, so much
+# smaller chunks make more passes over that side
 OOS_CHUNK = 512
 
 

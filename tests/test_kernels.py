@@ -158,11 +158,28 @@ class TestSources:
         monkeypatch.setattr(kernels, "as_matrix", refused)
         assert kernels.build_sources(a).x.dtype == np.float32
 
-    def test_build_copies_float64_input(self):
-        a = np.array([[0.5, 1.0], [2.0, 3.0]])
-        s = kernels.build_sources(a)
-        a[0, 0] = 9.0
-        assert s.x[0, 0] == 0.5
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "float32"])
+    def test_build_copies_float64_input(self, layout):
+        # a side that prepare_side keeps as it is, A itself (C order) or
+        # A's transposed view (F order), is copied; the sources equal those
+        # of A's C-contiguous copy bit for bit
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((150, 700))
+        a = {"C": base, "F": np.asfortranarray(base), "strided": base[::2],
+             "float32": rng.integers(-9, 9, (150, 700)).astype(np.float32),
+             }[layout]
+        if layout == "float32":
+            a[3, 5] = 3000.0  # past packing: stored plain, in float32
+        want = kernels.build_sources(np.array(a, order="C"))
+        got = kernels.build_sources(a)
+        for side, want_side in zip("xz", plain_sides(want)):
+            data = getattr(got, side)
+            assert not np.may_share_memory(data, a)
+            _assert_same_side(data, want_side, getattr(got, side + "_stats"),
+                              getattr(want, side + "_stats"))
+        a[...] = 9.0
+        for got_side, want_side in zip(plain_sides(got), plain_sides(want)):
+            np.testing.assert_array_equal(got_side, want_side)
 
     def test_lazy_source_keeps_data_in_stored_form(self):
         graph = (np.random.default_rng(3).random((6, 6)) < 0.5).astype(float)
@@ -850,14 +867,17 @@ class TestOneStorageRoutine:
         assert src.x.dtype == src.z.dtype == np.float32
         assert peak < 2 * n * n * 4 + n * n * 8 / 2
 
-    def test_graph_sources_take_two_bytes_an_entry(self):
-        # a float64 DAG: both sides packed from A's row panels, each in half
-        # the bytes of a plain float32 side, with no full-size temporary but
-        # the finiteness check's booleans, one byte an entry, freed before
-        # the sides are made
+    @pytest.mark.parametrize("layout", ["float64", "float64-F", "uint8"])
+    def test_graph_sources_take_two_bytes_an_entry(self, layout):
+        # a DAG: x packed from panels of A's rows and z from panels of A's
+        # columns, each side in half the bytes of a plain float32 side,
+        # with no full-size temporary but a float64 A's finiteness check's
+        # booleans, one byte an entry, freed before the sides are made
         import tracemalloc
         n = 2001
         a = datasets.synth_directed_graph("random_dag", n, seed=9).adjacency
+        a = {"float64": a, "float64-F": np.asfortranarray(a),
+             "uint8": a.astype(np.uint8)}[layout]
         kernels.build_sources(a[:10, :10])
         tracemalloc.start()
         try:
@@ -868,7 +888,7 @@ class TestOneStorageRoutine:
         sides = src.x.nbytes + src.z.nbytes
         assert sides == 2 * (n + 1) // 2 * n * 4  # 2 bytes an entry a side
         # a plain float32 copy of either side would add 4 bytes an entry
-        assert peak < sides + n * n * 1.5
+        assert peak < sides + n * n * 0.5
         x, z = plain_sides(src)
         np.testing.assert_array_equal(x, a)
         np.testing.assert_array_equal(z, a.T)
@@ -910,8 +930,10 @@ class TestPreparedSides:
         seen = self.count(monkeypatch)
         a = datasets.synth_directed_graph("two_block", 120, seed=6).adjacency
         src = kernels.build_sources(a)
-        # a graph's two sides are packed and measured in one pass over A
-        assert not seen and src.x_stats.packed and src.z_stats.packed
+        # a graph's sides are stored like any other: A, then A^T as a view
+        assert len(seen) == 2 and seen[0] is a and seen[1].base is a
+        assert seen[1].shape == a.T.shape
+        assert src.x_stats.packed and src.z_stats.packed
         np.testing.assert_array_equal(src.x_stats[0], (a * a).sum(1))
         np.testing.assert_array_equal(src.z_stats[0], (a * a).sum(0))
         assert src.x_stats[1] == src.z_stats[1] == 1.0
@@ -920,13 +942,13 @@ class TestPreparedSides:
             lazy = kernels.LazyKernelSource(spec, src)
             lazy.sample_blocks([1, 5, 9], [2, 4])
             lazy.full()
-        assert not seen
+        assert len(seen) == 2
         # a compat transform measures the side it projects, and only it
         rect = make_matrix(12, 9, seed=7)
         src = kernels.build_sources(rect)
-        assert len(seen) == 2 and seen[1] is src.z
+        assert len(seen) == 4
         out = apply_compat(make_compat(rect, "a1"), src)  # projects z
-        assert len(seen) == 3 and seen[-1] is not src.z
+        assert len(seen) == 5 and seen[-1] is not src.z
         assert out.x_stats is src.x_stats
         np.testing.assert_array_equal(out.z_stats[0], (out.z * out.z).sum(1))
 
